@@ -12,6 +12,7 @@ keeps every assembled matrix hermitian at machine precision.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -34,7 +35,7 @@ from .cell import CellSolution
 #: mesh spacing must not exceed eps times this factor
 H_OVER_EPS = 1.0 / 16.0
 
-#: dense eigenvalue probe below this size, inverse power iteration above
+#: dense eigenvalue probe below this size, sparse inertia-certified probe above
 _DENSE_PROBE_LIMIT = 4096
 
 
@@ -195,13 +196,43 @@ class DiscreteDirichletOperator:
         return lu.solve(rhs.astype(complex))
 
 
+def tridiagonal_bands(matrix):
+    """Diagonal and first subdiagonal of a hermitian matrix of bandwidth <= 1.
+
+    Returns None when any stored entry lies further from the diagonal.
+    Every scalar (n = 1) operator in d = 1 is tridiagonal.
+    """
+    coo = matrix.tocoo()
+    if np.abs(coo.row - coo.col).max(initial=0) > 1:
+        return None
+    return matrix.diagonal().real, matrix.diagonal(-1)
+
+
+def _gershgorin_lower(matrix) -> float:
+    """Gershgorin lower bound: never above the smallest eigenvalue."""
+    diag = matrix.diagonal().real
+    radius = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(diag)
+    return float((diag - radius).min())
+
+
 def smallest_eigenvalue(matrix, iters: int = 200, tol: float = 1e-8) -> float:
     """Probe for the smallest eigenvalue of a sparse hermitian matrix.
 
-    Exact (dense) below _DENSE_PROBE_LIMIT unknowns; above that, inverse
-    power iteration at shift zero, which is accurate once the operator is
-    positive definite.  Returns 0.0 when the matrix cannot be factorized.
+    Tridiagonal matrices get a Sturm-count bisection for the lowest
+    eigenvalue; other matrices up to _DENSE_PROBE_LIMIT unknowns a dense
+    eigvalsh.  Above that, a symmetric-mode sparse LU P A P^T = L D L^H
+    gives the inertia of A by Sylvester's law: when every pivot is
+    positive, A is positive definite and inverse power iteration at shift
+    zero finds its smallest eigenvalue.  Otherwise (a pivot <= 0, pivoting
+    that was not symmetric, or a singular factorization) the Gershgorin
+    lower bound is returned, which is <= 0 for every matrix that is not
+    positive definite.
     """
+    bands = tridiagonal_bands(matrix)
+    if bands is not None:
+        diag, sub = bands
+        return float(scipy.linalg.eigvalsh_tridiagonal(
+            diag, np.abs(sub), select="i", select_range=(0, 0))[0])
     size = matrix.shape[0]
     if size <= _DENSE_PROBE_LIMIT:
         dense = matrix.toarray()
@@ -209,9 +240,12 @@ def smallest_eigenvalue(matrix, iters: int = 200, tol: float = 1e-8) -> float:
             dense = dense.real
         return float(np.linalg.eigvalsh(dense)[0])
     try:
-        lu = spla.splu(matrix.tocsc())
+        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError:
-        return 0.0
+        return _gershgorin_lower(matrix)
+    if (lu.perm_r != lu.perm_c).any() or (lu.U.diagonal().real <= 0.0).any():
+        return _gershgorin_lower(matrix)
     rng = np.random.default_rng(1234)
     x = rng.standard_normal(size)
     if matrix.dtype.kind == "c":

@@ -38,6 +38,7 @@ from .evolution import (
     flux_approx,
     op_cosine,
     op_inv_sqrt,
+    _DENSE_EIG_LIMIT,
 )
 
 #: errors at or below this are reported as "exact" and excluded from fits
@@ -363,7 +364,7 @@ def resolvent_sweep(cfg: SweepConfig) -> RateReport:
     for idx, case in enumerate(cases):
         cor = Corrector(fix.cell, case.eps, sym, case.ext, fix.lat,
                         smoothed=True)
-        can_eig = case.op_eps.size <= 4096
+        can_eig = case.op_eps.size <= _DENSE_EIG_LIMIT
         eb_eps = spectral_decompose(case.op_eps) if can_eig else None
         eb_0 = spectral_decompose(case.op_0) if can_eig else None
         e_l2 = e_h1 = e_sqrt = 0.0

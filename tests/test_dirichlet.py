@@ -25,6 +25,7 @@ from oscillat.dirichlet import (
     Corrector,
     corrector_apply,
     resolvent,
+    _finalize,
 )
 
 LAT1 = unit_lattice(1)
@@ -400,3 +401,49 @@ def test_smallest_eigenvalue_probe_matches_dense():
     op = assemble_b_eps(mesh, cs, 0.25, LAT1)
     dense = np.linalg.eigvalsh(op.matrix.toarray())[0]
     assert smallest_eigenvalue(op.matrix) == pytest.approx(dense, rel=1e-8)
+
+
+@pytest.mark.parametrize("params", [None, {"a_amp": 0.2}])
+def test_sturm_probe_matches_dense(params, monkeypatch):
+    eps = 1 / 64
+    op = assemble_b_eps(mesh_for([1.0], eps / 16), catalog("sine1d", params),
+                        eps, LAT1)
+    assert op.size >= 1023
+    dense = np.linalg.eigvalsh(op.matrix.toarray())[0]
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("tridiagonal matrix took the dense probe")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_dense)
+    assert smallest_eigenvalue(op.matrix) == pytest.approx(dense, rel=1e-8)
+
+
+def _laplacian_2d(M):
+    h = 1.0 / (M + 1)
+    T = tridiag_laplacian(M, h)
+    eye = sp.identity(M)
+    return (sp.kron(T, eye) + sp.kron(eye, T)).tocsr(), h
+
+
+def test_sparse_probe_matches_laplacian_eigenvalue():
+    A, h = _laplacian_2d(65)  # 4225 unknowns: the sparse LU path
+    assert A.shape[0] > 4096
+    exact = 2 * dirichlet_laplacian_eigs(65, h, 1.0)[0]
+    assert smallest_eigenvalue(A) == pytest.approx(exact, rel=1e-8)
+
+
+def test_probe_rejects_indefinite_matrix_above_dense_limit():
+    # -10 is the smallest eigenvalue but 0.1 the one nearest zero, which
+    # inverse iteration at shift zero alone would return
+    size = 5002
+    diag = sp.diags(np.concatenate([[-10.0, 0.1], np.ones(size - 2)]),
+                    format="csr")
+    corner = sp.coo_matrix(([0.01, 0.01], ([0, size - 1], [size - 1, 0])),
+                           shape=(size, size))
+    shifted_laplacian = _laplacian_2d(71)[0] - 40.0 * sp.identity(71 * 71)
+    for A in (diag, (diag + corner).tocsr(), shifted_laplacian.tocsr()):
+        assert smallest_eigenvalue(A) <= 0.0
+        m = make_mesh([1.0], [A.shape[0]])
+        with pytest.raises(NotPositiveDefinite):
+            _finalize(A * m.sigma, m, 1, 1.0, 0.0, check_pd=True)
+    assert smallest_eigenvalue(diag) == pytest.approx(-10.0, rel=1e-12)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from oscillat.errors import CFLViolation, ForcingGridTooCoarse, EigSolverFailure
@@ -13,6 +14,7 @@ from oscillat.dirichlet import (
     assemble_b0,
     build_extension,
     l2_norm,
+    tridiagonal_bands,
 )
 from oscillat.evolution import (
     spectral_decompose,
@@ -85,6 +87,30 @@ def test_reconstruction_contract():
     eb = spectral_decompose(op)
     rebuilt = (eb.eigenvectors * eb.eigenvalues) @ eb.eigenvectors.conj().T
     dense = op.matrix.toarray()
+    assert np.linalg.norm(rebuilt - dense) <= 1e-8 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("params", [None, {"a_amp": 0.2}])
+def test_tridiagonal_backend_matches_dense(params, monkeypatch):
+    # real sine1d and its complex hermitian variant with a first-order term
+    eps = 1 / 64
+    op = assemble_b_eps(mesh_for([1.0], eps / 16), catalog("sine1d", params),
+                        eps, LAT1)
+    assert op.size >= 1023
+    assert (op.matrix.dtype.kind == "c") == (params is not None)
+    assert tridiagonal_bands(op.matrix) is not None
+    dense = op.matrix.toarray()
+    mu = scipy.linalg.eigh(dense, eigvals_only=True)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("tridiagonal operator took the dense path")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_dense)
+    eb = spectral_decompose(op)  # raises unless the residual check passes
+    assert np.abs(eb.eigenvalues - mu).max() <= 1e-12 * mu[-1]
+    Q = eb.eigenvectors
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(op.size)) <= 1e-10
+    rebuilt = (Q * eb.eigenvalues) @ Q.conj().T
     assert np.linalg.norm(rebuilt - dense) <= 1e-8 * np.linalg.norm(dense)
 
 

@@ -5,6 +5,7 @@ scalar fixtures."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oscillat.lattice import unit_lattice
 from oscillat.coefficients import (
@@ -24,6 +25,7 @@ from oscillat.dirichlet import (
     resolvent,
     l2_norm,
     h1_norm,
+    tridiagonal_bands,
 )
 from oscillat.evolution import (
     spectral_decompose,
@@ -191,3 +193,22 @@ def test_2d_corrector_and_single_case_errors():
     rel_flux = (l2_norm(mesh, (p[0] - pa[0]).ravel())
                 / l2_norm(mesh, p[0].ravel()))
     assert rel_flux < 0.5
+
+
+def test_block_and_2d_operators_take_dense_path(monkeypatch):
+    cs = matrix_system()
+    sol = solve_cell(cs, LAT1, 128)
+    mesh = mesh_for([1.0], 0.25 / 16)
+    lam = choose_lambda(mesh, cs, [0.25], LAT1, cell=sol)
+    op_block = assemble_b_eps(mesh, cs.with_lambda(lam), 0.25, LAT1)
+    op_2d = assemble_b_eps(mesh_for([1.0, 1.0], 0.5 / 16), catalog("laminate2d"),
+                           0.5, LAT2)
+
+    def no_tridiagonal(*args, **kwargs):
+        raise AssertionError("banded operator took the tridiagonal path")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_tridiagonal)
+    for op in (op_block, op_2d):
+        assert tridiagonal_bands(op.matrix) is None
+        eb = spectral_decompose(op)
+        assert eb.size == op.size
