@@ -1,84 +1,37 @@
-"""Numerical homogenization workbench for periodic second-order systems."""
+"""Numerical homogenization workbench for periodic second-order systems.
 
-from . import errors
-from .lattice import Lattice, build_lattice, unit_lattice, frequencies
-from .coefficients import (
-    Symbol,
-    PeriodicField,
-    CoefficientSet,
-    symbol_bounds,
-    make_symbol,
-    gradient_symbol,
-    eval_scaled,
-    eval_scaled_grid,
-    catalog,
-    load_field_csv,
-)
-from .cell import (
-    CellSolution,
-    solve_lambda,
-    solve_lambda_tilde,
-    effective_matrix,
-    interaction_matrices,
-    voigt_reuss,
-    solve_cell,
-)
+The package namespace holds the names the demos use; everything else is
+imported from its module (``oscillat.dirichlet``, ``oscillat.study``, ...).
+Importing the package loads every library module but the command line.
+"""
+
+from .lattice import unit_lattice
+from .coefficients import catalog
+from .cell import solve_cell, voigt_reuss
 from .dirichlet import (
-    Mesh,
-    make_mesh,
     mesh_for,
-    DiscreteDirichletOperator,
     assemble_b_eps,
     assemble_b0,
-    choose_lambda,
-    ExtensionOperator,
     build_extension,
-    extend,
     steklov,
-    Corrector,
-    corrector_apply,
-    resolvent,
     l2_norm,
     h1_norm,
 )
 from .evolution import (
-    EigenBasis,
-    EvolutionResult,
     spectral_decompose,
-    op_cosine,
-    op_sine_scaled,
     solve_ibvp,
     first_order_approx,
     flux,
     flux_approx,
     leapfrog_oracle,
 )
-from .study import (
-    SweepConfig,
-    RateReport,
-    fit_rate,
-    convergence_sweep,
-    resolvent_sweep,
-    cosine_corrector_sweep,
-    run_cli,
-    selftest,
-)
+from .study import SweepConfig, convergence_sweep, resolvent_sweep
 
 __all__ = [
-    "errors",
-    "Lattice", "build_lattice", "unit_lattice", "frequencies",
-    "Symbol", "PeriodicField", "CoefficientSet", "symbol_bounds",
-    "make_symbol", "gradient_symbol", "eval_scaled", "eval_scaled_grid",
-    "catalog", "load_field_csv",
-    "CellSolution", "solve_lambda", "solve_lambda_tilde", "effective_matrix",
-    "interaction_matrices", "voigt_reuss", "solve_cell",
-    "Mesh", "make_mesh", "mesh_for", "DiscreteDirichletOperator",
-    "assemble_b_eps", "assemble_b0", "choose_lambda",
-    "ExtensionOperator", "build_extension", "extend", "steklov",
-    "Corrector", "corrector_apply", "resolvent", "l2_norm", "h1_norm",
-    "EigenBasis", "EvolutionResult", "spectral_decompose", "op_cosine",
-    "op_sine_scaled", "solve_ibvp", "first_order_approx", "flux",
+    "unit_lattice", "catalog", "solve_cell", "voigt_reuss",
+    "mesh_for", "assemble_b_eps", "assemble_b0", "build_extension",
+    "steklov", "l2_norm", "h1_norm",
+    "spectral_decompose", "solve_ibvp", "first_order_approx", "flux",
     "flux_approx", "leapfrog_oracle",
-    "SweepConfig", "RateReport", "fit_rate", "convergence_sweep",
-    "resolvent_sweep", "cosine_corrector_sweep", "run_cli", "selftest",
+    "SweepConfig", "convergence_sweep", "resolvent_sweep",
 ]

@@ -174,11 +174,18 @@ def _pcg(op: _CellOperator, rhs, max_iter: int, tol: float):
     return x, res
 
 
-def _coeffs_to_field(coeffs_cols, d, N) -> PeriodicField:
-    """Stack per-column coefficient arrays (grid, n) into an (n, cols) field."""
-    c = np.stack(coeffs_cols, axis=-1)  # (grid, n, cols)
-    samples = np.fft.ifftn(c * N ** d, axes=tuple(range(d)))
-    return PeriodicField(samples=samples, dim=d)
+def _solve_columns(op: _CellOperator, rhs_cols, residuals) -> PeriodicField:
+    """Solve one system per column and stack the (grid, n) coefficient
+    solutions into an (n, cols) field; appends each residual."""
+    cols = []
+    for rhs in rhs_cols:
+        x, res = _pcg(op, rhs, 10 * op.N ** op.d, CG_TOL)
+        cols.append(x)
+        if residuals is not None:
+            residuals.append(res)
+    c = np.stack(cols, axis=-1)  # (grid, n, cols)
+    samples = np.fft.ifftn(c * op.N ** op.d, axes=tuple(range(op.d)))
+    return PeriodicField(samples=samples, dim=op.d)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +203,8 @@ def solve_lambda(sym: Symbol, g: PeriodicField, lat: Lattice, N: int,
         raise ValueError("cell resolution must be even and >= 8")
     op = _CellOperator(sym, g, lat, N)
     g_coeffs = op.g_trunc.coeffs()  # (grid, m, m) truncated to solver band
-    cols = []
-    max_iter = 10 * N ** sym.d
-    for c in range(sym.m):
-        rhs = op.rhs_from_field(g_coeffs[..., :, c])
-        x, res = _pcg(op, rhs, max_iter, CG_TOL)
-        cols.append(x)
-        if _residuals is not None:
-            _residuals.append(res)
-    return _coeffs_to_field(cols, sym.d, N)
+    return _solve_columns(op, [op.rhs_from_field(g_coeffs[..., :, c])
+                               for c in range(sym.m)], _residuals)
 
 
 def solve_lambda_tilde(sym: Symbol, g: PeriodicField, a, lat: Lattice, N: int,
@@ -226,14 +226,8 @@ def solve_lambda_tilde(sym: Symbol, g: PeriodicField, a, lat: Lattice, N: int,
         cj = resample(ajH, N).coeffs()
         rhs_field -= k_grid[..., j, None, None] * cj  # -D_j a_j* in frequency
     rhs_field[(0,) * d] = 0.0
-    cols = []
-    max_iter = 10 * N ** d
-    for c in range(n):
-        x, res = _pcg(op, rhs_field[..., :, c], max_iter, CG_TOL)
-        cols.append(x)
-        if _residuals is not None:
-            _residuals.append(res)
-    return _coeffs_to_field(cols, d, N)
+    return _solve_columns(op, [rhs_field[..., :, c] for c in range(n)],
+                          _residuals)
 
 
 # ---------------------------------------------------------------------------

@@ -15,26 +15,18 @@ import sys
 import numpy as np
 
 from .errors import OscillatError
-from .lattice import build_lattice, unit_lattice
-from .cell import solve_cell, voigt_reuss
-from .dirichlet import mesh_for, assemble_b_eps, assemble_b0, choose_lambda, build_extension, l2_norm
-from .evolution import (
-    spectral_decompose,
-    solve_ibvp,
-    first_order_approx,
-    flux,
-    flux_approx,
-)
+from .cell import voigt_reuss
+from .dirichlet import l2_norm
 from .study import (
     SweepConfig,
     convergence_sweep,
     resolvent_sweep,
     cosine_corrector_sweep,
     write_report,
-    data_profile,
     build_fixture,
-    fixture_coefficients,
-    extension_margin,
+    build_cases,
+    evolve_case,
+    require_decomposable,
     selftest,
 )
 
@@ -95,11 +87,22 @@ def _complex_matrix_json(mat):
     return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
 
 
+def _write_csv(path, header, coords, blocks):
+    """One line per row r: coords[r], then re/im pairs of every block[r]."""
+    lines = [",".join(header)]
+    for r in range(coords.shape[0]):
+        vals = [f"{c:.17g}" for c in coords[r]]
+        for block in blocks:
+            for z in np.atleast_1d(block[r]):
+                z = complex(z)
+                vals += [f"{z.real:.17g}", f"{z.imag:.17g}"]
+        lines.append(",".join(vals))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def cmd_cell(cfg: SweepConfig) -> int:
-    coeffs = fixture_coefficients(cfg)
-    lat = (build_lattice(cfg.basis) if cfg.basis is not None
-           else unit_lattice(coeffs.d))
-    sol = solve_cell(coeffs, lat, cfg.resolved_cell_n(coeffs.d))
+    fix = build_fixture(cfg)
+    coeffs, sol = fix.coeffs, fix.cell
     vr = voigt_reuss(coeffs.g, sol.g0)
     out = pathlib.Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -115,15 +118,7 @@ def cmd_cell(cfg: SweepConfig) -> int:
                for p in ("re", "im")]
     header += [f"lambda_tilde_{i}{j}_{p}" for i in range(n) for j in range(n)
                for p in ("re", "im")]
-    lines = [",".join(header)]
-    for row in range(N ** d):
-        vals = [f"{v:.17g}" for v in frac[row]]
-        for z in lam[row]:
-            vals += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-        for z in lamt[row]:
-            vals += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-        lines.append(",".join(vals))
-    (out / "cell_solution.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "cell_solution.csv", header, frac, (lam, lamt))
 
     payload = {
         "resolution": N,
@@ -150,60 +145,27 @@ def cmd_cell(cfg: SweepConfig) -> int:
 def cmd_evolve(cfg: SweepConfig) -> int:
     fix = build_fixture(cfg)
     eps = float(cfg.evolve_eps)
-    mesh = mesh_for(cfg.box, eps * cfg.h_over_eps)
-    lam = choose_lambda(mesh, fix.coeffs, [eps], fix.lat, cell=fix.cell)
-    coeffs = fix.coeffs.with_lambda(lam)
-    op_eps = assemble_b_eps(mesh, coeffs, eps, fix.lat)
-    op_0 = assemble_b0(mesh, fix.cell, coeffs)
-    ext = build_extension(mesh, extension_margin(fix.lat, eps, cfg.box))
-    n = coeffs.symbol.n
-
-    eb_eps = spectral_decompose(op_eps)
-    eb_0 = spectral_decompose(op_0)
-    phi = op_0.solve_shifted(0.0, op_0.solve_shifted(
-        0.0, data_profile(cfg.phi, mesh, n)))
-    psi = op_0.solve_shifted(0.0, op_0.solve_shifted(
-        0.0, data_profile(cfg.psi, mesh, n)))
-    forcing = None
-    t_list = list(cfg.t_list)
-    if cfg.forcing != "none":
-        f_space = op_0.solve_shifted(0.0, op_0.solve_shifted(
-            0.0, data_profile(cfg.forcing, mesh, n)))
-        t_grid = np.linspace(0.0, max(t_list), max(9, int(33 * max(t_list)) + 1))
-        forcing = (t_grid, np.cos(cfg.forcing_omega * t_grid)[:, None] * f_space)
-    u_eps = solve_ibvp(eb_eps, phi, psi, forcing, t_list)
-    u_0 = solve_ibvp(eb_0, phi, psi, forcing, t_list)
-    v_eps = first_order_approx(u_0, fix.cell, eps, cfg.smoothed,
-                               coeffs.symbol, ext, fix.lat)
-    p_eps = flux(u_eps, coeffs, eps, mesh, fix.lat)
-    p_apx = flux_approx(u_0, fix.cell, eps, cfg.smoothed, coeffs, ext,
-                        fix.lat)
+    require_decomposable(cfg, fix, [eps])
+    case = build_cases(fix, cfg, [eps])[0]
+    # the written solutions and fluxes all come from the full data
+    u_eps, u_0, _, v_eps, p_eps, p_apx = evolve_case(fix, cfg, case,
+                                                     energy_phi_zero=False)
+    mesh, n, m = case.mesh, fix.coeffs.symbol.n, fix.coeffs.symbol.m
 
     out = pathlib.Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     coords = np.stack(np.meshgrid(*mesh.axes(), indexing="ij"),
                       axis=-1).reshape(-1, mesh.dim)
-    m = coeffs.symbol.m
-    for i, t in enumerate(t_list):
-        header = [f"x{k + 1}" for k in range(mesh.dim)]
-        for name in ("u_eps", "u0", "v_eps"):
-            header += [f"{name}_{c}_{p}" for c in range(n)
-                       for p in ("re", "im")]
-        for name in ("p_eps", "flux_approx"):
-            header += [f"{name}_{c}_{p}" for c in range(m)
-                       for p in ("re", "im")]
-        lines = [",".join(header)]
-        ue = mesh.to_grid(u_eps.u[i], n).reshape(-1, n)
-        u0g = mesh.to_grid(u_0.u[i], n).reshape(-1, n)
-        ve = mesh.to_grid(v_eps.u[i], n).reshape(-1, n)
-        for r in range(coords.shape[0]):
-            vals = [f"{c:.17g}" for c in coords[r]]
-            for block in (ue[r], u0g[r], ve[r], p_eps[i][r], p_apx[i][r]):
-                for z in np.atleast_1d(block):
-                    zz = complex(z)
-                    vals += [f"{zz.real:.17g}", f"{zz.imag:.17g}"]
-            lines.append(",".join(vals))
-        (out / f"solution_t{t:g}.csv").write_text("\n".join(lines) + "\n")
+    header = [f"x{k + 1}" for k in range(mesh.dim)]
+    for name in ("u_eps", "u0", "v_eps"):
+        header += [f"{name}_{c}_{p}" for c in range(n) for p in ("re", "im")]
+    for name in ("p_eps", "flux_approx"):
+        header += [f"{name}_{c}_{p}" for c in range(m) for p in ("re", "im")]
+    for i, t in enumerate(cfg.t_list):
+        nodal = [mesh.to_grid(w.u[i], n).reshape(-1, n)
+                 for w in (u_eps, u_0, v_eps)]
+        _write_csv(out / f"solution_t{t:g}.csv", header, coords,
+                   nodal + [p_eps[i], p_apx[i]])
     err = l2_norm(mesh, u_eps.u[-1] - u_0.u[-1])
     print(f"evolve done: eps={eps:g}, final |u_eps - u0|_L2 = {err:.3e}")
     return 0

@@ -327,9 +327,6 @@ class CoefficientSet:
             raise ValueError("shift must be nonnegative")
         return self
 
-    def a_is_zero(self) -> bool:
-        return not self.a or all(np.abs(aj.samples).max() == 0 for aj in self.a)
-
 
 def _default_samples(d: int) -> int:
     return 256 if d == 1 else 64

@@ -53,10 +53,6 @@ class Mesh:
     h: tuple
 
     @property
-    def shape(self) -> tuple:
-        return self.m_int
-
-    @property
     def n_nodes(self) -> int:
         return int(np.prod(self.m_int))
 
@@ -125,20 +121,21 @@ def h1_norm(mesh: Mesh, vec: np.ndarray, n: int) -> float:
     return float(np.sqrt(l2_norm(mesh, vec) ** 2 + grad_sq(mesh, vec, n)))
 
 
-def bD_nodal(mesh: Mesh, sym: Symbol, vec: np.ndarray) -> np.ndarray:
-    """b(D)u at interior nodes by centered differences (zero boundary).
+def bD_centered(grid: np.ndarray, sym: Symbol, h) -> np.ndarray:
+    """b(D)u by centered differences on a grid, zero outside it.
 
-    Returns grid values of shape mesh.shape + (m,).
+    grid has shape (M_1, .., M_d, n) with spacings h; returns the grid
+    values of b(D)u, shape (M_1, .., M_d, m).
     """
-    grid = mesh.to_grid(vec, sym.n)
-    out = np.zeros(mesh.shape + (sym.m,), dtype=complex)
+    d = len(h)
+    out = np.zeros(grid.shape[:-1] + (sym.m,), dtype=complex)
     for l, b in enumerate(sym.b_mats):
-        pad = [(0, 0)] * (mesh.dim + 1)
-        pad[l] = (1, 1)
-        padded = np.pad(grid, pad)
-        up = padded[_ax_slice(mesh.dim, l, slice(2, None))]
-        dn = padded[_ax_slice(mesh.dim, l, slice(0, -2))]
-        dl = -1j * (up - dn) / (2.0 * mesh.h[l])
+        hi = _ax_slice(d, l, slice(1, None))
+        lo = _ax_slice(d, l, slice(0, -1))
+        diff = np.zeros_like(grid)      # u(x + h e_l) - u(x - h e_l)
+        diff[lo] = grid[hi]
+        diff[hi] -= grid[lo]
+        dl = -1j * diff / (2.0 * h[l])
         out += np.einsum("...n,mn->...m", dl, b)
     return out
 
@@ -169,9 +166,6 @@ class DiscreteDirichletOperator:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, v):
-        return self.matrix @ v
 
     def factor(self, zeta=0.0):
         key = complex(zeta)
@@ -406,7 +400,8 @@ def assemble_b_eps(mesh: Mesh, coeffs: CoefficientSet, eps: float,
     if coeffs.a:
         for j, aj in enumerate(coeffs.a):
             vals = eval_scaled_grid(aj, lat, eps, node_axes).reshape(-1, n, n)
-            X = _block_diag_field(vals) @ _centered_diff_block(mesh, j, n)
+            X = _block_diag_field(vals) @ sp.kron(
+                _centered_diff(mesh, j), sp.identity(n), format="csr")
             form = form + sigma * (X + X.conj().T)
     if coeffs.Q is not None:
         vals = eval_scaled_grid(coeffs.Q, lat, eps, node_axes).reshape(-1, n, n)
@@ -414,10 +409,6 @@ def assemble_b_eps(mesh: Mesh, coeffs: CoefficientSet, eps: float,
     if coeffs.lam:
         form = form + sigma * coeffs.lam * sp.identity(form.shape[0])
     return _finalize(form, mesh, n, float(eps), coeffs.lam, check_pd)
-
-
-def _centered_diff_block(mesh: Mesh, axis: int, n: int):
-    return sp.kron(_centered_diff(mesh, axis), sp.identity(n), format="csr")
 
 
 def assemble_b0(mesh: Mesh, cell: CellSolution, coeffs: CoefficientSet,
@@ -658,16 +649,11 @@ class Corrector:
 
     def apply_ext(self, u_ext: np.ndarray) -> np.ndarray:
         """Corrector of an extended grid function; returns interior dof vector."""
-        mesh, h = self.ext_op.mesh, self.ext_op.mesh.h
+        h = self.ext_op.mesh.h
         s = u_ext
         if self.smoothed:
             s = steklov(u_ext, self.lat, self.eps, h, margin=self.ext_op.margin)
-        bds = np.zeros(s.shape[:-1] + (self.sym.m,), dtype=complex)
-        for l, b in enumerate(self.sym.b_mats):
-            up = _shifted(s, mesh.dim, np.eye(mesh.dim, dtype=int)[l], False)
-            dn = _shifted(s, mesh.dim, -np.eye(mesh.dim, dtype=int)[l], False)
-            dl = -1j * (up - dn) / (2.0 * h[l])
-            bds += np.einsum("...n,mn->...m", dl, b)
+        bds = bD_centered(s, self.sym, h)
         total = np.einsum("...nm,...m->...n", self.lam_eps, bds)
         total += np.einsum("...nk,...k->...n", self.lam_tilde_eps, s)
         return self.ext_op.restrict(total)
@@ -675,15 +661,6 @@ class Corrector:
     def apply(self, u_interior: np.ndarray) -> np.ndarray:
         u_ext = extend(u_interior, self.ext_op, n=self.sym.n)
         return self.apply_ext(u_ext)
-
-
-def corrector_apply(cell: CellSolution, eps: float, sym: Symbol,
-                    u_ext: np.ndarray, smoothed: bool,
-                    ext_op: ExtensionOperator,
-                    lat: Lattice | None = None) -> np.ndarray:
-    """One-shot corrector application (see Corrector for the cached form)."""
-    lat = lat or unit_lattice(ext_op.mesh.dim)
-    return Corrector(cell, eps, sym, ext_op, lat, smoothed).apply_ext(u_ext)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .dirichlet import (
     ExtensionOperator,
     extend,
     steklov,
-    bD_nodal,
+    bD_centered,
     tridiagonal_bands,
 )
 from .coefficients import eval_scaled_grid
@@ -33,6 +33,9 @@ from .cell import CellSolution
 from .lattice import Lattice, unit_lattice
 
 _DENSE_EIG_LIMIT = 4096
+
+#: full eigendecompositions are refused above this many unknowns
+_EIG_LIMIT = 2 * _DENSE_EIG_LIMIT
 
 
 @dataclass(frozen=True)
@@ -67,10 +70,7 @@ class EvolutionResult:
 
 def spectral_decompose(op: DiscreteDirichletOperator) -> EigenBasis:
     """Full eigendecomposition, ascending; validates the spectral contract."""
-    if op.size > 2 * _DENSE_EIG_LIMIT:
-        raise EigSolverFailure(
-            f"{op.size} unknowns exceed the eigensolver limit "
-            f"{2 * _DENSE_EIG_LIMIT}; evolution runs are desk-scale by design")
+    check_decomposable(op.size)
     try:
         mu, Q = _eigh(op.matrix)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
@@ -81,6 +81,15 @@ def spectral_decompose(op: DiscreteDirichletOperator) -> EigenBasis:
     if (resid > 1e-8 * np.maximum(mu, 1e-300)).any():
         raise EigSolverFailure("eigen residual exceeds 1e-8 * mu")
     return EigenBasis(eigenvalues=mu, eigenvectors=Q, source=op)
+
+
+def check_decomposable(size: int, eps: float | None = None):
+    """Raise EigSolverFailure when size unknowns exceed the eigensolver cap."""
+    if size > _EIG_LIMIT:
+        at = "" if eps is None else f"eps={eps:g}: "
+        raise EigSolverFailure(
+            f"{at}{size} unknowns exceed the eigensolver limit "
+            f"{_EIG_LIMIT}; evolution runs are desk-scale by design")
 
 
 def _eigh(matrix):
@@ -235,7 +244,7 @@ def flux(u_path: EvolutionResult, coeffs, eps: float, mesh,
     g_eps = eval_scaled_grid(coeffs.g, lat, eps, mesh.axes())
     out = []
     for u in u_path.u:
-        bdu = bD_nodal(mesh, sym, u)
+        bdu = bD_centered(mesh.to_grid(u, sym.n), sym, mesh.h)
         out.append(np.einsum("...ij,...j->...i", g_eps, bdu).reshape(-1, sym.m))
     return np.array(out)
 
@@ -257,27 +266,12 @@ def flux_approx(u0_path: EvolutionResult, cell: CellSolution, eps: float,
         s = u_ext
         if smoothed:
             s = steklov(u_ext, lat, eps, mesh.h, margin=ext_op.margin)
-        bds = np.zeros(s.shape[:-1] + (sym.m,), dtype=complex)
-        for l, b in enumerate(sym.b_mats):
-            roll_p = np.zeros_like(s)
-            roll_m = np.zeros_like(s)
-            sl_up = _slice_axis(s.ndim - 1, l, slice(1, None))
-            sl_lo = _slice_axis(s.ndim - 1, l, slice(0, -1))
-            roll_p[sl_lo] = s[sl_up]
-            roll_m[sl_up] = s[sl_lo]
-            dl = -1j * (roll_p - roll_m) / (2.0 * mesh.h[l])
-            bds += np.einsum("...n,mn->...m", dl, b)
+        bds = bD_centered(s, sym, mesh.h)
         total = np.einsum("...ij,...j->...i", g_tilde_eps, bds)
         total += np.einsum("...ij,...jk,...k->...i", g_eps, bdlt_eps, s)
         sl = ext_op.interior_slices()
         out.append(total[sl].reshape(-1, sym.m))
     return np.array(out)
-
-
-def _slice_axis(ndim_grid, ax, sl):
-    out = [slice(None)] * (ndim_grid + 1)
-    out[ax] = sl
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

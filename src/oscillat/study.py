@@ -1,13 +1,19 @@
 """Convergence-rate sweeps, slope fitting, reports, and the self test.
 
-Each sweep builds the oscillating and effective operators across a list of
-eps values (mesh spacing locked to eps by the h <= eps/16 policy), measures
-the theory-backed error quantities in discrete norms, and fits log-log
-slopes.  Verdict thresholds sit strictly below the theoretical rates
-(0.9 for O(eps), 0.45 for O(sqrt(eps))) to absorb preasymptotic effects;
-raw slopes and per-(eps, t) errors are always reported.
+run_sweep drives every sweep: it validates the config, solves the cell
+problem, builds one case per eps (mesh with h <= eps/16, oscillating and
+effective operators, extension), collects an Estimate's error rows per case
+and fits log-log slopes.  The three estimates are HYPERBOLIC (wave
+solutions: L2, H1 with corrector, flux), RESOLVENT (fixed zeta: L2, H1 with
+corrector, inverse root) and COSINE (smoothed-cosine corrector in H1 plus
+the plain error without a verdict).  Estimates that eigendecompose every
+case refuse meshes above the eigensolver cap before any assembly.
+Verdict thresholds sit strictly below the theoretical rates (0.9 for
+O(eps), 0.45 for O(sqrt(eps))) to absorb preasymptotic effects; raw slopes
+and per-(eps, t) errors are always reported.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 import time
 
@@ -31,6 +37,7 @@ from .dirichlet import (
     H_OVER_EPS,
 )
 from .evolution import (
+    check_decomposable,
     spectral_decompose,
     solve_ibvp,
     first_order_approx,
@@ -47,12 +54,6 @@ EXACT_TOL = 1e-9
 #: verdict thresholds, strictly below the theoretical rates
 SLOPE_FULL = 0.9      # O(eps) estimates
 SLOPE_HALF = 0.45     # O(sqrt(eps)) estimates
-
-
-def default_eps_list(d: int) -> list[float]:
-    if d == 1:
-        return [2.0 ** -k for k in range(3, 8)]
-    return [2.0 ** -k for k in range(2, 6)]
 
 
 @dataclass
@@ -79,7 +80,8 @@ class SweepConfig:
     evolve_eps: float = 0.125       # single-eps runs of the evolve command
 
     def resolved_eps(self, d: int) -> list[float]:
-        eps = list(self.eps_list) or default_eps_list(d)
+        eps = list(self.eps_list) or [
+            2.0 ** -k for k in (range(3, 8) if d == 1 else range(2, 6))]
         if len(set(eps)) != len(eps):
             raise ValueError("eps values must be distinct")
         eps_max_allowed = min(self.box) / 4.0
@@ -180,36 +182,27 @@ def _judge(tag: str, norm: str, rows, threshold) -> EstimateResult:
 # shared sweep scaffolding
 
 
-_DATA_PROFILES = ("none", "sinehump", "sinemix", "poly", "offcenter")
+#: smooth data profiles: per-axis factors, applied as vals = f(vals, x, L)
+_PROFILES = {
+    "sinehump": lambda v, x, L: v * np.sin(np.pi * x / L),
+    "sinemix": lambda v, x, L: v * (np.sin(np.pi * x / L)
+                                    + 0.3 * np.sin(2.0 * np.pi * x / L)),
+    "poly": lambda v, x, L: v * x * (L - x) * 4.0 / L ** 2,
+    "offcenter": lambda v, x, L: v * np.sin(np.pi * x / L) * np.exp(x / L),
+}
 
 
 def data_profile(name: str, mesh: Mesh, n: int) -> np.ndarray:
     """Smooth catalog data on interior nodes, unit discrete L2 norm."""
-    axes = mesh.axes()
-    grids = np.meshgrid(*axes, indexing="ij")
-    L = mesh.box
     if name == "none":
         return np.zeros(mesh.n_nodes * n)
-    if name == "sinehump":
-        vals = np.ones_like(grids[0])
-        for x, Lk in zip(grids, L):
-            vals = vals * np.sin(np.pi * x / Lk)
-    elif name == "sinemix":
-        vals = np.ones_like(grids[0])
-        for x, Lk in zip(grids, L):
-            vals = vals * (np.sin(np.pi * x / Lk)
-                           + 0.3 * np.sin(2.0 * np.pi * x / Lk))
-    elif name == "poly":
-        vals = np.ones_like(grids[0])
-        for x, Lk in zip(grids, L):
-            vals = vals * x * (Lk - x) * 4.0 / Lk ** 2
-    elif name == "offcenter":
-        vals = np.ones_like(grids[0])
-        for x, Lk in zip(grids, L):
-            vals = vals * np.sin(np.pi * x / Lk) * np.exp(x / Lk)
-    else:
+    if name not in _PROFILES:
         raise ValueError(f"unknown data profile {name!r}; "
-                         f"choose from {_DATA_PROFILES}")
+                         f"choose from {('none', *_PROFILES)}")
+    grids = np.meshgrid(*mesh.axes(), indexing="ij")
+    vals = np.ones_like(grids[0])
+    for x, Lk in zip(grids, mesh.box):
+        vals = _PROFILES[name](vals, x, Lk)
     vec = np.repeat(vals.reshape(-1), n).astype(float)
     return vec / l2_norm(mesh, vec)
 
@@ -221,20 +214,17 @@ class Fixture:
     cell: CellSolution
 
 
-def fixture_coefficients(cfg: SweepConfig) -> CoefficientSet:
-    """Coefficients from the catalog or from an external samples file."""
+def build_fixture(cfg: SweepConfig) -> Fixture:
+    """Coefficients (from the catalog or a samples file), lattice and cell."""
     if cfg.fixture == "samples_file":
         from .coefficients import (load_field_csv, make_symbol,
                                    gradient_symbol)
 
         g = load_field_csv(cfg.fixture_params["path"])
         sym = make_symbol([[[1.0]]]) if g.dim == 1 else gradient_symbol(g.dim)
-        return CoefficientSet(symbol=sym, g=g).validate()
-    return catalog(cfg.fixture, cfg.fixture_params)
-
-
-def build_fixture(cfg: SweepConfig) -> Fixture:
-    coeffs = fixture_coefficients(cfg)
+        coeffs = CoefficientSet(symbol=sym, g=g).validate()
+    else:
+        coeffs = catalog(cfg.fixture, cfg.fixture_params)
     lat = (build_lattice(cfg.basis) if cfg.basis is not None
            else unit_lattice(coeffs.d))
     cell = solve_cell(coeffs, lat, cfg.resolved_cell_n(coeffs.d))
@@ -288,162 +278,199 @@ def _seeded_probes(cfg: SweepConfig, case_idx: int, mesh: Mesh, n: int):
     return out
 
 
+def require_decomposable(cfg: SweepConfig, fix: Fixture, eps_list):
+    """Refuse, before any assembly, eps whose mesh exceeds the eigensolver cap."""
+    for eps in eps_list:
+        mesh = mesh_for(cfg.box, eps * cfg.h_over_eps)
+        check_decomposable(mesh.n_nodes * fix.coeffs.symbol.n, eps)
+
+
+def evolve_case(fix: Fixture, cfg: SweepConfig, case: Case,
+                energy_phi_zero: bool = True):
+    """Evolve (B0)^-2 catalog data through both operators of one case.
+
+    Returns (u_eps, u_0, ue_en, v_eps, p_eps, p_apx): the full solutions,
+    the part ue_en of u_eps compared in energy, its first-order
+    approximation, its flux and the flux approximation.  The energy-norm
+    estimates hold only for vanishing initial displacement, so with
+    energy_phi_zero that part has phi = 0; otherwise it is u_eps itself.
+    """
+    n = fix.coeffs.symbol.n
+    t_list = list(cfg.t_list)
+    eb_eps = spectral_decompose(case.op_eps)
+    eb_0 = spectral_decompose(case.op_0)
+
+    def data(name):
+        """(B0)^-2 of a profile: the regularity the rate theory demands."""
+        vec = data_profile(name, case.mesh, n)
+        return case.op_0.solve_shifted(0.0, case.op_0.solve_shifted(0.0, vec))
+
+    phi, psi = data(cfg.phi), data(cfg.psi)
+    forcing = None
+    if cfg.forcing != "none":
+        t_max = max(t_list)
+        t_grid = np.linspace(0.0, t_max, max(9, int(33 * t_max) + 1))
+        forcing = (t_grid, np.cos(cfg.forcing_omega * t_grid)[:, None]
+                   * data(cfg.forcing))
+    u_eps = solve_ibvp(eb_eps, phi, psi, forcing, t_list)
+    u_0 = solve_ibvp(eb_0, phi, psi, forcing, t_list)
+    ue_en, u0_en = u_eps, u_0
+    if energy_phi_zero and np.abs(phi).max() > 0:
+        ue_en = solve_ibvp(eb_eps, 0 * phi, psi, forcing, t_list)
+        u0_en = solve_ibvp(eb_0, 0 * phi, psi, forcing, t_list)
+    v_eps = first_order_approx(u0_en, fix.cell, case.eps, cfg.smoothed,
+                               fix.coeffs.symbol, case.ext, fix.lat)
+    p_eps = flux(ue_en, fix.coeffs, case.eps, case.mesh, fix.lat)
+    p_apx = flux_approx(u0_en, fix.cell, case.eps, cfg.smoothed, fix.coeffs,
+                        case.ext, fix.lat)
+    return u_eps, u_0, ue_en, v_eps, p_eps, p_apx
+
+
 # ---------------------------------------------------------------------------
-# the three sweeps
+# the sweep engine and its three estimates
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """What a sweep measures: entries (tag, norm, threshold or None) and
+    case_rows(fix, cfg, case index, case) -> {tag: [(eps, t, error)]}.
+
+    A tag no case returns is left out of the report.  decomposes: every
+    case is eigendecomposed; check: validates the config before any work;
+    meta: extra report meta.
+    """
+
+    entries: tuple
+    case_rows: Callable
+    decomposes: bool = False
+    check: Callable = lambda cfg: None
+    meta: Callable = lambda cfg: {}
+
+
+def run_sweep(cfg: SweepConfig, estimate: Estimate) -> RateReport:
+    """Measure one estimate on every eps case and fit its rates."""
+    t0 = time.perf_counter()
+    estimate.check(cfg)
+    fix = build_fixture(cfg)
+    eps_list = cfg.resolved_eps(fix.coeffs.d)
+    if estimate.decomposes:
+        require_decomposable(cfg, fix, eps_list)
+    rows = {}
+    for idx, case in enumerate(build_cases(fix, cfg, eps_list)):
+        for tag, case_rows in estimate.case_rows(fix, cfg, idx, case).items():
+            rows.setdefault(tag, []).extend(case_rows)
+    meta = {"fixture": cfg.fixture, "d": fix.coeffs.d, "eps": list(eps_list),
+            "t": list(cfg.t_list), "smoothed": cfg.smoothed, "seed": cfg.seed,
+            "corrector_norm": fix.cell.corrector_norm(), **estimate.meta(cfg)}
+    return RateReport(
+        estimates=[_judge(tag, norm, rows[tag], threshold)
+                   for tag, norm, threshold in estimate.entries if tag in rows],
+        wall_time=time.perf_counter() - t0, meta=meta)
+
+
+def _hyperbolic_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
+    u_eps, u_0, ue_en, v_eps, p_eps, p_apx = evolve_case(fix, cfg, case)
+    mesh, n = case.mesh, fix.coeffs.symbol.n
+    rows = {"solution_l2": [], "solution_h1_corrector": [], "flux_l2": []}
+    for i, t in enumerate(cfg.t_list):
+        rows["solution_l2"].append(
+            (case.eps, t, l2_norm(mesh, u_eps.u[i] - u_0.u[i])))
+        rows["solution_h1_corrector"].append(
+            (case.eps, t, h1_norm(mesh, ue_en.u[i] - v_eps.u[i], n)))
+        rows["flux_l2"].append(
+            (case.eps, t, l2_norm(mesh, (p_eps[i] - p_apx[i]).reshape(-1))))
+    return rows
+
+
+def _resolvent_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
+    sym, n = fix.coeffs.symbol, fix.coeffs.symbol.n
+    zeta = float(cfg.zeta)
+    cor = Corrector(fix.cell, case.eps, sym, case.ext, fix.lat, smoothed=True)
+    can_eig = case.op_eps.size <= _DENSE_EIG_LIMIT
+    if can_eig:
+        eb_eps = spectral_decompose(case.op_eps)
+        eb_0 = spectral_decompose(case.op_0)
+    e_l2 = e_h1 = e_sqrt = 0.0
+    for f in _seeded_probes(cfg, idx, case.mesh, n):
+        u_eps = resolvent(case.op_eps, zeta, f)
+        u_0 = resolvent(case.op_0, zeta, f)
+        e_l2 = max(e_l2, l2_norm(case.mesh, u_eps - u_0))
+        corrected = u_0 + case.eps * cor.apply(u_0)
+        e_h1 = max(e_h1, h1_norm(case.mesh, u_eps - corrected, n))
+        if can_eig:
+            diff = op_inv_sqrt(eb_eps, f) - op_inv_sqrt(eb_0, f)
+            e_sqrt = max(e_sqrt, l2_norm(case.mesh, diff))
+    rows = {"resolvent_l2": [(case.eps, None, e_l2)],
+            "resolvent_h1_corrector": [(case.eps, None, e_h1)]}
+    if can_eig:
+        rows["inv_sqrt_l2"] = [(case.eps, None, e_sqrt)]
+    return rows
+
+
+def _check_zeta(cfg: SweepConfig):
+    if float(cfg.zeta) > 0:
+        raise ValueError("resolvent sweep expects zeta <= 0")
+
+
+def _cosine_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
+    sym, n = fix.coeffs.symbol, fix.coeffs.symbol.n
+    t_list = [t for t in cfg.t_list if t != 0.0]
+    cor = Corrector(fix.cell, case.eps, sym, case.ext, fix.lat, smoothed=True)
+    eb_eps = spectral_decompose(case.op_eps)
+    eb_0 = spectral_decompose(case.op_0)
+    rows = {"cos_h1_corrector": [], "cos_plain_h1": []}
+    for f in _seeded_probes(cfg, idx, case.mesh, n):
+        y0 = case.op_0.solve_shifted(0.0, f)            # (B0)^-1 f
+        y00 = case.op_0.solve_shifted(0.0, y0)          # (B0)^-2 f
+        y_eps = case.op_eps.solve_shifted(0.0, y0)      # (B_eps)^-1 (B0)^-1 f
+        for t in t_list:
+            w_eps = op_cosine(eb_eps, t, y_eps)
+            w_0 = op_cosine(eb_0, t, y00)
+            corrected = w_0 + case.eps * cor.apply(w_0)
+            rows["cos_h1_corrector"].append(
+                (case.eps, t, h1_norm(case.mesh, w_eps - corrected, n)))
+            rows["cos_plain_h1"].append((case.eps, t, h1_norm(
+                case.mesh, op_cosine(eb_eps, t, y00) - w_0, n)))
+    return rows
+
+
+def _check_cosine_times(cfg: SweepConfig):
+    if all(t == 0.0 for t in cfg.t_list):
+        raise ValueError("cosine corrector sweep needs t != 0")
+
+
+HYPERBOLIC = Estimate(
+    entries=(("solution_l2", "L2", SLOPE_FULL),
+             ("solution_h1_corrector", "H1", SLOPE_HALF),
+             ("flux_l2", "L2", SLOPE_HALF)),
+    case_rows=_hyperbolic_rows, decomposes=True)
+
+RESOLVENT = Estimate(
+    entries=(("resolvent_l2", "L2", SLOPE_FULL),
+             ("resolvent_h1_corrector", "H1", SLOPE_HALF),
+             ("inv_sqrt_l2", "L2", SLOPE_HALF)),
+    case_rows=_resolvent_rows, check=_check_zeta,
+    meta=lambda cfg: {"zeta": float(cfg.zeta)})
+
+COSINE = Estimate(
+    entries=(("cos_h1_corrector", "H1", SLOPE_HALF),
+             ("cos_plain_h1", "H1", None)),
+    case_rows=_cosine_rows, decomposes=True, check=_check_cosine_times)
 
 
 def convergence_sweep(cfg: SweepConfig) -> RateReport:
     """Hyperbolic solution errors: L2, H1 with corrector, and flux."""
-    t0 = time.perf_counter()
-    fix = build_fixture(cfg)
-    sym, n = fix.coeffs.symbol, fix.coeffs.symbol.n
-    eps_list = cfg.resolved_eps(fix.coeffs.d)
-    cases = build_cases(fix, cfg, eps_list)
-    t_list = list(cfg.t_list)
-    t_max = max(t_list)
-
-    rows_l2, rows_h1, rows_flux = [], [], []
-    for case in cases:
-        eb_eps = spectral_decompose(case.op_eps)
-        eb_0 = spectral_decompose(case.op_0)
-        phi = case.op_0.solve_shifted(0.0, case.op_0.solve_shifted(
-            0.0, data_profile(cfg.phi, case.mesh, n)))
-        psi = case.op_0.solve_shifted(0.0, case.op_0.solve_shifted(
-            0.0, data_profile(cfg.psi, case.mesh, n)))
-        forcing = None
-        if cfg.forcing != "none":
-            f_space = case.op_0.solve_shifted(0.0, case.op_0.solve_shifted(
-                0.0, data_profile(cfg.forcing, case.mesh, n)))
-            t_grid = np.linspace(0.0, t_max, max(9, int(33 * t_max) + 1))
-            forcing = (t_grid,
-                       np.cos(cfg.forcing_omega * t_grid)[:, None] * f_space)
-        u_eps = solve_ibvp(eb_eps, phi, psi, forcing, t_list)
-        u_0 = solve_ibvp(eb_0, phi, psi, forcing, t_list)
-        # the energy-norm estimates hold only for vanishing initial
-        # displacement, so corrector and flux comparisons use the
-        # phi = 0 part of the solution
-        if np.abs(phi).max() > 0:
-            ue_en = solve_ibvp(eb_eps, 0 * phi, psi, forcing, t_list)
-            u0_en = solve_ibvp(eb_0, 0 * phi, psi, forcing, t_list)
-        else:
-            ue_en, u0_en = u_eps, u_0
-        v_eps = first_order_approx(u0_en, fix.cell, case.eps, cfg.smoothed,
-                                   sym, case.ext, fix.lat)
-        p_eps = flux(ue_en, fix.coeffs, case.eps, case.mesh, fix.lat)
-        p_apx = flux_approx(u0_en, fix.cell, case.eps, cfg.smoothed,
-                            fix.coeffs, case.ext, fix.lat)
-        for i, t in enumerate(t_list):
-            rows_l2.append((case.eps, t,
-                            l2_norm(case.mesh, u_eps.u[i] - u_0.u[i])))
-            rows_h1.append((case.eps, t,
-                            h1_norm(case.mesh, ue_en.u[i] - v_eps.u[i], n)))
-            rows_flux.append((case.eps, t, l2_norm(
-                case.mesh, (p_eps[i] - p_apx[i]).reshape(-1))))
-
-    estimates = [
-        _judge("solution_l2", "L2", rows_l2, SLOPE_FULL),
-        _judge("solution_h1_corrector", "H1", rows_h1, SLOPE_HALF),
-        _judge("flux_l2", "L2", rows_flux, SLOPE_HALF),
-    ]
-    return RateReport(estimates=estimates, wall_time=time.perf_counter() - t0,
-                      meta=_meta(cfg, fix, eps_list))
+    return run_sweep(cfg, HYPERBOLIC)
 
 
 def resolvent_sweep(cfg: SweepConfig) -> RateReport:
     """Resolvent errors at fixed zeta: L2, H1 with corrector, inverse root."""
-    t0 = time.perf_counter()
-    fix = build_fixture(cfg)
-    sym, n = fix.coeffs.symbol, fix.coeffs.symbol.n
-    eps_list = cfg.resolved_eps(fix.coeffs.d)
-    cases = build_cases(fix, cfg, eps_list)
-    zeta = float(cfg.zeta)
-    if zeta > 0:
-        raise ValueError("resolvent sweep expects zeta <= 0")
-
-    rows_l2, rows_h1, rows_sqrt = [], [], []
-    for idx, case in enumerate(cases):
-        cor = Corrector(fix.cell, case.eps, sym, case.ext, fix.lat,
-                        smoothed=True)
-        can_eig = case.op_eps.size <= _DENSE_EIG_LIMIT
-        eb_eps = spectral_decompose(case.op_eps) if can_eig else None
-        eb_0 = spectral_decompose(case.op_0) if can_eig else None
-        e_l2 = e_h1 = e_sqrt = 0.0
-        for f in _seeded_probes(cfg, idx, case.mesh, n):
-            u_eps = resolvent(case.op_eps, zeta, f)
-            u_0 = resolvent(case.op_0, zeta, f)
-            e_l2 = max(e_l2, l2_norm(case.mesh, u_eps - u_0))
-            corrected = u_0 + case.eps * cor.apply(u_0)
-            e_h1 = max(e_h1, h1_norm(case.mesh, u_eps - corrected, n))
-            if can_eig:
-                diff = op_inv_sqrt(eb_eps, f) - op_inv_sqrt(eb_0, f)
-                e_sqrt = max(e_sqrt, l2_norm(case.mesh, diff))
-        rows_l2.append((case.eps, None, e_l2))
-        rows_h1.append((case.eps, None, e_h1))
-        if can_eig:
-            rows_sqrt.append((case.eps, None, e_sqrt))
-
-    estimates = [
-        _judge("resolvent_l2", "L2", rows_l2, SLOPE_FULL),
-        _judge("resolvent_h1_corrector", "H1", rows_h1, SLOPE_HALF),
-    ]
-    if rows_sqrt:
-        estimates.append(_judge("inv_sqrt_l2", "L2", rows_sqrt, SLOPE_HALF))
-    meta = _meta(cfg, fix, eps_list)
-    meta["zeta"] = zeta
-    return RateReport(estimates=estimates, wall_time=time.perf_counter() - t0,
-                      meta=meta)
+    return run_sweep(cfg, RESOLVENT)
 
 
 def cosine_corrector_sweep(cfg: SweepConfig) -> RateReport:
     """Smoothed-cosine corrector rate in H1 plus the no-verdict plain error."""
-    t0 = time.perf_counter()
-    fix = build_fixture(cfg)
-    sym, n = fix.coeffs.symbol, fix.coeffs.symbol.n
-    eps_list = cfg.resolved_eps(fix.coeffs.d)
-    t_list = [t for t in cfg.t_list if t != 0.0]
-    if not t_list:
-        raise ValueError("cosine corrector sweep needs t != 0")
-    cases = build_cases(fix, cfg, eps_list)
-
-    rows_corr, rows_plain = [], []
-    for idx, case in enumerate(cases):
-        cor = Corrector(fix.cell, case.eps, sym, case.ext, fix.lat,
-                        smoothed=True)
-        eb_eps = spectral_decompose(case.op_eps)
-        eb_0 = spectral_decompose(case.op_0)
-        for f in _seeded_probes(cfg, idx, case.mesh, n):
-            y0 = case.op_0.solve_shifted(0.0, f)        # (B0)^-1 f
-            y00 = case.op_0.solve_shifted(0.0, y0)      # (B0)^-2 f
-            for t in t_list:
-                w_eps = op_cosine(eb_eps, t,
-                                  case.op_eps.solve_shifted(0.0, y0))
-                w_0 = op_cosine(eb_0, t, y00)
-                corrected = w_0 + case.eps * cor.apply(w_0)
-                err = h1_norm(case.mesh, w_eps - corrected, n)
-                rows_corr.append((case.eps, t, err))
-                plain = h1_norm(case.mesh,
-                                op_cosine(eb_eps, t, y00)
-                                - op_cosine(eb_0, t, y00), n)
-                rows_plain.append((case.eps, t, plain))
-
-    estimates = [
-        _judge("cos_h1_corrector", "H1", rows_corr, SLOPE_HALF),
-        _judge("cos_plain_h1", "H1", rows_plain, None),
-    ]
-    return RateReport(estimates=estimates, wall_time=time.perf_counter() - t0,
-                      meta=_meta(cfg, fix, eps_list))
-
-
-def _meta(cfg: SweepConfig, fix: Fixture, eps_list) -> dict:
-    return {
-        "fixture": cfg.fixture,
-        "d": fix.coeffs.d,
-        "eps": list(eps_list),
-        "t": list(cfg.t_list),
-        "smoothed": cfg.smoothed,
-        "seed": cfg.seed,
-        "corrector_norm": fix.cell.corrector_norm(),
-    }
+    return run_sweep(cfg, COSINE)
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +502,6 @@ def write_report(report: RateReport, out_dir: str):
     out.mkdir(parents=True, exist_ok=True)
     (out / "rates.csv").write_text(rates_csv_text(report))
     (out / "report.txt").write_text(report_txt_text(report))
-
-
-def run_cli(argv=None) -> int:
-    """Command-line entry; see oscillat.cli for the implementation."""
-    from .cli import run_cli as _run
-
-    return _run(argv)
 
 
 # ---------------------------------------------------------------------------

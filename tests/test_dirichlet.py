@@ -23,7 +23,6 @@ from oscillat.dirichlet import (
     extend,
     steklov,
     Corrector,
-    corrector_apply,
     resolvent,
     _finalize,
 )
@@ -286,7 +285,8 @@ def test_corrector_zero_when_correctors_vanish():
     mesh = mesh_for([1.0], 0.125 / 16)
     ext = build_extension(mesh, 2 * LAT1.r1 * 0.125)
     u_ext = extend(np.sin(np.pi * mesh.axes()[0]), ext)
-    out = corrector_apply(sol, 0.125, cs.symbol, u_ext, True, ext, LAT1)
+    cor = Corrector(sol, 0.125, cs.symbol, ext, LAT1, smoothed=True)
+    out = cor.apply_ext(u_ext)
     assert np.abs(out).max() < 1e-14
 
 
@@ -294,7 +294,8 @@ def test_corrector_zero_on_constants():
     # constant extended data: b(D) term vanishes; LambdaTilde is zero
     cs, sol, mesh, ext = build_sine_fixture()
     u_ext = np.ones(ext.shape_ext + (1,))
-    out = corrector_apply(sol, 0.125, cs.symbol, u_ext, False, ext, LAT1)
+    cor = Corrector(sol, 0.125, cs.symbol, ext, LAT1, smoothed=False)
+    out = cor.apply_ext(u_ext)
     assert np.abs(out).max() < 1e-12
 
 

@@ -6,6 +6,7 @@ scalar fixtures."""
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from oscillat.lattice import unit_lattice
 from oscillat.coefficients import (
@@ -16,7 +17,10 @@ from oscillat.coefficients import (
 )
 from oscillat.cell import solve_cell, voigt_reuss
 from oscillat.dirichlet import (
+    make_mesh,
     mesh_for,
+    bD_centered,
+    _centered_diff,
     assemble_b_eps,
     assemble_b0,
     choose_lambda,
@@ -212,3 +216,32 @@ def test_block_and_2d_operators_take_dense_path(monkeypatch):
         assert tridiagonal_bands(op.matrix) is None
         eb = spectral_decompose(op)
         assert eb.size == op.size
+
+
+def _elasticity2d_symbol():
+    """d=2 symbol with n=2, m=3: the symmetric gradient of a 2-vector."""
+    return make_symbol([[[1.0, 0.0], [0.0, 0.0], [0.0, 0.5]],
+                        [[0.0, 0.0], [0.0, 1.0], [0.5, 0.0]]])
+
+
+@pytest.mark.parametrize("symbol, box, m_int", [
+    (lambda: catalog("sine1d").symbol, [1.0], [37]),
+    (lambda: matrix_system().symbol, [1.0], [37]),
+    (lambda: catalog("laminate2d").symbol, [1.0, 1.5], [11, 13]),
+    (_elasticity2d_symbol, [1.0, 1.5], [11, 13]),
+], ids=["sine1d", "matrix_system", "laminate2d", "elasticity2d"])
+def test_bD_centered_matches_assembly_stencil(symbol, box, m_int):
+    # the grid stencil used by fluxes and correctors equals the sparse
+    # b(D) = sum_l D_l b_l of the assembly on interior nodes
+    sym = symbol()
+    mesh = make_mesh(box, m_int)
+    rng = np.random.default_rng(5)
+    u = (rng.standard_normal(mesh.n_nodes * sym.n)
+         + 1j * rng.standard_normal(mesh.n_nodes * sym.n))
+    BD = sum(sp.kron(_centered_diff(mesh, l), b, format="csr")
+             for l, b in enumerate(sym.b_mats))
+    want = BD @ u
+    got = bD_centered(mesh.to_grid(u, sym.n), sym, mesh.h)
+    assert got.shape == mesh.m_int + (sym.m,)
+    err = np.linalg.norm(got.reshape(-1) - want)
+    assert err <= 1e-13 * np.linalg.norm(want)

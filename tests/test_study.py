@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oscillat.errors import InsufficientPoints, ZeroError
+from oscillat.errors import EigSolverFailure, InsufficientPoints, ZeroError
 from oscillat.dirichlet import make_mesh, l2_norm
 from oscillat.study import (
     SweepConfig,
@@ -11,6 +11,7 @@ from oscillat.study import (
     data_profile,
     convergence_sweep,
     resolvent_sweep,
+    cosine_corrector_sweep,
     build_fixture,
     rates_csv_text,
     report_txt_text,
@@ -203,6 +204,50 @@ def test_report_text_formats():
     assert len(lines) == 1 + sum(len(e.rows) for e in rep.estimates)
     txt = report_txt_text(rep)
     assert "solution_l2" in txt and "exact" in txt
+
+
+def _forbid(monkeypatch, module, *names):
+    def fail(*args, **kwargs):
+        raise AssertionError("called although the config is refused")
+
+    for name in names:
+        monkeypatch.setattr(module, name, fail)
+
+
+def test_resolvent_sweep_rejects_positive_zeta_before_cell_solve(monkeypatch):
+    import oscillat.study as study_mod
+
+    _forbid(monkeypatch, study_mod, "build_fixture")
+    with pytest.raises(ValueError, match="zeta <= 0"):
+        resolvent_sweep(SweepConfig(zeta=0.5))
+
+
+def test_cosine_sweep_rejects_zero_times_before_cell_solve(monkeypatch):
+    import oscillat.study as study_mod
+
+    _forbid(monkeypatch, study_mod, "build_fixture")
+    with pytest.raises(ValueError, match="t != 0"):
+        cosine_corrector_sweep(SweepConfig(t_list=(0.0,)))
+
+
+def test_over_cap_mesh_fails_before_assembly(tmp_path, monkeypatch, capsys):
+    # default d=2 grid {1/4 .. 1/32}: eps = 1/8 has 127^2 = 16129 unknowns,
+    # above the 8192 eigensolver cap, and no operator may be assembled
+    import oscillat.dirichlet as dirichlet_mod
+    import oscillat.study as study_mod
+
+    for mod in (dirichlet_mod, study_mod):
+        _forbid(monkeypatch, mod, "assemble_b_eps", "assemble_b0")
+    cfg = SweepConfig(fixture="laminate2d", box=(1.0, 1.0), cell_n=16)
+    for sweep in (convergence_sweep, cosine_corrector_sweep):
+        with pytest.raises(EigSolverFailure, match=r"eps=0\.125: 16129 unknowns"):
+            sweep(cfg)
+    cfg_path = tmp_path / "d2.cfg"
+    cfg_path.write_text("[coeff]\ncatalog = laminate2d\n\n[domain]\n"
+                        "box = [1.0, 1.0]\n\n[mesh]\ncell_n = 16\n\n"
+                        f"[sweep]\nout_dir = {tmp_path}\n")
+    assert run_cli(["evolve", "--config", str(cfg_path)]) == 1
+    assert "eps=0.125: 16129 unknowns" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
