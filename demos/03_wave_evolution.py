@@ -25,6 +25,7 @@ from oscillat import (
     l2_norm,
     h1_norm,
 )
+from oscillat.dirichlet import choose_lambda
 from oscillat.evolution import estimate_mu_max
 
 eps = 1 / 8
@@ -32,10 +33,13 @@ cs = catalog("sine1d")
 lat = unit_lattice(1)
 cell = solve_cell(cs, lat, 256)
 mesh = mesh_for([1.0], eps / 16)
-op_eps = assemble_b_eps(mesh, cs, eps, lat)
-op_0 = assemble_b0(mesh, cell, cs)
+# one shift from the probes of both operators makes them positive definite
+ops = [assemble_b_eps(mesh, cs, eps, lat), assemble_b0(mesh, cell, cs)]
+lam = choose_lambda(ops, cs)
+op_eps, op_0 = (op.shifted(lam) for op in ops)
 ext = build_extension(mesh, 2 * lat.r1 * eps)
-print(f"mesh: {mesh.m_int[0]} interior nodes, h = {mesh.h[0]:.5f}, eps = {eps}")
+print(f"mesh: {mesh.m_int[0]} interior nodes, h = {mesh.h[0]:.5f}, "
+      f"eps = {eps}, shift lam = {lam:g}")
 
 eb_eps = spectral_decompose(op_eps)
 eb_0 = spectral_decompose(op_0)

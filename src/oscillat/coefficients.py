@@ -6,7 +6,7 @@ fields are evaluated exactly at arbitrary points.  Scaled evaluation
 f^eps(x) = f(x/eps) goes through fractional cell coordinates.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -294,22 +294,16 @@ def lower_order_l2(a_fields, cell_volume: float) -> float:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Full operator data: symbol, g, lower-order a_j and Q, positivity shift."""
+    """Full operator data: symbol, g and the lower-order a_j and Q."""
 
     symbol: Symbol
     g: PeriodicField
     a: tuple = ()
     Q: PeriodicField | None = None
-    lam: float = 0.0
 
     @property
     def d(self) -> int:
         return self.symbol.d
-
-    def with_lambda(self, lam: float) -> "CoefficientSet":
-        if lam < 0:
-            raise ValueError("shift must be nonnegative")
-        return replace(self, lam=float(lam))
 
     def validate(self):
         m, n = self.symbol.m, self.symbol.n
@@ -323,8 +317,6 @@ class CoefficientSet:
                 raise ValueError(f"a_j must be {n}x{n}, got {aj.shape}")
         if self.Q is not None and self.Q.shape != (n, n):
             raise ValueError(f"Q must be {n}x{n}, got {self.Q.shape}")
-        if self.lam < 0:
-            raise ValueError("shift must be nonnegative")
         return self
 
 

@@ -150,22 +150,38 @@ def _ax_slice(ndim_grid, ax, sl):
 # discrete operators
 
 
-class DiscreteDirichletOperator:
-    """Sparse hermitian positive-definite operator on interior nodes."""
+def tag_text(eps_tag) -> str:
+    """An operator's name in messages: eps=<value>, or the tag itself."""
+    return eps_tag if isinstance(eps_tag, str) else f"eps={eps_tag:g}"
 
-    def __init__(self, matrix, mesh: Mesh, n: int, eps_tag, lam: float,
-                 smallest_eig: float):
+
+class DiscreteDirichletOperator:
+    """Sparse hermitian operator on interior nodes, its probe and shift."""
+
+    def __init__(self, matrix, mesh: Mesh, eps_tag, smallest_eig: float,
+                 lam: float = 0.0):
         self.matrix = matrix.tocsr()
         self.mesh = mesh
-        self.n = n
         self.eps_tag = eps_tag
-        self.lam = lam
         self.smallest_eig = smallest_eig
+        self.lam = lam
         self._factors = {}
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
+
+    def shifted(self, lam: float) -> "DiscreteDirichletOperator":
+        """A + lam I, probed as smallest_eig + lam (self when lam is 0)."""
+        probe = self.smallest_eig + lam
+        if probe <= 0.0:
+            raise NotPositiveDefinite(f"{tag_text(self.eps_tag)}: smallest-"
+                                      f"eigenvalue probe {probe:.3e} <= 0")
+        if lam == 0:
+            return self
+        eye = sp.identity(self.size, format="csr")
+        return DiscreteDirichletOperator(self.matrix + lam * eye, self.mesh,
+                                         self.eps_tag, probe, self.lam + lam)
 
     def factor(self, zeta=0.0):
         key = complex(zeta)
@@ -366,22 +382,18 @@ def _block_diag_field(values: np.ndarray):
                          shape=(n_nodes * n, n_nodes * n)).tocsr()
 
 
-def _finalize(form, mesh: Mesh, n: int, eps_tag, lam: float, check_pd: bool):
+def _finalize(form, mesh: Mesh, eps_tag):
     op_mat = (form / mesh.sigma).tocsr()
     op_mat = (op_mat + op_mat.conj().T) * 0.5
     if np.abs(op_mat.imag.data).max(initial=0.0) == 0.0:
         op_mat = op_mat.real
-    probe = smallest_eigenvalue(op_mat)
-    if check_pd and probe <= 0.0:
-        raise NotPositiveDefinite(
-            f"smallest-eigenvalue probe {probe:.3e} <= 0 (shift too small?)")
-    return DiscreteDirichletOperator(op_mat, mesh, n, eps_tag, lam, probe)
+    return DiscreteDirichletOperator(op_mat, mesh, eps_tag,
+                                     smallest_eigenvalue(op_mat))
 
 
 def assemble_b_eps(mesh: Mesh, coeffs: CoefficientSet, eps: float,
-                   lat: Lattice | None = None,
-                   check_pd: bool = True) -> DiscreteDirichletOperator:
-    """Assemble the oscillating operator at scale eps on the given mesh."""
+                   lat: Lattice | None = None) -> DiscreteDirichletOperator:
+    """Assemble the unshifted oscillating operator at scale eps on the mesh."""
     if eps <= 0 or eps > 1:
         raise ValueError("eps must lie in (0, 1]")
     if max(mesh.h) > eps * H_OVER_EPS * (1 + 1e-12):
@@ -406,14 +418,12 @@ def assemble_b_eps(mesh: Mesh, coeffs: CoefficientSet, eps: float,
     if coeffs.Q is not None:
         vals = eval_scaled_grid(coeffs.Q, lat, eps, node_axes).reshape(-1, n, n)
         form = form + sigma * _block_diag_field(vals)
-    if coeffs.lam:
-        form = form + sigma * coeffs.lam * sp.identity(form.shape[0])
-    return _finalize(form, mesh, n, float(eps), coeffs.lam, check_pd)
+    return _finalize(form, mesh, float(eps))
 
 
-def assemble_b0(mesh: Mesh, cell: CellSolution, coeffs: CoefficientSet,
-                check_pd: bool = True) -> DiscreteDirichletOperator:
-    """Assemble the constant-coefficient effective operator on the mesh."""
+def assemble_b0(mesh: Mesh, cell: CellSolution,
+                coeffs: CoefficientSet) -> DiscreteDirichletOperator:
+    """Assemble the unshifted constant-coefficient effective operator."""
     sym, n = coeffs.symbol, coeffs.symbol.n
     n_cells = tuple(M + 1 for M in mesh.m_int)
     g_cells = np.broadcast_to(cell.g0, n_cells + cell.g0.shape)
@@ -442,40 +452,31 @@ def assemble_b0(mesh: Mesh, cell: CellSolution, coeffs: CoefficientSet,
     zero_order = -np.asarray(cell.W, dtype=complex)
     if coeffs.Q is not None:
         zero_order = zero_order + coeffs.Q.mean()
-    zero_order = zero_order + coeffs.lam * np.eye(n)
     if np.abs(zero_order).max() > 0:
         form = form + sigma * sp.kron(eye_nodes, zero_order, format="csr")
-    return _finalize(form, mesh, n, "effective", coeffs.lam, check_pd)
+    return _finalize(form, mesh, "effective")
 
 
-def choose_lambda(mesh: Mesh, coeffs: CoefficientSet, eps_list,
-                  lat: Lattice | None = None,
-                  cell: CellSolution | None = None) -> float:
+def choose_lambda(ops: list, coeffs: CoefficientSet) -> float:
     """Smallest shift from {0, 1, 2, 4, ...} making every operator coercive.
 
-    The margin demanded of the smallest-eigenvalue probe is
-    0.25 * c_* * pi^2 / (max L_k)^2 with c_* = alpha0 / (4 |g^-1|_inf),
-    a discrete stand-in for the coercivity constant of the principal part.
+    Adding lam I moves every eigenvalue by lam, so the probes the operators
+    were assembled with decide the shift: it must lift the smallest probe
+    to the margin 0.25 * c_* * pi^2 / (max L_k)^2 with
+    c_* = alpha0 / (4 |g^-1|_inf), a discrete stand-in for the coercivity
+    constant of the principal part.  Apply it with ``op.shifted(lam)``.
     """
-    eps_list = list(eps_list)
-    if not eps_list:
-        raise ValueError("need at least one eps")
     c_star = coeffs.symbol.alpha0 / (4.0 * inv_sup_opnorm(coeffs.g))
-    margin = 0.25 * c_star * np.pi ** 2 / max(mesh.box) ** 2
+    box_max = max(max(op.mesh.box) for op in ops)
+    margin = 0.25 * c_star * np.pi ** 2 / box_max ** 2
+    worst = min(ops, key=lambda op: op.smallest_eig)
 
-    base = coeffs.with_lambda(0.0)
-    probes = [assemble_b_eps(mesh, base, eps, lat, check_pd=False).smallest_eig
-              for eps in eps_list]
-    if cell is not None:
-        probes.append(assemble_b0(mesh, cell, base, check_pd=False).smallest_eig)
-    worst = min(probes)
-
-    lam_grid = [0.0] + [float(2 ** k) for k in range(17)]
-    for lam in lam_grid:
-        if worst + lam >= margin:
+    for lam in [0.0] + [float(2 ** k) for k in range(17)]:
+        if worst.smallest_eig + lam >= margin:
             return lam
     raise LambdaSearchFailed(
-        f"no shift up to 2^16 reaches margin {margin:.3e} from probe {worst:.3e}")
+        f"{tag_text(worst.eps_tag)}: no shift up to 2^16 reaches margin "
+        f"{margin:.3e} from probe {worst.smallest_eig:.3e}")
 
 
 # ---------------------------------------------------------------------------

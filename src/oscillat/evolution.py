@@ -27,6 +27,7 @@ from .dirichlet import (
     steklov,
     bD_centered,
     tridiagonal_bands,
+    tag_text,
 )
 from .coefficients import eval_scaled_grid
 from .cell import CellSolution
@@ -70,26 +71,26 @@ class EvolutionResult:
 
 def spectral_decompose(op: DiscreteDirichletOperator) -> EigenBasis:
     """Full eigendecomposition, ascending; validates the spectral contract."""
-    check_decomposable(op.size)
+    check_decomposable(op.size, op.eps_tag)
+    at = tag_text(op.eps_tag)
     try:
         mu, Q = _eigh(op.matrix)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigSolverFailure(str(exc)) from exc
+        raise EigSolverFailure(f"{at}: {exc}") from exc
     if mu[0] <= 0.0:
-        raise EigSolverFailure(f"non-positive eigenvalue {mu[0]:.3e}")
+        raise EigSolverFailure(f"{at}: non-positive eigenvalue {mu[0]:.3e}")
     resid = np.linalg.norm(op.matrix @ Q - Q * mu, axis=0)
     if (resid > 1e-8 * np.maximum(mu, 1e-300)).any():
-        raise EigSolverFailure("eigen residual exceeds 1e-8 * mu")
+        raise EigSolverFailure(f"{at}: eigen residual exceeds 1e-8 * mu")
     return EigenBasis(eigenvalues=mu, eigenvectors=Q, source=op)
 
 
-def check_decomposable(size: int, eps: float | None = None):
+def check_decomposable(size: int, eps_tag):
     """Raise EigSolverFailure when size unknowns exceed the eigensolver cap."""
     if size > _EIG_LIMIT:
-        at = "" if eps is None else f"eps={eps:g}: "
         raise EigSolverFailure(
-            f"{at}{size} unknowns exceed the eigensolver limit "
-            f"{_EIG_LIMIT}; evolution runs are desk-scale by design")
+            f"{tag_text(eps_tag)}: {size} unknowns exceed the eigensolver "
+            f"limit {_EIG_LIMIT}; evolution runs are desk-scale by design")
 
 
 def _eigh(matrix):

@@ -254,19 +254,18 @@ def extension_margin(lat: Lattice, eps_max: float, box) -> float:
 
 
 def build_cases(fix: Fixture, cfg: SweepConfig, eps_list) -> list[Case]:
+    """Both operators per eps, each assembled and probed once on its case's
+    mesh, then shifted by the lam those probes choose (no re-assembly)."""
     box = tuple(float(L) for L in np.atleast_1d(cfg.box))
-    finest = mesh_for(box, min(eps_list) * cfg.h_over_eps)
-    lam = choose_lambda(finest, fix.coeffs, eps_list, fix.lat, cell=fix.cell)
-    coeffs = fix.coeffs.with_lambda(lam)
     margin = extension_margin(fix.lat, max(eps_list), box)
-    cases = []
-    for eps in eps_list:
-        mesh = mesh_for(box, eps * cfg.h_over_eps)
-        op_eps = assemble_b_eps(mesh, coeffs, eps, fix.lat)
-        op_0 = assemble_b0(mesh, fix.cell, coeffs)
-        ext = build_extension(mesh, margin)
-        cases.append(Case(eps=eps, mesh=mesh, op_eps=op_eps, op_0=op_0, ext=ext))
-    return cases
+    meshes = [mesh_for(box, eps * cfg.h_over_eps) for eps in eps_list]
+    pairs = [(assemble_b_eps(mesh, fix.coeffs, eps, fix.lat),
+              assemble_b0(mesh, fix.cell, fix.coeffs))
+             for eps, mesh in zip(eps_list, meshes)]
+    lam = choose_lambda([op for pair in pairs for op in pair], fix.coeffs)
+    return [Case(eps=eps, mesh=mesh, op_eps=op_eps.shifted(lam),
+                 op_0=op_0.shifted(lam), ext=build_extension(mesh, margin))
+            for eps, mesh, (op_eps, op_0) in zip(eps_list, meshes, pairs)]
 
 
 def _seeded_probes(cfg: SweepConfig, case_idx: int, mesh: Mesh, n: int):
@@ -355,13 +354,18 @@ def run_sweep(cfg: SweepConfig, estimate: Estimate) -> RateReport:
     eps_list = cfg.resolved_eps(fix.coeffs.d)
     if estimate.decomposes:
         require_decomposable(cfg, fix, eps_list)
-    rows = {}
-    for idx, case in enumerate(build_cases(fix, cfg, eps_list)):
-        for tag, case_rows in estimate.case_rows(fix, cfg, idx, case).items():
-            rows.setdefault(tag, []).extend(case_rows)
+    cases = build_cases(fix, cfg, eps_list)
     meta = {"fixture": cfg.fixture, "d": fix.coeffs.d, "eps": list(eps_list),
             "t": list(cfg.t_list), "smoothed": cfg.smoothed, "seed": cfg.seed,
-            "corrector_norm": fix.cell.corrector_norm(), **estimate.meta(cfg)}
+            "corrector_norm": fix.cell.corrector_norm(),
+            "lam": cases[0].op_eps.lam,
+            "smallest_eig": [{"eps": c.eps, "op_eps": c.op_eps.smallest_eig,
+                              "op_0": c.op_0.smallest_eig} for c in cases],
+            **estimate.meta(cfg)}
+    rows = {}
+    for idx, case in enumerate(cases):
+        for tag, case_rows in estimate.case_rows(fix, cfg, idx, case).items():
+            rows.setdefault(tag, []).extend(case_rows)
     return RateReport(
         estimates=[_judge(tag, norm, rows[tag], threshold)
                    for tag, norm, threshold in estimate.entries if tag in rows],

@@ -73,8 +73,6 @@ def test_coefficient_set_validation():
     from oscillat.coefficients import CoefficientSet
 
     cs = catalog("sine1d")
-    with pytest.raises(ValueError):
-        CoefficientSet(symbol=cs.symbol, g=cs.g, lam=-1.0).validate()
     bad_a = (constant_field(np.eye(2), 1, 8),)
     with pytest.raises(ValueError):
         CoefficientSet(symbol=cs.symbol, g=cs.g, a=bad_a).validate()
@@ -162,7 +160,6 @@ def test_catalog_const():
     assert cs.g.samples[0, 0, 0] == 3.0
     assert not cs.a
     assert cs.Q is None
-    assert cs.lam == 0.0
 
 
 def test_catalog_sine1d_values():

@@ -120,7 +120,8 @@ def test_b0_with_constant_a_hermitian():
 def test_choose_lambda_zero_when_unneeded():
     cs = catalog("sine1d")
     mesh = mesh_for([1.0], 0.125 / 16)
-    assert choose_lambda(mesh, cs, [0.25, 0.125], LAT1) == 0.0
+    ops = [assemble_b_eps(mesh, cs, eps, LAT1) for eps in (0.25, 0.125)]
+    assert choose_lambda(ops, cs) == 0.0
 
 
 def test_choose_lambda_negative_potential_oracle():
@@ -129,34 +130,34 @@ def test_choose_lambda_negative_potential_oracle():
     q = 30.0
     cs = catalog("sine1d", {"base": 1.0, "amp": 0.0, "q_const": -q})
     mesh = mesh_for([1.0], 0.25 / 16)
-    lam = choose_lambda(mesh, cs, [0.25], LAT1)
+    op = assemble_b_eps(mesh, cs, 0.25, LAT1)
+    lam = choose_lambda([op], cs)
     eigs = dirichlet_laplacian_eigs(mesh.m_int[0], mesh.h[0], 1.0)
     margin = 0.25 * 0.25 * np.pi ** 2
     needed = margin - (eigs[0] - q)
     grid = [0.0] + [2.0 ** k for k in range(17)]
     expected = min(v for v in grid if v >= needed)
     assert lam == expected
-    op = assemble_b_eps(mesh, cs.with_lambda(lam), 0.25, LAT1)
-    assert op.smallest_eig > 0
+    assert smallest_eigenvalue(op.shifted(lam).matrix) > 0
 
 
 def test_choose_lambda_small_perturbation():
     cs = catalog("sine1d", {"a_amp": 0.1})
     sol = solve_cell(cs, LAT1, 128)
     mesh = mesh_for([1.0], 0.125 / 16)
-    lam = choose_lambda(mesh, cs, [0.25, 0.125], LAT1, cell=sol)
-    for eps in (0.25, 0.125):
-        op = assemble_b_eps(mesh, cs.with_lambda(lam), eps, LAT1)
-        assert op.smallest_eig > 0
-    op0 = assemble_b0(mesh, sol, cs.with_lambda(lam))
-    assert op0.smallest_eig > 0
+    ops = [assemble_b_eps(mesh, cs, eps, LAT1) for eps in (0.25, 0.125)]
+    ops.append(assemble_b0(mesh, sol, cs))
+    lam = choose_lambda(ops, cs)
+    for op in ops:
+        assert smallest_eigenvalue(op.shifted(lam).matrix) > 0
 
 
 def test_not_positive_definite_raises():
     cs = catalog("sine1d", {"base": 1.0, "amp": 0.0, "q_const": -50.0})
     mesh = mesh_for([1.0], 0.25 / 16)
-    with pytest.raises(NotPositiveDefinite):
-        assemble_b_eps(mesh, cs, 0.25, LAT1)
+    op = assemble_b_eps(mesh, cs, 0.25, LAT1)
+    with pytest.raises(NotPositiveDefinite, match=r"eps=0\.25"):
+        op.shifted(0.0)
 
 
 def test_lambda_search_failed_beyond_grid():
@@ -164,8 +165,9 @@ def test_lambda_search_failed_beyond_grid():
 
     cs = catalog("sine1d", {"base": 1.0, "amp": 0.0, "q_const": -2.0 ** 18})
     mesh = mesh_for([1.0], 0.25 / 16)
-    with pytest.raises(LambdaSearchFailed):
-        choose_lambda(mesh, cs, [0.25], LAT1)
+    op = assemble_b_eps(mesh, cs, 0.25, LAT1)
+    with pytest.raises(LambdaSearchFailed, match=r"eps=0\.25"):
+        choose_lambda([op], cs)
 
 
 # ---------------------------------------------------------------------------
@@ -446,5 +448,5 @@ def test_probe_rejects_indefinite_matrix_above_dense_limit():
         assert smallest_eigenvalue(A) <= 0.0
         m = make_mesh([1.0], [A.shape[0]])
         with pytest.raises(NotPositiveDefinite):
-            _finalize(A * m.sigma, m, 1, 1.0, 0.0, check_pd=True)
+            _finalize(A * m.sigma, m, 1.0).shifted(0.0)
     assert smallest_eigenvalue(diag) == pytest.approx(-10.0, rel=1e-12)

@@ -34,9 +34,10 @@ LAT1 = unit_lattice(1)
 
 
 class _FakeOp:
-    def __init__(self, matrix):
+    def __init__(self, matrix, eps_tag=0.5):
         self.matrix = sp.csr_matrix(matrix)
         self.size = matrix.shape[0]
+        self.eps_tag = eps_tag
 
 
 def laplacian_op(M=63, L=1.0, g=1.0):
@@ -116,8 +117,14 @@ def test_tridiagonal_backend_matches_dense(params, monkeypatch):
 
 def test_size_cap_raises():
     big = sp.identity(10000, format="csr")
-    with pytest.raises(EigSolverFailure):
-        spectral_decompose(_FakeOp(big.toarray() * 0 + sp.identity(10000)))
+    with pytest.raises(EigSolverFailure, match=r"eps=0\.5: 10000 unknowns"):
+        spectral_decompose(_FakeOp(big))
+
+
+def test_eigen_failures_name_the_operator():
+    with pytest.raises(EigSolverFailure,
+                       match="effective: non-positive eigenvalue"):
+        spectral_decompose(_FakeOp(np.diag([-1.0, 2.0, 3.0]), "effective"))
 
 
 # ---------------------------------------------------------------------------

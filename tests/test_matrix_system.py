@@ -70,6 +70,13 @@ def matrix_system(n_samples=128, with_lower_order=True):
     return CoefficientSet(symbol=sym, g=g_field, a=a_fields, Q=Q).validate()
 
 
+def shifted_operators(mesh, cs, sol, eps, lat):
+    """Both operators at eps, shifted by the one lam their probes choose."""
+    ops = [assemble_b_eps(mesh, cs, eps, lat), assemble_b0(mesh, sol, cs)]
+    lam = choose_lambda(ops, cs)
+    return [op.shifted(lam) for op in ops]
+
+
 def test_matrix_cell_solution_invariants():
     cs = matrix_system()
     sol = solve_cell(cs, LAT1, 128)
@@ -104,10 +111,7 @@ def test_matrix_assembly_and_resolvent():
     sol = solve_cell(cs, LAT1, 128)
     eps = 0.125
     mesh = mesh_for([1.0], eps / 16)
-    lam = choose_lambda(mesh, cs, [eps], LAT1, cell=sol)
-    coeffs = cs.with_lambda(lam)
-    op_eps = assemble_b_eps(mesh, coeffs, eps, LAT1)
-    op_0 = assemble_b0(mesh, sol, coeffs)
+    op_eps, op_0 = shifted_operators(mesh, cs, sol, eps, LAT1)
     for op in (op_eps, op_0):
         assert op.size == 2 * mesh.n_nodes
         assert np.abs((op.matrix - op.matrix.conj().T).toarray()).max() < 1e-12
@@ -127,10 +131,7 @@ def test_matrix_evolution_and_corrector():
     sol = solve_cell(cs, LAT1, 128)
     eps = 0.125
     mesh = mesh_for([1.0], eps / 16)
-    lam = choose_lambda(mesh, cs, [eps], LAT1, cell=sol)
-    coeffs = cs.with_lambda(lam)
-    op_eps = assemble_b_eps(mesh, coeffs, eps, LAT1)
-    op_0 = assemble_b0(mesh, sol, coeffs)
+    op_eps, op_0 = shifted_operators(mesh, cs, sol, eps, LAT1)
     eb_eps = spectral_decompose(op_eps)
     eb_0 = spectral_decompose(op_0)
     assert eb_eps.eigenvectors.dtype.kind == "c"  # complex block operator
@@ -156,8 +157,8 @@ def test_matrix_evolution_and_corrector():
     h1_bare = h1_norm(mesh, u_eps.u[1] - u_0.u[1], 2)
     h1_corr = h1_norm(mesh, u_eps.u[1] - v_eps.u[1], 2)
     assert h1_corr < h1_bare
-    p = flux(u_eps, coeffs, eps, mesh, LAT1)
-    pa = flux_approx(u_0, sol, eps, True, coeffs, ext, LAT1)
+    p = flux(u_eps, cs, eps, mesh, LAT1)
+    pa = flux_approx(u_0, sol, eps, True, cs, ext, LAT1)
     assert p.shape == pa.shape == (2, mesh.n_nodes, 2)
 
 
@@ -168,10 +169,7 @@ def test_2d_corrector_and_single_case_errors():
     sol = solve_cell(cs, LAT2, 64)
     eps = 0.25
     mesh = mesh_for([1.0, 1.0], eps / 16)
-    lam = choose_lambda(mesh, cs, [eps], LAT2, cell=sol)
-    coeffs = cs.with_lambda(lam)
-    op_eps = assemble_b_eps(mesh, coeffs, eps, LAT2)
-    op_0 = assemble_b0(mesh, sol, coeffs)
+    op_eps, op_0 = shifted_operators(mesh, cs, sol, eps, LAT2)
     eb_eps = spectral_decompose(op_eps)
     eb_0 = spectral_decompose(op_0)
     x, y = np.meshgrid(*mesh.axes(), indexing="ij")
@@ -192,8 +190,8 @@ def test_2d_corrector_and_single_case_errors():
     h1_bare = h1_norm(mesh, u_eps.u[0] - u_0.u[0], 1)
     h1_corr = h1_norm(mesh, u_eps.u[0] - v, 1)
     assert h1_corr < h1_bare
-    p = flux(u_eps, coeffs, eps, mesh, LAT2)
-    pa = flux_approx(u_0, sol, eps, True, coeffs, ext, LAT2)
+    p = flux(u_eps, cs, eps, mesh, LAT2)
+    pa = flux_approx(u_0, sol, eps, True, cs, ext, LAT2)
     rel_flux = (l2_norm(mesh, (p[0] - pa[0]).ravel())
                 / l2_norm(mesh, p[0].ravel()))
     assert rel_flux < 0.5
@@ -203,8 +201,7 @@ def test_block_and_2d_operators_take_dense_path(monkeypatch):
     cs = matrix_system()
     sol = solve_cell(cs, LAT1, 128)
     mesh = mesh_for([1.0], 0.25 / 16)
-    lam = choose_lambda(mesh, cs, [0.25], LAT1, cell=sol)
-    op_block = assemble_b_eps(mesh, cs.with_lambda(lam), 0.25, LAT1)
+    op_block = shifted_operators(mesh, cs, sol, 0.25, LAT1)[0]
     op_2d = assemble_b_eps(mesh_for([1.0, 1.0], 0.5 / 16), catalog("laminate2d"),
                            0.5, LAT2)
 

@@ -186,6 +186,48 @@ def test_monotone_refinement_mesh_policy():
     del base
 
 
+def test_build_cases_shifts_each_operator_probed_once(monkeypatch):
+    # g = 1, Q = -q: every operator on a mesh of spacing h has the lowest
+    # eigenvalue (4 / h^2) sin^2(pi h / 2) - q, so the shift must lift the
+    # coarsest case's to the margin pi^2 / 16
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import norm as sparse_norm
+    import oscillat.dirichlet as dirichlet_mod
+    from oscillat.study import build_cases
+
+    q, eps_list = 30.0, [0.25, 0.125]
+    cfg = SweepConfig(fixture="sine1d", cell_n=32, eps_list=tuple(eps_list),
+                      fixture_params={"base": 1.0, "amp": 0.0, "q_const": -q})
+    fix = build_fixture(cfg)
+    probe = dirichlet_mod.smallest_eigenvalue
+    calls = []
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(matrix.shape[0])
+        return probe(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(dirichlet_mod, "smallest_eigenvalue", counting)
+    cases = build_cases(fix, cfg, eps_list)
+    assert len(calls) == 2 * len(eps_list)
+
+    lowest = min(4.0 / c.mesh.h[0] ** 2 * np.sin(np.pi * c.mesh.h[0] / 2) ** 2
+                 for c in cases) - q
+    needed = np.pi ** 2 / 16 - lowest
+    lam = min(v for v in [0.0] + [2.0 ** k for k in range(17)] if v >= needed)
+    assert lam > 0
+    for case in cases:
+        unshifted = (
+            dirichlet_mod.assemble_b_eps(case.mesh, fix.coeffs, case.eps,
+                                         fix.lat),
+            dirichlet_mod.assemble_b0(case.mesh, fix.cell, fix.coeffs))
+        for op, base in zip((case.op_eps, case.op_0), unshifted):
+            assert op.lam == lam
+            expected = base.matrix + lam * sp.identity(base.size)
+            assert (sparse_norm(op.matrix - expected)
+                    <= 1e-12 * sparse_norm(expected))
+            assert op.smallest_eig == base.smallest_eig + lam
+
+
 def test_insufficient_points_raised_for_short_sweeps():
     cfg = SweepConfig(fixture="sine1d", eps_list=(0.125, 0.0625, 0.03125),
                       t_list=(0.5,), seed=7)
