@@ -162,8 +162,7 @@ def cmd_evolve(cfg: SweepConfig) -> int:
     for name in ("p_eps", "flux_approx"):
         header += [f"{name}_{c}_{p}" for c in range(m) for p in ("re", "im")]
     for i, t in enumerate(cfg.t_list):
-        nodal = [mesh.to_grid(w.u[i], n).reshape(-1, n)
-                 for w in (u_eps, u_0, v_eps)]
+        nodal = [w.u[i].reshape(-1, n) for w in (u_eps, u_0, v_eps)]
         _write_csv(out / f"solution_t{t:g}.csv", header, coords,
                    nodal + [p_eps[i], p_apx[i]])
     err = l2_norm(mesh, u_eps.u[-1] - u_0.u[-1])

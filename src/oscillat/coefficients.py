@@ -279,15 +279,6 @@ def inv_sup_opnorm(f: PeriodicField) -> float:
     return float(1.0 / s[..., -1].min())
 
 
-def lower_order_l2(a_fields, cell_volume: float) -> float:
-    """(sum_j integral over the cell of |a_j(x)|^2)^(1/2), spectral norm."""
-    total = 0.0
-    for a in a_fields:
-        s = np.linalg.svd(a.samples, compute_uv=False)
-        total += cell_volume * float((s[..., 0] ** 2).mean())
-    return float(np.sqrt(total))
-
-
 # ---------------------------------------------------------------------------
 # coefficient sets and the catalog
 

@@ -2,6 +2,10 @@
 
 Grid functions live on the interior nodes of a uniform mesh over
 O = prod (0, L_k), stored node-major with the n vector components minor.
+On a grid a function has the layout (..., M_1, .., M_d, n): every grid
+function addresses the d grid axes and the component axis from the right,
+so optional leading axes hold a stack of functions (the times of a path,
+say) and pass through unchanged.
 The oscillating operator is assembled from the quadratic form: the principal
 part uses Q1 elements with the coefficient frozen at each cell midpoint
 (exact element integrals, so no spurious kernel modes), lower-order terms
@@ -72,10 +76,13 @@ class Mesh:
                 for k in range(self.dim)]
 
     def to_grid(self, vec: np.ndarray, n: int) -> np.ndarray:
-        return np.asarray(vec).reshape(self.m_int + (n,))
+        """Dof vectors (..., n_nodes * n) as grids (..., M_1, .., M_d, n)."""
+        vec = np.asarray(vec)
+        return vec.reshape(vec.shape[:-1] + self.m_int + (n,))
 
     def from_grid(self, grid: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(grid).reshape(-1)
+        """Grids (..., M_1, .., M_d, n) as dof vectors (..., n_nodes * n)."""
+        return grid.reshape(grid.shape[:grid.ndim - self.dim - 1] + (-1,))
 
 
 def make_mesh(box, m_int) -> Mesh:
@@ -112,7 +119,7 @@ def grad_sq(mesh: Mesh, vec: np.ndarray, n: int) -> float:
     grid = mesh.to_grid(vec, n)
     total = 0.0
     for ax in range(mesh.dim):
-        diff = np.diff(grid, axis=ax) / mesh.h[ax]
+        diff = np.diff(grid, axis=ax - mesh.dim - 1) / mesh.h[ax]
         total += mesh.sigma * float(np.sum(np.abs(diff) ** 2))
     return total
 
@@ -124,8 +131,8 @@ def h1_norm(mesh: Mesh, vec: np.ndarray, n: int) -> float:
 def bD_centered(grid: np.ndarray, sym: Symbol, h) -> np.ndarray:
     """b(D)u by centered differences on a grid, zero outside it.
 
-    grid has shape (M_1, .., M_d, n) with spacings h; returns the grid
-    values of b(D)u, shape (M_1, .., M_d, m).
+    grid has shape (..., M_1, .., M_d, n) with spacings h; returns the grid
+    values of b(D)u, shape (..., M_1, .., M_d, m).
     """
     d = len(h)
     out = np.zeros(grid.shape[:-1] + (sym.m,), dtype=complex)
@@ -140,10 +147,9 @@ def bD_centered(grid: np.ndarray, sym: Symbol, h) -> np.ndarray:
     return out
 
 
-def _ax_slice(ndim_grid, ax, sl):
-    out = [slice(None)] * (ndim_grid + 1)
-    out[ax] = sl
-    return tuple(out)
+def _ax_slice(d, ax, sl):
+    """Index taking sl on grid axis ax of a (..., M_1, .., M_d, n) array."""
+    return (Ellipsis, sl) + (slice(None),) * (d - ax)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +509,8 @@ class ExtensionOperator:
                      for p, M in zip(self.pad, self.mesh.m_int))
 
     def restrict(self, ext_values: np.ndarray) -> np.ndarray:
-        return self.mesh.from_grid(ext_values[self.interior_slices()])
+        return self.mesh.from_grid(ext_values[(..., *self.interior_slices(),
+                                               slice(None))])
 
 
 def _smoothstep(t):
@@ -533,11 +540,11 @@ def build_extension(mesh: Mesh, margin: float) -> ExtensionOperator:
                              shape_ext=shape_ext, cutoff=cutoff)
 
 
-def _reflect_axis(values: np.ndarray, axis: int, pad: int, m_int: int):
-    """Order-3 Hestenes reflection across both faces of one axis."""
+def _reflect_axis(values: np.ndarray, d: int, axis: int, pad: int, m_int: int):
+    """Order-3 Hestenes reflection across both faces of one grid axis."""
     left_face = pad          # index of the x=0 boundary node
     right_face = pad + m_int + 1
-    sl = lambda i: _ax_slice(values.ndim - 1, axis, i)
+    sl = lambda i: _ax_slice(d, axis, i)
     for j in range(1, pad + 1):
         values[sl(left_face - j)] = (6.0 * values[sl(left_face + j)]
                                      - 8.0 * values[sl(left_face + 2 * j)]
@@ -555,13 +562,16 @@ def extend(u: np.ndarray, op: ExtensionOperator, n: int = 1,
     Zero Dirichlet values are imposed on the boundary nodes, each face is
     reflected with the 3-term rule (matches value and two derivatives for
     smooth data), and the result is multiplied by the cutoff.  Restriction
-    back to interior nodes reproduces u exactly.
+    back to interior nodes reproduces u exactly.  u has shape
+    (..., n_nodes * n); the extension has shape (..., *shape_ext, n).
     """
     mesh = op.mesh
-    ext = np.zeros(op.shape_ext + (n,), dtype=np.result_type(u, float))
-    ext[op.interior_slices()] = mesh.to_grid(u, n)
+    u = np.asarray(u)
+    ext = np.zeros(u.shape[:-1] + op.shape_ext + (n,),
+                   dtype=np.result_type(u, float))
+    ext[(..., *op.interior_slices(), slice(None))] = mesh.to_grid(u, n)
     for ax in range(mesh.dim):
-        _reflect_axis(ext, ax, op.pad[ax], mesh.m_int[ax])
+        _reflect_axis(ext, mesh.dim, ax, op.pad[ax], mesh.m_int[ax])
     if apply_cutoff:
         ext = ext * op.cutoff[..., None]
     return ext
@@ -575,16 +585,16 @@ def _shifted(values: np.ndarray, d: int, offsets, periodic: bool):
         if off == 0:
             continue
         if periodic:
-            out = np.roll(out, -off, axis=ax)
+            out = np.roll(out, -off, axis=ax - d - 1)
             continue
-        size = out.shape[ax]
+        size = out.shape[ax - d - 1]
         shifted = np.zeros_like(out)
         if off > 0:
-            src = _ax_slice(out.ndim - 1, ax, slice(off, size))
-            dst = _ax_slice(out.ndim - 1, ax, slice(0, size - off))
+            src = _ax_slice(d, ax, slice(off, size))
+            dst = _ax_slice(d, ax, slice(0, size - off))
         else:
-            src = _ax_slice(out.ndim - 1, ax, slice(0, size + off))
-            dst = _ax_slice(out.ndim - 1, ax, slice(-off, size))
+            src = _ax_slice(d, ax, slice(0, size + off))
+            dst = _ax_slice(d, ax, slice(-off, size))
         shifted[dst] = out[src]
         out = shifted
     return out
@@ -600,7 +610,8 @@ def steklov(u: np.ndarray, lat: Lattice, eps: float, spacing,
     Tensor Gauss-Legendre quadrature (8 points per axis) over fractional
     cell coordinates with multilinear interpolation of u at the shifted
     points.  Out-of-range samples are zero (matching cutoff extensions)
-    unless periodic=True.
+    unless periodic=True.  u has shape (..., M_1, .., M_d, n), or
+    (M_1, .., M_d) for one function without a component axis.
     """
     d = lat.dim
     spacing = np.atleast_1d(np.asarray(spacing, dtype=float))
@@ -630,6 +641,17 @@ def steklov(u: np.ndarray, lat: Lattice, eps: float, spacing,
     return out[..., 0] if grid_only else out
 
 
+def smoothed_bD(u_ext: np.ndarray, ext_op: ExtensionOperator, sym: Symbol,
+                lat: Lattice, eps: float, smoothed: bool = True):
+    """(s, b(D)s) on the extended grid, s = S_eps u_ext (u_ext unsmoothed).
+
+    The step that correctors and the flux approximation share.
+    """
+    h = ext_op.mesh.h
+    s = steklov(u_ext, lat, eps, h, margin=ext_op.margin) if smoothed else u_ext
+    return s, bD_centered(s, sym, h)
+
+
 class Corrector:
     """Precomputed corrector (Λ^eps b(D) + Λ̃^eps)(S_eps or I) on one mesh."""
 
@@ -649,19 +671,17 @@ class Corrector:
         self.lam_tilde_eps = eval_scaled_grid(cell.LambdaTilde, lat, eps, axes)
 
     def apply_ext(self, u_ext: np.ndarray) -> np.ndarray:
-        """Corrector of an extended grid function; returns interior dof vector."""
-        h = self.ext_op.mesh.h
-        s = u_ext
-        if self.smoothed:
-            s = steklov(u_ext, self.lat, self.eps, h, margin=self.ext_op.margin)
-        bds = bD_centered(s, self.sym, h)
+        """Corrector of extended grid functions (..., *shape_ext, n); returns
+        interior dof vectors (..., n_nodes * n)."""
+        s, bds = smoothed_bD(u_ext, self.ext_op, self.sym, self.lat, self.eps,
+                             self.smoothed)
         total = np.einsum("...nm,...m->...n", self.lam_eps, bds)
         total += np.einsum("...nk,...k->...n", self.lam_tilde_eps, s)
         return self.ext_op.restrict(total)
 
     def apply(self, u_interior: np.ndarray) -> np.ndarray:
-        u_ext = extend(u_interior, self.ext_op, n=self.sym.n)
-        return self.apply_ext(u_ext)
+        """Corrector of interior dof vectors (..., n_nodes * n)."""
+        return self.apply_ext(extend(u_interior, self.ext_op, n=self.sym.n))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .dirichlet import (
     Corrector,
     ExtensionOperator,
     extend,
-    steklov,
+    smoothed_bD,
     bD_centered,
     tridiagonal_bands,
     tag_text,
@@ -232,7 +232,7 @@ def first_order_approx(u0_path: EvolutionResult, cell: CellSolution, eps: float,
     """v_eps(t) = u0(t) + eps * corrector(extend(u0(t))) on the same mesh."""
     lat = lat or unit_lattice(ext_op.mesh.dim)
     cor = Corrector(cell, eps, sym, ext_op, lat, smoothed=smoothed)
-    v = np.array([u0 + eps * cor.apply(u0) for u0 in u0_path.u])
+    v = u0_path.u + eps * cor.apply(u0_path.u)
     return EvolutionResult(times=u0_path.times, u=v, du_dt=u0_path.du_dt.copy(),
                            energy=u0_path.energy.copy())
 
@@ -243,36 +243,26 @@ def flux(u_path: EvolutionResult, coeffs, eps: float, mesh,
     lat = lat or unit_lattice(mesh.dim)
     sym = coeffs.symbol
     g_eps = eval_scaled_grid(coeffs.g, lat, eps, mesh.axes())
-    out = []
-    for u in u_path.u:
-        bdu = bD_centered(mesh.to_grid(u, sym.n), sym, mesh.h)
-        out.append(np.einsum("...ij,...j->...i", g_eps, bdu).reshape(-1, sym.m))
-    return np.array(out)
+    bdu = bD_centered(mesh.to_grid(u_path.u, sym.n), sym, mesh.h)
+    p = np.einsum("...ij,...j->...i", g_eps, bdu)
+    return p.reshape(len(u_path.u), -1, sym.m)
 
 
 def flux_approx(u0_path: EvolutionResult, cell: CellSolution, eps: float,
                 smoothed: bool, coeffs, ext_op: ExtensionOperator,
                 lat: Lattice | None = None) -> np.ndarray:
     """g̃^eps (S_eps) b(D) ũ0 + g^eps (b(D)Λ̃)^eps (S_eps) ũ0 on interior nodes."""
-    mesh = ext_op.mesh
-    lat = lat or unit_lattice(mesh.dim)
+    lat = lat or unit_lattice(ext_op.mesh.dim)
     sym = coeffs.symbol
     axes = ext_op.axes_ext()
     g_tilde_eps = eval_scaled_grid(cell.g_tilde, lat, eps, axes)
     g_eps = eval_scaled_grid(coeffs.g, lat, eps, axes)
     bdlt_eps = eval_scaled_grid(cell.bD_LambdaTilde, lat, eps, axes)
-    out = []
-    for u0 in u0_path.u:
-        u_ext = extend(u0, ext_op, n=sym.n)
-        s = u_ext
-        if smoothed:
-            s = steklov(u_ext, lat, eps, mesh.h, margin=ext_op.margin)
-        bds = bD_centered(s, sym, mesh.h)
-        total = np.einsum("...ij,...j->...i", g_tilde_eps, bds)
-        total += np.einsum("...ij,...jk,...k->...i", g_eps, bdlt_eps, s)
-        sl = ext_op.interior_slices()
-        out.append(total[sl].reshape(-1, sym.m))
-    return np.array(out)
+    s, bds = smoothed_bD(extend(u0_path.u, ext_op, n=sym.n), ext_op, sym, lat,
+                         eps, smoothed)
+    total = np.einsum("...ij,...j->...i", g_tilde_eps, bds)
+    total += np.einsum("...ij,...jk,...k->...i", g_eps, bdlt_eps, s)
+    return ext_op.restrict(total).reshape(len(u0_path.u), -1, sym.m)
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,6 @@ class Lattice:
         tau = np.linalg.solve(self.basis.T, pts.T).T
         return np.mod(tau, 1.0)
 
-    def scaled(self, s):
-        """Lattice with basis multiplied by s > 0."""
-        return build_lattice(self.basis * float(s))
-
 
 def build_lattice(basis) -> Lattice:
     """Build a Lattice from d generating vectors (rows of `basis`).

@@ -364,6 +364,7 @@ def run_sweep(cfg: SweepConfig, estimate: Estimate) -> RateReport:
             **estimate.meta(cfg)}
     rows = {}
     for idx, case in enumerate(cases):
+        cases[idx] = None   # free each case's operators and LUs once measured
         for tag, case_rows in estimate.case_rows(fix, cfg, idx, case).items():
             rows.setdefault(tag, []).extend(case_rows)
     return RateReport(
@@ -427,14 +428,14 @@ def _cosine_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
         y0 = case.op_0.solve_shifted(0.0, f)            # (B0)^-1 f
         y00 = case.op_0.solve_shifted(0.0, y0)          # (B0)^-2 f
         y_eps = case.op_eps.solve_shifted(0.0, y0)      # (B_eps)^-1 (B0)^-1 f
-        for t in t_list:
+        w_0 = np.array([op_cosine(eb_0, t, y00) for t in t_list])
+        corrected = w_0 + case.eps * cor.apply(w_0)
+        for t, w0_t, corrected_t in zip(t_list, w_0, corrected):
             w_eps = op_cosine(eb_eps, t, y_eps)
-            w_0 = op_cosine(eb_0, t, y00)
-            corrected = w_0 + case.eps * cor.apply(w_0)
             rows["cos_h1_corrector"].append(
-                (case.eps, t, h1_norm(case.mesh, w_eps - corrected, n)))
+                (case.eps, t, h1_norm(case.mesh, w_eps - corrected_t, n)))
             rows["cos_plain_h1"].append((case.eps, t, h1_norm(
-                case.mesh, op_cosine(eb_eps, t, y00) - w_0, n)))
+                case.mesh, op_cosine(eb_eps, t, y00) - w0_t, n)))
     return rows
 
 

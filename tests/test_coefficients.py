@@ -13,7 +13,6 @@ from oscillat.coefficients import (
     resample,
     sup_opnorm,
     inv_sup_opnorm,
-    lower_order_l2,
     catalog,
     load_field_csv,
 )
@@ -135,14 +134,6 @@ def test_eval_scaled_hermitian_after_interpolation():
 def test_norm_product_inequality():
     cs = catalog("sine1d")
     assert sup_opnorm(cs.g) * inv_sup_opnorm(cs.g) >= 1.0
-
-
-def test_lower_order_l2_zero_iff_zero():
-    lat = unit_lattice(1)
-    zero = constant_field([[0.0]], 1, 16)
-    assert lower_order_l2((zero,), lat.cell_volume) == 0.0
-    cs = catalog("sine1d", {"a_amp": 0.2})
-    assert lower_order_l2(cs.a, lat.cell_volume) > 0.0
 
 
 def test_resample_band_limited_exact():

@@ -63,17 +63,6 @@ def test_duality_invariant_random_bases():
         assert np.allclose(prod, 2 * np.pi * np.eye(2), atol=1e-10)
 
 
-def test_scaling_moves_radii_oppositely():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        a = rng.standard_normal((2, 2)) + 3 * np.eye(2)
-        lat = build_lattice(a)
-        s = 2.5
-        scaled = lat.scaled(s)
-        assert scaled.r1 == pytest.approx(s * lat.r1)
-        assert scaled.r0 == pytest.approx(lat.r0 / s)
-
-
 def test_frequencies_1d_unit():
     lat = unit_lattice(1)
     k = frequencies(lat, 4).ravel()

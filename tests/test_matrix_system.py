@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from oscillat.lattice import unit_lattice
+from oscillat.lattice import build_lattice, unit_lattice
 from oscillat.coefficients import (
     CoefficientSet,
     PeriodicField,
@@ -25,6 +25,8 @@ from oscillat.dirichlet import (
     assemble_b0,
     choose_lambda,
     build_extension,
+    extend,
+    steklov,
     Corrector,
     resolvent,
     l2_norm,
@@ -32,6 +34,7 @@ from oscillat.dirichlet import (
     tridiagonal_bands,
 )
 from oscillat.evolution import (
+    EvolutionResult,
     spectral_decompose,
     solve_ibvp,
     leapfrog_oracle,
@@ -242,3 +245,53 @@ def test_bD_centered_matches_assembly_stencil(symbol, box, m_int):
     assert got.shape == mesh.m_int + (sym.m,)
     err = np.linalg.norm(got.reshape(-1) - want)
     assert err <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", ["sine1d", "matrix_system", "laminate2d"])
+def test_stacked_functions_match_one_at_a_time(case):
+    # every grid map takes a stack of k functions on leading axes and gives
+    # exactly the k results of applying it to one function at a time
+    from oscillat.study import extension_margin
+
+    eps, k = 0.25, 3
+    if case == "laminate2d":
+        cs, lat = catalog("laminate2d"), LAT2
+        mesh = make_mesh([1.0, 1.0], [23, 27])
+        steklov_lat = build_lattice([[1.0, 0.0], [0.5, 1.0]])  # non-diagonal
+    else:
+        cs = catalog("sine1d") if case == "sine1d" else matrix_system()
+        lat, mesh = LAT1, make_mesh([1.0], [31])
+        steklov_lat = lat
+    sol = solve_cell(cs, lat, 32)
+    ext = build_extension(mesh, extension_margin(lat, eps, mesh.box))
+    sym, n = cs.symbol, cs.symbol.n
+    rng = np.random.default_rng(11)
+    U = (rng.standard_normal((k, mesh.n_nodes * n))
+         + 1j * rng.standard_normal((k, mesh.n_nodes * n)))
+    E = extend(U, ext, n=n)
+    cor = Corrector(sol, eps, sym, ext, lat, smoothed=True)
+
+    maps = {
+        "extend": (lambda u: extend(u, ext, n=n), U),
+        "restrict": (ext.restrict, E),
+        "steklov": (lambda e: steklov(e, steklov_lat, eps, mesh.h,
+                                      margin=ext.margin), E),
+        "steklov_periodic": (lambda e: steklov(e, steklov_lat, eps, mesh.h,
+                                               periodic=True), E),
+        "bD_centered": (lambda g: bD_centered(g, sym, mesh.h),
+                        mesh.to_grid(U, n)),
+        "Corrector.apply": (cor.apply, U),
+    }
+    for name, (fn, stack) in maps.items():
+        got = fn(stack)
+        assert np.array_equal(got, np.array([fn(one) for one in stack])), name
+
+    # fluxes map paths (T, ndof): compare with paths of one time each
+    def path(u):
+        return EvolutionResult(times=np.arange(len(u)), u=u, du_dt=u,
+                               energy=np.zeros(len(u)))
+
+    for fn in (lambda u: flux(path(u), cs, eps, mesh, lat),
+               lambda u: flux_approx(path(u), sol, eps, True, cs, ext, lat)):
+        got = fn(U)
+        assert np.array_equal(got, np.concatenate([fn(u[None]) for u in U]))

@@ -186,6 +186,26 @@ def test_monotone_refinement_mesh_policy():
     del base
 
 
+def test_run_sweep_frees_each_case_once_measured():
+    # a measured case's operators, and the LUs they cache, are freed before
+    # the next case is measured
+    import weakref
+    from oscillat.study import Estimate, run_sweep
+
+    previous, alive = [], []
+
+    def case_rows(fix, cfg, idx, case):
+        alive.extend(ref() is not None for ref in previous)
+        previous.append(weakref.ref(case.op_eps))
+        case.op_eps.factor(0.0)
+        return {"e": [(case.eps, None, case.eps)]}
+
+    cfg = SweepConfig(fixture="sine1d", cell_n=32,
+                      eps_list=(0.25, 0.125, 0.0625))
+    run_sweep(cfg, Estimate(entries=(("e", "L2", None),), case_rows=case_rows))
+    assert alive == [False, False, False]
+
+
 def test_build_cases_shifts_each_operator_probed_once(monkeypatch):
     # g = 1, Q = -q: every operator on a mesh of spacing h has the lowest
     # eigenvalue (4 / h^2) sin^2(pi h / 2) - q, so the shift must lift the
