@@ -54,16 +54,16 @@ phi = np.zeros_like(psi)
 t_list = [0.5, 1.0, 2.0]
 u_eps = solve_ibvp(eb_eps, phi, psi, None, t_list)
 u_0 = solve_ibvp(eb_0, phi, psi, None, t_list)
-v_eps = first_order_approx(u_0, cell, eps, True, cs.symbol, ext, lat)
-p_eps = flux(u_eps, cs, eps, mesh, lat)
-p_apx = flux_approx(u_0, cell, eps, True, cs, ext, lat)
+v_eps = first_order_approx(u_0.u, cell, eps, True, cs.symbol, ext, lat)
+p_eps = flux(u_eps.u, cs, eps, mesh, lat)
+p_apx = flux_approx(u_0.u, cell, eps, True, cs, ext, lat)
 
 print("\nerror of the effective description at each time")
 print(f"{'t':>5} {'|u_eps-u0| L2':>14} {'|u_eps-v_eps| H1':>17} "
       f"{'flux error L2':>14}")
 for i, t in enumerate(t_list):
     e_l2 = l2_norm(mesh, u_eps.u[i] - u_0.u[i])
-    e_h1 = h1_norm(mesh, u_eps.u[i] - v_eps.u[i], 1)
+    e_h1 = h1_norm(mesh, u_eps.u[i] - v_eps[i], 1)
     e_fl = l2_norm(mesh, (p_eps[i] - p_apx[i]).ravel())
     print(f"{t:>5.1f} {e_l2:>14.4e} {e_h1:>17.4e} {e_fl:>14.4e}")
 

@@ -162,10 +162,10 @@ def cmd_evolve(cfg: SweepConfig) -> int:
     for name in ("p_eps", "flux_approx"):
         header += [f"{name}_{c}_{p}" for c in range(m) for p in ("re", "im")]
     for i, t in enumerate(cfg.t_list):
-        nodal = [w.u[i].reshape(-1, n) for w in (u_eps, u_0, v_eps)]
+        nodal = [w[i].reshape(-1, n) for w in (u_eps, u_0, v_eps)]
         _write_csv(out / f"solution_t{t:g}.csv", header, coords,
                    nodal + [p_eps[i], p_apx[i]])
-    err = l2_norm(mesh, u_eps.u[-1] - u_0.u[-1])
+    err = l2_norm(mesh, u_eps[-1] - u_0[-1])
     print(f"evolve done: eps={eps:g}, final |u_eps - u0|_L2 = {err:.3e}")
     return 0
 

@@ -39,9 +39,6 @@ from .cell import CellSolution
 #: mesh spacing must not exceed eps times this factor
 H_OVER_EPS = 1.0 / 16.0
 
-#: dense eigenvalue probe below this size, sparse inertia-certified probe above
-_DENSE_PROBE_LIMIT = 4096
-
 
 # ---------------------------------------------------------------------------
 # meshes and discrete norms
@@ -203,13 +200,14 @@ class DiscreteDirichletOperator:
         return self._factors[key]
 
     def solve_shifted(self, zeta, rhs):
+        """Solve (A - zeta I) u = rhs for a dof vector or rows (k, ndof)."""
         lu, real_ok = self.factor(zeta)
-        rhs = np.asarray(rhs)
-        if real_ok and np.isrealobj(rhs):
-            return lu.solve(rhs.astype(float))
+        cols = np.asarray(rhs).T
+        if real_ok and np.isrealobj(cols):
+            return lu.solve(cols.astype(float)).T
         if real_ok:
-            return lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
-        return lu.solve(rhs.astype(complex))
+            return (lu.solve(cols.real) + 1j * lu.solve(cols.imag)).T
+        return lu.solve(cols.astype(complex)).T
 
 
 def tridiagonal_bands(matrix):
@@ -235,14 +233,13 @@ def smallest_eigenvalue(matrix, iters: int = 200, tol: float = 1e-8) -> float:
     """Probe for the smallest eigenvalue of a sparse hermitian matrix.
 
     Tridiagonal matrices get a Sturm-count bisection for the lowest
-    eigenvalue; other matrices up to _DENSE_PROBE_LIMIT unknowns a dense
-    eigvalsh.  Above that, a symmetric-mode sparse LU P A P^T = L D L^H
-    gives the inertia of A by Sylvester's law: when every pivot is
-    positive, A is positive definite and inverse power iteration at shift
-    zero finds its smallest eigenvalue.  Otherwise (a pivot <= 0, pivoting
-    that was not symmetric, or a singular factorization) the Gershgorin
-    lower bound is returned, which is <= 0 for every matrix that is not
-    positive definite.
+    eigenvalue.  Every other matrix gets a symmetric-mode sparse LU
+    P A P^T = L D L^H, which gives the inertia of A by Sylvester's law:
+    when every pivot is positive, A is positive definite and inverse power
+    iteration at shift zero finds its smallest eigenvalue.  Otherwise (a
+    pivot <= 0, pivoting that was not symmetric, or a singular
+    factorization) the Gershgorin lower bound is returned, which is <= 0
+    for every matrix that is not positive definite.
     """
     bands = tridiagonal_bands(matrix)
     if bands is not None:
@@ -250,11 +247,6 @@ def smallest_eigenvalue(matrix, iters: int = 200, tol: float = 1e-8) -> float:
         return float(scipy.linalg.eigvalsh_tridiagonal(
             diag, np.abs(sub), select="i", select_range=(0, 0))[0])
     size = matrix.shape[0]
-    if size <= _DENSE_PROBE_LIMIT:
-        dense = matrix.toarray()
-        if np.abs(dense.imag).max() == 0.0:
-            dense = dense.real
-        return float(np.linalg.eigvalsh(dense)[0])
     try:
         lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
@@ -577,29 +569,6 @@ def extend(u: np.ndarray, op: ExtensionOperator, n: int = 1,
     return ext
 
 
-def _shifted(values: np.ndarray, d: int, offsets, periodic: bool):
-    """out[i] = values[i + offsets] with zero fill (or wraparound)."""
-    out = values
-    for ax in range(d):
-        off = int(offsets[ax])
-        if off == 0:
-            continue
-        if periodic:
-            out = np.roll(out, -off, axis=ax - d - 1)
-            continue
-        size = out.shape[ax - d - 1]
-        shifted = np.zeros_like(out)
-        if off > 0:
-            src = _ax_slice(d, ax, slice(off, size))
-            dst = _ax_slice(d, ax, slice(0, size - off))
-        else:
-            src = _ax_slice(d, ax, slice(0, size + off))
-            dst = _ax_slice(d, ax, slice(-off, size))
-        shifted[dst] = out[src]
-        out = shifted
-    return out
-
-
 _GAUSS_POINTS = 8
 
 
@@ -631,13 +600,23 @@ def steklov(u: np.ndarray, lat: Lattice, eps: float, spacing,
                        axis=-1).reshape(-1, d).prod(axis=1)
 
     out = np.zeros_like(values, dtype=np.result_type(values, float))
+    grid_axes = tuple(range(-d - 1, -1))
+    sizes = values.shape[-d - 1:-1]
     for tau, wq in zip(nodes, weights):
         shift = -eps * (tau @ lat.basis) / spacing  # grid units, per axis
         base = np.floor(shift).astype(int)
         frac = shift - base
         for corner in np.ndindex(*(2,) * d):
             cw = wq * np.prod(np.where(np.array(corner) == 1, frac, 1.0 - frac))
-            out += cw * _shifted(values, d, base + np.array(corner), periodic)
+            off = base + np.array(corner)   # out[i] += cw * u[i + off]
+            if periodic:
+                out += cw * np.roll(values, tuple(-off), axis=grid_axes)
+                continue
+            ks = [max(M - abs(o), 0) for M, o in zip(sizes, off)]
+            src = [slice(max(o, 0), max(o, 0) + k) for o, k in zip(off, ks)]
+            dst = [slice(max(-o, 0), max(-o, 0) + k) for o, k in zip(off, ks)]
+            out[(..., *dst, slice(None))] += (
+                cw * values[(..., *src, slice(None))])
     return out[..., 0] if grid_only else out
 
 
@@ -689,12 +668,14 @@ class Corrector:
 
 
 def resolvent(op: DiscreteDirichletOperator, zeta, f: np.ndarray) -> np.ndarray:
-    """Solve (A - zeta I) u = f by a cached sparse LU factorization."""
+    """Solve (A - zeta I) u = f by a cached sparse LU factorization, for a
+    dof vector f or rows (k, ndof); each row meets the residual bound."""
     u = op.solve_shifted(complex(zeta), f)
-    residual = op.matrix @ u - complex(zeta) * u - f
-    denom = np.linalg.norm(f)
-    if denom > 0 and np.linalg.norm(residual) > 1e-10 * denom:
+    residual = (op.matrix @ u.T).T - complex(zeta) * u - f
+    res, denom = np.linalg.norm(residual, axis=-1), np.linalg.norm(f, axis=-1)
+    bad = (denom > 0) & ~(res <= 1e-10 * denom)
+    if bad.any():
         raise NearSpectrumShift(
-            f"relative residual {np.linalg.norm(residual) / denom:.3e} "
+            f"relative residual {(res[bad] / denom[bad]).max():.3e} "
             f"suggests zeta={zeta} is too close to the spectrum")
     return u

@@ -10,6 +10,12 @@ the tridiagonal path is tested against.  Either way the eigen residual
 |A q - mu q| is checked with a sparse product.  A Stoermer-Verlet
 integrator provides an independent check that never touches the
 eigenbasis.
+
+Vectors are rows: a dof vector has shape (..., ndof), leading axes hold a
+stack of vectors, and the eigenbasis projects and synthesizes all rows
+with one matrix product.  Times lead: an operator function of times t
+(a scalar or a 1-D array) applied to v returns t.shape + v.shape, and a
+path of solutions has shape (T, ..., ndof).
 """
 
 from dataclasses import dataclass, field
@@ -52,10 +58,10 @@ class EigenBasis:
         return self.eigenvalues.size
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        return self.eigenvectors.conj().T @ v
+        return v @ self.eigenvectors.conj()
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.eigenvectors @ coeffs
+        return coeffs @ self.eigenvectors.T
 
     def map_spectrum(self, factors: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.synthesize(factors * self.project(v))
@@ -116,7 +122,7 @@ def _eigh(matrix):
     return mu, phase[:, None] * Q
 
 
-def _cos_factors(mu: np.ndarray, t: float) -> np.ndarray:
+def _cos_factors(mu: np.ndarray, t) -> np.ndarray:
     return np.cos(t * np.sqrt(mu))
 
 
@@ -135,13 +141,16 @@ def _sinc_factors(mu: np.ndarray, t) -> np.ndarray:
     return out
 
 
-def op_cosine(eb: EigenBasis, t: float, v: np.ndarray) -> np.ndarray:
-    """cos(t A^(1/2)) v; the identity at t = 0."""
+def op_cosine(eb: EigenBasis, t, v: np.ndarray) -> np.ndarray:
+    """cos(t A^(1/2)) v, shape t.shape + v.shape; the identity at t = 0."""
+    t = np.reshape(t, np.shape(t) + (1,) * np.ndim(v))
     return eb.map_spectrum(_cos_factors(eb.eigenvalues, t), v)
 
 
-def op_sine_scaled(eb: EigenBasis, t: float, v: np.ndarray) -> np.ndarray:
-    """A^(-1/2) sin(t A^(1/2)) v; equals the time integral of the cosine."""
+def op_sine_scaled(eb: EigenBasis, t, v: np.ndarray) -> np.ndarray:
+    """A^(-1/2) sin(t A^(1/2)) v, shape t.shape + v.shape; equals the time
+    integral of the cosine."""
+    t = np.reshape(t, np.shape(t) + (1,) * np.ndim(v))
     return eb.map_spectrum(_sinc_factors(eb.eigenvalues, t), v)
 
 
@@ -165,104 +174,100 @@ def _gauss_panels(t: float, max_width: float, order: int = 8):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-class _Forcing:
+def _forcing_spline(eb: EigenBasis, t_grid, values, t_max: float):
     """Cubic-spline interpolation of time-sampled forcing in eigenspace."""
-
-    def __init__(self, eb: EigenBasis, t_grid, values, t_max: float):
-        t_grid = np.asarray(t_grid, dtype=float)
-        values = np.asarray(values)
-        if t_grid.ndim != 1 or values.shape[0] != t_grid.size:
-            raise ForcingGridTooCoarse("forcing needs matching time grid and samples")
-        if t_grid.size < 4:
-            raise ForcingGridTooCoarse("cubic interpolation needs >= 4 time samples")
-        if t_grid[0] > 0.0 or t_grid[-1] < t_max - 1e-12:
-            raise ForcingGridTooCoarse(
-                f"forcing grid [{t_grid[0]}, {t_grid[-1]}] does not cover [0, {t_max}]")
-        proj = values @ eb.eigenvectors.conj()  # (T, modes)
-        self.spline = CubicSpline(t_grid, proj, axis=0)
-
-    def at(self, times: np.ndarray) -> np.ndarray:
-        return self.spline(times)
+    t_grid = np.asarray(t_grid, dtype=float)
+    values = np.asarray(values)
+    if t_grid.ndim != 1 or values.shape[0] != t_grid.size:
+        raise ForcingGridTooCoarse("forcing needs matching time grid and samples")
+    if t_grid.size < 4:
+        raise ForcingGridTooCoarse("cubic interpolation needs >= 4 time samples")
+    if t_grid[0] > 0.0 or t_grid[-1] < t_max - 1e-12:
+        raise ForcingGridTooCoarse(
+            f"forcing grid [{t_grid[0]}, {t_grid[-1]}] does not cover [0, {t_max}]")
+    return CubicSpline(t_grid, eb.project(values), axis=0)
 
 
 def solve_ibvp(eb: EigenBasis, phi: np.ndarray, psi: np.ndarray,
                forcing=None, t_list=(1.0,)) -> EvolutionResult:
     """Evaluate the three-term Duhamel formula at the requested times.
 
+    phi and psi are dof vectors or broadcastable stacks of them
+    (..., ndof); the path holds u and du_dt of shape (T, ..., ndof).
     forcing is None or a pair (t_grid, samples) with samples of shape
-    (len(t_grid), ndof); the convolution integral uses composite
-    Gauss-Legendre panels of width <= min(0.1, t/4) with the forcing
-    interpolated by cubic splines.
+    (len(t_grid), ndof), the same for every stacked row; the convolution
+    integral uses composite Gauss-Legendre panels of width
+    <= min(0.1, t/4) with the forcing interpolated by cubic splines.
     """
     mu = eb.eigenvalues
     phi_hat = eb.project(np.asarray(phi))
     psi_hat = eb.project(np.asarray(psi))
     t_list = np.asarray(list(t_list), dtype=float)
-    force = None
+    t = t_list.reshape((-1,) + (1,) * max(phi_hat.ndim, psi_hat.ndim))
+    u_hat = _cos_factors(mu, t) * phi_hat + _sinc_factors(mu, t) * psi_hat
+    du_hat = (-np.sqrt(mu) * np.sin(t * np.sqrt(mu)) * phi_hat
+              + _cos_factors(mu, t) * psi_hat)
     if forcing is not None:
-        force = _Forcing(eb, forcing[0], forcing[1], float(t_list.max(initial=0.0)))
-
-    u_out, du_out, energy = [], [], []
-    for t in t_list:
-        u_hat = _cos_factors(mu, t) * phi_hat + _sinc_factors(mu, t) * psi_hat
-        du_hat = (-np.sqrt(mu) * np.sin(t * np.sqrt(mu)) * phi_hat
-                  + _cos_factors(mu, t) * psi_hat)
-        if force is not None and t > 0.0:
-            nodes, weights = _gauss_panels(t, min(0.1, t / 4.0))
-            f_hat = force.at(nodes)  # (q, modes)
-            u_hat = u_hat + ((_sinc_factors(mu[None, :], (t - nodes)[:, None])
-                              * f_hat) * weights[:, None]).sum(axis=0)
-            du_hat = du_hat + ((np.cos((t - nodes)[:, None] * np.sqrt(mu)[None, :])
-                                * f_hat) * weights[:, None]).sum(axis=0)
-        u_out.append(eb.synthesize(u_hat))
-        du_out.append(eb.synthesize(du_hat))
-        energy.append(float(np.sum(np.abs(du_hat) ** 2)
-                            + np.sum(mu * np.abs(u_hat) ** 2)))
-    return EvolutionResult(times=t_list, u=np.array(u_out),
-                           du_dt=np.array(du_out), energy=np.array(energy))
+        spline = _forcing_spline(eb, forcing[0], forcing[1],
+                                 float(t_list.max(initial=0.0)))
+        dtype = np.result_type(u_hat, spline.c)
+        u_hat, du_hat = u_hat.astype(dtype), du_hat.astype(dtype)
+        for i, s in enumerate(t_list):      # the convolution, in modal space
+            if s <= 0.0:
+                continue
+            nodes, weights = _gauss_panels(s, min(0.1, s / 4.0))
+            f_hat = spline(nodes)  # (q, modes)
+            u_hat[i] += ((_sinc_factors(mu[None, :], (s - nodes)[:, None])
+                          * f_hat) * weights[:, None]).sum(axis=0)
+            du_hat[i] += ((np.cos((s - nodes)[:, None] * np.sqrt(mu)[None, :])
+                           * f_hat) * weights[:, None]).sum(axis=0)
+    energy = (np.sum(np.abs(du_hat) ** 2, axis=-1)
+              + np.sum(mu * np.abs(u_hat) ** 2, axis=-1))
+    return EvolutionResult(times=t_list, u=eb.synthesize(u_hat),
+                           du_dt=eb.synthesize(du_hat), energy=energy)
 
 
 # ---------------------------------------------------------------------------
 # first-order approximation and fluxes
 
 
-def first_order_approx(u0_path: EvolutionResult, cell: CellSolution, eps: float,
+def first_order_approx(u0: np.ndarray, cell: CellSolution, eps: float,
                        smoothed: bool, sym, ext_op: ExtensionOperator,
-                       lat: Lattice | None = None) -> EvolutionResult:
-    """v_eps(t) = u0(t) + eps * corrector(extend(u0(t))) on the same mesh."""
+                       lat: Lattice | None = None) -> np.ndarray:
+    """v_eps = u0 + eps * corrector(extend(u0)) for dof vectors (..., ndof)."""
     lat = lat or unit_lattice(ext_op.mesh.dim)
     cor = Corrector(cell, eps, sym, ext_op, lat, smoothed=smoothed)
-    v = u0_path.u + eps * cor.apply(u0_path.u)
-    return EvolutionResult(times=u0_path.times, u=v, du_dt=u0_path.du_dt.copy(),
-                           energy=u0_path.energy.copy())
+    return u0 + eps * cor.apply(u0)
 
 
-def flux(u_path: EvolutionResult, coeffs, eps: float, mesh,
+def flux(u: np.ndarray, coeffs, eps: float, mesh,
          lat: Lattice | None = None) -> np.ndarray:
-    """p_eps = g^eps b(D) u by centered differences; shape (T, nodes, m)."""
+    """p_eps = g^eps b(D) u by centered differences for dof vectors
+    u (..., ndof); shape (..., nodes, m)."""
     lat = lat or unit_lattice(mesh.dim)
     sym = coeffs.symbol
     g_eps = eval_scaled_grid(coeffs.g, lat, eps, mesh.axes())
-    bdu = bD_centered(mesh.to_grid(u_path.u, sym.n), sym, mesh.h)
+    bdu = bD_centered(mesh.to_grid(u, sym.n), sym, mesh.h)
     p = np.einsum("...ij,...j->...i", g_eps, bdu)
-    return p.reshape(len(u_path.u), -1, sym.m)
+    return p.reshape(u.shape[:-1] + (-1, sym.m))
 
 
-def flux_approx(u0_path: EvolutionResult, cell: CellSolution, eps: float,
+def flux_approx(u0: np.ndarray, cell: CellSolution, eps: float,
                 smoothed: bool, coeffs, ext_op: ExtensionOperator,
                 lat: Lattice | None = None) -> np.ndarray:
-    """g̃^eps (S_eps) b(D) ũ0 + g^eps (b(D)Λ̃)^eps (S_eps) ũ0 on interior nodes."""
+    """g̃^eps (S_eps) b(D) ũ0 + g^eps (b(D)Λ̃)^eps (S_eps) ũ0 on interior nodes,
+    for dof vectors u0 (..., ndof); shape (..., nodes, m)."""
     lat = lat or unit_lattice(ext_op.mesh.dim)
     sym = coeffs.symbol
     axes = ext_op.axes_ext()
     g_tilde_eps = eval_scaled_grid(cell.g_tilde, lat, eps, axes)
     g_eps = eval_scaled_grid(coeffs.g, lat, eps, axes)
     bdlt_eps = eval_scaled_grid(cell.bD_LambdaTilde, lat, eps, axes)
-    s, bds = smoothed_bD(extend(u0_path.u, ext_op, n=sym.n), ext_op, sym, lat,
+    s, bds = smoothed_bD(extend(u0, ext_op, n=sym.n), ext_op, sym, lat,
                          eps, smoothed)
     total = np.einsum("...ij,...j->...i", g_tilde_eps, bds)
     total += np.einsum("...ij,...jk,...k->...i", g_eps, bdlt_eps, s)
-    return ext_op.restrict(total).reshape(len(u0_path.u), -1, sym.m)
+    return ext_op.restrict(total).reshape(u0.shape[:-1] + (-1, sym.m))
 
 
 # ---------------------------------------------------------------------------

@@ -269,12 +269,13 @@ def build_cases(fix: Fixture, cfg: SweepConfig, eps_list) -> list[Case]:
 
 
 def _seeded_probes(cfg: SweepConfig, case_idx: int, mesh: Mesh, n: int):
+    """Random right-hand sides of unit L2 norm, one per row."""
     rng = np.random.default_rng((cfg.seed, case_idx))
     out = []
     for _ in range(max(5, cfg.n_probe)):
         f = rng.standard_normal(mesh.n_nodes * n)
         out.append(f / l2_norm(mesh, f))
-    return out
+    return np.array(out)
 
 
 def require_decomposable(cfg: SweepConfig, fix: Fixture, eps_list):
@@ -288,11 +289,12 @@ def evolve_case(fix: Fixture, cfg: SweepConfig, case: Case,
                 energy_phi_zero: bool = True):
     """Evolve (B0)^-2 catalog data through both operators of one case.
 
-    Returns (u_eps, u_0, ue_en, v_eps, p_eps, p_apx): the full solutions,
-    the part ue_en of u_eps compared in energy, its first-order
-    approximation, its flux and the flux approximation.  The energy-norm
-    estimates hold only for vanishing initial displacement, so with
-    energy_phi_zero that part has phi = 0; otherwise it is u_eps itself.
+    Returns (u_eps, u_0, ue_en, v_eps, p_eps, p_apx), times leading: the
+    full solutions, the part ue_en of u_eps compared in energy, its
+    first-order approximation, its flux and the flux approximation.  The
+    energy-norm estimates hold only for vanishing initial displacement, so
+    with energy_phi_zero that part is row 1 of the stack [phi, 0 * phi]
+    each operator evolves once; otherwise it is row 0, u_eps itself.
     """
     n = fix.coeffs.symbol.n
     t_list = list(cfg.t_list)
@@ -311,12 +313,10 @@ def evolve_case(fix: Fixture, cfg: SweepConfig, case: Case,
         t_grid = np.linspace(0.0, t_max, max(9, int(33 * t_max) + 1))
         forcing = (t_grid, np.cos(cfg.forcing_omega * t_grid)[:, None]
                    * data(cfg.forcing))
-    u_eps = solve_ibvp(eb_eps, phi, psi, forcing, t_list)
-    u_0 = solve_ibvp(eb_0, phi, psi, forcing, t_list)
-    ue_en, u0_en = u_eps, u_0
-    if energy_phi_zero and np.abs(phi).max() > 0:
-        ue_en = solve_ibvp(eb_eps, 0 * phi, psi, forcing, t_list)
-        u0_en = solve_ibvp(eb_0, 0 * phi, psi, forcing, t_list)
+    u_eps, u_0 = (solve_ibvp(eb, np.stack([phi, 0 * phi]), psi, forcing,
+                             t_list).u for eb in (eb_eps, eb_0))
+    en = int(energy_phi_zero)
+    ue_en, u0_en, u_eps, u_0 = u_eps[:, en], u_0[:, en], u_eps[:, 0], u_0[:, 0]
     v_eps = first_order_approx(u0_en, fix.cell, case.eps, cfg.smoothed,
                                fix.coeffs.symbol, case.ext, fix.lat)
     p_eps = flux(ue_en, fix.coeffs, case.eps, case.mesh, fix.lat)
@@ -379,9 +379,9 @@ def _hyperbolic_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
     rows = {"solution_l2": [], "solution_h1_corrector": [], "flux_l2": []}
     for i, t in enumerate(cfg.t_list):
         rows["solution_l2"].append(
-            (case.eps, t, l2_norm(mesh, u_eps.u[i] - u_0.u[i])))
+            (case.eps, t, l2_norm(mesh, u_eps[i] - u_0[i])))
         rows["solution_h1_corrector"].append(
-            (case.eps, t, h1_norm(mesh, ue_en.u[i] - v_eps.u[i], n)))
+            (case.eps, t, h1_norm(mesh, ue_en[i] - v_eps[i], n)))
         rows["flux_l2"].append(
             (case.eps, t, l2_norm(mesh, (p_eps[i] - p_apx[i]).reshape(-1))))
     return rows
@@ -395,20 +395,19 @@ def _resolvent_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
     if can_eig:
         eb_eps = spectral_decompose(case.op_eps)
         eb_0 = spectral_decompose(case.op_0)
-    e_l2 = e_h1 = e_sqrt = 0.0
-    for f in _seeded_probes(cfg, idx, case.mesh, n):
-        u_eps = resolvent(case.op_eps, zeta, f)
-        u_0 = resolvent(case.op_0, zeta, f)
-        e_l2 = max(e_l2, l2_norm(case.mesh, u_eps - u_0))
-        corrected = u_0 + case.eps * cor.apply(u_0)
-        e_h1 = max(e_h1, h1_norm(case.mesh, u_eps - corrected, n))
-        if can_eig:
-            diff = op_inv_sqrt(eb_eps, f) - op_inv_sqrt(eb_0, f)
-            e_sqrt = max(e_sqrt, l2_norm(case.mesh, diff))
+    probes = _seeded_probes(cfg, idx, case.mesh, n)
+    u_eps = resolvent(case.op_eps, zeta, probes)
+    u_0 = resolvent(case.op_0, zeta, probes)
+    e_l2 = max(l2_norm(case.mesh, diff) for diff in u_eps - u_0)
+    # one corrector call per probe: on 2-D grids a stack costs memory, no time
+    e_h1 = max(h1_norm(case.mesh, ue - (u0 + case.eps * cor.apply(u0)), n)
+               for ue, u0 in zip(u_eps, u_0))
     rows = {"resolvent_l2": [(case.eps, None, e_l2)],
             "resolvent_h1_corrector": [(case.eps, None, e_h1)]}
     if can_eig:
-        rows["inv_sqrt_l2"] = [(case.eps, None, e_sqrt)]
+        diffs = op_inv_sqrt(eb_eps, probes) - op_inv_sqrt(eb_0, probes)
+        rows["inv_sqrt_l2"] = [
+            (case.eps, None, max(l2_norm(case.mesh, diff) for diff in diffs))]
     return rows
 
 
@@ -424,18 +423,20 @@ def _cosine_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
     eb_eps = spectral_decompose(case.op_eps)
     eb_0 = spectral_decompose(case.op_0)
     rows = {"cos_h1_corrector": [], "cos_plain_h1": []}
+    # one stack of times per probe: stacking the probes too costs memory
     for f in _seeded_probes(cfg, idx, case.mesh, n):
         y0 = case.op_0.solve_shifted(0.0, f)            # (B0)^-1 f
         y00 = case.op_0.solve_shifted(0.0, y0)          # (B0)^-2 f
         y_eps = case.op_eps.solve_shifted(0.0, y0)      # (B_eps)^-1 (B0)^-1 f
-        w_0 = np.array([op_cosine(eb_0, t, y00) for t in t_list])
+        w_0 = op_cosine(eb_0, t_list, y00)
         corrected = w_0 + case.eps * cor.apply(w_0)
-        for t, w0_t, corrected_t in zip(t_list, w_0, corrected):
-            w_eps = op_cosine(eb_eps, t, y_eps)
+        w_eps = op_cosine(eb_eps, t_list, y_eps)
+        w_plain = op_cosine(eb_eps, t_list, y00)
+        for i, t in enumerate(t_list):
             rows["cos_h1_corrector"].append(
-                (case.eps, t, h1_norm(case.mesh, w_eps - corrected_t, n)))
-            rows["cos_plain_h1"].append((case.eps, t, h1_norm(
-                case.mesh, op_cosine(eb_eps, t, y00) - w0_t, n)))
+                (case.eps, t, h1_norm(case.mesh, w_eps[i] - corrected[i], n)))
+            rows["cos_plain_h1"].append(
+                (case.eps, t, h1_norm(case.mesh, w_plain[i] - w_0[i], n)))
     return rows
 
 

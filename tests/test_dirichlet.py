@@ -24,6 +24,7 @@ from oscillat.dirichlet import (
     steklov,
     Corrector,
     resolvent,
+    DiscreteDirichletOperator,
     _finalize,
 )
 
@@ -396,6 +397,32 @@ def test_resolvent_near_spectrum_raises():
     f = rng.standard_normal(op.size)
     with pytest.raises(NearSpectrumShift):
         resolvent(op, mu1 + 1e-14, f)
+
+
+def test_resolvent_residual_bound_holds_per_row(monkeypatch):
+    # a stack whose second row is 1e6 times larger: a solve that is wrong
+    # by 1e-7 relative on the small row only must still be refused, though
+    # measured against the whole stack its residual is about 1e-13
+    cs = catalog("sine1d")
+    mesh = mesh_for([1.0], 0.25 / 16)
+    op = assemble_b_eps(mesh, cs, 0.25, LAT1)
+    rng = np.random.default_rng(6)
+    f = rng.standard_normal((2, op.size)) * np.array([[1.0], [1e6]])
+    u = resolvent(op, -1.0, f)
+    for row, f_row in zip(u, f):
+        one = resolvent(op, -1.0, f_row)
+        assert np.abs(row - one).max() <= 1e-12 * np.abs(one).max()
+    solve = DiscreteDirichletOperator.solve_shifted
+
+    def corrupt_small_row(self, zeta, rhs):
+        u = solve(self, zeta, rhs)
+        u[0] *= 1.0 + 1e-7
+        return u
+
+    monkeypatch.setattr(DiscreteDirichletOperator, "solve_shifted",
+                        corrupt_small_row)
+    with pytest.raises(NearSpectrumShift):
+        resolvent(op, -1.0, f)
 
 
 def test_smallest_eigenvalue_probe_matches_dense():

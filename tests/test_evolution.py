@@ -287,8 +287,8 @@ def test_first_order_approx_reduces_to_u0():
     ext = build_extension(mesh, 2 * LAT1.r1 * 0.125)
     phi = np.sin(np.pi * mesh.axes()[0])
     u0 = solve_ibvp(eb, phi, 0 * phi, None, [0.5, 1.0])
-    v = first_order_approx(u0, sol, 0.125, True, cs.symbol, ext, LAT1)
-    assert np.abs(v.u - u0.u).max() < 1e-14
+    v = first_order_approx(u0.u, sol, 0.125, True, cs.symbol, ext, LAT1)
+    assert np.abs(v - u0.u).max() < 1e-14
 
 
 def test_first_order_approx_hand_composed():
@@ -297,12 +297,12 @@ def test_first_order_approx_hand_composed():
     eb0 = spectral_decompose(op_0)
     phi = np.sin(np.pi * mesh.axes()[0])
     u0 = solve_ibvp(eb0, phi, 0 * phi, None, [0.7])
-    v = first_order_approx(u0, sol, eps, True, cs.symbol, ext, LAT1)
+    v = first_order_approx(u0.u, sol, eps, True, cs.symbol, ext, LAT1)
     from oscillat.dirichlet import Corrector
 
     cor = Corrector(sol, eps, cs.symbol, ext, LAT1, smoothed=True)
     expected = u0.u[0] + eps * cor.apply(u0.u[0])
-    assert np.abs(v.u[0] - expected).max() < 1e-12
+    assert np.abs(v[0] - expected).max() < 1e-12
 
 
 def test_first_order_l2_distance_shrinks_linearly():
@@ -316,8 +316,8 @@ def test_first_order_l2_distance_shrinks_linearly():
         phi = np.sin(np.pi * mesh.axes()[0])
         u0 = solve_ibvp(eb0, phi, 0 * phi, None, [0.7])
         ext = build_extension(mesh, 2 * LAT1.r1 * eps)
-        v = first_order_approx(u0, sol, eps, True, cs.symbol, ext, LAT1)
-        dist[eps] = l2_norm(mesh, v.u[0] - u0.u[0])
+        v = first_order_approx(u0.u, sol, eps, True, cs.symbol, ext, LAT1)
+        dist[eps] = l2_norm(mesh, v[0] - u0.u[0])
     # the corrector term is O(eps) in L2
     assert dist[0.0625] == pytest.approx(dist[0.125] / 2.0, rel=0.15)
 
@@ -330,9 +330,9 @@ def test_flux_constant_coefficient_identity():
     eb = spectral_decompose(op0)
     phi = np.sin(np.pi * mesh.axes()[0])
     u0 = solve_ibvp(eb, phi, 0 * phi, None, [0.5])
-    p = flux(u0, cs, 0.125, mesh, LAT1)
+    p = flux(u0.u, cs, 0.125, mesh, LAT1)
     ext = build_extension(mesh, 2 * LAT1.r1 * 0.125)
-    pa = flux_approx(u0, sol, 0.125, False, cs, ext, LAT1)
+    pa = flux_approx(u0.u, sol, 0.125, False, cs, ext, LAT1)
     assert np.abs(p - pa).max() < 1e-12
 
 
@@ -344,7 +344,7 @@ def test_flux_special_case_constant_g_tilde():
     eb0 = spectral_decompose(op_0)
     phi = np.sin(np.pi * mesh.axes()[0])
     u0 = solve_ibvp(eb0, phi, 0 * phi, None, [0.6])
-    pa = flux_approx(u0, sol, eps, True, cs, ext, LAT1)
+    pa = flux_approx(u0.u, sol, eps, True, cs, ext, LAT1)
     from oscillat.dirichlet import steklov, extend
 
     u_ext = extend(u0.u[0], ext, n=1)
@@ -371,8 +371,8 @@ def test_flux_error_decreases_with_eps():
         ue = solve_ibvp(ebe, 0 * psi, psi, None, [1.0])
         u0 = solve_ibvp(eb0, 0 * psi, psi, None, [1.0])
         ext = build_extension(mesh, 2 * LAT1.r1 * eps)
-        p = flux(ue, cs, eps, mesh, LAT1)
-        pa = flux_approx(u0, sol, eps, True, cs, ext, LAT1)
+        p = flux(ue.u, cs, eps, mesh, LAT1)
+        pa = flux_approx(u0.u, sol, eps, True, cs, ext, LAT1)
         errs[eps] = l2_norm(mesh, (p[0] - pa[0]).ravel())
     assert errs[0.03125] < 0.6 * errs[0.125]
 

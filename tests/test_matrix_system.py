@@ -32,10 +32,13 @@ from oscillat.dirichlet import (
     l2_norm,
     h1_norm,
     tridiagonal_bands,
+    smallest_eigenvalue,
 )
 from oscillat.evolution import (
-    EvolutionResult,
     spectral_decompose,
+    op_cosine,
+    op_sine_scaled,
+    op_inv_sqrt,
     solve_ibvp,
     leapfrog_oracle,
     estimate_mu_max,
@@ -154,14 +157,14 @@ def test_matrix_evolution_and_corrector():
 
     ext = build_extension(mesh, 2 * LAT1.r1 * eps)
     u_0 = solve_ibvp(eb_0, phi, psi, None, [0.5, 1.0])
-    v_eps = first_order_approx(u_0, sol, eps, True, cs.symbol, ext, LAT1)
-    assert v_eps.u.shape == u_0.u.shape
+    v_eps = first_order_approx(u_0.u, sol, eps, True, cs.symbol, ext, LAT1)
+    assert v_eps.shape == u_0.u.shape
     # the corrected approximation beats the bare effective solution in H1
     h1_bare = h1_norm(mesh, u_eps.u[1] - u_0.u[1], 2)
-    h1_corr = h1_norm(mesh, u_eps.u[1] - v_eps.u[1], 2)
+    h1_corr = h1_norm(mesh, u_eps.u[1] - v_eps[1], 2)
     assert h1_corr < h1_bare
-    p = flux(u_eps, cs, eps, mesh, LAT1)
-    pa = flux_approx(u_0, sol, eps, True, cs, ext, LAT1)
+    p = flux(u_eps.u, cs, eps, mesh, LAT1)
+    pa = flux_approx(u_0.u, sol, eps, True, cs, ext, LAT1)
     assert p.shape == pa.shape == (2, mesh.n_nodes, 2)
 
 
@@ -193,8 +196,8 @@ def test_2d_corrector_and_single_case_errors():
     h1_bare = h1_norm(mesh, u_eps.u[0] - u_0.u[0], 1)
     h1_corr = h1_norm(mesh, u_eps.u[0] - v, 1)
     assert h1_corr < h1_bare
-    p = flux(u_eps, cs, eps, mesh, LAT2)
-    pa = flux_approx(u_0, sol, eps, True, cs, ext, LAT2)
+    p = flux(u_eps.u, cs, eps, mesh, LAT2)
+    pa = flux_approx(u_0.u, sol, eps, True, cs, ext, LAT2)
     rel_flux = (l2_norm(mesh, (p[0] - pa[0]).ravel())
                 / l2_norm(mesh, p[0].ravel()))
     assert rel_flux < 0.5
@@ -216,6 +219,29 @@ def test_block_and_2d_operators_take_dense_path(monkeypatch):
         assert tridiagonal_bands(op.matrix) is None
         eb = spectral_decompose(op)
         assert eb.size == op.size
+
+
+@pytest.mark.parametrize("fixture, eps", [
+    ("matrix_system", 1 / 4), ("matrix_system", 1 / 32),
+    ("laminate2d", 1 / 2), ("checkerboard-smooth", 1 / 2),
+])
+def test_lu_probe_matches_dense(fixture, eps, monkeypatch):
+    # every operator that is not tridiagonal, however small, takes the
+    # symmetric-mode LU inertia probe (126 to 1022 unknowns here)
+    cs = matrix_system() if fixture == "matrix_system" else catalog(fixture)
+    lat = LAT1 if cs.d == 1 else LAT2
+    sol = solve_cell(cs, lat, 128 if cs.d == 1 else 64)
+    mesh = mesh_for([1.0] * cs.d, eps / 16)
+    ops = [assemble_b_eps(mesh, cs, eps, lat), assemble_b0(mesh, sol, cs)]
+    dense = [np.linalg.eigvalsh(op.matrix.toarray())[0] for op in ops]
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("sparse matrix took the dense probe")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_dense)
+    for op, want in zip(ops, dense):
+        assert tridiagonal_bands(op.matrix) is None
+        assert smallest_eigenvalue(op.matrix) == pytest.approx(want, rel=1e-8)
 
 
 def _elasticity2d_symbol():
@@ -287,11 +313,35 @@ def test_stacked_functions_match_one_at_a_time(case):
         assert np.array_equal(got, np.array([fn(one) for one in stack])), name
 
     # fluxes map paths (T, ndof): compare with paths of one time each
-    def path(u):
-        return EvolutionResult(times=np.arange(len(u)), u=u, du_dt=u,
-                               energy=np.zeros(len(u)))
-
-    for fn in (lambda u: flux(path(u), cs, eps, mesh, lat),
-               lambda u: flux_approx(path(u), sol, eps, True, cs, ext, lat)):
+    for fn in (lambda u: flux(u, cs, eps, mesh, lat),
+               lambda u: flux_approx(u, sol, eps, True, cs, ext, lat)):
         got = fn(U)
         assert np.array_equal(got, np.concatenate([fn(u[None]) for u in U]))
+
+    # operator functions and solves take stacks of rows, and times lead;
+    # the matrix products sum in another order, so agreement is to 1e-12
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    op = assemble_b0(mesh, sol, cs)
+    op = op.shifted(choose_lambda([op], cs))
+    eb = spectral_decompose(op)
+    times = np.array([0.0, 0.3, 1.1, 2.5])
+    for fn in (op_cosine, op_sine_scaled):
+        got = fn(eb, times, U)
+        assert got.shape == times.shape + U.shape
+        assert all(close(got[i, j], fn(eb, t, u)) for i, t in enumerate(times)
+                   for j, u in enumerate(U)), fn.__name__
+    for fn in (lambda v: op_inv_sqrt(eb, v), lambda v: resolvent(op, -1.0, v)):
+        got = fn(U)
+        assert all(close(g, fn(u)) for g, u in zip(got, U))
+
+    phi, psi = U[0], U[1]
+    t_grid = np.linspace(0.0, 2.5, 41)
+    for forcing in (None, (t_grid, np.cos(1.5 * t_grid)[:, None] * U[2])):
+        path = solve_ibvp(eb, np.stack([phi, 0 * phi]), psi, forcing, times)
+        for row, phi_row in enumerate((phi, 0 * phi)):
+            one = solve_ibvp(eb, phi_row, psi, forcing, times)
+            assert close(path.u[:, row], one.u)
+            assert close(path.du_dt[:, row], one.du_dt)
+            assert close(path.energy[:, row], one.energy)
