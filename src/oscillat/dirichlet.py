@@ -196,7 +196,13 @@ class DiscreteDirichletOperator:
             real_ok = (key.imag == 0.0
                        and np.abs(mat.imag.data).max(initial=0.0) == 0.0)
             mat = mat.real if real_ok else mat.astype(complex)
-            self._factors[key] = (spla.splu(mat.tocsc()), real_ok)
+            # 2-D: symmetric mode on the fill-reducing A + A^T ordering, with
+            # the default pivot threshold, so complex and indefinite shifts
+            # stay stable.  A 1-D operator is banded in node order and the
+            # default ordering already factors it without fill.
+            order = {} if self.mesh.dim == 1 else dict(
+                permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+            self._factors[key] = (spla.splu(mat.tocsc(), **order), real_ok)
         return self._factors[key]
 
     def solve_shifted(self, zeta, rhs):
@@ -222,6 +228,37 @@ def tridiagonal_bands(matrix):
     return matrix.diagonal().real, matrix.diagonal(-1)
 
 
+def separable_bands(matrix, m_int):
+    """x1 bands of Ta and To when a d = 2 matrix is kron(Ta, I) + kron(To, S2).
+
+    S2 is the x2 shift matrix (ones on the first off-diagonals).  Ta holds
+    the entries between nodes on one x2 line, To those between x2
+    neighbours; both must be tridiagonal along x1.  Returns
+    (tridiagonal_bands(Ta), tridiagonal_bands(To)) only when the rebuilt
+    matrix equals the given one exactly, else None.  A scalar operator
+    whose coefficients depend on x1 alone (a laminate) separates so.
+    """
+    if m_int is None or len(m_int) != 2 or matrix.shape[0] != np.prod(m_int):
+        return None
+    m2 = m_int[1]
+    x2_first = matrix.tocsr()[::m2]           # rows of the nodes (i1, 0)
+    t_along, t_across = x2_first[:, ::m2], x2_first[:, 1::m2]
+    bands = tridiagonal_bands(t_along), tridiagonal_bands(t_across)
+    if bands[0] is None or bands[1] is None:
+        return None
+    shift = sp.diags([np.ones(m2 - 1), np.ones(m2 - 1)], [-1, 1])
+    rebuilt = sp.kron(t_along, sp.identity(m2)) + sp.kron(t_across, shift)
+    if (rebuilt != matrix).nnz:
+        return None
+    return bands
+
+
+def _lowest_tridiagonal(diag, sub) -> float:
+    """Lowest eigenvalue of a hermitian tridiagonal matrix by Sturm counts."""
+    return float(scipy.linalg.eigvalsh_tridiagonal(
+        diag, np.abs(sub), select="i", select_range=(0, 0))[0])
+
+
 def _gershgorin_lower(matrix) -> float:
     """Gershgorin lower bound: never above the smallest eigenvalue."""
     diag = matrix.diagonal().real
@@ -229,11 +266,18 @@ def _gershgorin_lower(matrix) -> float:
     return float((diag - radius).min())
 
 
-def smallest_eigenvalue(matrix, iters: int = 200, tol: float = 1e-8) -> float:
+def smallest_eigenvalue(matrix, m_int=None, iters: int = 200,
+                        tol: float = 1e-8) -> float:
     """Probe for the smallest eigenvalue of a sparse hermitian matrix.
 
     Tridiagonal matrices get a Sturm-count bisection for the lowest
-    eigenvalue.  Every other matrix gets a symmetric-mode sparse LU
+    eigenvalue.  A d = 2 matrix on interior nodes m_int that
+    separable_bands splits as kron(Ta, I) + kron(To, S2) is exact too: the
+    DST-I along x2 turns it into the blocks Ta + c_j To with
+    c_j = 2 cos(j pi / (M_2 + 1)), j = 1 .. M_2.  The lowest eigenvalue of
+    Ta + c To is concave in c, so its minimum over the blocks lies at
+    c_1 or c_M2, and two Sturm counts give the exact probe.  Every other
+    matrix, and every call without m_int, gets a symmetric-mode sparse LU
     P A P^T = L D L^H, which gives the inertia of A by Sylvester's law:
     when every pivot is positive, A is positive definite and inverse power
     iteration at shift zero finds its smallest eigenvalue.  Otherwise (a
@@ -243,9 +287,14 @@ def smallest_eigenvalue(matrix, iters: int = 200, tol: float = 1e-8) -> float:
     """
     bands = tridiagonal_bands(matrix)
     if bands is not None:
-        diag, sub = bands
-        return float(scipy.linalg.eigvalsh_tridiagonal(
-            diag, np.abs(sub), select="i", select_range=(0, 0))[0])
+        return _lowest_tridiagonal(*bands)
+    split = separable_bands(matrix, m_int)
+    if split is not None:
+        (d_along, s_along), (d_across, s_across) = split
+        c = 2.0 * np.cos(np.pi / (m_int[1] + 1))
+        return min(_lowest_tridiagonal(d_along + cj * d_across,
+                                       s_along + cj * s_across)
+                   for cj in (c, -c))
     size = matrix.shape[0]
     try:
         lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
@@ -386,7 +435,7 @@ def _finalize(form, mesh: Mesh, eps_tag):
     if np.abs(op_mat.imag.data).max(initial=0.0) == 0.0:
         op_mat = op_mat.real
     return DiscreteDirichletOperator(op_mat, mesh, eps_tag,
-                                     smallest_eigenvalue(op_mat))
+                                     smallest_eigenvalue(op_mat, mesh.m_int))
 
 
 def assemble_b_eps(mesh: Mesh, coeffs: CoefficientSet, eps: float,

@@ -79,6 +79,14 @@ class SweepConfig:
     out_dir: str = "."
     evolve_eps: float = 0.125       # single-eps runs of the evolve command
 
+    def __post_init__(self):
+        # assembly refuses h > eps/16, so a coarser policy could only fail
+        # after the cell solve; refuse it before any work instead
+        if not 0.0 < self.h_over_eps <= H_OVER_EPS:
+            raise ValueError(
+                f"[mesh] h_over_eps = {self.h_over_eps:g} must lie in "
+                f"(0, 1/16]: the mesh can only refine h <= eps/16")
+
     def resolved_eps(self, d: int) -> list[float]:
         eps = list(self.eps_list) or [
             2.0 ** -k for k in (range(3, 8) if d == 1 else range(2, 6))]
@@ -519,7 +527,8 @@ def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
     from .lattice import frequencies
     from .coefficients import eval_scaled, symbol_bounds
     from .cell import solve_lambda, solve_lambda_tilde
-    from .dirichlet import make_mesh, steklov, build_extension, extend
+    from .dirichlet import (make_mesh, steklov, build_extension, extend,
+                            smallest_eigenvalue)
     from .evolution import op_sine_scaled
     import scipy.sparse as sp
 
@@ -581,6 +590,15 @@ def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
     check("evolution.ibvp_zero_data",
           lambda: np.abs(solve_ibvp(eb, 0 * v, 0 * v, None, [0.5, 1.0]).u).max()
           == 0.0)
+    m2 = make_mesh([1.0, 1.0], [15, 17])
+    lap1 = [sp.diags([-np.ones(M - 1), np.full(M, 2.0), -np.ones(M - 1)],
+                     [-1, 0, 1]) / hk ** 2 for M, hk in zip(m2.m_int, m2.h)]
+    lap2 = (sp.kron(lap1[0], sp.identity(m2.m_int[1]))
+            + sp.kron(sp.identity(m2.m_int[0]), lap1[1])).tocsr()
+    check("dirichlet.separable_probe_laplacian",
+          lambda: abs(smallest_eigenvalue(lap2, m2.m_int)
+                      - sum(4.0 / hk ** 2 * np.sin(np.pi * hk / 2) ** 2
+                            for hk in m2.h)) < 1e-10)
     check("study.fit_rate_exact",
           lambda: abs(fit_rate([(e, e) for e in (0.1, 0.05, 0.025, 0.0125)])[0]
                       - 1.0) < 1e-12)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from oscillat.errors import (
     ResolutionViolation,
@@ -8,8 +10,13 @@ from oscillat.errors import (
     MarginTooSmall,
     NearSpectrumShift,
 )
-from oscillat.lattice import unit_lattice
-from oscillat.coefficients import catalog
+from oscillat.lattice import build_lattice, unit_lattice
+from oscillat.coefficients import (
+    CoefficientSet,
+    catalog,
+    field_from_function,
+    make_symbol,
+)
 from oscillat.cell import solve_cell
 from oscillat.dirichlet import (
     make_mesh,
@@ -19,6 +26,7 @@ from oscillat.dirichlet import (
     assemble_b0,
     choose_lambda,
     smallest_eigenvalue,
+    separable_bands,
     build_extension,
     extend,
     steklov,
@@ -366,16 +374,37 @@ def test_resolvent_laplacian_eigen_oracle():
     assert np.abs(u - expected).max() < 1e-10
 
 
+def _laminate2d_op():
+    """laminate2d B_eps at eps 1/2 on the box [1, 1.5] (31 x 47 nodes)."""
+    return assemble_b_eps(mesh_for([1.0, 1.5], 0.5 / 16), catalog("laminate2d"),
+                          0.5, LAT2)
+
+
 def test_resolvent_complex_shift_residual():
-    cs = catalog("sine1d")
-    mesh = mesh_for([1.0], 0.25 / 16)
-    op = assemble_b_eps(mesh, cs, 0.25, LAT1)
-    rng = np.random.default_rng(3)
-    f = rng.standard_normal(op.size)
-    zeta = 2.0 + 1.5j
-    u = resolvent(op, zeta, f)
-    res = op.matrix @ u - zeta * u - f
-    assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(f)
+    # complex shifts, and on 2-D a real shift inside the spectrum (A - zeta I
+    # indefinite), through the one symmetric-mode LU of factor()
+    op_1d = assemble_b_eps(mesh_for([1.0], 0.25 / 16), catalog("sine1d"),
+                           0.25, LAT1)
+    op_2d = _laminate2d_op()
+    assert op_2d.smallest_eig < 200.5
+    for op, zeta in ((op_1d, 2.0 + 1.5j), (op_2d, 2.0 + 1.5j), (op_2d, 200.5)):
+        rng = np.random.default_rng(3)
+        f = rng.standard_normal(op.size)
+        u = resolvent(op, zeta, f)
+        res = op.matrix @ u - zeta * u - f
+        assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(f)
+
+
+def test_resolvent_2d_matches_default_ordering_lu():
+    op = _laminate2d_op()
+    rng = np.random.default_rng(8)
+    f = rng.standard_normal((3, op.size))
+    u = resolvent(op, -1.0, f)
+    default = spla.splu((op.matrix + sp.identity(op.size)).tocsc())
+    ref = default.solve(f.T).T
+    assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+    lu = op.factor(-1.0)[0]
+    assert lu.L.nnz + lu.U.nnz < 0.8 * (default.L.nnz + default.U.nnz)
 
 
 def test_resolvent_real_for_real_shift():
@@ -477,3 +506,94 @@ def test_probe_rejects_indefinite_matrix_above_dense_limit():
         with pytest.raises(NotPositiveDefinite):
             _finalize(A * m.sigma, m, 1.0).shifted(0.0)
     assert smallest_eigenvalue(diag) == pytest.approx(-10.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the separable d=2 probe
+
+
+def _block_eigenvalues(split, m2):
+    """Eigenvalues of every DST block Ta + 2 cos(j pi/(M2+1)) To."""
+    (d_a, s_a), (d_o, s_o) = split
+    c = 2.0 * np.cos(np.arange(1, m2 + 1) * np.pi / (m2 + 1))
+    return np.sort(np.concatenate([scipy.linalg.eigvalsh_tridiagonal(
+        d_a + cj * d_o, np.abs(s_a + cj * s_o)) for cj in c]))
+
+
+def test_separable_probe_matches_dense_on_laminate():
+    # box [1, 1.5]: 31 x 47 interior nodes, so a mixed-up axis shows
+    cs = catalog("laminate2d")
+    sol = solve_cell(cs, LAT2, 32)
+    eps = 0.5
+    mesh = mesh_for([1.0, 1.5], eps / 16)
+    assert mesh.m_int == (31, 47)
+    for op in (assemble_b_eps(mesh, cs, eps, LAT2), assemble_b0(mesh, sol, cs)):
+        dense = np.linalg.eigvalsh(op.matrix.toarray())
+        split = separable_bands(op.matrix, mesh.m_int)
+        assert split is not None
+        blocks = _block_eigenvalues(split, mesh.m_int[1])
+        assert np.abs(blocks - dense).max() <= 1e-12 * dense[-1]
+        assert blocks[0] == pytest.approx(dense[0], rel=1e-12)
+        assert op.smallest_eig == pytest.approx(dense[0], rel=1e-12)
+        # flipping the sign of every other x2 line flips To, a similarity
+        # that moves the lowest block to the other end of the cosines
+        flip = sp.kron(sp.identity(mesh.m_int[0]),
+                       sp.diags((-1.0) ** np.arange(mesh.m_int[1])))
+        flipped = (flip @ op.matrix @ flip).tocsr()
+        assert smallest_eigenvalue(flipped, mesh.m_int) == pytest.approx(
+            dense[0], rel=1e-12)
+
+
+def test_separable_probe_rejects_indefinite_operator():
+    op = _laminate2d_op()
+    mesh = op.mesh
+    A = (op.matrix - (op.smallest_eig + 50.0) * sp.identity(op.size)).tocsr()
+    assert separable_bands(A, mesh.m_int) is not None
+    dense_min = np.linalg.eigvalsh(A.toarray())[0]
+    probe = smallest_eigenvalue(A, mesh.m_int)
+    assert probe <= 0.0
+    assert probe == pytest.approx(dense_min, rel=1e-12)
+    with pytest.raises(NotPositiveDefinite):
+        _finalize(A * mesh.sigma, mesh, 0.5).shifted(0.0)
+
+
+def _laminate_pair_symbol_set():
+    """n = 2 laminate on d = 2: b(D) the gradient of a 2-vector (m = 4)."""
+    b1 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    b2 = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    g = field_from_function(
+        lambda x, y: (2.0 + np.sin(2 * np.pi * x))[..., None, None] * np.eye(4),
+        2, 32, hermitian=True, positive=True)
+    return CoefficientSet(symbol=make_symbol([b1, b2]), g=g).validate()
+
+
+@pytest.mark.parametrize("fixture", ["laminate2d", "checkerboard-smooth",
+                                     "laminate2d-skew", "laminate-pair"])
+def test_probe_path_separable_or_lu(fixture, monkeypatch):
+    # only the scalar laminate on the unit lattice separates; the others,
+    # and every call without m_int, take exactly one symmetric-mode LU
+    lat = LAT2
+    if fixture == "laminate-pair":
+        cs = _laminate_pair_symbol_set()
+    else:
+        cs = catalog(fixture.removesuffix("-skew"))
+    if fixture.endswith("-skew"):
+        lat = build_lattice([[1.0, 0.0], [0.5, 1.0]])
+    mesh = mesh_for([1.0, 1.5], 0.5 / 16)
+    A = assemble_b_eps(mesh, cs, 0.5, lat).matrix
+    dense_min = np.linalg.eigvalsh(A.toarray())[0]
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    separates = fixture == "laminate2d"
+    assert (separable_bands(A, mesh.m_int) is not None) == separates
+    probe = smallest_eigenvalue(A, mesh.m_int)
+    assert len(calls) == (0 if separates else 1)
+    assert probe == pytest.approx(dense_min, rel=1e-12 if separates else 1e-8)
+    assert smallest_eigenvalue(A) == pytest.approx(dense_min, rel=1e-8)
+    assert len(calls) == (1 if separates else 2)

@@ -226,8 +226,8 @@ def test_block_and_2d_operators_take_dense_path(monkeypatch):
     ("laminate2d", 1 / 2), ("checkerboard-smooth", 1 / 2),
 ])
 def test_lu_probe_matches_dense(fixture, eps, monkeypatch):
-    # every operator that is not tridiagonal, however small, takes the
-    # symmetric-mode LU inertia probe (126 to 1022 unknowns here)
+    # called without m_int, every operator that is not tridiagonal, however
+    # small, takes the symmetric-mode LU inertia probe (126 to 1022 unknowns)
     cs = matrix_system() if fixture == "matrix_system" else catalog(fixture)
     lat = LAT1 if cs.d == 1 else LAT2
     sol = solve_cell(cs, lat, 128 if cs.d == 1 else 64)

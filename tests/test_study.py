@@ -292,6 +292,33 @@ def test_cosine_sweep_rejects_zero_times_before_cell_solve(monkeypatch):
         cosine_corrector_sweep(SweepConfig(t_list=(0.0,)))
 
 
+@pytest.mark.parametrize("value", [0.125, 0.0625 * (1 + 1e-9), 0.0, -0.05,
+                                   float("nan")])
+def test_h_over_eps_outside_policy_refused(value):
+    with pytest.raises(ValueError, match=r"h_over_eps .* \(0, 1/16\]"):
+        SweepConfig(h_over_eps=value)
+
+
+def test_h_over_eps_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    # assembly refuses h > eps/16, so a coarser policy must stop every
+    # command before the cell solve
+    import oscillat.cli as cli_mod
+    import oscillat.study as study_mod
+
+    for mod in (cli_mod, study_mod):
+        _forbid(monkeypatch, mod, "build_fixture")
+    assert SweepConfig(h_over_eps=1.0 / 16).h_over_eps == 0.0625
+    assert SweepConfig(h_over_eps=1.0 / 32).h_over_eps == 0.03125
+    cfg_path = tmp_path / "coarse.cfg"
+    cfg_path.write_text("[coeff]\ncatalog = laminate2d\n\n[domain]\n"
+                        "box = [1.0, 1.0]\n\n[mesh]\nh_over_eps = 0.125\n\n"
+                        f"[sweep]\nout_dir = {tmp_path}\n")
+    for command in ("cell", "evolve", "sweep", "resolvent-sweep", "cos-sweep"):
+        assert run_cli([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "[mesh] h_over_eps = 0.125" in err and "(0, 1/16]" in err
+
+
 def test_over_cap_mesh_fails_before_assembly(tmp_path, monkeypatch, capsys):
     # default d=2 grid {1/4 .. 1/32}: eps = 1/8 has 127^2 = 16129 unknowns,
     # above the 8192 eigensolver cap, and no operator may be assembled
