@@ -14,8 +14,10 @@ keeps every assembled matrix hermitian at machine precision.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -186,8 +188,25 @@ class DiscreteDirichletOperator:
         return DiscreteDirichletOperator(self.matrix + lam * eye, self.mesh,
                                          self.eps_tag, probe, self.lam + lam)
 
+    @cached_property
+    def spectrum(self):
+        """Closed-form eigenvalues on the interior grid (dst_spectrum), or
+        None when the orthonormal DST-I does not diagonalize the matrix."""
+        return dst_spectrum(self.matrix, self.mesh.m_int)
+
     def factor(self, zeta=0.0):
+        """Solver of (A - zeta I) and whether it keeps real data real.
+
+        Cached per zeta.  An operator with a closed-form spectrum gets a
+        DST-I solver and is never factored; every other one a sparse LU.
+        """
         key = complex(zeta)
+        if key not in self._factors and self.spectrum is not None:
+            gaps = self.spectrum - (key.real if key.imag == 0.0 else key)
+            if (gaps == 0.0).any():
+                raise NearSpectrumShift(f"{tag_text(self.eps_tag)}: zeta={zeta}"
+                                        f" is an eigenvalue")
+            self._factors[key] = (_SineSolver(gaps), key.imag == 0.0)
         if key not in self._factors:
             mat = self.matrix
             if key != 0:
@@ -228,29 +247,127 @@ def tridiagonal_bands(matrix):
     return matrix.diagonal().real, matrix.diagonal(-1)
 
 
-def separable_bands(matrix, m_int):
-    """x1 bands of Ta and To when a d = 2 matrix is kron(Ta, I) + kron(To, S2).
+def _separable_blocks(matrix, m_int):
+    """(Ta, To) when a d = 2 matrix is kron(Ta, I) + kron(To, S2), else None.
 
     S2 is the x2 shift matrix (ones on the first off-diagonals).  Ta holds
     the entries between nodes on one x2 line, To those between x2
-    neighbours; both must be tridiagonal along x1.  Returns
-    (tridiagonal_bands(Ta), tridiagonal_bands(To)) only when the rebuilt
-    matrix equals the given one exactly, else None.  A scalar operator
-    whose coefficients depend on x1 alone (a laminate) separates so.
+    neighbours; both must be tridiagonal along x1, and the rebuilt matrix
+    must equal the given one exactly.
     """
     if m_int is None or len(m_int) != 2 or matrix.shape[0] != np.prod(m_int):
         return None
     m2 = m_int[1]
     x2_first = matrix.tocsr()[::m2]           # rows of the nodes (i1, 0)
-    t_along, t_across = x2_first[:, ::m2], x2_first[:, 1::m2]
-    bands = tridiagonal_bands(t_along), tridiagonal_bands(t_across)
-    if bands[0] is None or bands[1] is None:
+    blocks = x2_first[:, ::m2], x2_first[:, 1::m2]
+    if any(tridiagonal_bands(t) is None for t in blocks):
         return None
     shift = sp.diags([np.ones(m2 - 1), np.ones(m2 - 1)], [-1, 1])
-    rebuilt = sp.kron(t_along, sp.identity(m2)) + sp.kron(t_across, shift)
+    rebuilt = sp.kron(blocks[0], sp.identity(m2)) + sp.kron(blocks[1], shift)
     if (rebuilt != matrix).nnz:
         return None
-    return bands
+    return blocks
+
+
+def separable_bands(matrix, m_int):
+    """x1 bands of Ta and To when a d = 2 matrix is kron(Ta, I) + kron(To, S2).
+
+    Returns (tridiagonal_bands(Ta), tridiagonal_bands(To)) when
+    _separable_blocks accepts the matrix, else None.  A scalar operator
+    whose coefficients depend on x1 alone (a laminate) separates so.
+    """
+    blocks = _separable_blocks(matrix, m_int)
+    return None if blocks is None else tuple(map(tridiagonal_bands, blocks))
+
+
+def _toeplitz_band(block):
+    """(a, s) when a real block is tridiagonal with the constant diagonal a
+    and the constant sub- and superdiagonal s, else None."""
+    bands = None if block.dtype.kind == "c" else tridiagonal_bands(block)
+    if bands is None:
+        return None
+    diag, sub = bands
+    if ((diag != diag[0]).any() or (sub != sub[0]).any()
+            or (block.diagonal(1) != sub).any()):
+        return None
+    return float(diag[0]), float(sub[0])
+
+
+def dst_spectrum(matrix, m_int):
+    """Eigenvalues, on the interior grid, of a matrix that the orthonormal
+    DST-I diagonalizes; None for every other matrix.
+
+    Exact structural detection, with no tolerance: the matrix must be real
+    and, in d = 1, tridiagonal with constant bands (a, s); in d = 2,
+    separable (_separable_blocks) with constant bands (da, sa) in Ta and
+    (do, so) in To.  A scalar real operator with constant coefficients and
+    a diagonal principal coefficient is of this kind.  The entry [j-1] or
+    [j1-1, j2-1] belongs to the sine mode of numbers j = 1 .. M_k per axis,
+    with c_j = 2 cos(j pi / (M + 1)) = 2 - p_j, p_j = 4 sin^2(j pi / (2M + 2)):
+    a + s c_j in d = 1, (da + sa c_j1) + c_j2 (do + so c_j1) in d = 2.  Both
+    are evaluated through p_j, which keeps the lowest eigenvalues of a
+    Laplacian-like matrix accurate to a few ulp relative.
+    """
+    if len(m_int) == 1:
+        blocks = (matrix,) if matrix.shape[0] == m_int[0] else None
+    else:
+        blocks = _separable_blocks(matrix, m_int)
+    bands = None if blocks is None else [_toeplitz_band(t) for t in blocks]
+    if bands is None or None in bands:
+        return None
+    p = [4.0 * np.sin(np.arange(1, M + 1) * np.pi / (2 * M + 2)) ** 2
+         for M in m_int]
+    if len(m_int) == 1:
+        (a, s), = bands
+        return (a + 2.0 * s) - s * p[0]
+    (da, sa), (do, so) = bands
+    across = (do + 2.0 * so) - so * p[0]      # To on the x1 sine modes
+    along = (da + 2.0 * sa) - sa * p[0]       # Ta on the x1 sine modes
+    return (along + 2.0 * across)[:, None] - np.multiply.outer(across, p[1])
+
+
+def dst_eigenvectors(m_int, modes) -> np.ndarray:
+    """Orthonormal DST-I columns, node-major, for the given sine modes.
+
+    modes holds one integer array per axis, the 0-based mode numbers of
+    each column (np.unravel_index of flat positions in a dst_spectrum
+    grid).  Column c is the product over axes k of
+    sqrt(2 / (M_k + 1)) sin(pi i_k (j_k + 1) / (M_k + 1)), read from a
+    table of the 2 (M_k + 1) distinct values by the index
+    i_k (j_k + 1) mod 2 (M_k + 1), not by a sin call per entry.
+    """
+    cols = None
+    for M, j in zip(m_int, modes):
+        period = 2 * (M + 1)
+        table = np.sqrt(2.0 / (M + 1)) * np.sin(np.arange(period) * np.pi
+                                                 / (M + 1))
+        idx = np.multiply.outer(np.arange(1, M + 1), np.asarray(j) + 1)
+        np.remainder(idx, period, out=idx)
+        axis = table[idx]                                 # (M, columns)
+        cols = axis if cols is None else (
+            cols[:, None, :] * axis[None, :, :]).reshape(-1, axis.shape[1])
+    return cols
+
+
+class _SineSolver:
+    """Solves (A - zeta I) u = f for an A with a closed-form spectrum.
+
+    gaps holds lambda - zeta on the interior grid (dst_spectrum minus the
+    shift, none of them 0); then u = idstn(dstn(f) / gaps) with the
+    orthonormal DST-I along every grid axis.  solve takes right-hand sides
+    as columns (ndof,) or (ndof, k), as a SuperLU factor does.
+    """
+
+    def __init__(self, gaps: np.ndarray):
+        self.gaps = gaps
+
+    def solve(self, cols: np.ndarray) -> np.ndarray:
+        rows = np.asarray(cols).T
+        grid = rows.reshape(rows.shape[:-1] + self.gaps.shape)
+        axes = tuple(range(-self.gaps.ndim, 0))
+        coef = scipy.fft.dstn(grid, type=1, norm="ortho", axes=axes) / self.gaps
+        u = scipy.fft.idstn(coef, type=1, norm="ortho", axes=axes)
+        return u.reshape(rows.shape).T
 
 
 def _lowest_tridiagonal(diag, sub) -> float:

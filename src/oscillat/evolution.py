@@ -3,13 +3,16 @@
 The operators cos(t A^(1/2)) and A^(-1/2) sin(t A^(1/2)) are realized
 through a full hermitian eigendecomposition; at desk scale this is the
 simplest exact form of the spectral calculus and keeps per-mode energies
-conserved to machine precision.  Tridiagonal operators (every scalar
-operator in d=1, real or complex hermitian) use a tridiagonal
-divide-and-conquer eigensolver; all others use dense eigh, the reference
-the tridiagonal path is tested against.  Either way the eigen residual
-|A q - mu q| is checked with a sparse product.  A Stoermer-Verlet
-integrator provides an independent check that never touches the
-eigenbasis.
+conserved to machine precision.  The eigenpairs come from one of three
+paths.  Operators that the orthonormal DST-I diagonalizes (scalar, real,
+constant coefficients, diagonal principal coefficient: B0 of the scalar
+catalog fixtures without first-order terms) take their closed-form
+spectrum and sine eigenvectors, with no eigensolver.  Other tridiagonal operators (every
+scalar operator in d=1, real or complex hermitian) use a tridiagonal
+divide-and-conquer eigensolver.  All others use dense eigh, the reference
+both are tested against.  On every path the eigen residual |A q - mu q| is
+checked with a sparse product.  A Stoermer-Verlet integrator provides an
+independent check that never touches the eigenbasis.
 
 Vectors are rows: a dof vector has shape (..., ndof), leading axes hold a
 stack of vectors, and the eigenbasis projects and synthesizes all rows
@@ -32,6 +35,7 @@ from .dirichlet import (
     extend,
     smoothed_bD,
     bD_centered,
+    dst_eigenvectors,
     tridiagonal_bands,
     tag_text,
 )
@@ -80,7 +84,7 @@ def spectral_decompose(op: DiscreteDirichletOperator) -> EigenBasis:
     check_decomposable(op.size, op.eps_tag)
     at = tag_text(op.eps_tag)
     try:
-        mu, Q = _eigh(op.matrix)
+        mu, Q = _eigh(op)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigSolverFailure(f"{at}: {exc}") from exc
     if mu[0] <= 0.0:
@@ -99,18 +103,28 @@ def check_decomposable(size: int, eps_tag):
             f"limit {_EIG_LIMIT}; evolution runs are desk-scale by design")
 
 
-def _eigh(matrix):
-    """Ascending eigenpairs of a sparse hermitian matrix.
+def _eigh(op):
+    """Ascending eigenpairs of a discrete hermitian operator, by one of
+    three paths, all checked alike by spectral_decompose.
 
-    A tridiagonal A equals D T D^H with T real symmetric, subdiagonal
-    |sub|, and D = diag(phase), phase[k+1] = phase[k] sub[k] / |sub[k]|
-    (signs for a real A).  T goes to LAPACK's divide-and-conquer ?stevd;
-    MRRR (?stemr) fails with info=22 on the unscaled sine1d operator at
-    2047 unknowns.  Every other matrix gets dense eigh.
+    - Closed form: when the orthonormal DST-I diagonalizes the operator
+      (op.spectrum is not None), its known eigenvalues are sorted and the
+      matching sine columns built by dst_eigenvectors, with no eigensolver.
+    - Tridiagonal: A equals D T D^H with T real symmetric, subdiagonal
+      |sub|, and D = diag(phase), phase[k+1] = phase[k] sub[k] / |sub[k]|
+      (signs for a real A).  T goes to LAPACK's divide-and-conquer ?stevd;
+      MRRR (?stemr) fails with info=22 on the unscaled sine1d operator at
+      2047 unknowns.
+    - Dense: every other matrix gets dense eigh.
     """
-    bands = tridiagonal_bands(matrix)
+    if op.spectrum is not None:
+        order = np.argsort(op.spectrum, axis=None, kind="stable")
+        modes = np.unravel_index(order, op.spectrum.shape)
+        return (op.spectrum.ravel()[order],
+                dst_eigenvectors(op.spectrum.shape, modes))
+    bands = tridiagonal_bands(op.matrix)
     if bands is None:
-        dense = matrix.toarray()
+        dense = op.matrix.toarray()
         if np.abs(dense.imag).max() == 0.0:
             dense = dense.real
         return scipy.linalg.eigh(dense)

@@ -528,7 +528,7 @@ def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
     from .coefficients import eval_scaled, symbol_bounds
     from .cell import solve_lambda, solve_lambda_tilde
     from .dirichlet import (make_mesh, steklov, build_extension, extend,
-                            smallest_eigenvalue)
+                            smallest_eigenvalue, DiscreteDirichletOperator)
     from .evolution import op_sine_scaled
     import scipy.sparse as sp
 
@@ -599,6 +599,15 @@ def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
           lambda: abs(smallest_eigenvalue(lap2, m2.m_int)
                       - sum(4.0 / hk ** 2 * np.sin(np.pi * hk / 2) ** 2
                             for hk in m2.h)) < 1e-10)
+    lap_op = DiscreteDirichletOperator(lap2, m2, "laplacian", 0.0)
+    f2 = np.cos(np.arange(lap_op.size))
+    lap_exact = np.add.outer(*(
+        4.0 / hk ** 2 * np.sin(np.arange(1, M + 1) * np.pi * hk / 2) ** 2
+        for M, hk in zip(m2.m_int, m2.h)))
+    check("dirichlet.dst_spectrum_laplacian",
+          lambda: np.abs(lap_op.spectrum - lap_exact).max() < 1e-10
+          and np.linalg.norm(lap2 @ lap_op.solve_shifted(0.0, f2) - f2)
+          < 1e-12 * np.linalg.norm(f2))
     check("study.fit_rate_exact",
           lambda: abs(fit_rate([(e, e) for e in (0.1, 0.05, 0.025, 0.0125)])[0]
                       - 1.0) < 1e-12)

@@ -1,0 +1,202 @@
+"""The closed-form DST-I backend: constant-coefficient operators get their
+eigenpairs and resolvent solves from the known sine spectrum, every other
+operator keeps its eigensolver and its sparse LU."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from oscillat.errors import NearSpectrumShift
+from oscillat.lattice import unit_lattice
+from oscillat.coefficients import catalog
+from oscillat.cell import solve_cell
+from oscillat.dirichlet import (
+    make_mesh,
+    mesh_for,
+    assemble_b_eps,
+    assemble_b0,
+    dst_spectrum,
+    resolvent,
+    DiscreteDirichletOperator,
+)
+from oscillat.evolution import (
+    EigenBasis,
+    spectral_decompose,
+    op_cosine,
+    op_sine_scaled,
+    op_inv_sqrt,
+)
+
+LAT1 = unit_lattice(1)
+LAT2 = unit_lattice(2)
+
+
+def sine1d_b0(eps=1 / 16):
+    cs = catalog("sine1d")
+    return assemble_b0(mesh_for([1.0], eps / 16), solve_cell(cs, LAT1, 256), cs)
+
+
+def const_op(M=255):
+    return assemble_b_eps(make_mesh([1.0], [M]),
+                          catalog("const", {"g": 2.0, "d": 1}), 1.0, LAT1)
+
+
+def laminate2d_b0():
+    """laminate2d B0 on the box [1, 1.5]: 31 x 47 = 1457 unknowns."""
+    cs = catalog("laminate2d")
+    mesh = mesh_for([1.0, 1.5], 0.5 / 16)
+    assert mesh.m_int == (31, 47)
+    return assemble_b0(mesh, solve_cell(cs, LAT2, 64), cs)
+
+
+CLOSED_FORM = {"sine1d-b0": sine1d_b0, "const": const_op,
+               "laminate2d-b0": laminate2d_b0}
+
+
+@pytest.fixture(scope="module", params=sorted(CLOSED_FORM))
+def closed_form_op(request):
+    op = CLOSED_FORM[request.param]()
+    assert op.size <= 4096
+    assert op.spectrum is not None
+    return op
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the reference paths
+
+
+def test_closed_form_eigenvalues_match_dense(closed_form_op):
+    op = closed_form_op
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    eb = spectral_decompose(op)
+    assert np.all(np.diff(eb.eigenvalues) >= 0.0)
+    assert np.abs(eb.eigenvalues - dense).max() <= 1e-12 * dense[-1]
+    Q = eb.eigenvectors
+    assert np.linalg.norm(Q.T @ Q - np.eye(op.size)) <= 1e-10
+
+
+def test_closed_form_low_modes_accurate_to_ulps():
+    # the matrix is 2/h^2 times the unit Laplacian stencil, whose eigenvalues
+    # are 4 sin^2(j pi h / 2): the closed form meets them to a few ulp at
+    # every mode, where an eigensolver's error is eps * |A|, about 7e-12
+    # relative on the lowest mode at 255 unknowns
+    op = const_op(255)
+    h = op.mesh.h[0]
+    exact = 2.0 / h ** 2 * 4.0 * np.sin(np.arange(1, 256) * np.pi * h / 2) ** 2
+    assert np.abs(spectral_decompose(op).eigenvalues / exact - 1.0).max() \
+        <= 1e-14
+
+
+def test_closed_form_operator_functions_match_dense_basis(closed_form_op):
+    op = closed_form_op
+    mu, Q = scipy.linalg.eigh(op.matrix.toarray())
+    dense = EigenBasis(eigenvalues=mu, eigenvectors=Q, source=op)
+    eb = spectral_decompose(op)
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal((2, op.size))
+    times = [0.5, 1.0, 2.0]
+    scale = np.abs(v).max()
+    for fn in (op_cosine, op_sine_scaled):
+        assert np.abs(fn(eb, times, v) - fn(dense, times, v)).max() \
+            <= 1e-10 * scale
+    assert np.abs(op_inv_sqrt(eb, v) - op_inv_sqrt(dense, v)).max() \
+        <= 1e-10 * scale
+
+
+def _inside_spectrum(op):
+    """A real shift halfway between the 10th and 11th eigenvalues."""
+    mu = np.sort(op.spectrum, axis=None)
+    return 0.5 * (mu[9] + mu[10])
+
+
+def test_closed_form_resolvent_matches_default_lu(closed_form_op):
+    op = closed_form_op
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal((3, op.size))
+    for zeta in (-1.0, 2.0 + 1.5j, _inside_spectrum(op)):
+        shifted = op.matrix - zeta * sp.identity(op.size)
+        ref = spla.splu(shifted.tocsc()).solve(f.T.astype(shifted.dtype)).T
+        u = resolvent(op, zeta, f)
+        assert np.isrealobj(u) == np.isrealobj(zeta)
+        assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+        one = resolvent(op, zeta, f[1])
+        assert np.abs(one - u[1]).max() <= 1e-14 * np.abs(u[1]).max()
+
+
+# ---------------------------------------------------------------------------
+# which path each operator takes
+
+
+def _decompose_and_solve(op):
+    spectral_decompose(op)
+    rng = np.random.default_rng(13)
+    f = rng.standard_normal((2, op.size))
+    resolvent(op, -1.0, f)
+    resolvent(op, 2.0 + 1.5j, f)
+    op.solve_shifted(0.0, f[0])
+
+
+@pytest.mark.parametrize("name", ["sine1d-b0", "laminate2d-b0"])
+def test_b0_takes_neither_lu_nor_eigensolver(name, solver_calls):
+    _decompose_and_solve(CLOSED_FORM[name]())
+    assert solver_calls == {"splu": 0, "eigh_tridiagonal": 0}
+
+
+def _one_ulp_off(op):
+    """op with its first diagonal entry moved up by one ulp."""
+    matrix = op.matrix.tolil()
+    matrix[0, 0] = np.nextafter(matrix[0, 0], np.inf)
+    return DiscreteDirichletOperator(matrix, op.mesh, op.eps_tag,
+                                     op.smallest_eig)
+
+
+def _complex_constant_tridiagonal(M=63):
+    """A complex hermitian tridiagonal operator with constant bands."""
+    mesh = make_mesh([1.0], [M])
+    sub = np.full(M - 1, -1.0 + 0.5j) / mesh.h[0] ** 2
+    diag = np.full(M, 3.0) / mesh.h[0] ** 2
+    matrix = sp.diags([sub, diag, sub.conj()], [-1, 0, 1], format="csr")
+    return DiscreteDirichletOperator(matrix, mesh, "complex", 1.0)
+
+
+@pytest.mark.parametrize("name, eigh_tridiagonal", [
+    ("laminate2d-b-eps", 0), ("sine1d-b0-one-ulp", 1), ("complex-tridiagonal", 1)])
+def test_other_operators_keep_their_paths(name, eigh_tridiagonal,
+                                         solver_calls):
+    if name == "laminate2d-b-eps":
+        op = assemble_b_eps(mesh_for([1.0, 1.5], 0.5 / 16),
+                            catalog("laminate2d"), 0.5, LAT2)
+    elif name == "sine1d-b0-one-ulp":
+        op = _one_ulp_off(sine1d_b0())
+    else:
+        op = _complex_constant_tridiagonal()
+    assert op.spectrum is None
+    _decompose_and_solve(op)
+    # one LU per shift: -1, 2 + 1.5j and 0
+    assert solver_calls == {"splu": 3, "eigh_tridiagonal": eigh_tridiagonal}
+
+
+def test_shift_at_closed_form_eigenvalue_raises():
+    for op in (const_op(), laminate2d_b0()):
+        zeta = float(op.spectrum.flat[3])
+        with pytest.raises(NearSpectrumShift, match=r"is an eigenvalue"):
+            resolvent(op, zeta, np.ones(op.size))
+
+
+def test_dst_spectrum_needs_scalar_grid_operator():
+    op = const_op(31)
+    assert dst_spectrum(op.matrix, (31,)) is not None
+    # a dof count that is not the grid's, or complex storage
+    assert dst_spectrum(op.matrix, (30,)) is None
+    assert dst_spectrum(op.matrix.astype(complex), (31,)) is None
+    # a 2-D operator read on a 1-D grid is not tridiagonal
+    t5 = sp.diags([-np.ones(4), np.full(5, 2.0), -np.ones(4)], [-1, 0, 1])
+    lap2 = sp.kron(op.matrix, sp.identity(5)) + sp.kron(sp.identity(31), t5)
+    assert dst_spectrum(lap2.tocsr(), (31, 5)) is not None
+    assert dst_spectrum(lap2.tocsr(), (155,)) is None
+    # a constant matrix that is not symmetric
+    upper = sp.diags([np.full(30, -1.0), np.full(31, 2.0), np.full(30, -2.0)],
+                     [-1, 0, 1], format="csr")
+    assert dst_spectrum(upper, (31,)) is None

@@ -34,6 +34,8 @@ LAT1 = unit_lattice(1)
 
 
 class _FakeOp:
+    spectrum = None     # no closed form: the tridiagonal or dense path
+
     def __init__(self, matrix, eps_tag=0.5):
         self.matrix = sp.csr_matrix(matrix)
         self.size = matrix.shape[0]

@@ -221,6 +221,23 @@ def test_block_and_2d_operators_take_dense_path(monkeypatch):
         assert eb.size == op.size
 
 
+def test_block_b0_keeps_lu_and_dense_path(solver_calls):
+    # the n = 2 effective operator has constant coefficients, but its blocks
+    # couple the components: no closed-form spectrum, so one LU per shift
+    # and the dense eigensolver
+    cs = matrix_system()
+    sol = solve_cell(cs, LAT1, 128)
+    op_0 = shifted_operators(mesh_for([1.0], 0.25 / 16), cs, sol, 0.25,
+                             LAT1)[1]
+    assert op_0.spectrum is None
+    solver_calls.update(splu=0)     # the probes of shifted_operators
+    assert spectral_decompose(op_0).size == op_0.size
+    f = np.ones((2, op_0.size))
+    resolvent(op_0, -1.0, f)
+    op_0.solve_shifted(0.0, f[0])
+    assert solver_calls == {"splu": 2, "eigh_tridiagonal": 0}
+
+
 @pytest.mark.parametrize("fixture, eps", [
     ("matrix_system", 1 / 4), ("matrix_system", 1 / 32),
     ("laminate2d", 1 / 2), ("checkerboard-smooth", 1 / 2),
