@@ -177,7 +177,8 @@ class DiscreteDirichletOperator:
         return self.matrix.shape[0]
 
     def shifted(self, lam: float) -> "DiscreteDirichletOperator":
-        """A + lam I, probed as smallest_eig + lam (self when lam is 0)."""
+        """A + lam I, probed as smallest_eig + lam, with lam added to the
+        diagonal band: no matrix is read again (self when lam is 0)."""
         probe = self.smallest_eig + lam
         if probe <= 0.0:
             raise NotPositiveDefinite(f"{tag_text(self.eps_tag)}: smallest-"
@@ -185,14 +186,22 @@ class DiscreteDirichletOperator:
         if lam == 0:
             return self
         eye = sp.identity(self.size, format="csr")
-        return DiscreteDirichletOperator(self.matrix + lam * eye, self.mesh,
-                                         self.eps_tag, probe, self.lam + lam)
+        out = DiscreteDirichletOperator(self.matrix + lam * eye, self.mesh,
+                                        self.eps_tag, probe, self.lam + lam)
+        out.bands = self.bands and ((self.bands[0][0] + lam, self.bands[0][1]),
+                                    *self.bands[1:])
+        return out
+
+    @cached_property
+    def bands(self):
+        """read_bands of the matrix on the mesh's interior grid, read once."""
+        return read_bands(self.matrix, self.mesh.m_int)
 
     @cached_property
     def spectrum(self):
         """Closed-form eigenvalues on the interior grid (dst_spectrum), or
         None when the orthonormal DST-I does not diagonalize the matrix."""
-        return dst_spectrum(self.matrix, self.mesh.m_int)
+        return dst_spectrum(self.bands, self.mesh.m_int)
 
     def factor(self, zeta=0.0):
         """Solver of (A - zeta I) and whether it keeps real data real.
@@ -235,92 +244,69 @@ class DiscreteDirichletOperator:
         return lu.solve(cols.astype(complex)).T
 
 
-def tridiagonal_bands(matrix):
-    """Diagonal and first subdiagonal of a hermitian matrix of bandwidth <= 1.
+def read_bands(matrix, m_int):
+    """The bands of a hermitian operator on interior nodes m_int, or None.
 
-    Returns None when any stored entry lies further from the diagonal.
-    Every scalar (n = 1) operator in d = 1 is tridiagonal.
+    d = 1: ((diag, sub),) of a tridiagonal matrix.  d = 2: the x1 bands
+    ((diag_a, sub_a), (diag_o, sub_o)) of Ta, the entries on one x2 line,
+    and To, those between x2 neighbours, when the matrix equals
+    kron(Ta, I) + kron(To, S2), S2 the x2 shift (ones on the first
+    off-diagonals), as a laminate's does.  Each pair has a real diagonal
+    and the superdiagonal conj(sub).  Every check is exact.
     """
-    coo = matrix.tocoo()
-    if np.abs(coo.row - coo.col).max(initial=0) > 1:
+    if matrix.shape[0] != np.prod(m_int):
         return None
-    return matrix.diagonal().real, matrix.diagonal(-1)
-
-
-def _separable_blocks(matrix, m_int):
-    """(Ta, To) when a d = 2 matrix is kron(Ta, I) + kron(To, S2), else None.
-
-    S2 is the x2 shift matrix (ones on the first off-diagonals).  Ta holds
-    the entries between nodes on one x2 line, To those between x2
-    neighbours; both must be tridiagonal along x1, and the rebuilt matrix
-    must equal the given one exactly.
-    """
-    if m_int is None or len(m_int) != 2 or matrix.shape[0] != np.prod(m_int):
-        return None
+    if len(m_int) == 1:
+        bands = _hermitian_tridiagonal(matrix)
+        return None if bands is None else (bands,)
     m2 = m_int[1]
     x2_first = matrix.tocsr()[::m2]           # rows of the nodes (i1, 0)
     blocks = x2_first[:, ::m2], x2_first[:, 1::m2]
-    if any(tridiagonal_bands(t) is None for t in blocks):
+    bands = tuple(map(_hermitian_tridiagonal, blocks))
+    if any(b is None for b in bands):
         return None
     shift = sp.diags([np.ones(m2 - 1), np.ones(m2 - 1)], [-1, 1])
     rebuilt = sp.kron(blocks[0], sp.identity(m2)) + sp.kron(blocks[1], shift)
     if (rebuilt != matrix).nnz:
         return None
-    return blocks
+    return bands
 
 
-def separable_bands(matrix, m_int):
-    """x1 bands of Ta and To when a d = 2 matrix is kron(Ta, I) + kron(To, S2).
-
-    Returns (tridiagonal_bands(Ta), tridiagonal_bands(To)) when
-    _separable_blocks accepts the matrix, else None.  A scalar operator
-    whose coefficients depend on x1 alone (a laminate) separates so.
-    """
-    blocks = _separable_blocks(matrix, m_int)
-    return None if blocks is None else tuple(map(tridiagonal_bands, blocks))
-
-
-def _toeplitz_band(block):
-    """(a, s) when a real block is tridiagonal with the constant diagonal a
-    and the constant sub- and superdiagonal s, else None."""
-    bands = None if block.dtype.kind == "c" else tridiagonal_bands(block)
-    if bands is None:
+def _hermitian_tridiagonal(matrix):
+    """(diag.real, sub) of a hermitian tridiagonal matrix, else None."""
+    coo = matrix.tocoo()
+    if np.abs(coo.row - coo.col).max(initial=0) > 1:
         return None
-    diag, sub = bands
-    if ((diag != diag[0]).any() or (sub != sub[0]).any()
-            or (block.diagonal(1) != sub).any()):
+    diag, sub = matrix.diagonal(), matrix.diagonal(-1)
+    if (diag.imag != 0.0).any() or (matrix.diagonal(1) != sub.conj()).any():
         return None
-    return float(diag[0]), float(sub[0])
+    return diag.real, sub
 
 
-def dst_spectrum(matrix, m_int):
-    """Eigenvalues, on the interior grid, of a matrix that the orthonormal
-    DST-I diagonalizes; None for every other matrix.
+def dst_spectrum(bands, m_int):
+    """Eigenvalues on the interior grid m_int when the orthonormal DST-I
+    diagonalizes an operator with these read_bands, else None.
 
-    Exact structural detection, with no tolerance: the matrix must be real
-    and, in d = 1, tridiagonal with constant bands (a, s); in d = 2,
-    separable (_separable_blocks) with constant bands (da, sa) in Ta and
-    (do, so) in To.  A scalar real operator with constant coefficients and
-    a diagonal principal coefficient is of this kind.  The entry [j-1] or
-    [j1-1, j2-1] belongs to the sine mode of numbers j = 1 .. M_k per axis,
-    with c_j = 2 cos(j pi / (M + 1)) = 2 - p_j, p_j = 4 sin^2(j pi / (2M + 2)):
-    a + s c_j in d = 1, (da + sa c_j1) + c_j2 (do + so c_j1) in d = 2.  Both
-    are evaluated through p_j, which keeps the lowest eigenvalues of a
-    Laplacian-like matrix accurate to a few ulp relative.
+    The bands must be real and constant, exactly: (a, s) in d = 1, (da, sa)
+    in Ta and (do, so) in To in d = 2, as for a scalar real operator with
+    constant coefficients and a diagonal principal coefficient.  The entry
+    [j-1] or [j1-1, j2-1] belongs to the sine mode of numbers j = 1 .. M_k
+    per axis, with c_j = 2 cos(j pi / (M + 1)) = 2 - p_j and
+    p_j = 4 sin^2(j pi / (2M + 2)): a + s c_j in d = 1,
+    (da + sa c_j1) + c_j2 (do + so c_j1) in d = 2.  Both are evaluated
+    through p_j, which keeps the lowest eigenvalues of a Laplacian-like
+    matrix accurate to a few ulp relative.
     """
-    if len(m_int) == 1:
-        blocks = (matrix,) if matrix.shape[0] == m_int[0] else None
-    else:
-        blocks = _separable_blocks(matrix, m_int)
-    bands = None if blocks is None else [_toeplitz_band(t) for t in blocks]
-    if bands is None or None in bands:
+    if bands is None or any(np.iscomplexobj(sub) or (diag != diag[0]).any()
+                            or (sub != sub[0]).any() for diag, sub in bands):
         return None
     p = [4.0 * np.sin(np.arange(1, M + 1) * np.pi / (2 * M + 2)) ** 2
          for M in m_int]
+    consts = [(float(diag[0]), float(sub[0])) for diag, sub in bands]
     if len(m_int) == 1:
-        (a, s), = bands
+        (a, s), = consts
         return (a + 2.0 * s) - s * p[0]
-    (da, sa), (do, so) = bands
+    (da, sa), (do, so) = consts
     across = (do + 2.0 * so) - so * p[0]      # To on the x1 sine modes
     along = (da + 2.0 * sa) - sa * p[0]       # Ta on the x1 sine modes
     return (along + 2.0 * across)[:, None] - np.multiply.outer(across, p[1])
@@ -383,18 +369,18 @@ def _gershgorin_lower(matrix) -> float:
     return float((diag - radius).min())
 
 
-def smallest_eigenvalue(matrix, m_int=None, iters: int = 200,
+def smallest_eigenvalue(matrix, bands=None, iters: int = 200,
                         tol: float = 1e-8) -> float:
     """Probe for the smallest eigenvalue of a sparse hermitian matrix.
 
-    Tridiagonal matrices get a Sturm-count bisection for the lowest
-    eigenvalue.  A d = 2 matrix on interior nodes m_int that
-    separable_bands splits as kron(Ta, I) + kron(To, S2) is exact too: the
-    DST-I along x2 turns it into the blocks Ta + c_j To with
+    bands is the matrix's read_bands.  One tridiagonal band pair gets a
+    Sturm-count bisection for the lowest eigenvalue.  Two, a d = 2 matrix
+    kron(Ta, I) + kron(To, S2) on M_1 x M_2 nodes, are exact too: the DST-I
+    along x2 turns it into the blocks Ta + c_j To with
     c_j = 2 cos(j pi / (M_2 + 1)), j = 1 .. M_2.  The lowest eigenvalue of
     Ta + c To is concave in c, so its minimum over the blocks lies at
-    c_1 or c_M2, and two Sturm counts give the exact probe.  Every other
-    matrix, and every call without m_int, gets a symmetric-mode sparse LU
+    c_1 or c_M2, and two Sturm counts give the exact probe.  A matrix
+    without bands gets a symmetric-mode sparse LU
     P A P^T = L D L^H, which gives the inertia of A by Sylvester's law:
     when every pivot is positive, A is positive definite and inverse power
     iteration at shift zero finds its smallest eigenvalue.  Otherwise (a
@@ -402,13 +388,12 @@ def smallest_eigenvalue(matrix, m_int=None, iters: int = 200,
     factorization) the Gershgorin lower bound is returned, which is <= 0
     for every matrix that is not positive definite.
     """
-    bands = tridiagonal_bands(matrix)
+    if bands is not None and len(bands) == 1:
+        return _lowest_tridiagonal(*bands[0])
     if bands is not None:
-        return _lowest_tridiagonal(*bands)
-    split = separable_bands(matrix, m_int)
-    if split is not None:
-        (d_along, s_along), (d_across, s_across) = split
-        c = 2.0 * np.cos(np.pi / (m_int[1] + 1))
+        (d_along, s_along), (d_across, s_across) = bands
+        m2 = matrix.shape[0] // d_along.size
+        c = 2.0 * np.cos(np.pi / (m2 + 1))
         return min(_lowest_tridiagonal(d_along + cj * d_across,
                                        s_along + cj * s_across)
                    for cj in (c, -c))
@@ -551,8 +536,11 @@ def _finalize(form, mesh: Mesh, eps_tag):
     op_mat = (op_mat + op_mat.conj().T) * 0.5
     if np.abs(op_mat.imag.data).max(initial=0.0) == 0.0:
         op_mat = op_mat.real
-    return DiscreteDirichletOperator(op_mat, mesh, eps_tag,
-                                     smallest_eigenvalue(op_mat, mesh.m_int))
+    bands = read_bands(op_mat, mesh.m_int)
+    op = DiscreteDirichletOperator(op_mat, mesh, eps_tag,
+                                   smallest_eigenvalue(op_mat, bands))
+    op.bands = bands
+    return op
 
 
 def assemble_b_eps(mesh: Mesh, coeffs: CoefficientSet, eps: float,
@@ -834,14 +822,16 @@ class Corrector:
 
 
 def resolvent(op: DiscreteDirichletOperator, zeta, f: np.ndarray) -> np.ndarray:
-    """Solve (A - zeta I) u = f by a cached sparse LU factorization, for a
-    dof vector f or rows (k, ndof); each row meets the residual bound."""
+    """Solve (A - zeta I) u = f with op's cached solver, a DST-I or a sparse
+    LU (DiscreteDirichletOperator.factor), for a dof vector f or rows
+    (k, ndof); each row meets the residual bound."""
     u = op.solve_shifted(complex(zeta), f)
     residual = (op.matrix @ u.T).T - complex(zeta) * u - f
     res, denom = np.linalg.norm(residual, axis=-1), np.linalg.norm(f, axis=-1)
     bad = (denom > 0) & ~(res <= 1e-10 * denom)
     if bad.any():
         raise NearSpectrumShift(
-            f"relative residual {(res[bad] / denom[bad]).max():.3e} "
+            f"{tag_text(op.eps_tag)}: relative residual "
+            f"{(res[bad] / denom[bad]).max():.3e} "
             f"suggests zeta={zeta} is too close to the spectrum")
     return u

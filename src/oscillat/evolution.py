@@ -4,15 +4,17 @@ The operators cos(t A^(1/2)) and A^(-1/2) sin(t A^(1/2)) are realized
 through a full hermitian eigendecomposition; at desk scale this is the
 simplest exact form of the spectral calculus and keeps per-mode energies
 conserved to machine precision.  The eigenpairs come from one of three
-paths.  Operators that the orthonormal DST-I diagonalizes (scalar, real,
+paths, chosen from the operator's bands, which it reads once.
+Operators that the orthonormal DST-I diagonalizes (scalar, real,
 constant coefficients, diagonal principal coefficient: B0 of the scalar
 catalog fixtures without first-order terms) take their closed-form
-spectrum and sine eigenvectors, with no eigensolver.  Other tridiagonal operators (every
-scalar operator in d=1, real or complex hermitian) use a tridiagonal
-divide-and-conquer eigensolver.  All others use dense eigh, the reference
-both are tested against.  On every path the eigen residual |A q - mu q| is
-checked with a sparse product.  A Stoermer-Verlet integrator provides an
-independent check that never touches the eigenbasis.
+spectrum and sine eigenvectors, with no eigensolver.  Other tridiagonal
+operators (every scalar operator in d=1, real or complex hermitian) use
+a tridiagonal divide-and-conquer eigensolver.  All others use dense
+eigh, the reference both are tested against.  On every path the eigen
+residual |A q - mu q| is checked with a sparse product.  A
+Stoermer-Verlet integrator provides an independent check that never
+touches the eigenbasis.
 
 Vectors are rows: a dof vector has shape (..., ndof), leading axes hold a
 stack of vectors, and the eigenbasis projects and synthesizes all rows
@@ -36,17 +38,14 @@ from .dirichlet import (
     smoothed_bD,
     bD_centered,
     dst_eigenvectors,
-    tridiagonal_bands,
     tag_text,
 )
 from .coefficients import eval_scaled_grid
 from .cell import CellSolution
 from .lattice import Lattice, unit_lattice
 
-_DENSE_EIG_LIMIT = 4096
-
 #: full eigendecompositions are refused above this many unknowns
-_EIG_LIMIT = 2 * _DENSE_EIG_LIMIT
+_EIG_LIMIT = 8192
 
 
 @dataclass(frozen=True)
@@ -110,11 +109,11 @@ def _eigh(op):
     - Closed form: when the orthonormal DST-I diagonalizes the operator
       (op.spectrum is not None), its known eigenvalues are sorted and the
       matching sine columns built by dst_eigenvectors, with no eigensolver.
-    - Tridiagonal: A equals D T D^H with T real symmetric, subdiagonal
-      |sub|, and D = diag(phase), phase[k+1] = phase[k] sub[k] / |sub[k]|
-      (signs for a real A).  T goes to LAPACK's divide-and-conquer ?stevd;
-      MRRR (?stemr) fails with info=22 on the unscaled sine1d operator at
-      2047 unknowns.
+    - Tridiagonal: op.bands is one pair (diag, sub), and A equals D T D^H
+      with T real symmetric, subdiagonal |sub|, and D = diag(phase),
+      phase[k+1] = phase[k] sub[k] / |sub[k]| (signs for a real A).  T goes
+      to LAPACK's divide-and-conquer ?stevd; MRRR (?stemr) fails with
+      info=22 on the unscaled sine1d operator at 2047 unknowns.
     - Dense: every other matrix gets dense eigh.
     """
     if op.spectrum is not None:
@@ -122,13 +121,12 @@ def _eigh(op):
         modes = np.unravel_index(order, op.spectrum.shape)
         return (op.spectrum.ravel()[order],
                 dst_eigenvectors(op.spectrum.shape, modes))
-    bands = tridiagonal_bands(op.matrix)
-    if bands is None:
+    if op.bands is None or len(op.bands) != 1:
         dense = op.matrix.toarray()
         if np.abs(dense.imag).max() == 0.0:
             dense = dense.real
         return scipy.linalg.eigh(dense)
-    diag, sub = bands
+    (diag, sub), = op.bands
     mag = np.abs(sub)
     unit = np.divide(sub, mag, out=np.ones_like(sub), where=mag > 0.0)
     phase = np.concatenate(([1.0], np.cumprod(unit)))

@@ -26,7 +26,7 @@ from oscillat.dirichlet import (
     assemble_b0,
     choose_lambda,
     smallest_eigenvalue,
-    separable_bands,
+    read_bands,
     build_extension,
     extend,
     steklov,
@@ -147,7 +147,8 @@ def test_choose_lambda_negative_potential_oracle():
     grid = [0.0] + [2.0 ** k for k in range(17)]
     expected = min(v for v in grid if v >= needed)
     assert lam == expected
-    assert smallest_eigenvalue(op.shifted(lam).matrix) > 0
+    shifted = op.shifted(lam)
+    assert smallest_eigenvalue(shifted.matrix, shifted.bands) > 0
 
 
 def test_choose_lambda_small_perturbation():
@@ -158,7 +159,8 @@ def test_choose_lambda_small_perturbation():
     ops.append(assemble_b0(mesh, sol, cs))
     lam = choose_lambda(ops, cs)
     for op in ops:
-        assert smallest_eigenvalue(op.shifted(lam).matrix) > 0
+        shifted = op.shifted(lam)
+        assert smallest_eigenvalue(shifted.matrix, shifted.bands) > 0
 
 
 def test_not_positive_definite_raises():
@@ -450,7 +452,7 @@ def test_resolvent_residual_bound_holds_per_row(monkeypatch):
 
     monkeypatch.setattr(DiscreteDirichletOperator, "solve_shifted",
                         corrupt_small_row)
-    with pytest.raises(NearSpectrumShift):
+    with pytest.raises(NearSpectrumShift, match="eps=0.25"):
         resolvent(op, -1.0, f)
 
 
@@ -459,7 +461,8 @@ def test_smallest_eigenvalue_probe_matches_dense():
     mesh = mesh_for([1.0], 0.25 / 16)
     op = assemble_b_eps(mesh, cs, 0.25, LAT1)
     dense = np.linalg.eigvalsh(op.matrix.toarray())[0]
-    assert smallest_eigenvalue(op.matrix) == pytest.approx(dense, rel=1e-8)
+    assert smallest_eigenvalue(op.matrix, op.bands) == pytest.approx(
+        dense, rel=1e-8)
 
 
 @pytest.mark.parametrize("params", [None, {"a_amp": 0.2}])
@@ -474,7 +477,8 @@ def test_sturm_probe_matches_dense(params, monkeypatch):
         raise AssertionError("tridiagonal matrix took the dense probe")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_dense)
-    assert smallest_eigenvalue(op.matrix) == pytest.approx(dense, rel=1e-8)
+    assert smallest_eigenvalue(op.matrix, op.bands) == pytest.approx(
+        dense, rel=1e-8)
 
 
 def _laplacian_2d(M):
@@ -501,11 +505,12 @@ def test_probe_rejects_indefinite_matrix_above_dense_limit():
                            shape=(size, size))
     shifted_laplacian = _laplacian_2d(71)[0] - 40.0 * sp.identity(71 * 71)
     for A in (diag, (diag + corner).tocsr(), shifted_laplacian.tocsr()):
-        assert smallest_eigenvalue(A) <= 0.0
         m = make_mesh([1.0], [A.shape[0]])
+        assert smallest_eigenvalue(A, read_bands(A, m.m_int)) <= 0.0
         with pytest.raises(NotPositiveDefinite):
             _finalize(A * m.sigma, m, 1.0).shifted(0.0)
-    assert smallest_eigenvalue(diag) == pytest.approx(-10.0, rel=1e-12)
+    assert smallest_eigenvalue(diag, read_bands(diag, (size,))) \
+        == pytest.approx(-10.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +534,8 @@ def test_separable_probe_matches_dense_on_laminate():
     assert mesh.m_int == (31, 47)
     for op in (assemble_b_eps(mesh, cs, eps, LAT2), assemble_b0(mesh, sol, cs)):
         dense = np.linalg.eigvalsh(op.matrix.toarray())
-        split = separable_bands(op.matrix, mesh.m_int)
-        assert split is not None
+        split = read_bands(op.matrix, mesh.m_int)
+        assert split is not None and len(split) == 2
         blocks = _block_eigenvalues(split, mesh.m_int[1])
         assert np.abs(blocks - dense).max() <= 1e-12 * dense[-1]
         assert blocks[0] == pytest.approx(dense[0], rel=1e-12)
@@ -540,17 +545,19 @@ def test_separable_probe_matches_dense_on_laminate():
         flip = sp.kron(sp.identity(mesh.m_int[0]),
                        sp.diags((-1.0) ** np.arange(mesh.m_int[1])))
         flipped = (flip @ op.matrix @ flip).tocsr()
-        assert smallest_eigenvalue(flipped, mesh.m_int) == pytest.approx(
-            dense[0], rel=1e-12)
+        assert smallest_eigenvalue(
+            flipped, read_bands(flipped, mesh.m_int)) == pytest.approx(
+                dense[0], rel=1e-12)
 
 
 def test_separable_probe_rejects_indefinite_operator():
     op = _laminate2d_op()
     mesh = op.mesh
     A = (op.matrix - (op.smallest_eig + 50.0) * sp.identity(op.size)).tocsr()
-    assert separable_bands(A, mesh.m_int) is not None
+    bands = read_bands(A, mesh.m_int)
+    assert bands is not None
     dense_min = np.linalg.eigvalsh(A.toarray())[0]
-    probe = smallest_eigenvalue(A, mesh.m_int)
+    probe = smallest_eigenvalue(A, bands)
     assert probe <= 0.0
     assert probe == pytest.approx(dense_min, rel=1e-12)
     with pytest.raises(NotPositiveDefinite):
@@ -571,7 +578,7 @@ def _laminate_pair_symbol_set():
                                      "laminate2d-skew", "laminate-pair"])
 def test_probe_path_separable_or_lu(fixture, monkeypatch):
     # only the scalar laminate on the unit lattice separates; the others,
-    # and every call without m_int, take exactly one symmetric-mode LU
+    # and every call without bands, take exactly one symmetric-mode LU
     lat = LAT2
     if fixture == "laminate-pair":
         cs = _laminate_pair_symbol_set()
@@ -591,8 +598,9 @@ def test_probe_path_separable_or_lu(fixture, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     separates = fixture == "laminate2d"
-    assert (separable_bands(A, mesh.m_int) is not None) == separates
-    probe = smallest_eigenvalue(A, mesh.m_int)
+    bands = read_bands(A, mesh.m_int)
+    assert (bands is not None) == separates
+    probe = smallest_eigenvalue(A, bands)
     assert len(calls) == (0 if separates else 1)
     assert probe == pytest.approx(dense_min, rel=1e-12 if separates else 1e-8)
     assert smallest_eigenvalue(A) == pytest.approx(dense_min, rel=1e-8)

@@ -14,7 +14,7 @@ from oscillat.dirichlet import (
     assemble_b0,
     build_extension,
     l2_norm,
-    tridiagonal_bands,
+    read_bands,
 )
 from oscillat.evolution import (
     spectral_decompose,
@@ -40,6 +40,7 @@ class _FakeOp:
         self.matrix = sp.csr_matrix(matrix)
         self.size = matrix.shape[0]
         self.eps_tag = eps_tag
+        self.bands = read_bands(self.matrix, (self.size,))
 
 
 def laplacian_op(M=63, L=1.0, g=1.0):
@@ -101,7 +102,7 @@ def test_tridiagonal_backend_matches_dense(params, monkeypatch):
                         eps, LAT1)
     assert op.size >= 1023
     assert (op.matrix.dtype.kind == "c") == (params is not None)
-    assert tridiagonal_bands(op.matrix) is not None
+    assert op.bands is not None and len(op.bands) == 1
     dense = op.matrix.toarray()
     mu = scipy.linalg.eigh(dense, eigvals_only=True)
 

@@ -31,7 +31,7 @@ from oscillat.dirichlet import (
     resolvent,
     l2_norm,
     h1_norm,
-    tridiagonal_bands,
+    read_bands,
     smallest_eigenvalue,
 )
 from oscillat.evolution import (
@@ -216,7 +216,7 @@ def test_block_and_2d_operators_take_dense_path(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_tridiagonal)
     for op in (op_block, op_2d):
-        assert tridiagonal_bands(op.matrix) is None
+        assert read_bands(op.matrix, (op.size,)) is None
         eb = spectral_decompose(op)
         assert eb.size == op.size
 
@@ -243,7 +243,7 @@ def test_block_b0_keeps_lu_and_dense_path(solver_calls):
     ("laminate2d", 1 / 2), ("checkerboard-smooth", 1 / 2),
 ])
 def test_lu_probe_matches_dense(fixture, eps, monkeypatch):
-    # called without m_int, every operator that is not tridiagonal, however
+    # called without bands, every operator that is not tridiagonal, however
     # small, takes the symmetric-mode LU inertia probe (126 to 1022 unknowns)
     cs = matrix_system() if fixture == "matrix_system" else catalog(fixture)
     lat = LAT1 if cs.d == 1 else LAT2
@@ -257,7 +257,7 @@ def test_lu_probe_matches_dense(fixture, eps, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_dense)
     for op, want in zip(ops, dense):
-        assert tridiagonal_bands(op.matrix) is None
+        assert read_bands(op.matrix, (op.size,)) is None
         assert smallest_eigenvalue(op.matrix) == pytest.approx(want, rel=1e-8)
 
 

@@ -1,7 +1,8 @@
 """Property tests over random fixtures, lattices and meshes: assembled
-operators are hermitian, the positivity probe certifies exactly the
-positive definite ones, extension followed by restriction is the identity,
-and the closed-form DST spectrum equals the dense one."""
+operators are hermitian, their bands are read exactly when they have them,
+the positivity probe certifies exactly the positive definite ones,
+extension followed by restriction is the identity, and the closed-form DST
+spectrum equals the dense one."""
 
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from oscillat.dirichlet import (
     assemble_b_eps,
     assemble_b0,
     smallest_eigenvalue,
+    read_bands,
     build_extension,
     extend,
     _finalize,
@@ -52,6 +54,39 @@ def test_assembled_operator_is_hermitian(seed, lattice):
     assert (A != A.conj().T).nnz == 0
 
 
+#: band pairs of random-bandlimited B_eps (a function of x1 alone): one in
+#: d=1, the laminate split on the unit d=2 lattice, none on the skew one
+BAND_PAIRS = {"d1": 1, "d2": 2, "d2-skew": 0}
+
+
+def rebuilt(bands, m_int):
+    """The matrix that read_bands bands describe."""
+    tri = [sp.diags([sub, diag, sub.conj()], [-1, 0, 1])
+           for diag, sub in bands]
+    if len(tri) == 1:
+        return tri[0]
+    shift = sp.diags([np.ones(m_int[1] - 1)] * 2, [-1, 1])
+    return sp.kron(tri[0], sp.identity(m_int[1])) + sp.kron(tri[1], shift)
+
+
+@every_lattice
+@PER_LATTICE
+@given(seed=seeds, lam=st.sampled_from([1.0, 64.0]))
+def test_bands_present_exactly_when_expected(seed, lattice, lam):
+    op = bandlimited_operator(seed, lattice)
+    m_int = op.mesh.m_int
+    bands = read_bands(op.matrix, m_int)
+    assert len(bands or ()) == BAND_PAIRS[lattice]
+    assert (op.bands is None) == (bands is None)
+    if bands is None:
+        return
+    assert (rebuilt(bands, m_int) != op.matrix).nnz == 0
+    # a shift takes its bands from these, reading no matrix: they must
+    # still rebuild its matrix exactly
+    shifted = op.shifted(lam)
+    assert (rebuilt(shifted.bands, m_int) != shifted.matrix).nnz == 0
+
+
 @every_lattice
 @PER_LATTICE
 @given(seed=seeds, with_grid=st.booleans(),
@@ -59,16 +94,19 @@ def test_assembled_operator_is_hermitian(seed, lattice):
 def test_positivity_probe_certifies_exactly_the_definite(seed, lattice,
                                                           with_grid, gap):
     # every probe path: Sturm counts in d=1, the separable split on the
-    # unit d=2 lattice, the LU inertia on the skew one or without m_int
+    # unit d=2 lattice, the LU inertia on the skew one or without bands
     op = bandlimited_operator(seed, lattice)
-    m_int = op.mesh.m_int if with_grid else None
+
+    def bands(matrix):
+        return read_bands(matrix, op.mesh.m_int) if with_grid else None
+
     lowest = np.linalg.eigvalsh(op.matrix.toarray())[0]
     assert lowest > 0.0
-    probe = smallest_eigenvalue(op.matrix, m_int)
+    probe = smallest_eigenvalue(op.matrix, bands(op.matrix))
     assert probe == pytest.approx(lowest, rel=1e-8)
     indefinite = (op.matrix - (1.0 + gap) * lowest
                   * sp.identity(op.size)).tocsr()
-    assert smallest_eigenvalue(indefinite, m_int) <= 0.0
+    assert smallest_eigenvalue(indefinite, bands(indefinite)) <= 0.0
     with pytest.raises(NotPositiveDefinite):
         _finalize(indefinite * op.mesh.sigma, op.mesh, 0.5).shifted(0.0)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oscillat.errors import EigSolverFailure, InsufficientPoints, ZeroError
-from oscillat.dirichlet import make_mesh, l2_norm
+from oscillat.dirichlet import make_mesh, l2_norm, resolvent
 from oscillat.study import (
     SweepConfig,
     fit_rate,
@@ -246,6 +246,56 @@ def test_build_cases_shifts_each_operator_probed_once(monkeypatch):
             assert (sparse_norm(op.matrix - expected)
                     <= 1e-12 * sparse_norm(expected))
             assert op.smallest_eig == base.smallest_eig + lam
+
+
+@pytest.mark.parametrize("fixture, box, eps, params", [
+    ("sine1d", (1.0,), 0.125, {"q_const": -30.0}),
+    ("laminate2d", (1.0, 1.0), 0.25, {})])
+def test_each_operator_reads_its_bands_once(fixture, box, eps, params,
+                                            monkeypatch):
+    # one read per assembled operator; its shift, the probe, the closed
+    # form, the eigen path and the solvers all use the cached bands (the
+    # d=1 potential -30 makes the shift lam nonzero)
+    import oscillat.dirichlet as dirichlet_mod
+    from oscillat.evolution import spectral_decompose
+    from oscillat.study import build_cases
+
+    reader = dirichlet_mod.read_bands
+    reads = []
+
+    def counting(matrix, m_int):
+        reads.append(matrix.shape[0])
+        return reader(matrix, m_int)
+
+    cfg = SweepConfig(fixture=fixture, box=box, eps_list=(eps,), cell_n=32,
+                      fixture_params=params)
+    fix = build_fixture(cfg)
+    monkeypatch.setattr(dirichlet_mod, "read_bands", counting)
+    case = build_cases(fix, cfg, [eps])[0]
+    assert (case.op_eps.lam > 0) == bool(params)
+    # dense eigh of the 3969-unknown d=2 B_eps takes about 20 s, so in d=2
+    # only the closed-form B0 is decomposed
+    ops = (case.op_eps, case.op_0)
+    for op in ops if case.mesh.dim == 1 else ops[1:]:
+        spectral_decompose(op)
+    probes = np.ones((2, case.mesh.n_nodes))
+    for op in ops:
+        resolvent(op, -1.0, probes)
+        resolvent(op, -1.0 + 0.5j, probes)
+    assert reads == [case.mesh.n_nodes] * 2
+
+
+def test_resolvent_sweep_inv_sqrt_on_every_case_or_none():
+    # eps = 1/600 meshes 9599 unknowns, above the eigensolver cap: the
+    # inverse-root estimate is left out of the whole sweep, not cut to the
+    # three cases below the cap, where it could reach no verdict
+    cfg = SweepConfig(fixture="sine1d", cell_n=128,
+                      eps_list=(1 / 64, 1 / 128, 1 / 256, 1 / 600))
+    report = resolvent_sweep(cfg)
+    assert [e.tag for e in report.estimates] == ["resolvent_l2",
+                                                "resolvent_h1_corrector"]
+    assert report.all_passed()
+    assert all(len(e.rows) == 4 for e in report.estimates)
 
 
 def test_insufficient_points_raised_for_short_sweeps():
