@@ -242,13 +242,13 @@ def _interp_fractional(f: PeriodicField, tau: np.ndarray) -> np.ndarray:
 def eval_scaled_grid(f: PeriodicField, lat: Lattice, eps: float, axes_pts) -> np.ndarray:
     """Evaluate f(x/eps) on a tensor grid given per-axis coordinates.
 
-    Requires a diagonal lattice basis (true for every catalog fixture); the
-    separable structure makes this far cheaper than per-point evaluation.
+    A diagonal lattice basis (every catalog fixture) takes one contraction
+    per axis over its distinct phases x/eps mod 1 (16 when h = eps/16),
+    indexed back onto its points; other bases evaluate per point.
     Returns shape (len(ax_0), ..., len(ax_{d-1}), rows, cols).
     """
     d, N = f.dim, f.resolution
-    off_diag = lat.basis - np.diag(np.diag(lat.basis))
-    if np.abs(off_diag).max() > 1e-14 * max(np.abs(lat.basis).max(), 1.0):
+    if not lat.diagonal:
         grids = np.meshgrid(*axes_pts, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
         vals = eval_scaled(f, lat, eps, pts)
@@ -258,8 +258,10 @@ def eval_scaled_grid(f: PeriodicField, lat: Lattice, eps: float, axes_pts) -> np
     out = c
     for ax in range(d):
         tau = np.mod(np.asarray(axes_pts[ax], dtype=float) / (eps * lat.basis[ax, ax]), 1.0)
-        E = np.exp(2j * np.pi * np.outer(tau, nus[ax]))
+        phases, inv = np.unique(tau, return_inverse=True)
+        E = np.exp(2j * np.pi * np.outer(phases, nus[ax]))
         out = np.moveaxis(np.tensordot(E, out, axes=(1, ax)), 0, ax)
+        out = out.take(inv, axis=ax)
     return out
 
 

@@ -465,9 +465,12 @@ def _principal_form(mesh: Mesh, sym: Symbol, g_cells: np.ndarray):
     S = _grad_tensors(mesh)
     bmat = np.stack([np.asarray(b, dtype=complex) for b in sym.b_mats])
     cells = g_cells.reshape(-1, sym.m, sym.m)
-    # B[c, l', l] = b_{l'}^H G_c b_l  (n x n blocks)
-    B = np.einsum("aim,cij,bjn->cabmn", bmat.conj(), cells, bmat)
-    elem = np.einsum("abqp,cabmn->cqpmn", S, B)
+    # elem[c] = sum of S[l', l] b_{l'}^H G_c b_l, summed in np.einsum's order
+    B = sum(bmat.conj()[None, :, None, i, :, None]
+            * cells[:, i, j, None, None, None, None] * bmat[None, None, :, j, None, :]
+            for i, j in np.ndindex(sym.m, sym.m))
+    elem = sum(S[a, b, None, :, :, None, None] * B[:, a, b, None, None]
+               for a, b in np.ndindex(d, d))
 
     full_shape = tuple(M + 2 for M in mesh.m_int)
     n_cells_ax = [M + 1 for M in mesh.m_int]
@@ -730,11 +733,12 @@ def steklov(u: np.ndarray, lat: Lattice, eps: float, spacing,
             periodic: bool = False, margin: float | None = None) -> np.ndarray:
     """Cell average (S_eps u)(x) = |cell|^-1 int u(x - eps z) dz on a grid.
 
-    Tensor Gauss-Legendre quadrature (8 points per axis) over fractional
-    cell coordinates with multilinear interpolation of u at the shifted
-    points.  Out-of-range samples are zero (matching cutoff extensions)
-    unless periodic=True.  u has shape (..., M_1, .., M_d, n), or
-    (M_1, .., M_d) for one function without a component axis.
+    Gauss-Legendre quadrature (8 points per axis) over fractional cell
+    coordinates, multilinear interpolation of u at the shifted points: one
+    pass of 8 shifts per grid axis for a diagonal basis (a box cell), else
+    one pass of the 8^d-point tensor rule.  Out-of-range samples are zero
+    (matching cutoff extensions) unless periodic=True.  u has shape
+    (..., M_1, .., M_d, n), or (M_1, .., M_d) for one function.
     """
     d = lat.dim
     spacing = np.atleast_1d(np.asarray(spacing, dtype=float))
@@ -748,30 +752,29 @@ def steklov(u: np.ndarray, lat: Lattice, eps: float, spacing,
 
     xi, w = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
     xi, w = xi / 2.0, w / 2.0
-    nodes = np.stack(np.meshgrid(*([xi] * d), indexing="ij"),
-                     axis=-1).reshape(-1, d)
-    weights = np.stack(np.meshgrid(*([w] * d), indexing="ij"),
-                       axis=-1).reshape(-1, d).prod(axis=1)
-
-    out = np.zeros_like(values, dtype=np.result_type(values, float))
     grid_axes = tuple(range(-d - 1, -1))
     sizes = values.shape[-d - 1:-1]
-    for tau, wq in zip(nodes, weights):
-        shift = -eps * (tau @ lat.basis) / spacing  # grid units, per axis
-        base = np.floor(shift).astype(int)
-        frac = shift - base
-        for corner in np.ndindex(*(2,) * d):
-            cw = wq * np.prod(np.where(np.array(corner) == 1, frac, 1.0 - frac))
-            off = base + np.array(corner)   # out[i] += cw * u[i + off]
-            if periodic:
-                out += cw * np.roll(values, tuple(-off), axis=grid_axes)
-                continue
-            ks = [max(M - abs(o), 0) for M, o in zip(sizes, off)]
-            src = [slice(max(o, 0), max(o, 0) + k) for o, k in zip(off, ks)]
-            dst = [slice(max(-o, 0), max(-o, 0) + k) for o, k in zip(off, ks)]
-            out[(..., *dst, slice(None))] += (
-                cw * values[(..., *src, slice(None))])
-    return out[..., 0] if grid_only else out
+    for axes in [[k] for k in range(d)] if lat.diagonal else [list(range(d))]:
+        out = np.zeros_like(values, dtype=np.result_type(values, float))
+        for idx in np.ndindex(*(_GAUSS_POINTS,) * len(axes)):
+            tau, wq = xi[list(idx)] @ np.eye(d)[axes], np.prod(w[list(idx)])
+            shift = -eps * (tau @ lat.basis) / spacing  # grid units, per axis
+            base = np.floor(shift).astype(int)
+            frac = shift - base
+            # an axis with frac 0 has one corner: the other's weight is 0
+            for corner in np.ndindex(*np.where(frac == 0.0, 1, 2)):
+                cw = wq * np.prod(np.where(np.array(corner) == 1, frac, 1.0 - frac))
+                off = base + np.array(corner)   # out[i] += cw * u[i + off]
+                if periodic:
+                    out += cw * np.roll(values, tuple(-off), axis=grid_axes)
+                    continue
+                ks = [max(M - abs(o), 0) for M, o in zip(sizes, off)]
+                src = [slice(max(o, 0), max(o, 0) + k) for o, k in zip(off, ks)]
+                dst = [slice(max(-o, 0), max(-o, 0) + k) for o, k in zip(off, ks)]
+                out[(..., *dst, slice(None))] += (
+                    cw * values[(..., *src, slice(None))])
+        values = out
+    return values[..., 0] if grid_only else values
 
 
 def smoothed_bD(u_ext: np.ndarray, ext_op: ExtensionOperator, sym: Symbol,
@@ -824,14 +827,19 @@ class Corrector:
 def resolvent(op: DiscreteDirichletOperator, zeta, f: np.ndarray) -> np.ndarray:
     """Solve (A - zeta I) u = f with op's cached solver, a DST-I or a sparse
     LU (DiscreteDirichletOperator.factor), for a dof vector f or rows
-    (k, ndof); each row meets the residual bound."""
-    u = op.solve_shifted(complex(zeta), f)
-    residual = (op.matrix @ u.T).T - complex(zeta) * u - f
-    res, denom = np.linalg.norm(residual, axis=-1), np.linalg.norm(f, axis=-1)
-    bad = (denom > 0) & ~(res <= 1e-10 * denom)
+    (k, ndof).  Per row, the backward error |r| / (|A - zeta I|_1 |u| + |f|)
+    must be at most 1e-13, and |f| / (|A - zeta I|_1 |u|) at least 1e-13, or
+    a perturbation within that backward error may make A - zeta I singular."""
+    shift = complex(zeta)
+    u = op.solve_shifted(shift, f)
+    residual = (op.matrix @ u.T).T - shift * u - f
+    res, f_norm, u_norm = np.linalg.norm([residual, f, u], axis=-1)
+    scaled_u = spla.norm(op.matrix - shift * sp.identity(op.size), 1) * u_norm
+    bad = ~(res <= 1e-13 * (scaled_u + f_norm)) | (f_norm < 1e-13 * scaled_u)
     if bad.any():
         raise NearSpectrumShift(
-            f"{tag_text(op.eps_tag)}: relative residual "
-            f"{(res[bad] / denom[bad]).max():.3e} "
-            f"suggests zeta={zeta} is too close to the spectrum")
+            f"{tag_text(op.eps_tag)}: backward error "
+            f"{(res / (scaled_u + f_norm))[bad].max():.3e}, |f| / (|A - zeta I|_1"
+            f" |u|) {(f_norm / scaled_u)[bad].min():.3e}: zeta={zeta} is too close"
+            " to the spectrum")
     return u

@@ -34,6 +34,12 @@ class Lattice:
     r1: float
     r0: float
 
+    @property
+    def diagonal(self) -> bool:
+        """Whether each basis vector lies along its own coordinate axis."""
+        off_diag = self.basis - np.diag(np.diag(self.basis))
+        return np.abs(off_diag).max() <= 1e-14 * max(np.abs(self.basis).max(), 1.0)
+
     def fractional(self, points):
         """Map points in R^d to fractional cell coordinates in [0, 1)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

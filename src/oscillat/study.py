@@ -583,6 +583,10 @@ def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
     check("dirichlet.steklov_character",
           lambda: np.abs(steklov(np.exp(2j * np.pi * x64), lat1, 1.0, 1.0 / 64,
                                  periodic=True)).max() < 1e-3)
+    check("dirichlet.steklov_character_2d",  # a character along each box axis
+          lambda: np.abs(steklov(np.add.outer(*[np.exp(2j * np.pi * x64)] * 2),
+                                 build_lattice(np.diag([1.0, 1.3])), 1.0,
+                                 (1.0 / 64, 1.3 / 64), periodic=True)).max() < 1e-3)
     ext = build_extension(mesh, 0.2)
     u_test = np.sin(np.pi * mesh.axes()[0])
     check("dirichlet.extension_identity",

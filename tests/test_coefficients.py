@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oscillat.errors import RankDeficientSymbol, UnknownCatalogEntry
-from oscillat.lattice import unit_lattice
+from oscillat.lattice import build_lattice, unit_lattice
 from oscillat.coefficients import (
     symbol_bounds,
     make_symbol,
@@ -99,16 +99,36 @@ def test_eval_scaled_sine_closed_form():
     assert vals[0, 0, 0] == pytest.approx(2 + np.sin(4 * np.pi / 3), abs=1e-10)
 
 
-def test_eval_scaled_grid_matches_pointwise():
-    lat = unit_lattice(2)
-    f = field_from_function(
-        lambda x, y: (1.5 + 0.5 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)),
-        2, 32)
-    ax = [np.linspace(0.05, 0.9, 7), np.linspace(0.1, 0.8, 5)]
-    grid_vals = eval_scaled_grid(f, lat, 0.3, ax)
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("grid", ["dyadic", "box"])
+def test_eval_scaled_grid_matches_pointwise(d, grid):
+    # each axis is contracted over its distinct phases x/eps mod 1 and
+    # indexed back: h = eps/16 gives 16 phases, a linspace all distinct ones
+    eps = 0.25 if grid == "dyadic" else 0.3
+    lat = build_lattice(np.diag([1.0, 0.5][:d]))
+    if d == 1:
+        f = field_from_function(
+            lambda x: 2.0 + np.sin(2 * np.pi * x) + 0.3 * np.cos(6 * np.pi * x),
+            1, 32)
+    else:
+        f = field_from_function(
+            lambda x, y: (1.5 + 0.5 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+                          + 0.2 * np.sin(2 * np.pi * y)), 2, 32)
+    if grid == "dyadic":
+        ax = [eps * lat.basis[k, k] / 16 * np.arange(-7, 50 + 3 * k)
+              for k in range(d)]
+        n_phases = 16
+    else:
+        ax = [np.linspace(0.05, 0.9, 7), np.linspace(0.1, 0.8, 5)][:d]
+        n_phases = None
+    for k, a in enumerate(ax):
+        phases = np.unique(np.mod(a / (eps * lat.basis[k, k]), 1.0))
+        assert len(phases) == (n_phases or len(a))
+    grid_vals = eval_scaled_grid(f, lat, eps, ax)
     pts = np.stack([g.ravel() for g in np.meshgrid(*ax, indexing="ij")], axis=-1)
-    pt_vals = eval_scaled(f, lat, 0.3, pts).reshape(7, 5, 1, 1)
-    assert np.allclose(grid_vals, pt_vals, atol=1e-12)
+    pt_vals = eval_scaled(f, lat, eps, pts).reshape(grid_vals.shape)
+    assert grid_vals.shape == tuple(len(a) for a in ax) + (1, 1)
+    assert np.abs(grid_vals - pt_vals).max() <= 1e-12
 
 
 def test_eval_scaled_hermitian_after_interpolation():

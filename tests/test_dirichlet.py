@@ -274,6 +274,53 @@ def test_steklov_contraction_bound():
             assert lhs <= 1.1 * eps * LAT1.r1 * np.linalg.norm(du)
 
 
+def _steklov_tensor_rule(u, lat, eps, spacing, periodic):
+    """Reference: the 8^d-point tensor Gauss rule in one pass, with
+    multilinear interpolation at every shifted point (grid layout
+    (..., M_1, .., M_d, n))."""
+    d = lat.dim
+    xi, w = np.polynomial.legendre.leggauss(8)
+    xi, w = xi / 2.0, w / 2.0
+    spacing = np.asarray(spacing, dtype=float)
+    grid_axes = tuple(range(-d - 1, -1))
+    sizes = u.shape[-d - 1:-1]
+    out = np.zeros(u.shape, dtype=complex)
+    for idx in np.ndindex(*(8,) * d):
+        tau, wq = xi[list(idx)], np.prod(w[list(idx)])
+        shift = -eps * (tau @ lat.basis) / spacing
+        base = np.floor(shift).astype(int)
+        frac = shift - base
+        for corner in np.ndindex(*(2,) * d):
+            cw = wq * np.prod(np.where(np.array(corner) == 1, frac, 1.0 - frac))
+            off = base + np.array(corner)
+            if periodic:
+                out += cw * np.roll(u, tuple(-off), axis=grid_axes)
+                continue
+            ks = [max(M - abs(o), 0) for M, o in zip(sizes, off)]
+            src = [slice(max(o, 0), max(o, 0) + k) for o, k in zip(off, ks)]
+            dst = [slice(max(-o, 0), max(-o, 0) + k) for o, k in zip(off, ks)]
+            out[(..., *dst, slice(None))] += cw * u[(..., *src, slice(None))]
+    return out
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_steklov_matches_tensor_rule(periodic):
+    # a box cell is averaged one grid axis at a time: the passes agree with
+    # the tensor rule to rounding; a skew cell still takes the tensor rule
+    rng = np.random.default_rng(12)
+    shape = (3, 29, 37, 2)           # a stack of 3 functions with n = 2
+    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spacing = (1.0 / 48, 1.3 / 40)
+    for basis in (np.eye(2), np.diag([1.0, 1.3])):
+        lat = build_lattice(basis)
+        got = steklov(u, lat, 0.3, spacing, periodic=periodic)
+        want = _steklov_tensor_rule(u, lat, 0.3, spacing, periodic)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    skew = build_lattice([[1.0, 0.0], [0.5, 1.0]])
+    assert np.array_equal(steklov(u, skew, 0.3, spacing, periodic=periodic),
+                          _steklov_tensor_rule(u, skew, 0.3, spacing, periodic))
+
+
 def test_steklov_margin_check():
     u = np.ones(64)
     with pytest.raises(MarginTooSmall):
@@ -454,6 +501,31 @@ def test_resolvent_residual_bound_holds_per_row(monkeypatch):
                         corrupt_small_row)
     with pytest.raises(NearSpectrumShift, match="eps=0.25"):
         resolvent(op, -1.0, f)
+
+
+def test_resolvent_accepts_backward_stable_fine_mesh_solves():
+    # sine1d at eps 1/1024 (16,383 unknowns): these probes' solves leave
+    # relative residuals up to 3.2e-10, all from the conditioning of a fine
+    # mesh; each solve's backward error is about 1e-16, so none is refused
+    from oscillat.study import SweepConfig, _seeded_probes
+
+    cs, eps = catalog("sine1d"), 1.0 / 1024
+    mesh = mesh_for([1.0], eps / 16)
+    ops = (assemble_b_eps(mesh, cs, eps, LAT1),
+           assemble_b0(mesh, solve_cell(cs, LAT1, 256), cs))
+    for idx in (3, 4):
+        f = _seeded_probes(SweepConfig(), idx, mesh, 1)
+        for op in ops:
+            u = resolvent(op, -1.0, f)
+            res = np.linalg.norm((op.matrix @ u.T).T + u - f, axis=1)
+            assert (res / np.linalg.norm(f, axis=1)).max() > 1e-10
+    # a shift within rounding of an eigenvalue is still refused on the LU
+    # path, where the solve is backward stable too
+    op = assemble_b_eps(mesh_for([1.0], 0.25 / 16), cs, 0.25, LAT1)
+    mu = scipy.linalg.eigvalsh(op.matrix.toarray())[2]
+    f = np.random.default_rng(7).standard_normal(op.size)
+    with pytest.raises(NearSpectrumShift, match="eps=0.25"):
+        resolvent(op, mu, f)
 
 
 def test_smallest_eigenvalue_probe_matches_dense():
