@@ -15,6 +15,7 @@ keeps every assembled matrix hermitian at machine precision.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.fft
@@ -171,6 +172,7 @@ class DiscreteDirichletOperator:
         self.smallest_eig = smallest_eig
         self.lam = lam
         self._factors = {}
+        self._norms = {}
 
     @property
     def size(self) -> int:
@@ -206,8 +208,10 @@ class DiscreteDirichletOperator:
     def factor(self, zeta=0.0):
         """Solver of (A - zeta I) and whether it keeps real data real.
 
-        Cached per zeta.  An operator with a closed-form spectrum gets a
-        DST-I solver and is never factored; every other one a sparse LU.
+        Cached per zeta.  An operator with a closed-form spectrum is never
+        factored: its solve divides the sine_transform of the right-hand
+        sides by lambda - zeta and transforms back.  Every other operator
+        gets a sparse LU.
         """
         key = complex(zeta)
         if key not in self._factors and self.spectrum is not None:
@@ -215,7 +219,10 @@ class DiscreteDirichletOperator:
             if (gaps == 0.0).any():
                 raise NearSpectrumShift(f"{tag_text(self.eps_tag)}: zeta={zeta}"
                                         f" is an eigenvalue")
-            self._factors[key] = (_SineSolver(gaps), key.imag == 0.0)
+            shape, gaps = gaps.shape, gaps.ravel()
+            solver = SimpleNamespace(solve=lambda cols: sine_transform(
+                sine_transform(cols.T, shape) / gaps, shape, inverse=True).T)
+            self._factors[key] = (solver, key.imag == 0.0)
         if key not in self._factors:
             mat = self.matrix
             if key != 0:
@@ -232,6 +239,18 @@ class DiscreteDirichletOperator:
                 permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
             self._factors[key] = (spla.splu(mat.tocsc(), **order), real_ok)
         return self._factors[key]
+
+    def norm1(self, zeta=0.0) -> float:
+        """|A - zeta I|_1, cached per zeta: the scale of the backward errors
+        that resolvent and spectral_decompose bound.  The column sums of |A|
+        get the diagonal shifted in place of a shifted copy of A."""
+        key = complex(zeta)
+        if key not in self._norms:
+            diag = self.matrix.diagonal()
+            cols = np.asarray(abs(self.matrix).sum(axis=0)).ravel()
+            self._norms[key] = float(
+                (cols - np.abs(diag) + np.abs(diag - key)).max())
+        return self._norms[key]
 
     def solve_shifted(self, zeta, rhs):
         """Solve (A - zeta I) u = rhs for a dof vector or rows (k, ndof)."""
@@ -312,48 +331,15 @@ def dst_spectrum(bands, m_int):
     return (along + 2.0 * across)[:, None] - np.multiply.outer(across, p[1])
 
 
-def dst_eigenvectors(m_int, modes) -> np.ndarray:
-    """Orthonormal DST-I columns, node-major, for the given sine modes.
-
-    modes holds one integer array per axis, the 0-based mode numbers of
-    each column (np.unravel_index of flat positions in a dst_spectrum
-    grid).  Column c is the product over axes k of
-    sqrt(2 / (M_k + 1)) sin(pi i_k (j_k + 1) / (M_k + 1)), read from a
-    table of the 2 (M_k + 1) distinct values by the index
-    i_k (j_k + 1) mod 2 (M_k + 1), not by a sin call per entry.
-    """
-    cols = None
-    for M, j in zip(m_int, modes):
-        period = 2 * (M + 1)
-        table = np.sqrt(2.0 / (M + 1)) * np.sin(np.arange(period) * np.pi
-                                                 / (M + 1))
-        idx = np.multiply.outer(np.arange(1, M + 1), np.asarray(j) + 1)
-        np.remainder(idx, period, out=idx)
-        axis = table[idx]                                 # (M, columns)
-        cols = axis if cols is None else (
-            cols[:, None, :] * axis[None, :, :]).reshape(-1, axis.shape[1])
-    return cols
-
-
-class _SineSolver:
-    """Solves (A - zeta I) u = f for an A with a closed-form spectrum.
-
-    gaps holds lambda - zeta on the interior grid (dst_spectrum minus the
-    shift, none of them 0); then u = idstn(dstn(f) / gaps) with the
-    orthonormal DST-I along every grid axis.  solve takes right-hand sides
-    as columns (ndof,) or (ndof, k), as a SuperLU factor does.
-    """
-
-    def __init__(self, gaps: np.ndarray):
-        self.gaps = gaps
-
-    def solve(self, cols: np.ndarray) -> np.ndarray:
-        rows = np.asarray(cols).T
-        grid = rows.reshape(rows.shape[:-1] + self.gaps.shape)
-        axes = tuple(range(-self.gaps.ndim, 0))
-        coef = scipy.fft.dstn(grid, type=1, norm="ortho", axes=axes) / self.gaps
-        u = scipy.fft.idstn(coef, type=1, norm="ortho", axes=axes)
-        return u.reshape(rows.shape).T
+def sine_transform(rows: np.ndarray, shape, inverse: bool = False):
+    """The orthonormal DST-I (idstn when inverse) of dof rows (..., ndof)
+    over the grid axes of shape, as rows: the transform pair of every
+    operator with a closed-form spectrum."""
+    rows = np.asarray(rows)
+    fn = scipy.fft.idstn if inverse else scipy.fft.dstn
+    grid = rows.reshape(rows.shape[:-1] + tuple(shape))
+    axes = tuple(range(-len(shape), 0))
+    return fn(grid, type=1, norm="ortho", axes=axes).reshape(rows.shape)
 
 
 def _lowest_tridiagonal(diag, sub) -> float:
@@ -735,10 +721,11 @@ def steklov(u: np.ndarray, lat: Lattice, eps: float, spacing,
 
     Gauss-Legendre quadrature (8 points per axis) over fractional cell
     coordinates, multilinear interpolation of u at the shifted points: one
-    pass of 8 shifts per grid axis for a diagonal basis (a box cell), else
-    one pass of the 8^d-point tensor rule.  Out-of-range samples are zero
-    (matching cutoff extensions) unless periodic=True.  u has shape
-    (..., M_1, .., M_d, n), or (M_1, .., M_d) for one function.
+    pass of 8 shifts per grid axis for a diagonal basis (a box cell), the
+    second in place slab by slab, else one pass of the 8^d-point tensor
+    rule.  Out-of-range samples are zero (matching cutoff extensions)
+    unless periodic=True.  u has shape (..., M_1, .., M_d, n), or
+    (M_1, .., M_d) for one function.
     """
     d = lat.dim
     spacing = np.atleast_1d(np.asarray(spacing, dtype=float))
@@ -752,10 +739,9 @@ def steklov(u: np.ndarray, lat: Lattice, eps: float, spacing,
 
     xi, w = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
     xi, w = xi / 2.0, w / 2.0
-    grid_axes = tuple(range(-d - 1, -1))
-    sizes = values.shape[-d - 1:-1]
-    for axes in [[k] for k in range(d)] if lat.diagonal else [list(range(d))]:
-        out = np.zeros_like(values, dtype=np.result_type(values, float))
+    passes = [[k] for k in range(d)] if lat.diagonal else [list(range(d))]
+    for n_pass, axes in enumerate(passes):
+        terms = []      # (cw, off): out[i] += cw * u[i + off]
         for idx in np.ndindex(*(_GAUSS_POINTS,) * len(axes)):
             tau, wq = xi[list(idx)] @ np.eye(d)[axes], np.prod(w[list(idx)])
             shift = -eps * (tau @ lat.basis) / spacing  # grid units, per axis
@@ -764,17 +750,38 @@ def steklov(u: np.ndarray, lat: Lattice, eps: float, spacing,
             # an axis with frac 0 has one corner: the other's weight is 0
             for corner in np.ndindex(*np.where(frac == 0.0, 1, 2)):
                 cw = wq * np.prod(np.where(np.array(corner) == 1, frac, 1.0 - frac))
-                off = base + np.array(corner)   # out[i] += cw * u[i + off]
-                if periodic:
-                    out += cw * np.roll(values, tuple(-off), axis=grid_axes)
-                    continue
-                ks = [max(M - abs(o), 0) for M, o in zip(sizes, off)]
-                src = [slice(max(o, 0), max(o, 0) + k) for o, k in zip(off, ks)]
-                dst = [slice(max(-o, 0), max(-o, 0) + k) for o, k in zip(off, ks)]
-                out[(..., *dst, slice(None))] += (
-                    cw * values[(..., *src, slice(None))])
-        values = out
+                terms.append((cw, base + np.array(corner)))
+        if n_pass == 0:
+            values = _shift_sum(values, terms, periodic)
+            continue
+        # a later pass shifts along its own axis only: smoothing grid axis 0
+        # in place, in slabs of about 2^16 values, keeps one grid-sized
+        # buffer beyond u on large grids at little cost per slab
+        size0 = values.shape[-d - 1]
+        step = max(1, 2 ** 16 * size0 // values.size)
+        for start in range(0, size0, step):
+            slab = _ax_slice(d, 0, slice(start, start + step))
+            values[slab] = _shift_sum(values[slab], terms, periodic)
     return values[..., 0] if grid_only else values
+
+
+def _shift_sum(values: np.ndarray, terms, periodic: bool) -> np.ndarray:
+    """out[i] = sum of cw * values[i + off] over the (cw, off) terms, for
+    grids (..., M_1, .., M_d, n); out of range values[j] are zero unless
+    periodic."""
+    d = len(terms[0][1])
+    grid_axes = tuple(range(-d - 1, -1))
+    sizes = values.shape[-d - 1:-1]
+    out = np.zeros_like(values, dtype=np.result_type(values, float))
+    for cw, off in terms:
+        if periodic:
+            out += cw * np.roll(values, tuple(-off), axis=grid_axes)
+            continue
+        ks = [max(M - abs(o), 0) for M, o in zip(sizes, off)]
+        src = [slice(max(o, 0), max(o, 0) + k) for o, k in zip(off, ks)]
+        dst = [slice(max(-o, 0), max(-o, 0) + k) for o, k in zip(off, ks)]
+        out[(..., *dst, slice(None))] += cw * values[(..., *src, slice(None))]
+    return out
 
 
 def smoothed_bD(u_ext: np.ndarray, ext_op: ExtensionOperator, sym: Symbol,
@@ -830,11 +837,10 @@ def resolvent(op: DiscreteDirichletOperator, zeta, f: np.ndarray) -> np.ndarray:
     (k, ndof).  Per row, the backward error |r| / (|A - zeta I|_1 |u| + |f|)
     must be at most 1e-13, and |f| / (|A - zeta I|_1 |u|) at least 1e-13, or
     a perturbation within that backward error may make A - zeta I singular."""
-    shift = complex(zeta)
-    u = op.solve_shifted(shift, f)
-    residual = (op.matrix @ u.T).T - shift * u - f
-    res, f_norm, u_norm = np.linalg.norm([residual, f, u], axis=-1)
-    scaled_u = spla.norm(op.matrix - shift * sp.identity(op.size), 1) * u_norm
+    u = op.solve_shifted(zeta, f)
+    residual = (op.matrix @ u.T).T - zeta * u - f
+    res, f_norm, u_norm = (np.linalg.norm(x, axis=-1) for x in (residual, f, u))
+    scaled_u = op.norm1(zeta) * u_norm
     bad = ~(res <= 1e-13 * (scaled_u + f_norm)) | (f_norm < 1e-13 * scaled_u)
     if bad.any():
         raise NearSpectrumShift(

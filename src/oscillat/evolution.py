@@ -1,26 +1,24 @@
 """Wave-equation operator functions, Duhamel evolution, and an FD oracle.
 
 The operators cos(t A^(1/2)) and A^(-1/2) sin(t A^(1/2)) are realized
-through a full hermitian eigendecomposition; at desk scale this is the
-simplest exact form of the spectral calculus and keeps per-mode energies
-conserved to machine precision.  The eigenpairs come from one of three
-paths, chosen from the operator's bands, which it reads once.
-Operators that the orthonormal DST-I diagonalizes (scalar, real,
-constant coefficients, diagonal principal coefficient: B0 of the scalar
-catalog fixtures without first-order terms) take their closed-form
-spectrum and sine eigenvectors, with no eigensolver.  Other tridiagonal
-operators (every scalar operator in d=1, real or complex hermitian) use
-a tridiagonal divide-and-conquer eigensolver.  All others use dense
-eigh, the reference both are tested against.  On every path the eigen
-residual |A q - mu q| is checked with a sparse product.  A
+through a full hermitian eigenbasis; at desk scale this is the simplest
+exact form of the spectral calculus and keeps per-mode energies conserved
+to machine precision.  Two backends share one interface (eigenvalues
+ascending, size, source, project, synthesize, map_spectrum).  Operators
+that the orthonormal DST-I diagonalizes (op.spectrum is not None: B0 of
+the scalar catalog fixtures without first-order terms) get a SineBasis:
+the closed-form spectrum, applied by fast sine transforms, with no stored
+eigenvector and no eigensolver.  Every other operator gets an EigenBasis
+of stored eigenvectors (_eigh).  certify bounds the backward error of
+every basis with sparse products, never through an N x N temporary.  A
 Stoermer-Verlet integrator provides an independent check that never
 touches the eigenbasis.
 
 Vectors are rows: a dof vector has shape (..., ndof), leading axes hold a
 stack of vectors, and the eigenbasis projects and synthesizes all rows
-with one matrix product.  Times lead: an operator function of times t
-(a scalar or a 1-D array) applied to v returns t.shape + v.shape, and a
-path of solutions has shape (T, ..., ndof).
+at once.  Times lead: an operator function of times t (a scalar or a 1-D
+array) applied to v returns t.shape + v.shape, and a path of solutions has
+shape (T, ..., ndof).
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +35,7 @@ from .dirichlet import (
     extend,
     smoothed_bD,
     bD_centered,
-    dst_eigenvectors,
+    sine_transform,
     tag_text,
 )
 from .coefficients import eval_scaled_grid
@@ -48,17 +46,24 @@ from .lattice import Lattice, unit_lattice
 _EIG_LIMIT = 8192
 
 
-@dataclass(frozen=True)
-class EigenBasis:
-    """Orthonormal eigenpairs of a positive definite discrete operator."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    source: DiscreteDirichletOperator = field(repr=False)
+class _Basis:
+    """What both backends share; factors broadcast against the eigenvalues."""
 
     @property
     def size(self) -> int:
         return self.eigenvalues.size
+
+    def map_spectrum(self, factors: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.synthesize(factors * self.project(v))
+
+
+@dataclass(frozen=True)
+class EigenBasis(_Basis):
+    """Stored orthonormal eigenpairs of a positive definite discrete operator."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    source: DiscreteDirichletOperator = field(repr=False)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         return v @ self.eigenvectors.conj()
@@ -66,8 +71,41 @@ class EigenBasis:
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs @ self.eigenvectors.T
 
-    def map_spectrum(self, factors: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.synthesize(factors * self.project(v))
+    def checked_rows(self):
+        """Every eigenvector x with y = mu x, 256 at a time, as certify reads
+        them."""
+        for start in range(0, self.size, 256):
+            q = np.ascontiguousarray(self.eigenvectors[:, start:start + 256])
+            yield q.T, (q * self.eigenvalues[start:start + 256]).T, 1.0
+
+
+@dataclass(frozen=True)
+class SineBasis(_Basis):
+    """The orthonormal DST-I eigenbasis of an operator with a closed-form
+    spectrum: eigenvalues holds source.spectrum ascending, order the flat
+    grid position of each.  project is sine_transform and a gather into that
+    order, synthesize the scatter back and the inverse transform."""
+
+    eigenvalues: np.ndarray
+    order: np.ndarray
+    source: DiscreteDirichletOperator = field(repr=False)
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        return sine_transform(v, self.source.spectrum.shape)[..., self.order]
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        grid = np.empty_like(coeffs)
+        grid[..., self.order] = coeffs
+        return sine_transform(grid, self.source.spectrum.shape, inverse=True)
+
+    def checked_rows(self):
+        """The lowest and highest unit modes and four seeded random rows c,
+        synthesized with and without mu, as certify reads them."""
+        c = np.random.default_rng(0).standard_normal((6, self.size))
+        c[:2] = 0.0
+        c[0, 0] = c[1, -1] = 1.0
+        yield (self.synthesize(c), self.synthesize(self.eigenvalues * c),
+               np.linalg.norm(c, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -78,20 +116,43 @@ class EvolutionResult:
     energy: np.ndarray
 
 
-def spectral_decompose(op: DiscreteDirichletOperator) -> EigenBasis:
-    """Full eigendecomposition, ascending; validates the spectral contract."""
+def spectral_decompose(op: DiscreteDirichletOperator) -> EigenBasis | SineBasis:
+    """The eigenbasis of op, ascending: a SineBasis when op.spectrum is not
+    None, else an EigenBasis (_eigh).  Validates the spectral contract: the
+    lowest eigenvalue is positive, and certify passes."""
     check_decomposable(op.size, op.eps_tag)
     at = tag_text(op.eps_tag)
-    try:
-        mu, Q = _eigh(op)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigSolverFailure(f"{at}: {exc}") from exc
-    if mu[0] <= 0.0:
-        raise EigSolverFailure(f"{at}: non-positive eigenvalue {mu[0]:.3e}")
-    resid = np.linalg.norm(op.matrix @ Q - Q * mu, axis=0)
-    if (resid > 1e-8 * np.maximum(mu, 1e-300)).any():
-        raise EigSolverFailure(f"{at}: eigen residual exceeds 1e-8 * mu")
-    return EigenBasis(eigenvalues=mu, eigenvectors=Q, source=op)
+    if op.spectrum is not None:
+        order = np.argsort(op.spectrum, axis=None, kind="stable")
+        eb = SineBasis(op.spectrum.ravel()[order], order, op)
+    else:
+        try:
+            eb = EigenBasis(*_eigh(op), source=op)
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+            raise EigSolverFailure(f"{at}: {exc}") from exc
+    if eb.eigenvalues[0] <= 0.0:
+        raise EigSolverFailure(
+            f"{at}: non-positive eigenvalue {eb.eigenvalues[0]:.3e}")
+    certify(eb)
+    return eb
+
+
+def certify(eb: EigenBasis | SineBasis):
+    """Raise EigSolverFailure unless |A x - y| <= 1e-13 |A|_1 |c| for every
+    (x, y, |c|) of eb.checked_rows(), A = eb.source.matrix.
+
+    For a unit eigenpair this bounds the normwise backward error: (mu, x)
+    is exact for some A + E with |E|_2 <= 1e-13 |A|_1, so by Weyl each
+    eigenvalue is that close to one of A's.  A residual relative to mu would
+    refuse backward-stable lowest modes, whose residuals scale with |A|.
+    """
+    op = eb.source
+    for x, y, scale in eb.checked_rows():
+        resid = np.linalg.norm((op.matrix @ x.T).T - y, axis=-1)
+        worst = (resid / (op.norm1() * scale)).max()
+        if not worst <= 1e-13:
+            raise EigSolverFailure(f"{tag_text(op.eps_tag)}: eigen backward "
+                                   f"error {worst:.3e} exceeds 1e-13")
 
 
 def check_decomposable(size: int, eps_tag):
@@ -103,34 +164,26 @@ def check_decomposable(size: int, eps_tag):
 
 
 def _eigh(op):
-    """Ascending eigenpairs of a discrete hermitian operator, by one of
-    three paths, all checked alike by spectral_decompose.
+    """Ascending eigenvalues and stored eigenvectors of a discrete hermitian
+    operator without a closed-form spectrum, by one of two paths.
 
-    - Closed form: when the orthonormal DST-I diagonalizes the operator
-      (op.spectrum is not None), its known eigenvalues are sorted and the
-      matching sine columns built by dst_eigenvectors, with no eigensolver.
     - Tridiagonal: op.bands is one pair (diag, sub), and A equals D T D^H
       with T real symmetric, subdiagonal |sub|, and D = diag(phase),
-      phase[k+1] = phase[k] sub[k] / |sub[k]| (signs for a real A).  T goes
-      to LAPACK's divide-and-conquer ?stevd; MRRR (?stemr) fails with
-      info=22 on the unscaled sine1d operator at 2047 unknowns.
+      phase[k+1] = phase[k] sub[k] / |sub[k]| (signs for a real A, applied
+      in place).  T goes to LAPACK's divide-and-conquer ?stevd; MRRR
+      (?stemr) fails with info=22 on the unscaled sine1d operator at 2047
+      unknowns.
     - Dense: every other matrix gets dense eigh.
     """
-    if op.spectrum is not None:
-        order = np.argsort(op.spectrum, axis=None, kind="stable")
-        modes = np.unravel_index(order, op.spectrum.shape)
-        return (op.spectrum.ravel()[order],
-                dst_eigenvectors(op.spectrum.shape, modes))
     if op.bands is None or len(op.bands) != 1:
-        dense = op.matrix.toarray()
-        if np.abs(dense.imag).max() == 0.0:
-            dense = dense.real
-        return scipy.linalg.eigh(dense)
+        return scipy.linalg.eigh(op.matrix.toarray())
     (diag, sub), = op.bands
     mag = np.abs(sub)
     unit = np.divide(sub, mag, out=np.ones_like(sub), where=mag > 0.0)
     phase = np.concatenate(([1.0], np.cumprod(unit)))
     mu, Q = scipy.linalg.eigh_tridiagonal(diag, mag, lapack_driver="stevd")
+    if np.isrealobj(phase):     # signs: applied in place
+        return mu, np.multiply(Q, phase[:, None], out=Q)
     return mu, phase[:, None] * Q
 
 

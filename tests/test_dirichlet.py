@@ -528,6 +528,17 @@ def test_resolvent_accepts_backward_stable_fine_mesh_solves():
         resolvent(op, mu, f)
 
 
+def test_norm1_matches_the_shifted_matrix_norm_and_is_cached():
+    # complex hermitian 1-D and real 2-D, real and complex shifts
+    op_1d = assemble_b_eps(mesh_for([1.0], 0.25 / 16),
+                           catalog("sine1d", {"a_amp": 0.2}), 0.25, LAT1)
+    for op in (op_1d, _laminate2d_op()):
+        for zeta in (0.0, -1.0, 2.0 + 1.5j, 1e6):
+            ref = spla.norm(op.matrix - zeta * sp.identity(op.size), 1)
+            assert op.norm1(zeta) == pytest.approx(ref, rel=1e-14)
+        assert set(op._norms) == {0j, -1 + 0j, 2 + 1.5j, 1e6 + 0j}
+
+
 def test_smallest_eigenvalue_probe_matches_dense():
     cs = catalog("sine1d", {"a_amp": 0.2})
     mesh = mesh_for([1.0], 0.25 / 16)

@@ -1,6 +1,8 @@
-"""The closed-form DST-I backend: constant-coefficient operators get their
-eigenpairs and resolvent solves from the known sine spectrum, every other
-operator keeps its eigensolver and its sparse LU."""
+"""The sine backend: constant-coefficient operators get their eigenbasis and
+resolvent solves from the known sine spectrum and fast sine transforms,
+every other operator keeps its eigensolver and its sparse LU."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from oscillat.errors import NearSpectrumShift
+from oscillat.errors import EigSolverFailure, NearSpectrumShift
 from oscillat.lattice import unit_lattice
 from oscillat.coefficients import catalog
 from oscillat.cell import solve_cell
@@ -24,6 +26,9 @@ from oscillat.dirichlet import (
 )
 from oscillat.evolution import (
     EigenBasis,
+    SineBasis,
+    certify,
+    solve_ibvp,
     spectral_decompose,
     op_cosine,
     op_sine_scaled,
@@ -74,7 +79,7 @@ def test_closed_form_eigenvalues_match_dense(closed_form_op):
     eb = spectral_decompose(op)
     assert np.all(np.diff(eb.eigenvalues) >= 0.0)
     assert np.abs(eb.eigenvalues - dense).max() <= 1e-12 * dense[-1]
-    Q = eb.eigenvectors
+    Q = eb.synthesize(np.eye(op.size)).T
     assert np.linalg.norm(Q.T @ Q - np.eye(op.size)) <= 1e-10
 
 
@@ -104,6 +109,83 @@ def test_closed_form_operator_functions_match_dense_basis(closed_form_op):
             <= 1e-10 * scale
     assert np.abs(op_inv_sqrt(eb, v) - op_inv_sqrt(dense, v)).max() \
         <= 1e-10 * scale
+
+
+def test_sine_basis_matches_dense_basis(closed_form_op):
+    op = closed_form_op
+    eb = spectral_decompose(op)
+    assert isinstance(eb, SineBasis)
+    mu, Q = scipy.linalg.eigh(op.matrix.toarray())
+    Q *= np.sign(np.einsum("ij,ij->j", Q, eb.synthesize(np.eye(op.size)).T))
+    dense = EigenBasis(eigenvalues=mu, eigenvectors=Q, source=op)
+    # a dense eigenvector is accurate to about eps_mach |A| / gap: compare
+    # single modes only where the relative gap to both neighbours is >= 3e-4
+    gaps = np.diff(mu) / mu[-1]
+    apart = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf]) >= 3e-4
+    assert apart.sum() >= 0.3 * op.size
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    rng = np.random.default_rng(14)
+    v = rng.standard_normal((2, op.size))
+    assert close(eb.project(v)[:, apart], dense.project(v)[:, apart])
+    c = rng.standard_normal((2, op.size)) * apart
+    assert close(eb.synthesize(c), dense.synthesize(c))
+    # functions of the operator do not depend on the choice of eigenvectors
+    factors = np.cos(np.multiply.outer([0.5, 1.0, 2.0], np.sqrt(mu)))
+    assert close(eb.map_spectrum(factors[:, None], v),
+                 dense.map_spectrum(factors[:, None], v))
+    t_grid = np.linspace(0.0, 2.0, 67)
+    forcing = (t_grid, np.cos(1.5 * t_grid)[:, None] * v[1])
+    got, ref = (solve_ibvp(basis, v, v[::-1], forcing, [0.5, 1.0, 2.0])
+                for basis in (eb, dense))
+    for name in ("u", "du_dt", "energy"):
+        assert close(getattr(got, name), getattr(ref, name))
+
+
+def _mutated(op, spectrum):
+    """A copy of op whose closed-form spectrum is replaced."""
+    out = DiscreteDirichletOperator(op.matrix, op.mesh, op.eps_tag,
+                                    op.smallest_eig)
+    out.spectrum = spectrum
+    return out
+
+
+@pytest.mark.parametrize("name", ["const", "laminate2d-b0"])
+def test_sine_certificate_catches_mutations(name):
+    op = CLOSED_FORM[name]()
+    eb = spectral_decompose(op)
+    certify(eb)
+    spectra = {"mode numbers off by one": np.roll(op.spectrum, 1, axis=-1)}
+    if op.mesh.dim == 2:
+        spectra["axes swapped"] = op.spectrum.T.copy()
+    for spectrum in spectra.values():
+        with pytest.raises(EigSolverFailure, match="eigen backward error"):
+            spectral_decompose(_mutated(op, spectrum))
+    swapped = eb.order.copy()
+    mid = op.size // 2
+    assert eb.eigenvalues[mid] != eb.eigenvalues[mid + 1]
+    swapped[[mid, mid + 1]] = swapped[[mid + 1, mid]]
+    lowest_off = eb.eigenvalues.copy()
+    lowest_off[0] *= 1.0 + 1e-6
+    for basis in (SineBasis(eb.eigenvalues, swapped, op),
+                  SineBasis(lowest_off, eb.order, op)):
+        with pytest.raises(EigSolverFailure, match="eigen backward error"):
+            certify(basis)
+
+
+def test_sine_path_allocates_no_square_array():
+    op = const_op(2047)
+    v = np.random.default_rng(15).standard_normal((2, op.size))
+    tracemalloc.start()
+    try:
+        eb = spectral_decompose(op)
+        op_cosine(eb, [0.5, 1.0, 2.0], v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * op.size ** 2 * 8
 
 
 def _inside_spectrum(op):

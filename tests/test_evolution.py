@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from oscillat.errors import CFLViolation, ForcingGridTooCoarse, EigSolverFailure
 from oscillat.lattice import unit_lattice
@@ -17,6 +18,8 @@ from oscillat.dirichlet import (
     read_bands,
 )
 from oscillat.evolution import (
+    EigenBasis,
+    certify,
     spectral_decompose,
     op_cosine,
     op_sine_scaled,
@@ -41,6 +44,9 @@ class _FakeOp:
         self.size = matrix.shape[0]
         self.eps_tag = eps_tag
         self.bands = read_bands(self.matrix, (self.size,))
+
+    def norm1(self, zeta=0.0):
+        return spla.norm(self.matrix - zeta * sp.identity(self.size), 1)
 
 
 def laplacian_op(M=63, L=1.0, g=1.0):
@@ -78,7 +84,7 @@ def test_laplacian_eigenvalues_exact_formula():
     assert np.allclose(eb.eigenvalues, exact, rtol=1e-12)
     # eigenvectors are discrete sines up to normalization
     x = mesh.axes()[0]
-    v = eb.eigenvectors[:, 0]
+    v = eb.synthesize(np.eye(op.size)).T[:, 0]
     s = np.sin(np.pi * x)
     s /= np.linalg.norm(s)
     assert min(np.abs(v - s).max(), np.abs(v + s).max()) < 1e-10
@@ -130,6 +136,34 @@ def test_eigen_failures_name_the_operator():
         spectral_decompose(_FakeOp(np.diag([-1.0, 2.0, 3.0]), "effective"))
 
 
+def _tiny_lowest_tridiagonal(n=600, delta=1e-9):
+    """A complex hermitian tridiagonal matrix whose lowest eigenvalue is
+    about delta |A|_1, with |A|_1 about 9e6 (a fine-mesh scale)."""
+    sub = np.full(n - 1, (-1.0 + 0.5j) * 2e6)
+    diag = np.full(n, 2.0 * abs(sub[0]))
+    lowest = scipy.linalg.eigvalsh_tridiagonal(diag, np.abs(sub), select="i",
+                                               select_range=(0, 0))[0]
+    diag -= lowest - delta * 4.0 * abs(sub[0])
+    return sp.diags([sub, diag, sub.conj()], [-1, 0, 1], format="csr")
+
+
+def test_eigen_check_bounds_the_normwise_backward_error():
+    # ?stevd's residual on the lowest mode is about eps_mach |A|, far above
+    # 1e-8 mu there, yet every pair is exact for a matrix within 1e-13 |A|_1
+    op = _FakeOp(_tiny_lowest_tridiagonal())
+    eb = spectral_decompose(op)
+    norm1 = spla.norm(op.matrix, 1)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    assert 0.0 < eb.eigenvalues[0] < 1e-8 * norm1
+    # Weyl: each eigenvalue within the backward error of the exact one
+    assert np.abs(eb.eigenvalues - dense).max() <= 1e-13 * norm1
+    # the bound still refuses a wrong pair, here in the last block of columns
+    mu = eb.eigenvalues.copy()
+    mu[-1] *= 1.0 + 1e-6
+    with pytest.raises(EigSolverFailure, match="eigen backward error"):
+        certify(EigenBasis(mu, eb.eigenvectors, op))
+
+
 # ---------------------------------------------------------------------------
 # operator functions
 
@@ -145,7 +179,7 @@ def test_cosine_identity_at_zero():
 def test_cosine_on_eigenvector():
     mesh, op = laplacian_op()
     eb = spectral_decompose(op)
-    q3, mu3 = eb.eigenvectors[:, 3], eb.eigenvalues[3]
+    q3, mu3 = eb.synthesize(np.eye(op.size)).T[:, 3], eb.eigenvalues[3]
     out = op_cosine(eb, 0.8, q3)
     assert np.allclose(out, np.cos(0.8 * np.sqrt(mu3)) * q3, atol=1e-12)
 
@@ -171,7 +205,7 @@ def test_sine_scaled_basics():
     rng = np.random.default_rng(1)
     v = rng.standard_normal(op.size)
     assert np.abs(op_sine_scaled(eb, 0.0, v)).max() == 0.0
-    q2, mu2 = eb.eigenvectors[:, 2], eb.eigenvalues[2]
+    q2, mu2 = eb.synthesize(np.eye(op.size)).T[:, 2], eb.eigenvalues[2]
     out = op_sine_scaled(eb, 0.6, q2)
     assert np.allclose(out, np.sin(0.6 * np.sqrt(mu2)) / np.sqrt(mu2) * q2,
                        atol=1e-12)
@@ -235,7 +269,7 @@ def test_ibvp_zero_data():
 def test_ibvp_single_mode_energy():
     mesh, op = laplacian_op()
     eb = spectral_decompose(op)
-    q1, mu1 = eb.eigenvectors[:, 0], eb.eigenvalues[0]
+    q1, mu1 = eb.synthesize(np.eye(op.size)).T[:, 0], eb.eigenvalues[0]
     res = solve_ibvp(eb, q1, 0 * q1, None, np.linspace(0.2, 3.0, 8))
     for i, t in enumerate(res.times):
         assert np.allclose(res.u[i], np.cos(t * np.sqrt(mu1)) * q1, atol=1e-12)
@@ -245,7 +279,7 @@ def test_ibvp_single_mode_energy():
 def test_ibvp_forced_mode_closed_form():
     mesh, op = laplacian_op()
     eb = spectral_decompose(op)
-    q1, mu1 = eb.eigenvectors[:, 0], eb.eigenvalues[0]
+    q1, mu1 = eb.synthesize(np.eye(op.size)).T[:, 0], eb.eigenvalues[0]
     omega = 3.0
     t_grid = np.linspace(0.0, 2.0, 81)
     forcing = (t_grid, np.cos(omega * t_grid)[:, None] * q1)
@@ -387,7 +421,7 @@ def test_flux_error_decreases_with_eps():
 def test_leapfrog_single_mode_dt_squared():
     mesh, op = laplacian_op(31)
     eb = spectral_decompose(op)
-    q1, mu1 = eb.eigenvectors[:, 0], eb.eigenvalues[0]
+    q1, mu1 = eb.synthesize(np.eye(op.size)).T[:, 0], eb.eigenvalues[0]
     t = 1.0
     exact = np.cos(t * np.sqrt(mu1)) * q1
     errs = []
@@ -431,7 +465,7 @@ def test_leapfrog_cfl_violation():
 def test_leapfrog_forced_matches_duhamel():
     mesh, op = laplacian_op(31)
     eb = spectral_decompose(op)
-    q1 = eb.eigenvectors[:, 0]
+    q1 = eb.synthesize(np.eye(op.size)).T[:, 0]
     omega = 2.0
     t_grid = np.linspace(0.0, 1.0, 65)
     res = solve_ibvp(eb, 0 * q1, 0 * q1,
