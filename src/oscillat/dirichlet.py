@@ -15,6 +15,9 @@ keeps every assembled matrix hermitian at machine precision.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+import functools
+import itertools
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -214,8 +217,9 @@ class DiscreteDirichletOperator:
         gets a sparse LU.
         """
         key = complex(zeta)
+        shift = key.real if key.imag == 0.0 else key    # real data stays real
         if key not in self._factors and self.spectrum is not None:
-            gaps = self.spectrum - (key.real if key.imag == 0.0 else key)
+            gaps = self.spectrum - shift
             if (gaps == 0.0).any():
                 raise NearSpectrumShift(f"{tag_text(self.eps_tag)}: zeta={zeta}"
                                         f" is an eigenvalue")
@@ -226,11 +230,10 @@ class DiscreteDirichletOperator:
         if key not in self._factors:
             mat = self.matrix
             if key != 0:
-                mat = mat - key * sp.identity(self.size, dtype=mat.dtype,
-                                              format="csr")
-            real_ok = (key.imag == 0.0
-                       and np.abs(mat.imag.data).max(initial=0.0) == 0.0)
-            mat = mat.real if real_ok else mat.astype(complex)
+                mat = mat - shift * sp.identity(self.size, format="csr")
+            real_ok = mat.dtype.kind != "c" or not mat.data.imag.any()
+            if real_ok and mat.dtype.kind == "c":
+                mat = mat.real
             # 2-D: symmetric mode on the fill-reducing A + A^T ordering, with
             # the default pivot threshold, so complex and indefinite shifts
             # stay stable.  A 1-D operator is banded in node order and the
@@ -420,76 +423,68 @@ def _elem_1d(h):
 
 def _grad_tensors(mesh: Mesh):
     """S[l', l, q, p] = int over one cell of d_{l'} phi_q d_l phi_p."""
-    d = mesh.dim
-    if d == 1:
-        K, _, _ = _elem_1d(mesh.h[0])
-        return K.reshape(1, 1, 2, 2)
-    K1, M1, C1 = _elem_1d(mesh.h[0])
-    K2, M2, C2 = _elem_1d(mesh.h[1])
-    S = np.zeros((2, 2, 4, 4))
-    idx = lambda a, b: 2 * a + b
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for e in range(2):
-                    q, p = idx(a, b), idx(c, e)
-                    S[0, 0, q, p] = K1[a, c] * M2[b, e]
-                    S[1, 1, q, p] = M1[a, c] * K2[b, e]
-                    S[0, 1, q, p] = C1[a, c] * C2[e, b]
-                    S[1, 0, q, p] = C1[c, a] * C2[b, e]
-    return S
+    if mesh.dim == 1:
+        return _elem_1d(mesh.h[0])[0].reshape(1, 1, 2, 2)
+    # corner q = (a, b) is number 2 a + b: kron's order
+    (K1, M1, C1), (K2, M2, C2) = map(_elem_1d, mesh.h)
+    return np.stack([np.kron(K1, M2), np.kron(C1, C2.T),
+                     np.kron(C1.T, C2), np.kron(M1, K2)]).reshape(2, 2, 4, 4)
 
 
-def _principal_form(mesh: Mesh, sym: Symbol, g_cells: np.ndarray):
-    """Assemble the principal form with per-cell constant coefficients.
+def _stencil_form(mesh: Mesh, sym: Symbol, g_cells: np.ndarray):
+    """The principal form on the interior dofs, as canonical CSR.
 
     g_cells holds the (m x m) coefficient at every cell midpoint, shape
-    (M_1+1, .., M_d+1, m, m).  Returns a sparse form matrix over all nodes
-    (boundary included), node-major with n components per node.
+    (M_1+1, .., M_d+1, m, m), or is one (m x m) matrix that every cell
+    shares.  The element of a cell couples its corners q and p by the
+    (n x n) block sum over l', l of S[l', l, q, p] b_{l'}^H g b_l: one
+    matmul of the cells' g with a fixed tensor, in real arithmetic when the
+    symbol is real and the imaginary part of g symmetric, as the hermitian
+    part that _finalize keeps is then real.  Each interior node sums the
+    elements of its 2^d cells into its 3^d neighbour blocks by shifted
+    slices, and the blocks of interior neighbours are written node-major,
+    n components per node, with sorted columns.
     """
-    d, n = mesh.dim, sym.n
-    S = _grad_tensors(mesh)
-    bmat = np.stack([np.asarray(b, dtype=complex) for b in sym.b_mats])
-    cells = g_cells.reshape(-1, sym.m, sym.m)
-    # elem[c] = sum of S[l', l] b_{l'}^H G_c b_l, summed in np.einsum's order
-    B = sum(bmat.conj()[None, :, None, i, :, None]
-            * cells[:, i, j, None, None, None, None] * bmat[None, None, :, j, None, :]
-            for i, j in np.ndindex(sym.m, sym.m))
-    elem = sum(S[a, b, None, :, :, None, None] * B[:, a, b, None, None]
-               for a, b in np.ndindex(d, d))
+    d, n, m, M = mesh.dim, sym.n, sym.m, mesh.m_int
+    b = np.stack(sym.b_mats)                                    # (d, m, n)
+    T = np.einsum("abqp,air,bjs->qprsij", _grad_tensors(mesh), b.conj(), b)
+    if not b.imag.any() and (g_cells.imag
+                             == np.swapaxes(g_cells.imag, -1, -2)).all():
+        g_cells, T = g_cells.real, T.real
+    n_corner = T.shape[0]
+    elem = T.reshape(-1, m * m) @ g_cells.reshape(-1, m * m).T
+    elem = np.broadcast_to(
+        elem.reshape((n_corner, n_corner, n, n)
+                     + (g_cells.shape[:-2] or (1,) * d)),
+        (n_corner, n_corner, n, n) + tuple(Mk + 1 for Mk in M))
 
-    full_shape = tuple(M + 2 for M in mesh.m_int)
-    n_cells_ax = [M + 1 for M in mesh.m_int]
-    cell_grids = np.meshgrid(*[np.arange(c) for c in n_cells_ax], indexing="ij")
-    corners = [np.array(off) for off in np.ndindex(*(2,) * d)]
-    node_of = []
-    for off in corners:
-        coords = [cg + o for cg, o in zip(cell_grids, off)]
-        node_of.append(np.ravel_multi_index(coords, full_shape).ravel())
+    # blocks[k, r, s, i] couples component r of interior node i to
+    # component s of node i + offsets[k]
+    offsets = np.array(list(np.ndindex(*(3,) * d))) - 1
+    blocks = np.zeros((len(offsets), n, n) + M, dtype=elem.dtype)
+    corners = list(np.ndindex(*(2,) * d))
+    for (iq, q), (ip, p) in itertools.product(enumerate(corners), repeat=2):
+        k = np.ravel_multi_index(np.subtract(p, q) + 1, (3,) * d)
+        blocks[k] += elem[(iq, ip, Ellipsis) + tuple(
+            slice(1 - a, 1 - a + Mk) for a, Mk in zip(q, M))]
 
-    n_corner = len(corners)
-    rows, cols, data = [], [], []
-    comp_i, comp_j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    for q in range(n_corner):
-        for p in range(n_corner):
-            blocks = elem[:, q, p]  # (n_cells, n, n)
-            r = (node_of[q][:, None, None] * n + comp_i).ravel()
-            c = (node_of[p][:, None, None] * n + comp_j).ravel()
-            rows.append(r)
-            cols.append(c)
-            data.append(blocks.reshape(-1))
-    size = int(np.prod(full_shape)) * n
-    form = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size)).tocsr()
-    return form, full_shape
-
-
-def _interior_dofs(mesh: Mesh, full_shape, n: int):
-    interior = np.meshgrid(*[np.arange(1, M + 1) for M in mesh.m_int],
-                           indexing="ij")
-    nodes = np.ravel_multi_index(interior, full_shape).ravel()
-    return (nodes[:, None] * n + np.arange(n)).ravel()
+    # per axis, the neighbours' indices i_k + offsets[:, k]; the neighbour
+    # i + offsets[k] is kept when interior, as node number cols[k, i]
+    nbs = [ik + ok for ik, ok in zip(np.indices(M, sparse=True),
+                                     offsets.T.reshape((d, -1) + (1,) * d))]
+    inside = functools.reduce(operator.and_,
+                              [(nb >= 0) & (nb < Mk) for nb, Mk in zip(nbs, M)])
+    cols = sum(nb * int(np.prod(M[k + 1:])) for k, nb in enumerate(nbs))
+    indices = cols[:, None, None] * n + np.arange(n).reshape((n,) + (1,) * d)
+    # the entries in CSR order: node, row component, offset, column component
+    perm = tuple(range(3, 3 + d)) + (1, 0, 2)
+    keep = np.broadcast_to(inside[:, None, None], blocks.shape).transpose(perm)
+    counts = np.repeat(n * inside.sum(axis=0).ravel(), n)
+    size = mesh.n_nodes * n
+    return sp.csr_matrix(
+        (blocks.transpose(perm)[keep],
+         np.broadcast_to(indices, blocks.shape).transpose(perm)[keep],
+         np.concatenate(([0], np.cumsum(counts)))), shape=(size, size))
 
 
 def _centered_diff(mesh: Mesh, axis: int):
@@ -544,9 +539,7 @@ def assemble_b_eps(mesh: Mesh, coeffs: CoefficientSet, eps: float,
     sym, n = coeffs.symbol, coeffs.symbol.n
 
     g_cells = eval_scaled_grid(coeffs.g, lat, eps, mesh.midpoint_axes())
-    form, full_shape = _principal_form(mesh, sym, g_cells)
-    dofs = _interior_dofs(mesh, full_shape, n)
-    form = form[dofs][:, dofs]
+    form = _stencil_form(mesh, sym, g_cells)
 
     sigma = mesh.sigma
     node_axes = mesh.axes()
@@ -566,11 +559,7 @@ def assemble_b0(mesh: Mesh, cell: CellSolution,
                 coeffs: CoefficientSet) -> DiscreteDirichletOperator:
     """Assemble the unshifted constant-coefficient effective operator."""
     sym, n = coeffs.symbol, coeffs.symbol.n
-    n_cells = tuple(M + 1 for M in mesh.m_int)
-    g_cells = np.broadcast_to(cell.g0, n_cells + cell.g0.shape)
-    form, full_shape = _principal_form(mesh, sym, g_cells)
-    dofs = _interior_dofs(mesh, full_shape, n)
-    form = form[dofs][:, dofs]
+    form = _stencil_form(mesh, sym, cell.g0)
 
     sigma = mesh.sigma
     n_nodes = mesh.n_nodes

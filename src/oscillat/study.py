@@ -576,6 +576,14 @@ def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
                    [-1, 0, 1]) / h ** 2
     check("dirichlet.unit_laplacian",
           lambda: np.abs((op.matrix - ref).toarray()).max() < 1e-10)
+    m9 = make_mesh([1.0, 1.0], [15, 15])
+    q1 = np.zeros((15, 15))
+    q1[6:9, 6:9] = -1.0 / 3.0
+    q1[7, 7] = 8.0 / 3.0
+    check("dirichlet.q1_stencil_2d",    # g = I: an interior row, times h^2
+          lambda: np.abs(assemble_b_eps(m9, catalog("const", {"g": 1.0, "d": 2}),
+                                        1.0).matrix[7 * 15 + 7].toarray()
+                         * m9.h[0] ** 2 - q1.ravel()).max() < 1e-12)
     check("dirichlet.steklov_constant",
           lambda: np.abs(steklov(np.ones(64), lat1, 0.25, 1.0 / 64,
                                  periodic=True) - 1.0).max() < 1e-12)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,9 +13,11 @@ from oscillat.errors import (
     NearSpectrumShift,
 )
 from oscillat.lattice import build_lattice, unit_lattice
+from oscillat import dirichlet
 from oscillat.coefficients import (
     CoefficientSet,
     catalog,
+    eval_scaled_grid,
     field_from_function,
     make_symbol,
 )
@@ -34,6 +38,8 @@ from oscillat.dirichlet import (
     resolvent,
     DiscreteDirichletOperator,
     _finalize,
+    _grad_tensors,
+    _stencil_form,
 )
 
 LAT1 = unit_lattice(1)
@@ -124,6 +130,139 @@ def test_b0_with_constant_a_hermitian():
     # graft a constant lower-order block: mean(a) + mean(a)* enters B0
     op0 = assemble_b0(mesh, sol, cs)
     assert np.abs((op0.matrix - op0.matrix.conj().T).toarray()).max() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the stencil kernel against the cell-by-cell COO assembly
+
+
+def _coo_principal_form(mesh, sym, g_cells):
+    """Reference principal form: every cell's Q1 element scattered over all
+    nodes, boundary included, as COO summed by the CSR conversion, then cut
+    to the interior dofs."""
+    d, n = mesh.dim, sym.n
+    g_cells = np.broadcast_to(g_cells, tuple(M + 1 for M in mesh.m_int)
+                              + np.shape(g_cells)[-2:])
+    S = _grad_tensors(mesh)
+    bmat = np.stack([np.asarray(b, dtype=complex) for b in sym.b_mats])
+    cells = g_cells.reshape(-1, sym.m, sym.m)
+    B = sum(bmat.conj()[None, :, None, i, :, None]
+            * cells[:, i, j, None, None, None, None] * bmat[None, None, :, j, None, :]
+            for i, j in np.ndindex(sym.m, sym.m))
+    elem = sum(S[a, b, None, :, :, None, None] * B[:, a, b, None, None]
+               for a, b in np.ndindex(d, d))
+    full_shape = tuple(M + 2 for M in mesh.m_int)
+    cell_grids = np.meshgrid(*[np.arange(M + 1) for M in mesh.m_int],
+                             indexing="ij")
+    node_of = [np.ravel_multi_index([cg + o for cg, o in zip(cell_grids, off)],
+                                    full_shape).ravel()
+               for off in np.ndindex(*(2,) * d)]
+    comp_i, comp_j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    rows, cols, data = [], [], []
+    for q, p in np.ndindex(len(node_of), len(node_of)):
+        rows.append((node_of[q][:, None, None] * n + comp_i).ravel())
+        cols.append((node_of[p][:, None, None] * n + comp_j).ravel())
+        data.append(elem[:, q, p].reshape(-1))
+    size = int(np.prod(full_shape)) * n
+    form = sp.coo_matrix((np.concatenate(data),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(size, size)).tocsr()
+    interior = np.meshgrid(*[np.arange(1, M + 1) for M in mesh.m_int],
+                           indexing="ij")
+    nodes = np.ravel_multi_index(interior, full_shape).ravel()
+    dofs = (nodes[:, None] * n + np.arange(n)).ravel()
+    return form[dofs][:, dofs]
+
+
+def _kernel_case(name):
+    """(mesh, coefficients, eps, lattice) of one oracle fixture: the 1-D
+    ones on a mesh of 63 nodes, the 2-D ones on 31 x 47 nodes."""
+    if name == "sine1d":
+        cs = catalog("sine1d", {"a_amp": 0.3, "q_const": 0.5})
+        return mesh_for([1.0], 0.25 / 16), cs, 0.25, LAT1
+    if name == "matrix_system":
+        from test_matrix_system import matrix_system
+        return mesh_for([1.0], 0.25 / 16), matrix_system(), 0.25, LAT1
+    lat = LAT2
+    if name.endswith("-skew"):
+        lat = build_lattice([[1.0, 0.0], [0.5, 1.0]])
+    cs = (_laminate_pair_symbol_set() if name == "laminate-pair"
+          else catalog(name.removesuffix("-skew")))
+    return mesh_for([1.0, 1.5], 0.5 / 16), cs, 0.5, lat
+
+
+@pytest.mark.parametrize("name", ["sine1d", "matrix_system", "laminate2d",
+                                  "checkerboard-smooth", "laminate2d-skew",
+                                  "laminate-pair"])
+def test_stencil_kernel_matches_coo_assembly(name, monkeypatch):
+    mesh, cs, eps, lat = _kernel_case(name)
+    sol = solve_cell(cs, lat, 32)
+    g_cells = eval_scaled_grid(cs.g, lat, eps, mesh.midpoint_axes())
+    for g in (g_cells, sol.g0):
+        form = _stencil_form(mesh, cs.symbol, g)
+        ref = _coo_principal_form(mesh, cs.symbol, g)
+        assert form.has_canonical_format
+        assert np.array_equal(form.indptr, ref.indptr)
+        assert np.array_equal(form.indices, ref.indices)
+        scale = np.abs(ref.data).max()
+        assert np.abs(form.data - ref.data).max() <= 1e-14 * scale
+    # whole operators, the lower-order terms and _finalize included
+    ops = [assemble_b_eps(mesh, cs, eps, lat), assemble_b0(mesh, sol, cs)]
+    monkeypatch.setattr(dirichlet, "_stencil_form", _coo_principal_form)
+    refs = [assemble_b_eps(mesh, cs, eps, lat), assemble_b0(mesh, sol, cs)]
+    for op, ref in zip(ops, refs):
+        assert op.matrix.dtype == ref.matrix.dtype
+        assert np.array_equal(op.matrix.indptr, ref.matrix.indptr)
+        assert np.array_equal(op.matrix.indices, ref.matrix.indices)
+        if mesh.dim == 1:       # d = 1 is bit-identical
+            assert np.array_equal(op.matrix.data, ref.matrix.data)
+            assert op.smallest_eig == ref.smallest_eig
+        scale = np.abs(ref.matrix.data).max()
+        assert np.abs(op.matrix.data - ref.matrix.data).max() <= 1e-14 * scale
+
+
+def test_assembly_memory_peak_laminate2d():
+    # 223 x 223 = 49,729 unknowns, the finest resolvent-d2 case, with a
+    # final CSR of 5.5 MB: a COO scatter over all nodes peaked near 70 MB
+    cs = catalog("laminate2d")
+    sol = solve_cell(cs, LAT2, 32)
+    mesh = mesh_for([1.0, 1.0], 1 / 14 / 16)
+    assert mesh.n_nodes == 49729
+    for assemble in (lambda: assemble_b_eps(mesh, cs, 1 / 14, LAT2),
+                     lambda: assemble_b0(mesh, sol, cs)):
+        tracemalloc.start()
+        try:
+            assemble()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 60e6
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_factor_real_shift_stays_real(d):
+    cs = catalog("sine1d") if d == 1 else catalog("laminate2d")
+    lat = LAT1 if d == 1 else LAT2
+    mesh = mesh_for([1.0] * d, 0.25 / 16)
+    op = assemble_b_eps(mesh, cs, 0.25, lat)
+    A = op.matrix
+    assert A.dtype == np.float64 and op.spectrum is None
+    tracemalloc.start()
+    try:
+        lu, real_ok = op.factor(-1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert real_ok and lu.L.dtype == np.float64 and lu.U.dtype == np.float64
+    if d == 2:  # A - zeta I and its CSC copy; a complex copy came to 4x
+        assert peak <= 3 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+    # the same LU as factoring the complex copy A - (-1 + 0j) I's real part
+    shifted = (op.matrix - complex(-1.0) * sp.identity(op.size, format="csr"))
+    order = {} if d == 1 else dict(permc_spec="MMD_AT_PLUS_A",
+                                   options=dict(SymmetricMode=True))
+    ref = spla.splu(shifted.real.tocsc(), **order)
+    rhs = np.cos(np.arange(op.size))
+    assert np.array_equal(op.solve_shifted(-1.0, rhs), ref.solve(rhs))
 
 
 def test_choose_lambda_zero_when_unneeded():
