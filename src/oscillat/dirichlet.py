@@ -107,12 +107,14 @@ def mesh_for(box, h_max: float) -> Mesh:
     return make_mesh(box, m_int)
 
 
-def l2_norm(mesh: Mesh, vec: np.ndarray) -> float:
-    return float(np.sqrt(mesh.sigma) * np.linalg.norm(vec))
+def l2_norm(mesh: Mesh, vec: np.ndarray):
+    """Discrete L2 norm: a float for a dof vector, one per row of a stack."""
+    norm = np.sqrt(mesh.sigma) * np.linalg.norm(vec, axis=-1)
+    return float(norm) if np.ndim(norm) == 0 else norm
 
 
-def grad_sq(mesh: Mesh, vec: np.ndarray, n: int) -> float:
-    """Discrete |Du|^2 over interior edges.
+def grad_sq(mesh: Mesh, vec: np.ndarray, n: int):
+    """Discrete |Du|^2 over interior edges, per dof vector as l2_norm.
 
     Boundary edges are excluded: quantities such as corrector differences
     carry a nonzero trace on the box boundary, and the error estimates
@@ -120,15 +122,16 @@ def grad_sq(mesh: Mesh, vec: np.ndarray, n: int) -> float:
     zero extension.
     """
     grid = mesh.to_grid(vec, n)
-    total = 0.0
-    for ax in range(mesh.dim):
-        diff = np.diff(grid, axis=ax - mesh.dim - 1) / mesh.h[ax]
-        total += mesh.sigma * float(np.sum(np.abs(diff) ** 2))
-    return total
+    grid_axes = tuple(range(-mesh.dim - 1, 0))
+    return sum(mesh.sigma * np.sum(np.abs(np.diff(grid, axis=ax - mesh.dim - 1)
+                                          / mesh.h[ax]) ** 2, axis=grid_axes)
+               for ax in range(mesh.dim))
 
 
-def h1_norm(mesh: Mesh, vec: np.ndarray, n: int) -> float:
-    return float(np.sqrt(l2_norm(mesh, vec) ** 2 + grad_sq(mesh, vec, n)))
+def h1_norm(mesh: Mesh, vec: np.ndarray, n: int):
+    """Discrete H1 norm: a float for a dof vector, one per row of a stack."""
+    norm = np.sqrt(l2_norm(mesh, vec) ** 2 + grad_sq(mesh, vec, n))
+    return float(norm) if np.ndim(norm) == 0 else norm
 
 
 def bD_centered(grid: np.ndarray, sym: Symbol, h) -> np.ndarray:
@@ -275,34 +278,60 @@ def read_bands(matrix, m_int):
     kron(Ta, I) + kron(To, S2), S2 the x2 shift (ones on the first
     off-diagonals), as a laminate's does.  Each pair has a real diagonal
     and the superdiagonal conj(sub).  Every check is exact.
+
+    The split is read off the CSR arrays.  Each entry's column offset
+    names its neighbour (s, a): the node (i1 + s, i2 + a), |s|, |a| <= 1,
+    with a = 0 in d = 1; a nonzero entry at any other offset refuses the
+    split.  The entries go to a neighbour grid [s, a, i1, i2], which must
+    hold Ta[i1, i1 + s] at every a = 0 position, To[i1, i1 + s] at every
+    a = +-1 position whose neighbour is on the line, and zero where it is
+    off the line (an offset that wraps around an x2 line).
     """
-    if matrix.shape[0] != np.prod(m_int):
+    size = matrix.shape[0]
+    if size != np.prod(m_int):
         return None
-    if len(m_int) == 1:
-        bands = _hermitian_tridiagonal(matrix)
-        return None if bands is None else (bands,)
-    m2 = m_int[1]
-    x2_first = matrix.tocsr()[::m2]           # rows of the nodes (i1, 0)
-    blocks = x2_first[:, ::m2], x2_first[:, 1::m2]
-    bands = tuple(map(_hermitian_tridiagonal, blocks))
-    if any(b is None for b in bands):
+    m2 = m_int[1] if len(m_int) == 2 else 1
+    a_all = (-1, 0, 1) if len(m_int) == 2 else (0,)
+    reach = m2 + a_all[-1]
+    csr = matrix.tocsr()
+    if not csr.has_canonical_format:        # one entry per position
+        csr = csr.copy()
+        csr.sum_duplicates()
+    rows = np.repeat(np.arange(size, dtype=csr.indices.dtype),
+                     np.diff(csr.indptr))
+    offset, vals = csr.indices - rows, csr.data
+    if not vals.all():                      # explicit zeros are no coupling
+        keep = vals != 0
+        rows, offset, vals = rows[keep], offset[keep], vals[keep]
+    if np.abs(offset).max(initial=0) > reach:
         return None
-    shift = sp.diags([np.ones(m2 - 1), np.ones(m2 - 1)], [-1, 1])
-    rebuilt = sp.kron(blocks[0], sp.identity(m2)) + sp.kron(blocks[1], shift)
-    if (rebuilt != matrix).nnz:
+    slot = np.full(2 * reach + 1, -1)       # neighbour number of an offset
+    for k, (s, a) in enumerate(itertools.product((-1, 0, 1), a_all)):
+        slot[reach + s * m2 + a] = k
+    k = slot[offset + reach]
+    if (k < 0).any():
         return None
-    return bands
-
-
-def _hermitian_tridiagonal(matrix):
-    """(diag.real, sub) of a hermitian tridiagonal matrix, else None."""
-    coo = matrix.tocoo()
-    if np.abs(coo.row - coo.col).max(initial=0) > 1:
+    grid = np.zeros(3 * len(a_all) * size, dtype=vals.dtype)
+    grid[k * size + rows] = vals
+    grid = grid.reshape(3, len(a_all), size // m2, m2)
+    along = grid[:, len(a_all) // 2]                    # a = 0
+    pairs = [along[..., 0].copy()]                      # Ta: (s, i1)
+    if len(m_int) == 2:
+        pairs.append(grid[:, 2, :, 0].copy())           # To: (s, i1)
+        lo, hi = grid[:, 0], grid[:, 2]                 # a = -1, a = +1
+        if ((hi[..., :-1] != pairs[1][..., None]).any()
+                or (lo[..., 1:] != pairs[1][..., None]).any()
+                or hi[..., -1].any() or lo[..., 0].any()):
+            return None
+    if (along != pairs[0][..., None]).any():
         return None
-    diag, sub = matrix.diagonal(), matrix.diagonal(-1)
-    if (diag.imag != 0.0).any() or (matrix.diagonal(1) != sub.conj()).any():
-        return None
-    return diag.real, sub
+    bands = []
+    for lower, diag, upper in pairs:
+        sub = lower[1:]
+        if (diag.imag != 0.0).any() or (upper[:-1] != sub.conj()).any():
+            return None
+        bands.append((diag.real, sub))
+    return tuple(bands)
 
 
 def dst_spectrum(bands, m_int):
@@ -665,17 +694,15 @@ def build_extension(mesh: Mesh, margin: float) -> ExtensionOperator:
 
 
 def _reflect_axis(values: np.ndarray, d: int, axis: int, pad: int, m_int: int):
-    """Order-3 Hestenes reflection across both faces of one grid axis."""
-    left_face = pad          # index of the x=0 boundary node
-    right_face = pad + m_int + 1
+    """Order-3 Hestenes reflection across both faces of one grid axis, all
+    pad layers of a face at once: 3 pad <= m_int + 1 (build_extension)
+    keeps the sources face -+ j, 2j, 3j between the faces."""
+    j = np.arange(1, pad + 1)
     sl = lambda i: _ax_slice(d, axis, i)
-    for j in range(1, pad + 1):
-        values[sl(left_face - j)] = (6.0 * values[sl(left_face + j)]
-                                     - 8.0 * values[sl(left_face + 2 * j)]
-                                     + 3.0 * values[sl(left_face + 3 * j)])
-        values[sl(right_face + j)] = (6.0 * values[sl(right_face - j)]
-                                      - 8.0 * values[sl(right_face - 2 * j)]
-                                      + 3.0 * values[sl(right_face - 3 * j)])
+    for face, out in ((pad, -1), (pad + m_int + 1, 1)):    # x=0, x=L nodes
+        values[sl(face + out * j)] = (6.0 * values[sl(face - out * j)]
+                                      - 8.0 * values[sl(face - 2 * out * j)]
+                                      + 3.0 * values[sl(face - 3 * out * j)])
     return values
 
 

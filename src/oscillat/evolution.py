@@ -65,11 +65,15 @@ class EigenBasis(_Basis):
     eigenvectors: np.ndarray
     source: DiscreteDirichletOperator = field(repr=False)
 
+    # one 2-D product per stack of any rank, its leading axes as rows, reads
+    # Q once; v Q^* as conj(conj(v) Q) never copies a complex Q conjugated
     def project(self, v: np.ndarray) -> np.ndarray:
-        return v @ self.eigenvectors.conj()
+        rows = np.reshape(v, (-1, np.shape(v)[-1]))
+        return (rows.conj() @ self.eigenvectors).conj().reshape(np.shape(v))
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs @ self.eigenvectors.T
+        rows = np.reshape(coeffs, (-1, np.shape(coeffs)[-1]))
+        return (rows @ self.eigenvectors.T).reshape(np.shape(coeffs))
 
     def checked_rows(self):
         """Every eigenvector x with y = mu x, 256 at a time, as certify reads

@@ -286,11 +286,8 @@ def build_cases(fix: Fixture, cfg: SweepConfig, eps_list) -> list[Case]:
 def _seeded_probes(cfg: SweepConfig, case_idx: int, mesh: Mesh, n: int):
     """Random right-hand sides of unit L2 norm, one per row."""
     rng = np.random.default_rng((cfg.seed, case_idx))
-    out = []
-    for _ in range(max(5, cfg.n_probe)):
-        f = rng.standard_normal(mesh.n_nodes * n)
-        out.append(f / l2_norm(mesh, f))
-    return np.array(out)
+    f = rng.standard_normal((max(5, cfg.n_probe), mesh.n_nodes * n))
+    return f / l2_norm(mesh, f)[:, None]
 
 
 def require_decomposable(cfg: SweepConfig, fix: Fixture, eps_list):
@@ -391,15 +388,11 @@ def run_sweep(cfg: SweepConfig, estimate: Estimate) -> RateReport:
 def _hyperbolic_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
     u_eps, u_0, ue_en, v_eps, p_eps, p_apx = evolve_case(fix, cfg, case)
     mesh, n = case.mesh, fix.coeffs.symbol.n
-    rows = {"solution_l2": [], "solution_h1_corrector": [], "flux_l2": []}
-    for i, t in enumerate(cfg.t_list):
-        rows["solution_l2"].append(
-            (case.eps, t, l2_norm(mesh, u_eps[i] - u_0[i])))
-        rows["solution_h1_corrector"].append(
-            (case.eps, t, h1_norm(mesh, ue_en[i] - v_eps[i], n)))
-        rows["flux_l2"].append(
-            (case.eps, t, l2_norm(mesh, (p_eps[i] - p_apx[i]).reshape(-1))))
-    return rows
+    errors = {"solution_l2": l2_norm(mesh, u_eps - u_0),
+              "solution_h1_corrector": h1_norm(mesh, ue_en - v_eps, n),
+              "flux_l2": l2_norm(mesh, (p_eps - p_apx).reshape(len(p_eps), -1))}
+    return {tag: [(case.eps, t, e) for t, e in zip(cfg.t_list, err.tolist())]
+            for tag, err in errors.items()}
 
 
 def _resolvent_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
@@ -412,16 +405,16 @@ def _resolvent_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
     probes = _seeded_probes(cfg, idx, case.mesh, n)
     u_eps = resolvent(case.op_eps, zeta, probes)
     u_0 = resolvent(case.op_0, zeta, probes)
-    e_l2 = max(l2_norm(case.mesh, diff) for diff in u_eps - u_0)
+    e_l2 = l2_norm(case.mesh, u_eps - u_0).max()
     # one corrector call per probe: on 2-D grids a stack costs memory, no time
-    e_h1 = max(h1_norm(case.mesh, ue - (u0 + case.eps * cor.apply(u0)), n)
-               for ue, u0 in zip(u_eps, u_0))
-    rows = {"resolvent_l2": [(case.eps, None, e_l2)],
-            "resolvent_h1_corrector": [(case.eps, None, e_h1)]}
+    v_eps = np.stack([u0 + case.eps * cor.apply(u0) for u0 in u_0])
+    e_h1 = h1_norm(case.mesh, u_eps - v_eps, n).max()
+    rows = {"resolvent_l2": [(case.eps, None, float(e_l2))],
+            "resolvent_h1_corrector": [(case.eps, None, float(e_h1))]}
     if case.decomposable:
         diffs = op_inv_sqrt(eb_eps, probes) - op_inv_sqrt(eb_0, probes)
         rows["inv_sqrt_l2"] = [
-            (case.eps, None, max(l2_norm(case.mesh, diff) for diff in diffs))]
+            (case.eps, None, float(l2_norm(case.mesh, diffs).max()))]
     return rows
 
 
@@ -436,7 +429,7 @@ def _cosine_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
     cor = Corrector(fix.cell, case.eps, sym, case.ext, fix.lat, smoothed=True)
     eb_eps = spectral_decompose(case.op_eps)
     eb_0 = spectral_decompose(case.op_0)
-    rows = {"cos_h1_corrector": [], "cos_plain_h1": []}
+    errors = {"cos_h1_corrector": [], "cos_plain_h1": []}    # per probe
     # one stack of times per probe: stacking the probes too costs memory
     for f in _seeded_probes(cfg, idx, case.mesh, n):
         y0 = case.op_0.solve_shifted(0.0, f)            # (B0)^-1 f
@@ -444,14 +437,14 @@ def _cosine_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
         y_eps = case.op_eps.solve_shifted(0.0, y0)      # (B_eps)^-1 (B0)^-1 f
         w_0 = op_cosine(eb_0, t_list, y00)
         corrected = w_0 + case.eps * cor.apply(w_0)
-        w_eps = op_cosine(eb_eps, t_list, y_eps)
-        w_plain = op_cosine(eb_eps, t_list, y00)
-        for i, t in enumerate(t_list):
-            rows["cos_h1_corrector"].append(
-                (case.eps, t, h1_norm(case.mesh, w_eps[i] - corrected[i], n)))
-            rows["cos_plain_h1"].append(
-                (case.eps, t, h1_norm(case.mesh, w_plain[i] - w_0[i], n)))
-    return rows
+        # B_eps of both vectors in one pass: (T, 2, ndof)
+        w = op_cosine(eb_eps, t_list, np.stack([y_eps, y00]))
+        errors["cos_h1_corrector"].append(
+            h1_norm(case.mesh, w[:, 0] - corrected, n))
+        errors["cos_plain_h1"].append(h1_norm(case.mesh, w[:, 1] - w_0, n))
+    return {tag: [(case.eps, t, e) for err in per_probe
+                  for t, e in zip(t_list, err.tolist())]
+            for tag, per_probe in errors.items()}
 
 
 def _check_cosine_times(cfg: SweepConfig):

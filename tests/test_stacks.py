@@ -1,0 +1,222 @@
+"""Row-stacked sweep kernels: the norms, the eigenbasis products, the
+reflection, the seeded probes and the cosine rows take a whole stack in one
+call and agree with one call per row, kept here as the reference loops."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oscillat.lattice import unit_lattice
+from oscillat.coefficients import catalog
+from oscillat.dirichlet import (
+    make_mesh,
+    mesh_for,
+    assemble_b_eps,
+    read_bands,
+    l2_norm,
+    h1_norm,
+    Corrector,
+    _ax_slice,
+    _reflect_axis,
+)
+from oscillat.evolution import EigenBasis, op_cosine, spectral_decompose
+from oscillat.study import (
+    SweepConfig,
+    build_fixture,
+    build_cases,
+    _cosine_rows,
+    _seeded_probes,
+)
+
+PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# norms over the last axis
+
+
+@PROPERTY
+@given(d=st.sampled_from([1, 2]), n=st.sampled_from([1, 2]),
+       lead=st.lists(st.integers(min_value=1, max_value=4), min_size=0,
+                     max_size=2),
+       complex_=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_stacked_norms_equal_per_row_calls(d, n, lead, complex_, seed):
+    mesh = make_mesh([1.0, 1.3][:d], [7, 5][:d])
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (mesh.n_nodes * n,)
+    vec = rng.standard_normal(shape)
+    if complex_:
+        vec = vec + 1j * rng.standard_normal(shape)
+    stacked = {"l2": l2_norm(mesh, vec), "h1": h1_norm(mesh, vec, n)}
+    for name, norm in stacked.items():
+        assert isinstance(norm, np.ndarray) if lead else isinstance(norm, float)
+        assert np.shape(norm) == tuple(lead)
+    for idx in np.ndindex(*lead):
+        row = {"l2": l2_norm(mesh, vec[idx]), "h1": h1_norm(mesh, vec[idx], n)}
+        for name, value in row.items():
+            assert type(value) is float
+            assert abs(np.asarray(stacked[name])[idx] - value) <= 1e-14 * value
+
+
+# ---------------------------------------------------------------------------
+# eigenbasis products: one GEMM per stack, no conjugated copy of the basis
+
+
+def _random_basis(size, complex_, seed=0):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((size, size))
+    if complex_:
+        a = a + 1j * rng.standard_normal((size, size))
+    q, _ = np.linalg.qr(a)
+    return EigenBasis(np.arange(1.0, size + 1.0), q, source=None)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_basis_products_of_a_stack_equal_per_slice_calls(complex_):
+    eb = _random_basis(64, complex_)
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal((5, 3, 64)) + 1j * rng.standard_normal((5, 3, 64))
+    for fn in (eb.project, eb.synthesize):
+        stacked = fn(v)
+        assert stacked.shape == v.shape
+        for i in range(v.shape[0]):
+            per_slice = fn(v[i])
+            assert (np.abs(stacked[i] - per_slice).max()
+                    <= 1e-14 * np.abs(per_slice).max())
+    # a single vector keeps its shape
+    assert eb.project(v[0, 0]).shape == (64,)
+
+
+def test_complex_projection_copies_no_basis():
+    eb = _random_basis(1023, complex_=True)
+    v = np.random.default_rng(2).standard_normal((2, 1023))
+    tracemalloc.start()
+    try:
+        coeffs = eb.project(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6       # a conjugated copy of the basis is 16.7 MB
+    assert np.array_equal(coeffs, v @ eb.eigenvectors.conj())
+
+
+# ---------------------------------------------------------------------------
+# reflection: all layers of a face in one assignment
+
+
+def _reflect_axis_loop(values, d, axis, pad, m_int):
+    """One layer at a time, as the reflection was first written."""
+    left_face = pad
+    right_face = pad + m_int + 1
+    sl = lambda i: _ax_slice(d, axis, i)
+    for j in range(1, pad + 1):
+        values[sl(left_face - j)] = (6.0 * values[sl(left_face + j)]
+                                     - 8.0 * values[sl(left_face + 2 * j)]
+                                     + 3.0 * values[sl(left_face + 3 * j)])
+        values[sl(right_face + j)] = (6.0 * values[sl(right_face - j)]
+                                      - 8.0 * values[sl(right_face - 2 * j)]
+                                      + 3.0 * values[sl(right_face - 3 * j)])
+    return values
+
+
+@pytest.mark.parametrize("m_int, pad", [((17,), (6,)), ((17,), (1,)),
+                                         ((14, 11), (5, 4))])
+def test_reflection_is_bit_identical_to_the_layer_loop(m_int, pad):
+    d = len(m_int)
+    rng = np.random.default_rng(3)
+    shape = (4,) + tuple(M + 2 + 2 * p for M, p in zip(m_int, pad)) + (2,)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for axis in range(d):
+        want = _reflect_axis_loop(values.copy(), d, axis, pad[axis], m_int[axis])
+        got = _reflect_axis(values.copy(), d, axis, pad[axis], m_int[axis])
+        assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# seeded probes and cosine rows
+
+
+def test_seeded_probes_are_the_per_probe_draws():
+    mesh = make_mesh([1.0], [255])
+    cfg = SweepConfig(seed=11, n_probe=7)
+    rng = np.random.default_rng((cfg.seed, 2))
+    want = []
+    for _ in range(7):
+        f = rng.standard_normal(mesh.n_nodes)
+        want.append(f / l2_norm(mesh, f))
+    assert np.array_equal(_seeded_probes(cfg, 2, mesh, 1), np.array(want))
+
+
+def _cosine_rows_loop(fix, cfg, idx, case):
+    """One cosine call per vector and one norm per (probe, time)."""
+    sym, n = fix.coeffs.symbol, fix.coeffs.symbol.n
+    t_list = [t for t in cfg.t_list if t != 0.0]
+    cor = Corrector(fix.cell, case.eps, sym, case.ext, fix.lat, smoothed=True)
+    eb_eps = spectral_decompose(case.op_eps)
+    eb_0 = spectral_decompose(case.op_0)
+    rows = {"cos_h1_corrector": [], "cos_plain_h1": []}
+    for f in _seeded_probes(cfg, idx, case.mesh, n):
+        y0 = case.op_0.solve_shifted(0.0, f)
+        y00 = case.op_0.solve_shifted(0.0, y0)
+        y_eps = case.op_eps.solve_shifted(0.0, y0)
+        w_0 = op_cosine(eb_0, t_list, y00)
+        corrected = w_0 + case.eps * cor.apply(w_0)
+        w_eps = op_cosine(eb_eps, t_list, y_eps)
+        w_plain = op_cosine(eb_eps, t_list, y00)
+        for i, t in enumerate(t_list):
+            rows["cos_h1_corrector"].append(
+                (case.eps, t, h1_norm(case.mesh, w_eps[i] - corrected[i], n)))
+            rows["cos_plain_h1"].append(
+                (case.eps, t, h1_norm(case.mesh, w_plain[i] - w_0[i], n)))
+    return rows
+
+
+@pytest.mark.parametrize("params", [{}, {"a_amp": 0.3}])
+def test_cosine_rows_match_the_per_probe_loop(params):
+    # a_amp makes both operators complex: the stored and the closed-form
+    # bases of the real fixture, the complex stored bases of the other
+    cfg = SweepConfig(fixture="sine1d", fixture_params=params, cell_n=64,
+                      t_list=(0.0, 0.5, 1.0, 2.0), n_probe=5)
+    fix = build_fixture(cfg)
+    for idx, case in enumerate(build_cases(fix, cfg, [0.125, 0.0625])):
+        got = _cosine_rows(fix, cfg, idx, case)
+        want = _cosine_rows_loop(fix, cfg, idx, case)
+        assert list(got) == list(want)
+        for tag in want:
+            assert [r[:2] for r in got[tag]] == [r[:2] for r in want[tag]]
+            assert len(want[tag]) == 5 * 3
+            for (_, _, a), (_, _, b) in zip(got[tag], want[tag]):
+                assert type(a) is float
+                assert abs(a - b) <= 1e-11 * b
+
+
+# ---------------------------------------------------------------------------
+# the band reader decides the split from the CSR arrays, exactly
+
+
+def test_band_reader_refuses_a_one_ulp_or_wide_x2_coupling():
+    mesh = mesh_for([1.0, 1.0], 0.25 / 16)
+    op = assemble_b_eps(mesh, catalog("laminate2d"), 0.25, unit_lattice(2))
+    m2 = mesh.m_int[1]
+    assert len(read_bands(op.matrix, mesh.m_int)) == 2
+    row = 7 * m2 + 4                        # node (7, 4), away from faces
+    # one ulp on an x2 coupling (To), and on an entry of Ta
+    for col in (row + 1, row - 1, row + m2 + 1, row - m2 - 1, row, row + m2):
+        moved = op.matrix.copy()
+        moved[row, col] = np.nextafter(moved[row, col], np.inf)
+        assert read_bands(moved, mesh.m_int) is None
+    # x2 offset 2, on and off the line, and x2 offset 1 wrapping from the
+    # last node of one line to the first of the next
+    for r, c in ((row, row + 2), (row, row - m2 + 2), (8 * m2 - 1, 8 * m2)):
+        wide = op.matrix.tolil()
+        wide[r, c] = 1e-300
+        assert read_bands(wide.tocsr(), mesh.m_int) is None
+    # an explicit zero is no coupling
+    explicit = op.matrix.tolil()
+    explicit[row, row + 2] = 12345.0
+    explicit = explicit.tocsr()
+    explicit.data[explicit.data == 12345.0] = 0.0
+    assert explicit.nnz > op.matrix.nnz
+    assert len(read_bands(explicit, mesh.m_int)) == 2
