@@ -21,7 +21,6 @@ import operator
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -228,7 +227,7 @@ class DiscreteDirichletOperator:
                                         f" is an eigenvalue")
             shape, gaps = gaps.shape, gaps.ravel()
             solver = SimpleNamespace(solve=lambda cols: sine_transform(
-                sine_transform(cols.T, shape) / gaps, shape, inverse=True).T)
+                sine_transform(cols.T, shape) / gaps, shape).T)
             self._factors[key] = (solver, key.imag == 0.0)
         if key not in self._factors:
             mat = self.matrix
@@ -363,15 +362,30 @@ def dst_spectrum(bands, m_int):
     return (along + 2.0 * across)[:, None] - np.multiply.outer(across, p[1])
 
 
-def sine_transform(rows: np.ndarray, shape, inverse: bool = False):
-    """The orthonormal DST-I (idstn when inverse) of dof rows (..., ndof)
-    over the grid axes of shape, as rows: the transform pair of every
-    operator with a closed-form spectrum."""
+def sine_transform(rows: np.ndarray, shape) -> np.ndarray:
+    """The orthonormal DST-I of dof rows (..., ndof) over the grid axes of
+    shape, as rows: the eigenbasis of every operator with a closed-form
+    spectrum.  It is its own inverse.
+
+    An axis of length m takes one numpy rfft of the odd extension
+    (0, x, 0, -reversed x), whose entries 1..m have imaginary part
+    -sqrt(2(m + 1)) times the DST-I of x.  A complex input is transformed as
+    its real and imaginary parts.
+    """
     rows = np.asarray(rows)
-    fn = scipy.fft.idstn if inverse else scipy.fft.dstn
+    if np.iscomplexobj(rows):
+        return (sine_transform(rows.real, shape)
+                + 1j * sine_transform(rows.imag, shape))
     grid = rows.reshape(rows.shape[:-1] + tuple(shape))
-    axes = tuple(range(-len(shape), 0))
-    return fn(grid, type=1, norm="ortho", axes=axes).reshape(rows.shape)
+    for axis in range(-len(shape), 0):
+        x = np.moveaxis(grid, axis, -1)
+        m = x.shape[-1]
+        odd = np.zeros(x.shape[:-1] + (2 * m + 2,))
+        odd[..., 1:m + 1] = x
+        np.negative(x[..., ::-1], out=odd[..., m + 2:])
+        y = np.fft.rfft(odd).imag[..., 1:m + 1] * (-1.0 / np.sqrt(2.0 * m + 2.0))
+        grid = np.moveaxis(y, -1, axis)
+    return grid.reshape(rows.shape)
 
 
 def _lowest_tridiagonal(diag, sub) -> float:
@@ -827,7 +841,9 @@ class Corrector:
         self.smoothed = smoothed
         axes = ext_op.axes_ext()
         self.lam_eps = eval_scaled_grid(cell.Lambda, lat, eps, axes)
-        self.lam_tilde_eps = eval_scaled_grid(cell.LambdaTilde, lat, eps, axes)
+        lam_tilde_eps = eval_scaled_grid(cell.LambdaTilde, lat, eps, axes)
+        # None when identically zero (no first-order terms): apply_ext skips it
+        self.lam_tilde_eps = lam_tilde_eps if lam_tilde_eps.any() else None
 
     def apply_ext(self, u_ext: np.ndarray) -> np.ndarray:
         """Corrector of extended grid functions (..., *shape_ext, n); returns
@@ -835,7 +851,8 @@ class Corrector:
         s, bds = smoothed_bD(u_ext, self.ext_op, self.sym, self.lat, self.eps,
                              self.smoothed)
         total = np.einsum("...nm,...m->...n", self.lam_eps, bds)
-        total += np.einsum("...nk,...k->...n", self.lam_tilde_eps, s)
+        if self.lam_tilde_eps is not None:
+            total += np.einsum("...nk,...k->...n", self.lam_tilde_eps, s)
         return self.ext_op.restrict(total)
 
     def apply(self, u_interior: np.ndarray) -> np.ndarray:

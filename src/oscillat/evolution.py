@@ -14,6 +14,10 @@ every basis with sparse products, never through an N x N temporary.  A
 Stoermer-Verlet integrator provides an independent check that never
 touches the eigenbasis.
 
+Importing the module loads numpy, scipy.linalg and scipy.sparse only: the
+sine transforms are numpy FFTs (dirichlet.sine_transform), and the Duhamel
+forcing imports scipy.interpolate's CubicSpline when it is first used.
+
 Vectors are rows: a dof vector has shape (..., ndof), leading axes hold a
 stack of vectors, and the eigenbasis projects and synthesizes all rows
 at once.  Times lead: an operator function of times t (a scalar or a 1-D
@@ -25,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.interpolate import CubicSpline
 
 from .errors import EigSolverFailure, CFLViolation, ForcingGridTooCoarse
 from .dirichlet import (
@@ -88,7 +91,8 @@ class SineBasis(_Basis):
     """The orthonormal DST-I eigenbasis of an operator with a closed-form
     spectrum: eigenvalues holds source.spectrum ascending, order the flat
     grid position of each.  project is sine_transform and a gather into that
-    order, synthesize the scatter back and the inverse transform."""
+    order, synthesize the scatter back and sine_transform again (the DST-I is
+    its own inverse)."""
 
     eigenvalues: np.ndarray
     order: np.ndarray
@@ -100,7 +104,7 @@ class SineBasis(_Basis):
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         grid = np.empty_like(coeffs)
         grid[..., self.order] = coeffs
-        return sine_transform(grid, self.source.spectrum.shape, inverse=True)
+        return sine_transform(grid, self.source.spectrum.shape)
 
     def checked_rows(self):
         """The lowest and highest unit modes and four seeded random rows c,
@@ -245,6 +249,7 @@ def _gauss_panels(t: float, max_width: float, order: int = 8):
 
 def _forcing_spline(eb: EigenBasis, t_grid, values, t_max: float):
     """Cubic-spline interpolation of time-sampled forcing in eigenspace."""
+    from scipy.interpolate import CubicSpline   # loaded by the forcing only
     t_grid = np.asarray(t_grid, dtype=float)
     values = np.asarray(values)
     if t_grid.ndim != 1 or values.shape[0] != t_grid.size:

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -22,6 +23,7 @@ from oscillat.dirichlet import (
     dst_spectrum,
     read_bands,
     resolvent,
+    sine_transform,
     DiscreteDirichletOperator,
 )
 from oscillat.evolution import (
@@ -67,6 +69,30 @@ def closed_form_op(request):
     assert op.size <= 4096
     assert op.spectrum is not None
     return op
+
+
+# ---------------------------------------------------------------------------
+# the numpy DST-I against scipy's
+
+
+@pytest.mark.parametrize("shape", [(9,), (255,), (5, 7), (31, 24)])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 4)])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_sine_transform_matches_scipy_dstn(shape, lead, kind):
+    rng = np.random.default_rng(sum(shape) + len(lead))
+    rows = rng.standard_normal(lead + (int(np.prod(shape)),))
+    if kind is complex:
+        rows = rows + 1j * rng.standard_normal(rows.shape)
+    grid = rows.reshape(lead + shape)
+    axes = tuple(range(-len(shape), 0))
+    out = sine_transform(rows, shape)
+    assert out.shape == rows.shape and out.dtype == rows.dtype
+    for fn in (scipy.fft.dstn, scipy.fft.idstn):
+        ref = fn(grid, type=1, norm="ortho", axes=axes).reshape(rows.shape)
+        assert np.linalg.norm(out - ref) <= 1e-15 * np.linalg.norm(ref)
+    # its own inverse
+    back = sine_transform(out, shape)
+    assert np.linalg.norm(back - rows) <= 1e-15 * np.linalg.norm(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,60 @@
+"""Cold start: importing the package loads numpy, scipy.linalg and
+scipy.sparse, and no other scipy subpackage; the Duhamel forcing loads
+scipy.interpolate when it is first used.  Each check runs in a fresh
+interpreter, since this test session has imported scipy widely."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+#: scipy subpackages that importing the package must not load
+UNUSED_AT_IMPORT = ("scipy.interpolate", "scipy.optimize", "scipy.spatial",
+                    "scipy.special", "scipy.fft")
+
+
+def run_fresh(code: str) -> str:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_import_loads_only_the_scipy_it_needs():
+    loaded = run_fresh("import sys, oscillat.cli\n"
+                       "print(*sorted(sys.modules))").split()
+    assert {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"} <= set(loaded)
+    unwanted = [name for name in loaded for pkg in UNUSED_AT_IMPORT
+                if name == pkg or name.startswith(pkg + ".")]
+    assert unwanted == []
+
+
+def test_forced_solve_ibvp_runs_in_fresh_process():
+    # one forced mode against its closed form (as test_evolution checks it);
+    # CubicSpline is loaded by the forcing, not before
+    out = run_fresh("""
+import sys
+import numpy as np
+from oscillat.coefficients import catalog
+from oscillat.dirichlet import make_mesh, assemble_b_eps
+from oscillat.evolution import spectral_decompose, solve_ibvp
+from oscillat.lattice import unit_lattice
+
+op = assemble_b_eps(make_mesh([1.0], [63]), catalog("const", {"g": 1.0, "d": 1}),
+                    1.0, unit_lattice(1))
+eb = spectral_decompose(op)
+before = "scipy.interpolate" in sys.modules
+q1, mu1, omega = eb.synthesize(np.eye(op.size)[0]), eb.eigenvalues[0], 3.0
+t_grid = np.linspace(0.0, 2.0, 81)
+res = solve_ibvp(eb, 0 * q1, 0 * q1, (t_grid, np.cos(omega * t_grid)[:, None] * q1),
+                 [0.5, 1.0, 2.0])
+coef = (np.cos(omega * res.times) - np.cos(np.sqrt(mu1) * res.times)) / (mu1 - omega ** 2)
+print(before, "scipy.interpolate" in sys.modules,
+      np.abs(res.u - coef[:, None] * q1).max())
+""").split()
+    assert out[:2] == ["False", "True"]
+    assert float(out[2]) < 1e-8

@@ -298,11 +298,34 @@ def test_resolvent_sweep_inv_sqrt_on_every_case_or_none():
     assert all(len(e.rows) == 4 for e in report.estimates)
 
 
-def test_insufficient_points_raised_for_short_sweeps():
+def test_short_sweep_reports_insufficient_verdict():
+    # three eps are too few for a verdict: every thresholded tag still gets
+    # its fitted slope, and the report does not pass
     cfg = SweepConfig(fixture="sine1d", eps_list=(0.125, 0.0625, 0.03125),
                       t_list=(0.5,), seed=7)
-    with pytest.raises(InsufficientPoints):
-        convergence_sweep(cfg)
+    report = convergence_sweep(cfg)
+    assert not report.all_passed()
+    assert {e.verdict for e in report.estimates} == {"insufficient"}
+    for est in report.estimates:
+        per_eps = {}
+        for e, _t, err in est.rows:
+            per_eps[e] = max(per_eps.get(e, 0.0), err)
+        assert len(per_eps) == 3 and not est.passed()
+        assert est.slope == pytest.approx(fit_rate(sorted(per_eps.items()))[0],
+                                          rel=1e-12)
+
+
+def test_cli_short_sweep_writes_report_and_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = write_quick_config(tmp_path, out,
+                                  eps="[0.125, 0.0625, 0.03125]")
+    assert run_cli(["resolvent-sweep", "--config", str(cfg_path)]) == 2
+    rates = (out / "rates.csv").read_text().strip().splitlines()
+    assert {line.split(",")[1] for line in rates[1:]} == {
+        "0.125", "0.0625", "0.03125"}
+    verdicts = [line.split()[-1] for line in
+                (out / "report.txt").read_text().splitlines()[:-1]]
+    assert verdicts and set(verdicts) == {"insufficient"}
 
 
 def test_report_text_formats():
