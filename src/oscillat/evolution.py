@@ -23,6 +23,12 @@ stack of vectors, and the eigenbasis projects and synthesizes all rows
 at once.  Times lead: an operator function of times t (a scalar or a 1-D
 array) applied to v returns t.shape + v.shape, and a path of solutions has
 shape (T, ..., ndof).
+
+The forcing is separable, F(t) = c(t) f, given as (t_grid, profile,
+f_space).  solve_ibvp projects f once; per time s each mode's Duhamel term
+is a table of a scalar integral of c (_duhamel_tables), evaluated by
+Gauss-Legendre panels and a phase recurrence over them, and added to the
+modal solution before the one synthesis.
 """
 
 from dataclasses import dataclass, field
@@ -49,8 +55,14 @@ from .lattice import Lattice, unit_lattice
 _EIG_LIMIT = 8192
 
 
+@dataclass(frozen=True)
 class _Basis:
-    """What both backends share; factors broadcast against the eigenvalues."""
+    """What both backends share: factors broadcast against the eigenvalues,
+    and a one-entry memo of the last time table an operator function built
+    (_time_factors)."""
+
+    _last_table: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @property
     def size(self) -> int:
@@ -214,17 +226,30 @@ def _sinc_factors(mu: np.ndarray, t) -> np.ndarray:
     return out
 
 
+def _time_factors(eb: EigenBasis | SineBasis, fn, t, v) -> np.ndarray:
+    """The table fn(mu, t), shaped t.shape + (1,) * (v.ndim - 1) + (N,) to
+    broadcast against v's coefficients.  Each basis keeps the last table it
+    was asked for, read-only, so repeated calls on the same times (one per
+    probe) build it once."""
+    t = np.asarray(t, dtype=float)
+    key = (fn, t.shape, t.tobytes())
+    memo = eb._last_table
+    if key not in memo:
+        memo.clear()
+        memo[key] = fn(eb.eigenvalues, t[..., None])
+        memo[key].flags.writeable = False
+    return memo[key].reshape(t.shape + (1,) * (np.ndim(v) - 1) + (eb.size,))
+
+
 def op_cosine(eb: EigenBasis, t, v: np.ndarray) -> np.ndarray:
     """cos(t A^(1/2)) v, shape t.shape + v.shape; the identity at t = 0."""
-    t = np.reshape(t, np.shape(t) + (1,) * np.ndim(v))
-    return eb.map_spectrum(_cos_factors(eb.eigenvalues, t), v)
+    return eb.map_spectrum(_time_factors(eb, _cos_factors, t, v), v)
 
 
 def op_sine_scaled(eb: EigenBasis, t, v: np.ndarray) -> np.ndarray:
     """A^(-1/2) sin(t A^(1/2)) v, shape t.shape + v.shape; equals the time
     integral of the cosine."""
-    t = np.reshape(t, np.shape(t) + (1,) * np.ndim(v))
-    return eb.map_spectrum(_sinc_factors(eb.eigenvalues, t), v)
+    return eb.map_spectrum(_time_factors(eb, _sinc_factors, t, v), v)
 
 
 def op_inv_sqrt(eb: EigenBasis, v: np.ndarray) -> np.ndarray:
@@ -235,31 +260,53 @@ def op_inv_sqrt(eb: EigenBasis, v: np.ndarray) -> np.ndarray:
 # Duhamel evolution
 
 
-def _gauss_panels(t: float, max_width: float, order: int = 8):
-    """Composite Gauss-Legendre nodes/weights on [0, t]."""
-    n_panels = max(1, int(np.ceil(t / max_width)))
-    edges = np.linspace(0.0, t, n_panels + 1)
-    xi, w = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * xi + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _forcing_spline(eb: EigenBasis, t_grid, values, t_max: float):
-    """Cubic-spline interpolation of time-sampled forcing in eigenspace."""
+def _profile_spline(t_grid, profile, times: np.ndarray):
+    """The not-a-knot cubic spline of a scalar time profile, checked to
+    cover [min(0, times), max(0, times)]."""
     from scipy.interpolate import CubicSpline   # loaded by the forcing only
     t_grid = np.asarray(t_grid, dtype=float)
-    values = np.asarray(values)
-    if t_grid.ndim != 1 or values.shape[0] != t_grid.size:
-        raise ForcingGridTooCoarse("forcing needs matching time grid and samples")
+    profile = np.asarray(profile)
+    if t_grid.ndim != 1 or profile.shape != t_grid.shape:
+        raise ForcingGridTooCoarse(
+            "forcing needs a time grid and a profile of matching length")
+    if not np.isrealobj(profile):
+        raise ValueError("the forcing profile is real; a complex amplitude "
+                         "belongs in f_space")
     if t_grid.size < 4:
         raise ForcingGridTooCoarse("cubic interpolation needs >= 4 time samples")
-    if t_grid[0] > 0.0 or t_grid[-1] < t_max - 1e-12:
+    lo, hi = min(0.0, times.min(initial=0.0)), max(0.0, times.max(initial=0.0))
+    if t_grid[0] > lo + 1e-12 or t_grid[-1] < hi - 1e-12:
         raise ForcingGridTooCoarse(
-            f"forcing grid [{t_grid[0]}, {t_grid[-1]}] does not cover [0, {t_max}]")
-    return CubicSpline(t_grid, eb.project(values), axis=0)
+            f"forcing grid [{t_grid[0]}, {t_grid[-1]}] does not cover "
+            f"[{lo}, {hi}]")
+    return CubicSpline(t_grid, profile)
+
+
+def _duhamel_tables(root: np.ndarray, s: float, profile):
+    """Per-mode Duhamel tables of a scalar profile c at time s:
+    Ku = int_0^s c(x) sin(root (s - x)) / root dx and
+    Kdu = int_0^s c(x) cos(root (s - x)) dx, root = sqrt(mu) > 0.
+
+    The quadrature is 8-point Gauss-Legendre on n uniform panels of signed
+    width H = s / n <= min(0.1, |s|/4).  Node j of panel p sits at
+    s - x = (n-1-p) H + H (1 - xi_j)/2, so with E_j = exp(i root H (1-xi_j)/2)
+    and R = exp(i root H) the sum is a Horner pass over the panel sums
+    G_p = sum_j w_j c(x_pj) E_j: 9 N complex exponentials per time.
+    """
+    if s == 0.0:
+        return np.zeros_like(root), np.zeros_like(root)
+    n = max(1, int(np.ceil(abs(s) / min(0.1, abs(s) / 4.0))))
+    h = s / n
+    xi, w = np.polynomial.legendre.leggauss(8)
+    cw = 0.5 * h * w * profile(h * (np.arange(n)[:, None] + 0.5 * (1.0 + xi)))
+    e = np.exp(1j * np.multiply.outer(0.5 * h * (1.0 - xi), root))
+    # a real (n, 8) by complex (8, N) product as one real GEMM
+    g = (cw @ e.view(float)).view(complex)
+    r = np.exp(1j * h * root)
+    acc = g[0]
+    for g_p in g[1:]:
+        acc = acc * r + g_p
+    return acc.imag / root, acc.real
 
 
 def solve_ibvp(eb: EigenBasis, phi: np.ndarray, psi: np.ndarray,
@@ -268,33 +315,34 @@ def solve_ibvp(eb: EigenBasis, phi: np.ndarray, psi: np.ndarray,
 
     phi and psi are dof vectors or broadcastable stacks of them
     (..., ndof); the path holds u and du_dt of shape (T, ..., ndof).
-    forcing is None or a pair (t_grid, samples) with samples of shape
-    (len(t_grid), ndof), the same for every stacked row; the convolution
-    integral uses composite Gauss-Legendre panels of width
-    <= min(0.1, t/4) with the forcing interpolated by cubic splines.
+    forcing is None or a separable F(t) = c(t) f: a triple
+    (t_grid, profile, f_space) with the real profile c sampled on t_grid and
+    one dof vector f_space, the same for every stacked row.  f_space is
+    projected once; c is interpolated by a not-a-knot cubic spline, and each
+    time s adds the per-mode tables of _duhamel_tables times f_hat to the
+    modal u and du.  The integral runs over [0, s] for every time, negative
+    ones included, so t_grid must cover [min(0, t), max(0, t)].
     """
     mu = eb.eigenvalues
+    root = np.sqrt(mu)
     phi_hat = eb.project(np.asarray(phi))
     psi_hat = eb.project(np.asarray(psi))
     t_list = np.asarray(list(t_list), dtype=float)
     t = t_list.reshape((-1,) + (1,) * max(phi_hat.ndim, psi_hat.ndim))
     u_hat = _cos_factors(mu, t) * phi_hat + _sinc_factors(mu, t) * psi_hat
-    du_hat = (-np.sqrt(mu) * np.sin(t * np.sqrt(mu)) * phi_hat
-              + _cos_factors(mu, t) * psi_hat)
+    du_hat = -root * np.sin(t * root) * phi_hat + _cos_factors(mu, t) * psi_hat
     if forcing is not None:
-        spline = _forcing_spline(eb, forcing[0], forcing[1],
-                                 float(t_list.max(initial=0.0)))
-        dtype = np.result_type(u_hat, spline.c)
-        u_hat, du_hat = u_hat.astype(dtype), du_hat.astype(dtype)
-        for i, s in enumerate(t_list):      # the convolution, in modal space
-            if s <= 0.0:
-                continue
-            nodes, weights = _gauss_panels(s, min(0.1, s / 4.0))
-            f_hat = spline(nodes)  # (q, modes)
-            u_hat[i] += ((_sinc_factors(mu[None, :], (s - nodes)[:, None])
-                          * f_hat) * weights[:, None]).sum(axis=0)
-            du_hat[i] += ((np.cos((s - nodes)[:, None] * np.sqrt(mu)[None, :])
-                           * f_hat) * weights[:, None]).sum(axis=0)
+        if len(forcing) != 3:
+            raise ValueError("forcing is a triple (t_grid, profile, f_space) "
+                             "of a separable F(t) = profile(t) f_space")
+        t_grid, profile, f_space = forcing
+        spline = _profile_spline(t_grid, profile, t_list)
+        f_hat = eb.project(np.asarray(f_space))
+        # (T, 2, 1.., N): Ku and Kdu of each time, broadcast over the stack
+        k = np.reshape([_duhamel_tables(root, s, spline) for s in t_list],
+                       (t_list.size, 2) + (1,) * (u_hat.ndim - 2) + root.shape)
+        u_hat = u_hat + k[:, 0] * f_hat
+        du_hat = du_hat + k[:, 1] * f_hat
     energy = (np.sum(np.abs(du_hat) ** 2, axis=-1)
               + np.sum(mu * np.abs(u_hat) ** 2, axis=-1))
     return EvolutionResult(times=t_list, u=eb.synthesize(u_hat),

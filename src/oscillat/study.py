@@ -322,10 +322,11 @@ def evolve_case(fix: Fixture, cfg: SweepConfig, case: Case,
     phi, psi = data(cfg.phi), data(cfg.psi)
     forcing = None
     if cfg.forcing != "none":
-        t_max = max(t_list)
-        t_grid = np.linspace(0.0, t_max, max(9, int(33 * t_max) + 1))
-        forcing = (t_grid, np.cos(cfg.forcing_omega * t_grid)[:, None]
-                   * data(cfg.forcing))
+        # [min(0, t), max(0, t)], about 33 samples per unit time
+        lo, hi = min([0.0, *t_list]), max([0.0, *t_list])
+        t_grid = np.linspace(lo, hi, max(9, int(33 * (hi - lo)) + 1))
+        forcing = (t_grid, np.cos(cfg.forcing_omega * t_grid),
+                   data(cfg.forcing))
     u_eps, u_0 = (solve_ibvp(eb, np.stack([phi, 0 * phi]), psi, forcing,
                              t_list).u for eb in (eb_eps, eb_0))
     en = int(energy_phi_zero)

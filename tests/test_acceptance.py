@@ -28,7 +28,6 @@ from oscillat.evolution import (
     leapfrog_oracle,
     leapfrog_energy_drift,
     estimate_mu_max,
-    _gauss_panels,
 )
 from oscillat.study import (
     SweepConfig,
@@ -38,6 +37,18 @@ from oscillat.study import (
     build_fixture,
 )
 from oscillat.cli import run_cli
+
+
+def _gauss_panels(t: float, max_width: float, order: int = 8):
+    """Composite Gauss-Legendre nodes/weights on [0, t]."""
+    n_panels = max(1, int(np.ceil(t / max_width)))
+    edges = np.linspace(0.0, t, n_panels + 1)
+    xi, w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        nodes.append(0.5 * (b - a) * xi + 0.5 * (a + b))
+        weights.append(0.5 * (b - a) * w)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 LAT1 = unit_lattice(1)
 LAT2 = unit_lattice(2)

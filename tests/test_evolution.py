@@ -4,6 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from oscillat import evolution
 from oscillat.errors import CFLViolation, ForcingGridTooCoarse, EigSolverFailure
 from oscillat.lattice import unit_lattice
 from oscillat.coefficients import catalog
@@ -30,10 +31,23 @@ from oscillat.evolution import (
     leapfrog_oracle,
     leapfrog_energy_drift,
     estimate_mu_max,
-    _gauss_panels,
+    _duhamel_tables,
+    _profile_spline,
 )
 
 LAT1 = unit_lattice(1)
+
+
+def _gauss_panels(t: float, max_width: float, order: int = 8):
+    """Composite Gauss-Legendre nodes/weights on [0, t]."""
+    n_panels = max(1, int(np.ceil(t / max_width)))
+    edges = np.linspace(0.0, t, n_panels + 1)
+    xi, w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        nodes.append(0.5 * (b - a) * xi + 0.5 * (a + b))
+        weights.append(0.5 * (b - a) * w)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 class _FakeOp:
@@ -235,6 +249,43 @@ def test_cosine_functional_equation():
     assert np.abs(lhs - rhs).max() <= 1e-8 * np.abs(v).max()
 
 
+def test_time_tables_are_built_once_per_basis_and_times(monkeypatch):
+    # op_cosine and op_sine_scaled share one memo entry per basis: repeated
+    # calls on the same times (one per probe) build the table once
+    built = []
+    cos_factors = evolution._cos_factors
+    monkeypatch.setattr(evolution, "_cos_factors",
+                        lambda mu, t: built.append(t.size) or cos_factors(mu, t))
+    mesh, op = laplacian_op(31)
+    eb = spectral_decompose(op)
+    root = np.sqrt(eb.eigenvalues)
+    v = np.random.default_rng(8).standard_normal((2, op.size))
+    t1, t2 = np.array([0.3, 1.1, 2.5]), np.array([0.3, 1.1, 2.6])
+
+    def direct(fn, t, w):
+        return eb.synthesize(fn(np.multiply.outer(t, root))[:, None]
+                             * eb.project(w))
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    assert close(op_cosine(eb, t1, v), direct(np.cos, t1, v))
+    assert close(op_cosine(eb, t1, v[0]), direct(np.cos, t1, v[0])[:, 0])
+    assert close(op_cosine(eb, t1, v), direct(np.cos, t1, v))
+    assert built == [3]
+    sine = op_sine_scaled(eb, t1, v)
+    assert close(sine, direct(lambda a: np.sin(a) / root, t1, v))
+    assert close(op_cosine(eb, t1, v), direct(np.cos, t1, v))
+    assert close(op_cosine(eb, t2, v), direct(np.cos, t2, v))
+    assert close(op_cosine(eb, t1[0], v), direct(np.cos, t1[:1], v)[0])
+    assert built == [3, 3, 3, 1]
+    assert len(eb._last_table) == 1
+    # a caller's result is not a view of the kept table
+    sine += 1.0
+    assert close(op_sine_scaled(eb, t1, v),
+                 direct(lambda a: np.sin(a) / root, t1, v))
+
+
 def test_sine_derivative_consistency():
     # central difference of the scaled sine converges to the cosine at dt^2
     mesh, op = laplacian_op(31)
@@ -282,11 +333,80 @@ def test_ibvp_forced_mode_closed_form():
     q1, mu1 = eb.synthesize(np.eye(op.size)).T[:, 0], eb.eigenvalues[0]
     omega = 3.0
     t_grid = np.linspace(0.0, 2.0, 81)
-    forcing = (t_grid, np.cos(omega * t_grid)[:, None] * q1)
+    forcing = (t_grid, np.cos(omega * t_grid), q1)
     res = solve_ibvp(eb, 0 * q1, 0 * q1, forcing, [0.5, 1.0, 2.0])
     for i, t in enumerate(res.times):
         coef = (np.cos(omega * t) - np.cos(np.sqrt(mu1) * t)) / (mu1 - omega ** 2)
         assert np.abs(res.u[i] - coef * q1).max() < 1e-8
+
+
+def test_ibvp_forced_mode_closed_form_negative_times():
+    # the Duhamel integral runs over [0, t] for t < 0 too; the closed form
+    # of the forced mode holds there unchanged (u(-1) = 0.0115 q1)
+    mesh, op = laplacian_op()
+    eb = spectral_decompose(op)
+    q1, mu1 = eb.synthesize(np.eye(op.size)).T[:, 0], eb.eigenvalues[0]
+    omega = 3.0
+    t_grid = np.linspace(-1.0, 0.0, 41)
+    res = solve_ibvp(eb, 0 * q1, 0 * q1, (t_grid, np.cos(omega * t_grid), q1),
+                     [-1.0, -0.5])
+    for i, t in enumerate(res.times):
+        coef = (np.cos(omega * t) - np.cos(np.sqrt(mu1) * t)) / (mu1 - omega ** 2)
+        assert np.abs(res.u[i] - coef * q1).max() < 1e-8
+
+
+def _direct_tables(mu, s, profile):
+    """The per-node Duhamel sum: sin and cos at every Gauss node and mode."""
+    nodes, weights = _gauss_panels(s, min(0.1, s / 4.0))
+    cw = weights * profile(nodes)
+    arg = (s - nodes)[:, None] * np.sqrt(mu)[None, :]
+    return cw @ np.sin(arg) / np.sqrt(mu), cw @ np.cos(arg), np.abs(cw).sum()
+
+
+@pytest.fixture(scope="module", params=["sine1d", "sine1d-complex"])
+def fine_basis(request):
+    """B_eps of sine1d at eps 1/128 (2047 unknowns), real or with a_amp 0.3."""
+    cs = catalog("sine1d", {"a_amp": 0.3} if request.param != "sine1d" else {})
+    eps = 1.0 / 128
+    mesh = mesh_for([1.0], eps / 16)
+    op = assemble_b_eps(mesh, cs, eps, LAT1)
+    assert op.size == 2047
+    assert (op.matrix.dtype.kind == "c") == (request.param != "sine1d")
+    return spectral_decompose(op)
+
+
+@pytest.mark.parametrize("s", [0.37, 0.5, 1.0, 1.93, 2.0])
+def test_duhamel_tables_match_direct_panel_sum(fine_basis, s):
+    mu = fine_basis.eigenvalues
+    t_grid = np.linspace(-2.0, 2.0, 133)
+    spline = _profile_spline(t_grid, np.cos(1.5 * t_grid) + 0.3 * t_grid,
+                             np.array([-s, s]))
+    ku, kdu = _duhamel_tables(np.sqrt(mu), s, spline)
+    ku_ref, kdu_ref, scale = _direct_tables(mu, s, spline)
+    assert (np.abs(ku - ku_ref) * np.sqrt(mu)).max() <= 1e-12 * scale
+    assert np.abs(kdu - kdu_ref).max() <= 1e-12 * scale
+    # at -s the same panels, mirrored: int_0^-s c(x) k(-s - x) dx equals
+    # int_0^s c(-y) k(-(s - y)) dy with k = sin (odd) or cos (even), up to -1
+    ku, kdu = _duhamel_tables(np.sqrt(mu), -s, spline)
+    ku_ref, kdu_ref, scale = _direct_tables(mu, s, lambda y: spline(-y))
+    assert (np.abs(ku - ku_ref) * np.sqrt(mu)).max() <= 1e-12 * scale
+    assert np.abs(kdu + kdu_ref).max() <= 1e-12 * scale
+
+
+def test_forced_solve_matches_direct_panel_sum(fine_basis):
+    # complex f_hat on a complex basis meets the real tables
+    eb, times = fine_basis, [0.37, 1.0, 1.93]
+    rng = np.random.default_rng(6)
+    f = rng.standard_normal(eb.size) + 1j * rng.standard_normal(eb.size)
+    t_grid = np.linspace(0.0, 2.0, 67)
+    res = solve_ibvp(eb, 0 * f, 0 * f, (t_grid, np.cos(1.5 * t_grid), f), times)
+    spline = _profile_spline(t_grid, np.cos(1.5 * t_grid), np.array(times))
+    f_hat = eb.project(f)
+    for i, s in enumerate(times):
+        ku, kdu, _ = _direct_tables(eb.eigenvalues, s, spline)
+        for got, table in ((res.u[i], ku), (res.du_dt[i], kdu)):
+            want = eb.synthesize(table * f_hat)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_ibvp_energy_conservation_unforced():
@@ -304,11 +424,26 @@ def test_forcing_grid_too_coarse():
     eb = spectral_decompose(op)
     z = np.zeros(op.size)
     with pytest.raises(ForcingGridTooCoarse):
-        solve_ibvp(eb, z, z, (np.array([0.0, 1.0]), np.zeros((2, op.size))),
-                   [1.0])
+        solve_ibvp(eb, z, z, (np.array([0.0, 1.0]), np.zeros(2), z), [1.0])
     with pytest.raises(ForcingGridTooCoarse):
-        solve_ibvp(eb, z, z,
-                   (np.linspace(0, 0.5, 9), np.zeros((9, op.size))), [1.0])
+        solve_ibvp(eb, z, z, (np.linspace(0, 0.5, 9), np.zeros(9), z), [1.0])
+    with pytest.raises(ForcingGridTooCoarse, match="matching length"):
+        solve_ibvp(eb, z, z, (np.linspace(0, 1, 9), np.zeros(8), z), [1.0])
+    # a negative time needs the grid to reach back to it
+    with pytest.raises(ForcingGridTooCoarse, match=r"\[-0\.5, 1\.0\]"):
+        solve_ibvp(eb, z, z, (np.linspace(0, 1, 9), np.zeros(9), z),
+                   [-0.5, 1.0])
+
+
+def test_forcing_as_samples_is_refused():
+    # the earlier (t_grid, samples) form, one dof vector per sample
+    mesh, op = laplacian_op()
+    eb = spectral_decompose(op)
+    z, t_grid = np.zeros(op.size), np.linspace(0.0, 1.0, 9)
+    with pytest.raises(ValueError, match=r"\(t_grid, profile, f_space\)"):
+        solve_ibvp(eb, z, z, (t_grid, np.zeros((9, op.size))), [1.0])
+    with pytest.raises(ValueError, match="profile is real"):
+        solve_ibvp(eb, z, z, (t_grid, np.exp(1j * t_grid), z), [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +603,8 @@ def test_leapfrog_forced_matches_duhamel():
     q1 = eb.synthesize(np.eye(op.size)).T[:, 0]
     omega = 2.0
     t_grid = np.linspace(0.0, 1.0, 65)
-    res = solve_ibvp(eb, 0 * q1, 0 * q1,
-                     (t_grid, np.cos(omega * t_grid)[:, None] * q1), [1.0])
+    res = solve_ibvp(eb, 0 * q1, 0 * q1, (t_grid, np.cos(omega * t_grid), q1),
+                     [1.0])
     u_lf = leapfrog_oracle(op, 0 * q1, 0 * q1,
                            lambda t: np.cos(omega * t) * q1, 1.0, 2e-4)
     assert np.abs(u_lf - res.u[0]).max() < 1e-6

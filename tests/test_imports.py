@@ -50,7 +50,7 @@ eb = spectral_decompose(op)
 before = "scipy.interpolate" in sys.modules
 q1, mu1, omega = eb.synthesize(np.eye(op.size)[0]), eb.eigenvalues[0], 3.0
 t_grid = np.linspace(0.0, 2.0, 81)
-res = solve_ibvp(eb, 0 * q1, 0 * q1, (t_grid, np.cos(omega * t_grid)[:, None] * q1),
+res = solve_ibvp(eb, 0 * q1, 0 * q1, (t_grid, np.cos(omega * t_grid), q1),
                  [0.5, 1.0, 2.0])
 coef = (np.cos(omega * res.times) - np.cos(np.sqrt(mu1) * res.times)) / (mu1 - omega ** 2)
 print(before, "scipy.interpolate" in sys.modules,

@@ -353,12 +353,16 @@ def test_stacked_functions_match_one_at_a_time(case):
         got = fn(U)
         assert all(close(g, fn(u)) for g, u in zip(got, U))
 
+    # stacked (phi, psi) rows, forced or not, at times of both signs: the
+    # forcing integral runs over [0, t], so the grid reaches back to -0.4
     phi, psi = U[0], U[1]
-    t_grid = np.linspace(0.0, 2.5, 41)
-    for forcing in (None, (t_grid, np.cos(1.5 * t_grid)[:, None] * U[2])):
-        path = solve_ibvp(eb, np.stack([phi, 0 * phi]), psi, forcing, times)
-        for row, phi_row in enumerate((phi, 0 * phi)):
-            one = solve_ibvp(eb, phi_row, psi, forcing, times)
+    t_grid, times = np.linspace(-0.5, 2.5, 49), np.r_[-0.4, times]
+    for forcing in (None, (t_grid, np.cos(1.5 * t_grid), U[2])):
+        path = solve_ibvp(eb, np.stack([phi, 0 * phi]),
+                          np.stack([psi, 2 * psi]), forcing, times)
+        for row, (phi_row, psi_row) in enumerate(((phi, psi),
+                                                  (0 * phi, 2 * psi))):
+            one = solve_ibvp(eb, phi_row, psi_row, forcing, times)
             assert close(path.u[:, row], one.u)
             assert close(path.du_dt[:, row], one.du_dt)
             assert close(path.energy[:, row], one.energy)
