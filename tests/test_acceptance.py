@@ -38,17 +38,8 @@ from oscillat.study import (
 )
 from oscillat.cli import run_cli
 
+from test_evolution import _gauss_panels
 
-def _gauss_panels(t: float, max_width: float, order: int = 8):
-    """Composite Gauss-Legendre nodes/weights on [0, t]."""
-    n_panels = max(1, int(np.ceil(t / max_width)))
-    edges = np.linspace(0.0, t, n_panels + 1)
-    xi, w = np.polynomial.legendre.leggauss(order)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * xi + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
 
 LAT1 = unit_lattice(1)
 LAT2 = unit_lattice(2)

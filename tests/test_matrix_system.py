@@ -353,16 +353,20 @@ def test_stacked_functions_match_one_at_a_time(case):
         got = fn(U)
         assert all(close(g, fn(u)) for g, u in zip(got, U))
 
-    # stacked (phi, psi) rows, forced or not, at times of both signs: the
-    # forcing integral runs over [0, t], so the grid reaches back to -0.4
+    # stacked phi rows with one shared psi (the call the sweeps make) or a
+    # stacked psi, forced or not, at times of both signs: the forcing
+    # integral runs over [0, t], so the grid reaches back to -0.4
     phi, psi = U[0], U[1]
     t_grid, times = np.linspace(-0.5, 2.5, 49), np.r_[-0.4, times]
+    psi_cases = ((psi, (psi, psi)),
+                 (np.stack([psi, 2 * psi]), (psi, 2 * psi)))
     for forcing in (None, (t_grid, np.cos(1.5 * t_grid), U[2])):
-        path = solve_ibvp(eb, np.stack([phi, 0 * phi]),
-                          np.stack([psi, 2 * psi]), forcing, times)
-        for row, (phi_row, psi_row) in enumerate(((phi, psi),
-                                                  (0 * phi, 2 * psi))):
-            one = solve_ibvp(eb, phi_row, psi_row, forcing, times)
-            assert close(path.u[:, row], one.u)
-            assert close(path.du_dt[:, row], one.du_dt)
-            assert close(path.energy[:, row], one.energy)
+        for psi_in, psi_each in psi_cases:
+            path = solve_ibvp(eb, np.stack([phi, 0 * phi]), psi_in, forcing,
+                              times)
+            for row, (phi_row, psi_row) in enumerate(zip((phi, 0 * phi),
+                                                         psi_each)):
+                one = solve_ibvp(eb, phi_row, psi_row, forcing, times)
+                assert close(path.u[:, row], one.u)
+                assert close(path.du_dt[:, row], one.du_dt)
+                assert close(path.energy[:, row], one.energy)
