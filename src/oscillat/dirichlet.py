@@ -10,10 +10,12 @@ The oscillating operator is assembled from the quadratic form: the principal
 part uses Q1 elements with the coefficient frozen at each cell midpoint
 (exact element integrals, so no spurious kernel modes), lower-order terms
 are collocated at nodes with centered differences and symmetrized, which
-keeps every assembled matrix hermitian at machine precision.
+keeps every assembled matrix hermitian at machine precision.  A corrector
+is compiled once per case (SmoothedBD): per grid axis, sparse 1-D factors
+of the Steklov average, the centered difference and the restriction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 import functools
 import itertools
@@ -131,25 +133,6 @@ def h1_norm(mesh: Mesh, vec: np.ndarray, n: int):
     """Discrete H1 norm: a float for a dof vector, one per row of a stack."""
     norm = np.sqrt(l2_norm(mesh, vec) ** 2 + grad_sq(mesh, vec, n))
     return float(norm) if np.ndim(norm) == 0 else norm
-
-
-def bD_centered(grid: np.ndarray, sym: Symbol, h) -> np.ndarray:
-    """b(D)u by centered differences on a grid, zero outside it.
-
-    grid has shape (..., M_1, .., M_d, n) with spacings h; returns the grid
-    values of b(D)u, shape (..., M_1, .., M_d, m).
-    """
-    d = len(h)
-    out = np.zeros(grid.shape[:-1] + (sym.m,), dtype=complex)
-    for l, b in enumerate(sym.b_mats):
-        hi = _ax_slice(d, l, slice(1, None))
-        lo = _ax_slice(d, l, slice(0, -1))
-        diff = np.zeros_like(grid)      # u(x + h e_l) - u(x - h e_l)
-        diff[lo] = grid[hi]
-        diff[hi] -= grid[lo]
-        dl = -1j * diff / (2.0 * h[l])
-        out += np.einsum("...n,mn->...m", dl, b)
-    return out
 
 
 def _ax_slice(d, ax, sl):
@@ -532,30 +515,25 @@ def _stencil_form(mesh: Mesh, sym: Symbol, g_cells: np.ndarray):
 
 def _centered_diff(mesh: Mesh, axis: int):
     """Sparse D_axis = -i * centered difference on interior nodes."""
-    mats = []
-    for k, M in enumerate(mesh.m_int):
-        if k == axis:
-            off = np.ones(M - 1)
-            D = sp.diags([off, -off], [1, -1], format="csr")
-            mats.append(D * (-1j / (2.0 * mesh.h[k])))
-        else:
-            mats.append(sp.identity(M, format="csr"))
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m, format="csr")
-    return out
+    return functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), [
+        sp.diags([np.ones(M - 1), -np.ones(M - 1)], [1, -1], format="csr")
+        * (-1j / (2.0 * mesh.h[k])) if k == axis else sp.identity(M, format="csr")
+        for k, M in enumerate(mesh.m_int)])
+
+
+def bD_matrix(mesh: Mesh, sym: Symbol):
+    """Sparse b(D) = sum_l D_l b_l on interior dof vectors, zero outside the
+    grid: the one centered b(D) stencil, of assembly and fluxes."""
+    return sum(sp.kron(_centered_diff(mesh, l), b, format="csr")
+               for l, b in enumerate(sym.b_mats))
 
 
 def _block_diag_field(values: np.ndarray):
     """Sparse block-diagonal matrix from per-node (n x n) blocks."""
-    n_nodes, n = values.shape[0], values.shape[1]
-    shape = (n_nodes, n, n)
-    rows = np.broadcast_to(np.arange(n_nodes)[:, None, None] * n
-                           + np.arange(n)[None, :, None], shape).ravel()
-    cols = np.broadcast_to(np.arange(n_nodes)[:, None, None] * n
-                           + np.arange(n)[None, None, :], shape).ravel()
-    return sp.coo_matrix((values.ravel(), (rows, cols)),
-                         shape=(n_nodes * n, n_nodes * n)).tocsr()
+    idx = np.arange(values.shape[0] * values.shape[1]).reshape(values.shape[:2])
+    rows, cols = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
+    return sp.csr_matrix((values.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(idx.size, idx.size))
 
 
 def _finalize(form, mesh: Mesh, eps_tag):
@@ -610,8 +588,7 @@ def assemble_b0(mesh: Mesh, cell: CellSolution,
 
     # -b(D)*V - V*b(D), assembled from the form -2 Re (V u, b(D) u)
     if np.abs(cell.V).max() > 0:
-        BD = sum(sp.kron(_centered_diff(mesh, l), b, format="csr")
-                 for l, b in enumerate(sym.b_mats))
+        BD = bD_matrix(mesh, sym)
         Vhat = sp.kron(eye_nodes, cell.V, format="csr")
         form = form - sigma * (BD.conj().T @ Vhat + Vhat.conj().T @ BD)
 
@@ -664,7 +641,13 @@ class ExtensionOperator:
     margin: float
     pad: tuple
     shape_ext: tuple
-    cutoff: np.ndarray = field(repr=False)
+
+    @cached_property
+    def cutoff(self) -> np.ndarray:
+        """Per-axis smooth steps of the distance to the box, multiplied."""
+        return functools.reduce(np.multiply.outer, [
+            _smoothstep(np.maximum(np.maximum(-x, x - L), 0.0) / self.margin)
+            for x, L in zip(self.axes_ext(), self.mesh.box)])
 
     def axes_ext(self) -> list[np.ndarray]:
         return [self.mesh.h[k] * np.arange(-self.pad[k],
@@ -695,16 +678,8 @@ def build_extension(mesh: Mesh, margin: float) -> ExtensionOperator:
             raise MarginTooSmall(
                 f"reflection stencil needs 3*pad={3 * p} <= M+1={M + 1}")
     shape_ext = tuple(M + 2 + 2 * p for p, M in zip(pad, mesh.m_int))
-    profiles = []
-    for k in range(mesh.dim):
-        coords = mesh.h[k] * np.arange(-pad[k], mesh.m_int[k] + 2 + pad[k])
-        dist = np.maximum(np.maximum(-coords, coords - mesh.box[k]), 0.0)
-        profiles.append(_smoothstep(dist / margin))
-    cutoff = profiles[0]
-    for prof in profiles[1:]:
-        cutoff = np.multiply.outer(cutoff, prof)
     return ExtensionOperator(mesh=mesh, margin=float(margin), pad=pad,
-                             shape_ext=shape_ext, cutoff=cutoff)
+                             shape_ext=shape_ext)
 
 
 def _reflect_axis(values: np.ndarray, d: int, axis: int, pad: int, m_int: int):
@@ -745,20 +720,37 @@ def extend(u: np.ndarray, op: ExtensionOperator, n: int = 1,
 _GAUSS_POINTS = 8
 
 
+def _steklov_terms(lat: Lattice, eps: float, spacing, axes) -> list:
+    """(cw, off) with (S_eps u)[i] = sum of cw * u[i + off] over the cell
+    coordinates of these lattice axes: 8 Gauss-Legendre points per axis,
+    multilinear interpolation at each shifted point (off in grid units)."""
+    spacing = np.atleast_1d(np.asarray(spacing, dtype=float))
+    xi, w = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
+    xi, w = xi / 2.0, w / 2.0
+    idx = np.array(list(np.ndindex(*(_GAUSS_POINTS,) * len(axes))))
+    tau = xi[idx] @ np.eye(lat.dim)[axes]         # one row per Gauss point
+    shift = -eps * (tau @ lat.basis) / spacing  # grid units, per axis
+    base = np.floor(shift).astype(int)
+    frac = (shift - base)[:, None]
+    corner = np.array(list(np.ndindex(*(2,) * lat.dim)))
+    # an axis with frac 0 has one corner: the other's weight is 0
+    keep = ~((frac == 0.0) & (corner == 1)).any(axis=-1)
+    cw = np.prod(w[idx], axis=1)[:, None] * np.prod(
+        np.where(corner == 1, frac, 1.0 - frac), axis=-1)
+    return list(zip(cw[keep], (base[:, None] + corner)[keep]))
+
+
 def steklov(u: np.ndarray, lat: Lattice, eps: float, spacing,
             periodic: bool = False, margin: float | None = None) -> np.ndarray:
     """Cell average (S_eps u)(x) = |cell|^-1 int u(x - eps z) dz on a grid.
 
-    Gauss-Legendre quadrature (8 points per axis) over fractional cell
-    coordinates, multilinear interpolation of u at the shifted points: one
-    pass of 8 shifts per grid axis for a diagonal basis (a box cell), the
-    second in place slab by slab, else one pass of the 8^d-point tensor
-    rule.  Out-of-range samples are zero (matching cutoff extensions)
-    unless periodic=True.  u has shape (..., M_1, .., M_d, n), or
-    (M_1, .., M_d) for one function.
+    The terms of _steklov_terms, applied as shifted whole-grid adds: one
+    pass of 8 shifts per grid axis for a diagonal basis (a box cell), else
+    one pass of the 8^d-point tensor rule.  Out-of-range samples are zero
+    (matching cutoff extensions) unless periodic=True.  u has shape
+    (..., M_1, .., M_d, n), or (M_1, .., M_d) for one function.
     """
     d = lat.dim
-    spacing = np.atleast_1d(np.asarray(spacing, dtype=float))
     if margin is not None and eps * lat.r1 > margin + 1e-12:
         raise MarginTooSmall(
             f"smoothing reach eps*r1={eps * lat.r1:.3e} exceeds margin {margin:.3e}")
@@ -767,31 +759,9 @@ def steklov(u: np.ndarray, lat: Lattice, eps: float, spacing,
     if grid_only:
         values = values[..., None]
 
-    xi, w = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
-    xi, w = xi / 2.0, w / 2.0
-    passes = [[k] for k in range(d)] if lat.diagonal else [list(range(d))]
-    for n_pass, axes in enumerate(passes):
-        terms = []      # (cw, off): out[i] += cw * u[i + off]
-        for idx in np.ndindex(*(_GAUSS_POINTS,) * len(axes)):
-            tau, wq = xi[list(idx)] @ np.eye(d)[axes], np.prod(w[list(idx)])
-            shift = -eps * (tau @ lat.basis) / spacing  # grid units, per axis
-            base = np.floor(shift).astype(int)
-            frac = shift - base
-            # an axis with frac 0 has one corner: the other's weight is 0
-            for corner in np.ndindex(*np.where(frac == 0.0, 1, 2)):
-                cw = wq * np.prod(np.where(np.array(corner) == 1, frac, 1.0 - frac))
-                terms.append((cw, base + np.array(corner)))
-        if n_pass == 0:
-            values = _shift_sum(values, terms, periodic)
-            continue
-        # a later pass shifts along its own axis only: smoothing grid axis 0
-        # in place, in slabs of about 2^16 values, keeps one grid-sized
-        # buffer beyond u on large grids at little cost per slab
-        size0 = values.shape[-d - 1]
-        step = max(1, 2 ** 16 * size0 // values.size)
-        for start in range(0, size0, step):
-            slab = _ax_slice(d, 0, slice(start, start + step))
-            values[slab] = _shift_sum(values[slab], terms, periodic)
+    for axes in [[k] for k in range(d)] if lat.diagonal else [list(range(d))]:
+        values = _shift_sum(values, _steklov_terms(lat, eps, spacing, axes),
+                            periodic)
     return values[..., 0] if grid_only else values
 
 
@@ -814,46 +784,89 @@ def _shift_sum(values: np.ndarray, terms, periodic: bool) -> np.ndarray:
     return out
 
 
-def smoothed_bD(u_ext: np.ndarray, ext_op: ExtensionOperator, sym: Symbol,
-                lat: Lattice, eps: float, smoothed: bool = True):
-    """(s, b(D)s) on the extended grid, s = S_eps u_ext (u_ext unsmoothed).
+def _stencil_rows(size: int, rows: np.ndarray, terms, diff: bool):
+    """CSR (len(rows) x size) of out[j] = sum of cw * u[rows[j] + off], or of
+    out[j + 1] - out[j - 1] if diff, over 1-D (cw, off) terms; 0 off grid."""
+    cw, off = (np.array(x) for x in zip(*terms))
+    if diff:
+        cw, off = np.r_[cw, -cw], np.r_[off + 1, off - 1]
+    off, at = np.unique(off, return_inverse=True)   # one weight per offset
+    cols = rows[:, None] + off
+    keep = (cols >= 0) & (cols < size)
+    return sp.csr_matrix((np.broadcast_to(np.bincount(at, cw), cols.shape)[keep],
+                          cols[keep], np.r_[0, np.cumsum(keep.sum(axis=1))]),
+                         shape=(rows.size, size))
 
-    The step that correctors and the flux approximation share.
-    """
-    h = ext_op.mesh.h
-    s = steklov(u_ext, lat, eps, h, margin=ext_op.margin) if smoothed else u_ext
-    return s, bD_centered(s, sym, h)
+
+class SmoothedBD:
+    """u_ext -> a^eps b(D) s + c^eps s on interior nodes, s = S_eps u_ext
+    (u_ext unsmoothed), compiled per case from the fields a, c there.
+
+    S_eps is a sum of Kronecker products: one term for a box cell (its 1-D
+    averages), one per x2 offset of the tensor rule for a skew cell.  Per
+    term and grid axis k, factors holds the real CSR pair R_k S_k and
+    R_k D_k S_k (M_k x shape_ext[k]), R_k the restriction to interior nodes,
+    D_k u = u(x + h e_k) - u(x - h e_k); weights holds a b_k (-i / 2 h_k),
+    then c (None when zero).  No d-dimensional matrix is formed."""
+
+    def __init__(self, ext_op: ExtensionOperator, lat: Lattice, eps: float,
+                 smoothed: bool, sym: Symbol, a: np.ndarray, c: np.ndarray):
+        if eps * lat.r1 > ext_op.margin + 1e-12:
+            raise MarginTooSmall(f"eps*r1={eps * lat.r1:.3e} exceeds extension"
+                                 f" margin {ext_op.margin:.3e}")
+        self.sym, self.ext_op = sym, ext_op
+        d, h = lat.dim, ext_op.mesh.h
+        if smoothed and not lat.diagonal:   # the tensor rule by x2 offsets
+            groups = {}
+            for cw, off in _steklov_terms(lat, eps, h, list(range(d))):
+                groups.setdefault(tuple(off[1:]), []).append((cw, off[0]))
+            kron = [[g] + [[(1.0, o)] for o in key] for key, g in groups.items()]
+        else:           # one term: per axis, its 1-D (cw, off) terms
+            kron = [[[(cw, off[k]) for cw, off in _steklov_terms(lat, eps, h, [k])]
+                     if smoothed else [(1.0, 0)] for k in range(d)]]
+        self.factors = [[[_stencil_rows(E, np.arange(E)[sl], terms, diff)
+                          for diff in (False, True)] for terms, E, sl
+                         in zip(term, ext_op.shape_ext, ext_op.interior_slices())]
+                        for term in kron]
+        self.weights = [np.tensordot(a, b * (-0.5j / hl), axes=(-1, 0))
+                        for b, hl in zip(sym.b_mats, h)] + [c if c.any() else None]
+
+    def __call__(self, u_ext: np.ndarray) -> np.ndarray:
+        """The map of grids (..., *shape_ext, n), as (..., M_1, .., M_d, r):
+        per term and weight, one CSR @ columns product per grid axis, the
+        last first (other axes, stack axes too, are columns, complex ones
+        split in two, so a stack sums as its rows do), one complex multiply."""
+        total = None
+        for term, (l, weight) in itertools.product(self.factors,
+                                                   enumerate(self.weights)):
+            if weight is None:
+                continue
+            y = np.asarray(u_ext)
+            for k, ax in reversed(list(enumerate(range(-len(term) - 1, -1)))):
+                cols = np.moveaxis(y, ax, 0)
+                flat = np.ascontiguousarray(cols.reshape(cols.shape[0], -1),
+                                            dtype=np.result_type(y, float))
+                out = (term[k][k == l] @ flat.view(float)).view(flat.dtype)
+                y = np.moveaxis(out.reshape((-1,) + cols.shape[1:]), 0, ax)
+            part = np.einsum("...ij,...j->...i", weight, y, order="C")
+            total = part if total is None else np.add(total, part, out=total)
+        return total
 
 
-class Corrector:
-    """Precomputed corrector (Λ^eps b(D) + Λ̃^eps)(S_eps or I) on one mesh."""
+class Corrector(SmoothedBD):
+    """The corrector (Λ^eps b(D) + Λ̃^eps)(S_eps or I): the SmoothedBD map
+    of Λ^eps and Λ̃^eps, compiled once per case."""
 
     def __init__(self, cell: CellSolution, eps: float, sym: Symbol,
                  ext_op: ExtensionOperator, lat: Lattice, smoothed: bool = True):
-        if eps * lat.r1 > ext_op.margin + 1e-12:
-            raise MarginTooSmall(
-                f"eps*r1={eps * lat.r1:.3e} exceeds extension margin "
-                f"{ext_op.margin:.3e}")
-        self.eps = float(eps)
-        self.sym = sym
-        self.ext_op = ext_op
-        self.lat = lat
-        self.smoothed = smoothed
-        axes = ext_op.axes_ext()
-        self.lam_eps = eval_scaled_grid(cell.Lambda, lat, eps, axes)
-        lam_tilde_eps = eval_scaled_grid(cell.LambdaTilde, lat, eps, axes)
-        # None when identically zero (no first-order terms): apply_ext skips it
-        self.lam_tilde_eps = lam_tilde_eps if lam_tilde_eps.any() else None
+        super().__init__(ext_op, lat, eps, smoothed, sym, *(
+            eval_scaled_grid(f, lat, eps, ext_op.mesh.axes())
+            for f in (cell.Lambda, cell.LambdaTilde)))
 
     def apply_ext(self, u_ext: np.ndarray) -> np.ndarray:
         """Corrector of extended grid functions (..., *shape_ext, n); returns
         interior dof vectors (..., n_nodes * n)."""
-        s, bds = smoothed_bD(u_ext, self.ext_op, self.sym, self.lat, self.eps,
-                             self.smoothed)
-        total = np.einsum("...nm,...m->...n", self.lam_eps, bds)
-        if self.lam_tilde_eps is not None:
-            total += np.einsum("...nk,...k->...n", self.lam_tilde_eps, s)
-        return self.ext_op.restrict(total)
+        return self.ext_op.mesh.from_grid(self(u_ext))
 
     def apply(self, u_interior: np.ndarray) -> np.ndarray:
         """Corrector of interior dof vectors (..., n_nodes * n)."""

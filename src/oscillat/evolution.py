@@ -32,6 +32,7 @@ modal solution before the one synthesis.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -41,9 +42,9 @@ from .dirichlet import (
     DiscreteDirichletOperator,
     Corrector,
     ExtensionOperator,
+    SmoothedBD,
     extend,
-    smoothed_bD,
-    bD_centered,
+    bD_matrix,
     sine_transform,
     tag_text,
 )
@@ -130,10 +131,16 @@ class SineBasis(_Basis):
 
 @dataclass(frozen=True)
 class EvolutionResult:
+    """A path u (T, ..., ndof), its energies, and du_dt, synthesized when read."""
     times: np.ndarray
     u: np.ndarray
-    du_dt: np.ndarray
     energy: np.ndarray
+    du_hat: np.ndarray = field(repr=False)
+    basis: _Basis = field(repr=False)
+
+    @cached_property
+    def du_dt(self) -> np.ndarray:
+        return self.basis.synthesize(self.du_hat)
 
 
 def spectral_decompose(op: DiscreteDirichletOperator) -> EigenBasis | SineBasis:
@@ -314,39 +321,42 @@ def solve_ibvp(eb: EigenBasis, phi: np.ndarray, psi: np.ndarray,
     """Evaluate the three-term Duhamel formula at the requested times.
 
     phi and psi are dof vectors or broadcastable stacks of them
-    (..., ndof); the path holds u and du_dt of shape (T, ..., ndof).
-    forcing is None or a separable F(t) = c(t) f: a triple
-    (t_grid, profile, f_space) with the real profile c sampled on t_grid and
-    one dof vector f_space, the same for every stacked row.  f_space is
-    projected once; c is interpolated by a not-a-knot cubic spline, and each
+    (..., ndof); the path holds u and du_dt of shape (T, ..., ndof), and
+    du_dt is synthesized only when read.  forcing is None or a separable
+    F(t) = c(t) f: a triple (t_grid, profile, f_space) with the real profile
+    c sampled on t_grid and one dof vector f_space, the same for every
+    stacked row.  phi, psi and f_space are projected as one stack of rows;
+    c is interpolated by a not-a-knot cubic spline, and each
     time s adds the per-mode tables of _duhamel_tables times f_hat to the
     modal u and du.  The integral runs over [0, s] for every time, negative
     ones included, so t_grid must cover [min(0, t), max(0, t)].
     """
     mu = eb.eigenvalues
     root = np.sqrt(mu)
-    phi_hat = eb.project(np.asarray(phi))
-    psi_hat = eb.project(np.asarray(psi))
+    if forcing is not None and len(forcing) != 3:
+        raise ValueError("forcing is a triple (t_grid, profile, f_space) "
+                         "of a separable F(t) = profile(t) f_space")
+    rows = [np.asarray(v) for v in (phi, psi, *tuple(forcing or ())[2:])]
+    hats = np.split(eb.project(np.concatenate([r.reshape(-1, r.shape[-1])
+                                               for r in rows])),   # one stack
+                    np.cumsum([r.size // r.shape[-1] for r in rows])[:-1])
+    phi_hat, psi_hat, *f_hat = (h.reshape(r.shape) for h, r in zip(hats, rows))
     t_list = np.asarray(list(t_list), dtype=float)
     t = t_list.reshape((-1,) + (1,) * max(phi_hat.ndim, psi_hat.ndim))
     u_hat = _cos_factors(mu, t) * phi_hat + _sinc_factors(mu, t) * psi_hat
     du_hat = -root * np.sin(t * root) * phi_hat + _cos_factors(mu, t) * psi_hat
     if forcing is not None:
-        if len(forcing) != 3:
-            raise ValueError("forcing is a triple (t_grid, profile, f_space) "
-                             "of a separable F(t) = profile(t) f_space")
-        t_grid, profile, f_space = forcing
+        t_grid, profile, _ = forcing
         spline = _profile_spline(t_grid, profile, t_list)
-        f_hat = eb.project(np.asarray(f_space))
         # (T, 2, 1.., N): Ku and Kdu of each time, broadcast over the stack
         k = np.reshape([_duhamel_tables(root, s, spline) for s in t_list],
                        (t_list.size, 2) + (1,) * (u_hat.ndim - 2) + root.shape)
-        u_hat = u_hat + k[:, 0] * f_hat
-        du_hat = du_hat + k[:, 1] * f_hat
+        u_hat = u_hat + k[:, 0] * f_hat[0]
+        du_hat = du_hat + k[:, 1] * f_hat[0]
     energy = (np.sum(np.abs(du_hat) ** 2, axis=-1)
               + np.sum(mu * np.abs(u_hat) ** 2, axis=-1))
-    return EvolutionResult(times=t_list, u=eb.synthesize(u_hat),
-                           du_dt=eb.synthesize(du_hat), energy=energy)
+    return EvolutionResult(times=t_list, u=eb.synthesize(u_hat), energy=energy,
+                           du_hat=du_hat, basis=eb)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +368,7 @@ def first_order_approx(u0: np.ndarray, cell: CellSolution, eps: float,
                        lat: Lattice | None = None) -> np.ndarray:
     """v_eps = u0 + eps * corrector(extend(u0)) for dof vectors (..., ndof)."""
     lat = lat or unit_lattice(ext_op.mesh.dim)
-    cor = Corrector(cell, eps, sym, ext_op, lat, smoothed=smoothed)
-    return u0 + eps * cor.apply(u0)
+    return u0 + eps * Corrector(cell, eps, sym, ext_op, lat, smoothed).apply(u0)
 
 
 def flux(u: np.ndarray, coeffs, eps: float, mesh,
@@ -369,27 +378,25 @@ def flux(u: np.ndarray, coeffs, eps: float, mesh,
     lat = lat or unit_lattice(mesh.dim)
     sym = coeffs.symbol
     g_eps = eval_scaled_grid(coeffs.g, lat, eps, mesh.axes())
-    bdu = bD_centered(mesh.to_grid(u, sym.n), sym, mesh.h)
+    rows = np.reshape(u, (-1, np.shape(u)[-1]))
+    bdu = mesh.to_grid((bD_matrix(mesh, sym) @ rows.T).T, sym.m)
     p = np.einsum("...ij,...j->...i", g_eps, bdu)
-    return p.reshape(u.shape[:-1] + (-1, sym.m))
+    return p.reshape(np.shape(u)[:-1] + (-1, sym.m))
 
 
 def flux_approx(u0: np.ndarray, cell: CellSolution, eps: float,
                 smoothed: bool, coeffs, ext_op: ExtensionOperator,
                 lat: Lattice | None = None) -> np.ndarray:
     """g̃^eps (S_eps) b(D) ũ0 + g^eps (b(D)Λ̃)^eps (S_eps) ũ0 on interior nodes,
-    for dof vectors u0 (..., ndof); shape (..., nodes, m)."""
+    for dof vectors u0 (..., ndof); shape (..., nodes, m): the SmoothedBD
+    map of g̃^eps and g^eps (b(D)Λ̃)^eps."""
     lat = lat or unit_lattice(ext_op.mesh.dim)
     sym = coeffs.symbol
-    axes = ext_op.axes_ext()
-    g_tilde_eps = eval_scaled_grid(cell.g_tilde, lat, eps, axes)
-    g_eps = eval_scaled_grid(coeffs.g, lat, eps, axes)
-    bdlt_eps = eval_scaled_grid(cell.bD_LambdaTilde, lat, eps, axes)
-    s, bds = smoothed_bD(extend(u0, ext_op, n=sym.n), ext_op, sym, lat,
-                         eps, smoothed)
-    total = np.einsum("...ij,...j->...i", g_tilde_eps, bds)
-    total += np.einsum("...ij,...jk,...k->...i", g_eps, bdlt_eps, s)
-    return ext_op.restrict(total).reshape(u0.shape[:-1] + (-1, sym.m))
+    g_tilde, g, bdlt = (eval_scaled_grid(f, lat, eps, ext_op.mesh.axes())
+                        for f in (cell.g_tilde, coeffs.g, cell.bD_LambdaTilde))
+    total = SmoothedBD(ext_op, lat, eps, smoothed, sym, g_tilde, g @ bdlt)(
+        extend(u0, ext_op, n=sym.n))
+    return total.reshape(u0.shape[:-1] + (-1, sym.m))
 
 
 # ---------------------------------------------------------------------------

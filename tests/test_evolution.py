@@ -317,6 +317,20 @@ def test_ibvp_zero_data():
     assert np.abs(res.du_dt).max() == 0.0
 
 
+def test_ibvp_velocity_synthesized_when_read():
+    # u and the energy come from one solve; du_dt is synthesized on its
+    # first read, once, and equals cos(t A^1/2) psi - A A^-1/2 sin(t A^1/2) phi
+    mesh, op = laplacian_op()
+    eb = spectral_decompose(op)
+    rng = np.random.default_rng(3)
+    phi, psi = rng.standard_normal((2, op.size))
+    res = solve_ibvp(eb, phi, psi, None, [0.7])
+    assert "du_dt" not in vars(res)
+    assert res.du_dt is res.du_dt
+    du = op_cosine(eb, 0.7, psi) - op.matrix @ op_sine_scaled(eb, 0.7, phi)
+    assert np.abs(res.du_dt[0] - du).max() <= 1e-12 * np.abs(du).max()
+
+
 def test_ibvp_single_mode_energy():
     mesh, op = laplacian_op()
     eb = spectral_decompose(op)

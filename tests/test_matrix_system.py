@@ -6,10 +6,10 @@ scalar fixtures."""
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 from oscillat.lattice import build_lattice, unit_lattice
 from oscillat.coefficients import (
+    eval_scaled_grid,
     CoefficientSet,
     PeriodicField,
     make_symbol,
@@ -19,8 +19,8 @@ from oscillat.cell import solve_cell, voigt_reuss
 from oscillat.dirichlet import (
     make_mesh,
     mesh_for,
-    bD_centered,
-    _centered_diff,
+    _ax_slice,
+    bD_matrix,
     assemble_b_eps,
     assemble_b0,
     choose_lambda,
@@ -267,6 +267,25 @@ def _elasticity2d_symbol():
                         [[0.0, 0.0], [0.0, 1.0], [0.5, 0.0]]])
 
 
+def bD_centered(grid: np.ndarray, sym, h) -> np.ndarray:
+    """Oracle: b(D)u by centered differences on a grid, zero outside it.
+
+    grid has shape (..., M_1, .., M_d, n) with spacings h; returns the grid
+    values of b(D)u, shape (..., M_1, .., M_d, m).
+    """
+    d = len(h)
+    out = np.zeros(grid.shape[:-1] + (sym.m,), dtype=complex)
+    for l, b in enumerate(sym.b_mats):
+        hi = _ax_slice(d, l, slice(1, None))
+        lo = _ax_slice(d, l, slice(0, -1))
+        diff = np.zeros_like(grid)      # u(x + h e_l) - u(x - h e_l)
+        diff[lo] = grid[hi]
+        diff[hi] -= grid[lo]
+        dl = -1j * diff / (2.0 * h[l])
+        out += np.einsum("...n,mn->...m", dl, b)
+    return out
+
+
 @pytest.mark.parametrize("symbol, box, m_int", [
     (lambda: catalog("sine1d").symbol, [1.0], [37]),
     (lambda: matrix_system().symbol, [1.0], [37]),
@@ -274,20 +293,82 @@ def _elasticity2d_symbol():
     (_elasticity2d_symbol, [1.0, 1.5], [11, 13]),
 ], ids=["sine1d", "matrix_system", "laminate2d", "elasticity2d"])
 def test_bD_centered_matches_assembly_stencil(symbol, box, m_int):
-    # the grid stencil used by fluxes and correctors equals the sparse
-    # b(D) = sum_l D_l b_l of the assembly on interior nodes
+    # the grid stencil of the corrector oracle equals the sparse
+    # b(D) = sum_l D_l b_l of the assembly and fluxes on interior nodes
     sym = symbol()
     mesh = make_mesh(box, m_int)
     rng = np.random.default_rng(5)
     u = (rng.standard_normal(mesh.n_nodes * sym.n)
          + 1j * rng.standard_normal(mesh.n_nodes * sym.n))
-    BD = sum(sp.kron(_centered_diff(mesh, l), b, format="csr")
-             for l, b in enumerate(sym.b_mats))
-    want = BD @ u
+    want = bD_matrix(mesh, sym) @ u
     got = bD_centered(mesh.to_grid(u, sym.n), sym, mesh.h)
     assert got.shape == mesh.m_int + (sym.m,)
     err = np.linalg.norm(got.reshape(-1) - want)
     assert err <= 1e-13 * np.linalg.norm(want)
+
+
+def _chain_oracle(u_ext, ext, lat, eps, sym, smoothed, a, c):
+    """The corrector chain as it runs on the extended grid: steklov,
+    bD_centered, the weights a on b(D)s and c on s, both given on the
+    extended grid, and restrict."""
+    h = ext.mesh.h
+    s = steklov(u_ext, lat, eps, h, margin=ext.margin) if smoothed else u_ext
+    return ext.restrict(np.einsum("...ij,...j->...i", a, bD_centered(s, sym, h))
+                        + np.einsum("...ij,...j->...i", c, s))
+
+
+@pytest.mark.parametrize("case", ["sine1d", "sine1d_plain", "matrix_system",
+                                  "laminate2d", "laminate2d_skew"])
+def test_compiled_corrector_matches_the_chain(case):
+    # Corrector and flux_approx run per-axis sparse factors; the oracle
+    # runs extend, steklov, bD_centered, the weights and restrict
+    from oscillat.study import extension_margin
+
+    eps, k = 0.25, 3
+    if case.startswith("laminate2d"):
+        cs = catalog("laminate2d")
+        lat = (build_lattice([[1.0, 0.0], [0.5, 1.0]]) if case.endswith("skew")
+               else LAT2)
+        mesh = make_mesh([1.0, 1.0], [23, 27])
+    else:
+        cs = matrix_system() if case == "matrix_system" else catalog("sine1d")
+        lat, mesh = LAT1, make_mesh([1.0], [31])
+    smoothed = case != "sine1d_plain"
+    sol = solve_cell(cs, lat, 32)
+    ext = build_extension(mesh, extension_margin(lat, eps, mesh.box))
+    sym, n = cs.symbol, cs.symbol.n
+    rng = np.random.default_rng(12)
+    U = (rng.standard_normal((k, mesh.n_nodes * n))
+         + 1j * rng.standard_normal((k, mesh.n_nodes * n)))
+    E = (rng.standard_normal((k,) + ext.shape_ext + (n,))
+         + 1j * rng.standard_normal((k,) + ext.shape_ext + (n,)))
+    on_ext = {name: eval_scaled_grid(f, lat, eps, ext.axes_ext())
+              for name, f in (("lam", sol.Lambda), ("lam_t", sol.LambdaTilde),
+                              ("g_t", sol.g_tilde), ("g", cs.g),
+                              ("bdlt", sol.bD_LambdaTilde))}
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    cor = Corrector(sol, eps, sym, ext, lat, smoothed=smoothed)
+    lam = on_ext["lam"], on_ext["lam_t"]
+    assert close(cor.apply_ext(E),
+                 _chain_oracle(E, ext, lat, eps, sym, smoothed, *lam))
+    assert close(cor.apply(U), _chain_oracle(extend(U, ext, n=n), ext, lat,
+                                             eps, sym, smoothed, *lam))
+    got = flux_approx(U, sol, eps, smoothed, cs, ext, lat)
+    want = _chain_oracle(extend(U, ext, n=n), ext, lat, eps, sym, smoothed,
+                         on_ext["g_t"], on_ext["g"] @ on_ext["bdlt"])
+    assert close(got, want.reshape(got.shape))
+
+    # the factors are per axis: per Kronecker term and grid axis k, a pair
+    # of 1-D CSR factors (M_k x shape_ext[k]), never a d-dimensional matrix
+    assert len(cor.factors) == 1 or case == "laminate2d_skew"
+    for term in cor.factors:
+        assert [[f.shape for f in pair] for pair in term] == [
+            [(M, E)] * 2 for M, E in zip(mesh.m_int, ext.shape_ext)]
+    nnz = sum(f.nnz for term in cor.factors for pair in term for f in pair)
+    assert nnz <= 40 * sum(ext.shape_ext) * len(cor.factors)
 
 
 @pytest.mark.parametrize("case", ["sine1d", "matrix_system", "laminate2d"])
@@ -321,8 +402,6 @@ def test_stacked_functions_match_one_at_a_time(case):
                                       margin=ext.margin), E),
         "steklov_periodic": (lambda e: steklov(e, steklov_lat, eps, mesh.h,
                                                periodic=True), E),
-        "bD_centered": (lambda g: bD_centered(g, sym, mesh.h),
-                        mesh.to_grid(U, n)),
         "Corrector.apply": (cor.apply, U),
     }
     for name, (fn, stack) in maps.items():
