@@ -798,6 +798,25 @@ def _stencil_rows(size: int, rows: np.ndarray, terms, diff: bool):
                          shape=(rows.size, size))
 
 
+def _smoothing_factors(ext_op: ExtensionOperator, lat: Lattice, eps: float,
+                       smoothed: bool) -> list:
+    """Per Kronecker term of S_eps (or I) and grid axis k, the CSR pair
+    R_k S_k, R_k D_k S_k of SmoothedBD."""
+    d, h = lat.dim, ext_op.mesh.h
+    if smoothed and not lat.diagonal:   # the tensor rule by x2 offsets
+        groups = {}
+        for cw, off in _steklov_terms(lat, eps, h, list(range(d))):
+            groups.setdefault(tuple(off[1:]), []).append((cw, off[0]))
+        kron = [[g] + [[(1.0, o)] for o in key] for key, g in groups.items()]
+    else:           # one term: per axis, its 1-D (cw, off) terms
+        kron = [[[(cw, off[k]) for cw, off in _steklov_terms(lat, eps, h, [k])]
+                 if smoothed else [(1.0, 0)] for k in range(d)]]
+    return [[[_stencil_rows(E, np.arange(E)[sl], terms, diff)
+              for diff in (False, True)] for terms, E, sl
+             in zip(term, ext_op.shape_ext, ext_op.interior_slices())]
+            for term in kron]
+
+
 class SmoothedBD:
     """u_ext -> a^eps b(D) s + c^eps s on interior nodes, s = S_eps u_ext
     (u_ext unsmoothed), compiled per case from the fields a, c there.
@@ -807,29 +826,22 @@ class SmoothedBD:
     term and grid axis k, factors holds the real CSR pair R_k S_k and
     R_k D_k S_k (M_k x shape_ext[k]), R_k the restriction to interior nodes,
     D_k u = u(x + h e_k) - u(x - h e_k); weights holds a b_k (-i / 2 h_k),
-    then c (None when zero).  No d-dimensional matrix is formed."""
+    then c (None when zero).  No d-dimensional matrix is formed.  factors,
+    when given, are those of another SmoothedBD of the same ext_op, lat, eps
+    and smoothed, shared rather than built again."""
 
     def __init__(self, ext_op: ExtensionOperator, lat: Lattice, eps: float,
-                 smoothed: bool, sym: Symbol, a: np.ndarray, c: np.ndarray):
+                 smoothed: bool, sym: Symbol, a: np.ndarray, c: np.ndarray,
+                 factors: list | None = None):
         if eps * lat.r1 > ext_op.margin + 1e-12:
             raise MarginTooSmall(f"eps*r1={eps * lat.r1:.3e} exceeds extension"
                                  f" margin {ext_op.margin:.3e}")
         self.sym, self.ext_op = sym, ext_op
-        d, h = lat.dim, ext_op.mesh.h
-        if smoothed and not lat.diagonal:   # the tensor rule by x2 offsets
-            groups = {}
-            for cw, off in _steklov_terms(lat, eps, h, list(range(d))):
-                groups.setdefault(tuple(off[1:]), []).append((cw, off[0]))
-            kron = [[g] + [[(1.0, o)] for o in key] for key, g in groups.items()]
-        else:           # one term: per axis, its 1-D (cw, off) terms
-            kron = [[[(cw, off[k]) for cw, off in _steklov_terms(lat, eps, h, [k])]
-                     if smoothed else [(1.0, 0)] for k in range(d)]]
-        self.factors = [[[_stencil_rows(E, np.arange(E)[sl], terms, diff)
-                          for diff in (False, True)] for terms, E, sl
-                         in zip(term, ext_op.shape_ext, ext_op.interior_slices())]
-                        for term in kron]
+        self.factors = (_smoothing_factors(ext_op, lat, eps, smoothed)
+                        if factors is None else factors)
         self.weights = [np.tensordot(a, b * (-0.5j / hl), axes=(-1, 0))
-                        for b, hl in zip(sym.b_mats, h)] + [c if c.any() else None]
+                        for b, hl in zip(sym.b_mats, ext_op.mesh.h)] + [
+                            c if c.any() else None]
 
     def __call__(self, u_ext: np.ndarray) -> np.ndarray:
         """The map of grids (..., *shape_ext, n), as (..., M_1, .., M_d, r):

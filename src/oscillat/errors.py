@@ -53,10 +53,6 @@ class CFLViolation(OscillatError):
     """Time step too large for the explicit wave integrator."""
 
 
-class ForcingGridTooCoarse(OscillatError):
-    """Forcing time samples cannot support the Duhamel quadrature."""
-
-
 class InsufficientPoints(OscillatError):
     """Too few usable (eps, error) points to fit a convergence rate."""
 

@@ -14,9 +14,10 @@ every basis with sparse products, never through an N x N temporary.  A
 Stoermer-Verlet integrator provides an independent check that never
 touches the eigenbasis.
 
-Importing the module loads numpy, scipy.linalg and scipy.sparse only: the
-sine transforms are numpy FFTs (dirichlet.sine_transform), and the Duhamel
-forcing imports scipy.interpolate's CubicSpline when it is first used.
+Importing the module, or running it with a forcing, loads numpy,
+scipy.linalg and scipy.sparse only: the sine transforms are numpy FFTs
+(dirichlet.sine_transform), and the forcing profile is evaluated in closed
+form at the quadrature nodes.
 
 Vectors are rows: a dof vector has shape (..., ndof), leading axes hold a
 stack of vectors, and the eigenbasis projects and synthesizes all rows
@@ -24,9 +25,9 @@ at once.  Times lead: an operator function of times t (a scalar or a 1-D
 array) applied to v returns t.shape + v.shape, and a path of solutions has
 shape (T, ..., ndof).
 
-The forcing is separable, F(t) = c(t) f, given as (t_grid, profile,
-f_space).  solve_ibvp projects f once; per time s each mode's Duhamel term
-is a table of a scalar integral of c (_duhamel_tables), evaluated by
+The forcing is F(t) = cos(omega t) f, given as (omega, f_space).
+solve_ibvp projects f once; per time s each mode's Duhamel term is a table
+of a scalar integral of cos(omega x) (_duhamel_tables), evaluated by
 Gauss-Legendre panels and a phase recurrence over them, and added to the
 modal solution before the one synthesis.
 """
@@ -37,7 +38,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import EigSolverFailure, CFLViolation, ForcingGridTooCoarse
+from .errors import EigSolverFailure, CFLViolation
 from .dirichlet import (
     DiscreteDirichletOperator,
     Corrector,
@@ -267,45 +268,25 @@ def op_inv_sqrt(eb: EigenBasis, v: np.ndarray) -> np.ndarray:
 # Duhamel evolution
 
 
-def _profile_spline(t_grid, profile, times: np.ndarray):
-    """The not-a-knot cubic spline of a scalar time profile, checked to
-    cover [min(0, times), max(0, times)]."""
-    from scipy.interpolate import CubicSpline   # loaded by the forcing only
-    t_grid = np.asarray(t_grid, dtype=float)
-    profile = np.asarray(profile)
-    if t_grid.ndim != 1 or profile.shape != t_grid.shape:
-        raise ForcingGridTooCoarse(
-            "forcing needs a time grid and a profile of matching length")
-    if not np.isrealobj(profile):
-        raise ValueError("the forcing profile is real; a complex amplitude "
-                         "belongs in f_space")
-    if t_grid.size < 4:
-        raise ForcingGridTooCoarse("cubic interpolation needs >= 4 time samples")
-    lo, hi = min(0.0, times.min(initial=0.0)), max(0.0, times.max(initial=0.0))
-    if t_grid[0] > lo + 1e-12 or t_grid[-1] < hi - 1e-12:
-        raise ForcingGridTooCoarse(
-            f"forcing grid [{t_grid[0]}, {t_grid[-1]}] does not cover "
-            f"[{lo}, {hi}]")
-    return CubicSpline(t_grid, profile)
-
-
-def _duhamel_tables(root: np.ndarray, s: float, profile):
-    """Per-mode Duhamel tables of a scalar profile c at time s:
-    Ku = int_0^s c(x) sin(root (s - x)) / root dx and
-    Kdu = int_0^s c(x) cos(root (s - x)) dx, root = sqrt(mu) > 0.
+def _duhamel_tables(root: np.ndarray, s: float, omega: float):
+    """Per-mode Duhamel tables of the profile cos(omega x) at time s:
+    Ku = int_0^s cos(omega x) sin(root (s - x)) / root dx and
+    Kdu = int_0^s cos(omega x) cos(root (s - x)) dx, root = sqrt(mu) > 0.
 
     The quadrature is 8-point Gauss-Legendre on n uniform panels of signed
-    width H = s / n <= min(0.1, |s|/4).  Node j of panel p sits at
-    s - x = (n-1-p) H + H (1 - xi_j)/2, so with E_j = exp(i root H (1-xi_j)/2)
-    and R = exp(i root H) the sum is a Horner pass over the panel sums
-    G_p = sum_j w_j c(x_pj) E_j: 9 N complex exponentials per time.
+    width H = s / n <= min(0.1, |s|/4), the profile evaluated exactly at
+    its nodes.  Node j of panel p sits at s - x = (n-1-p) H + H (1 - xi_j)/2,
+    so with E_j = exp(i root H (1-xi_j)/2) and R = exp(i root H) the sum is
+    a Horner pass over the panel sums G_p = sum_j w_j cos(omega x_pj) E_j:
+    9 N complex exponentials per time.
     """
     if s == 0.0:
         return np.zeros_like(root), np.zeros_like(root)
     n = max(1, int(np.ceil(abs(s) / min(0.1, abs(s) / 4.0))))
     h = s / n
     xi, w = np.polynomial.legendre.leggauss(8)
-    cw = 0.5 * h * w * profile(h * (np.arange(n)[:, None] + 0.5 * (1.0 + xi)))
+    cw = 0.5 * h * w * np.cos(omega * h * (np.arange(n)[:, None]
+                                           + 0.5 * (1.0 + xi)))
     e = np.exp(1j * np.multiply.outer(0.5 * h * (1.0 - xi), root))
     # a real (n, 8) by complex (8, N) product as one real GEMM
     g = (cw @ e.view(float)).view(complex)
@@ -322,21 +303,24 @@ def solve_ibvp(eb: EigenBasis, phi: np.ndarray, psi: np.ndarray,
 
     phi and psi are dof vectors or broadcastable stacks of them
     (..., ndof); the path holds u and du_dt of shape (T, ..., ndof), and
-    du_dt is synthesized only when read.  forcing is None or a separable
-    F(t) = c(t) f: a triple (t_grid, profile, f_space) with the real profile
-    c sampled on t_grid and one dof vector f_space, the same for every
-    stacked row.  phi, psi and f_space are projected as one stack of rows;
-    c is interpolated by a not-a-knot cubic spline, and each
-    time s adds the per-mode tables of _duhamel_tables times f_hat to the
-    modal u and du.  The integral runs over [0, s] for every time, negative
-    ones included, so t_grid must cover [min(0, t), max(0, t)].
+    du_dt is synthesized only when read.  forcing is None or
+    F(t) = cos(omega t) f: a pair (omega, f_space) of a real finite omega
+    and one dof vector f_space (real or complex), the same for every
+    stacked row.  phi, psi and f_space are projected as one stack of rows,
+    and each time s adds the per-mode tables of _duhamel_tables times f_hat
+    to the modal u and du.  The integral runs over [0, s] for every time,
+    negative ones included.
     """
     mu = eb.eigenvalues
     root = np.sqrt(mu)
-    if forcing is not None and len(forcing) != 3:
-        raise ValueError("forcing is a triple (t_grid, profile, f_space) "
-                         "of a separable F(t) = profile(t) f_space")
-    rows = [np.asarray(v) for v in (phi, psi, *tuple(forcing or ())[2:])]
+    if forcing is not None:
+        if len(forcing) != 2 or np.ndim(forcing[0]) != 0:
+            raise ValueError("forcing is a pair (omega, f_space) of "
+                             "F(t) = cos(omega t) f_space")
+        if not (np.isrealobj(forcing[0]) and np.isfinite(forcing[0])):
+            raise ValueError(
+                f"forcing omega={forcing[0]} is not real and finite")
+    rows = [np.asarray(v) for v in (phi, psi, *tuple(forcing or ())[1:])]
     hats = np.split(eb.project(np.concatenate([r.reshape(-1, r.shape[-1])
                                                for r in rows])),   # one stack
                     np.cumsum([r.size // r.shape[-1] for r in rows])[:-1])
@@ -346,10 +330,8 @@ def solve_ibvp(eb: EigenBasis, phi: np.ndarray, psi: np.ndarray,
     u_hat = _cos_factors(mu, t) * phi_hat + _sinc_factors(mu, t) * psi_hat
     du_hat = -root * np.sin(t * root) * phi_hat + _cos_factors(mu, t) * psi_hat
     if forcing is not None:
-        t_grid, profile, _ = forcing
-        spline = _profile_spline(t_grid, profile, t_list)
         # (T, 2, 1.., N): Ku and Kdu of each time, broadcast over the stack
-        k = np.reshape([_duhamel_tables(root, s, spline) for s in t_list],
+        k = np.reshape([_duhamel_tables(root, s, forcing[0]) for s in t_list],
                        (t_list.size, 2) + (1,) * (u_hat.ndim - 2) + root.shape)
         u_hat = u_hat + k[:, 0] * f_hat[0]
         du_hat = du_hat + k[:, 1] * f_hat[0]
@@ -386,16 +368,21 @@ def flux(u: np.ndarray, coeffs, eps: float, mesh,
 
 def flux_approx(u0: np.ndarray, cell: CellSolution, eps: float,
                 smoothed: bool, coeffs, ext_op: ExtensionOperator,
-                lat: Lattice | None = None) -> np.ndarray:
+                lat: Lattice | None = None, factors: list | None = None,
+                u_ext: np.ndarray | None = None) -> np.ndarray:
     """g̃^eps (S_eps) b(D) ũ0 + g^eps (b(D)Λ̃)^eps (S_eps) ũ0 on interior nodes,
     for dof vectors u0 (..., ndof); shape (..., nodes, m): the SmoothedBD
-    map of g̃^eps and g^eps (b(D)Λ̃)^eps."""
+    map of g̃^eps and g^eps (b(D)Λ̃)^eps.  A caller that holds them passes
+    the factors of the case's Corrector and u_ext = ũ0, the extension of
+    u0, so neither is built twice."""
     lat = lat or unit_lattice(ext_op.mesh.dim)
     sym = coeffs.symbol
     g_tilde, g, bdlt = (eval_scaled_grid(f, lat, eps, ext_op.mesh.axes())
                         for f in (cell.g_tilde, coeffs.g, cell.bD_LambdaTilde))
-    total = SmoothedBD(ext_op, lat, eps, smoothed, sym, g_tilde, g @ bdlt)(
-        extend(u0, ext_op, n=sym.n))
+    if u_ext is None:
+        u_ext = extend(u0, ext_op, n=sym.n)
+    total = SmoothedBD(ext_op, lat, eps, smoothed, sym, g_tilde, g @ bdlt,
+                       factors)(u_ext)
     return total.reshape(u0.shape[:-1] + (-1, sym.m))
 
 

@@ -35,6 +35,7 @@ from .dirichlet import (
     choose_lambda,
     build_extension,
     Corrector,
+    extend,
     resolvent,
     l2_norm,
     h1_norm,
@@ -44,7 +45,6 @@ from .evolution import (
     check_decomposable,
     spectral_decompose,
     solve_ibvp,
-    first_order_approx,
     flux,
     flux_approx,
     op_cosine,
@@ -320,22 +320,21 @@ def evolve_case(fix: Fixture, cfg: SweepConfig, case: Case,
         return case.op_0.solve_shifted(0.0, case.op_0.solve_shifted(0.0, vec))
 
     phi, psi = data(cfg.phi), data(cfg.psi)
-    forcing = None
-    if cfg.forcing != "none":
-        # [min(0, t), max(0, t)], about 33 samples per unit time
-        lo, hi = min([0.0, *t_list]), max([0.0, *t_list])
-        t_grid = np.linspace(lo, hi, max(9, int(33 * (hi - lo)) + 1))
-        forcing = (t_grid, np.cos(cfg.forcing_omega * t_grid),
-                   data(cfg.forcing))
+    forcing = (None if cfg.forcing == "none"
+               else (cfg.forcing_omega, data(cfg.forcing)))
     u_eps, u_0 = (solve_ibvp(eb, np.stack([phi, 0 * phi]), psi, forcing,
                              t_list).u for eb in (eb_eps, eb_0))
     en = int(energy_phi_zero)
     ue_en, u0_en, u_eps, u_0 = u_eps[:, en], u_0[:, en], u_eps[:, 0], u_0[:, 0]
-    v_eps = first_order_approx(u0_en, fix.cell, case.eps, cfg.smoothed,
-                               fix.coeffs.symbol, case.ext, fix.lat)
+    # first_order_approx and flux_approx, on one compiled smoothing and one
+    # extension of u0
+    cor = Corrector(fix.cell, case.eps, fix.coeffs.symbol, case.ext, fix.lat,
+                    cfg.smoothed)
+    u0_ext = extend(u0_en, case.ext, n=n)
+    v_eps = u0_en + case.eps * cor.apply_ext(u0_ext)
     p_eps = flux(ue_en, fix.coeffs, case.eps, case.mesh, fix.lat)
     p_apx = flux_approx(u0_en, fix.cell, case.eps, cfg.smoothed, fix.coeffs,
-                        case.ext, fix.lat)
+                        case.ext, fix.lat, cor.factors, u0_ext)
     return u_eps, u_0, ue_en, v_eps, p_eps, p_apx
 
 
@@ -528,7 +527,7 @@ def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
     from .lattice import frequencies
     from .coefficients import eval_scaled, symbol_bounds
     from .cell import solve_lambda, solve_lambda_tilde
-    from .dirichlet import (make_mesh, steklov, build_extension, extend,
+    from .dirichlet import (make_mesh, steklov, build_extension,
                             smallest_eigenvalue, DiscreteDirichletOperator)
     from .evolution import op_sine_scaled
     import scipy.sparse as sp

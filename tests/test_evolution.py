@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from oscillat import evolution
-from oscillat.errors import CFLViolation, ForcingGridTooCoarse, EigSolverFailure
+from oscillat.errors import CFLViolation, EigSolverFailure
 from oscillat.lattice import unit_lattice
 from oscillat.coefficients import catalog
 from oscillat.cell import solve_cell
@@ -32,7 +32,6 @@ from oscillat.evolution import (
     leapfrog_energy_drift,
     estimate_mu_max,
     _duhamel_tables,
-    _profile_spline,
 )
 
 LAT1 = unit_lattice(1)
@@ -346,9 +345,7 @@ def test_ibvp_forced_mode_closed_form():
     eb = spectral_decompose(op)
     q1, mu1 = eb.synthesize(np.eye(op.size)).T[:, 0], eb.eigenvalues[0]
     omega = 3.0
-    t_grid = np.linspace(0.0, 2.0, 81)
-    forcing = (t_grid, np.cos(omega * t_grid), q1)
-    res = solve_ibvp(eb, 0 * q1, 0 * q1, forcing, [0.5, 1.0, 2.0])
+    res = solve_ibvp(eb, 0 * q1, 0 * q1, (omega, q1), [0.5, 1.0, 2.0])
     for i, t in enumerate(res.times):
         coef = (np.cos(omega * t) - np.cos(np.sqrt(mu1) * t)) / (mu1 - omega ** 2)
         assert np.abs(res.u[i] - coef * q1).max() < 1e-8
@@ -361,12 +358,45 @@ def test_ibvp_forced_mode_closed_form_negative_times():
     eb = spectral_decompose(op)
     q1, mu1 = eb.synthesize(np.eye(op.size)).T[:, 0], eb.eigenvalues[0]
     omega = 3.0
-    t_grid = np.linspace(-1.0, 0.0, 41)
-    res = solve_ibvp(eb, 0 * q1, 0 * q1, (t_grid, np.cos(omega * t_grid), q1),
-                     [-1.0, -0.5])
+    res = solve_ibvp(eb, 0 * q1, 0 * q1, (omega, q1), [-1.0, -0.5])
     for i, t in enumerate(res.times):
         coef = (np.cos(omega * t) - np.cos(np.sqrt(mu1) * t)) / (mu1 - omega ** 2)
         assert np.abs(res.u[i] - coef * q1).max() < 1e-8
+
+
+def _forced_mode(root, omega, s):
+    """Ku, Kdu of cos(omega x) at time s in closed form, written so that it
+    holds at and near resonance: with A = (root + omega)/2 and
+    B = (root - omega)/2, Ku = sin(A s) sin(B s) / (2 A B) and
+    Kdu = (cos(A s) sin(B s) / B + sin(A s) cos(B s) / A) / 2; at B = 0 they
+    are s sin(omega s) / (2 omega) and
+    s cos(omega s) / 2 + sin(omega s) / (2 omega)."""
+    a, b = (root + omega) / 2, (root - omega) / 2
+    sin_b_over_b = s * np.sinc(b * s / np.pi)
+    return (np.sin(a * s) * sin_b_over_b / (2 * a),
+            (np.cos(a * s) * sin_b_over_b
+             + np.sin(a * s) * np.cos(b * s) / a) / 2)
+
+
+@pytest.mark.parametrize("detune", [0.5, 1e-6, 0.0],
+                         ids=["away", "near", "at"])
+def test_forced_mode_matches_closed_form(detune):
+    # one mode of cos(omega t) f, f complex, with |omega^2 - mu1| = detune mu1,
+    # at times of both signs against the closed form of _forced_mode
+    mesh, op = laplacian_op()
+    eb = spectral_decompose(op)
+    q1, mu1 = eb.synthesize(np.eye(op.size)).T[:, 0], eb.eigenvalues[0]
+    omega = np.sqrt(mu1 * (1.0 - detune))
+    f = (0.6 - 1.3j) * q1
+    times = np.array([-1.3, -0.5, 0.5, 1.0, 2.0])
+    res = solve_ibvp(eb, 0 * f, 0 * f, (omega, f), times)
+    ku, kdu = _forced_mode(np.sqrt(mu1), omega, times)
+    if detune == 0.0:   # the resonant growth s sin(omega s) / (2 omega)
+        assert np.allclose(ku, times * np.sin(omega * times) / (2 * omega),
+                           rtol=1e-14, atol=0.0)
+    for got, k in ((res.u, ku), (res.du_dt, kdu)):
+        want = k[:, None] * f
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _direct_tables(mu, s, profile):
@@ -392,17 +422,18 @@ def fine_basis(request):
 @pytest.mark.parametrize("s", [0.37, 0.5, 1.0, 1.93, 2.0])
 def test_duhamel_tables_match_direct_panel_sum(fine_basis, s):
     mu = fine_basis.eigenvalues
-    t_grid = np.linspace(-2.0, 2.0, 133)
-    spline = _profile_spline(t_grid, np.cos(1.5 * t_grid) + 0.3 * t_grid,
-                             np.array([-s, s]))
-    ku, kdu = _duhamel_tables(np.sqrt(mu), s, spline)
-    ku_ref, kdu_ref, scale = _direct_tables(mu, s, spline)
+
+    def profile(x):
+        return np.cos(1.5 * x)
+
+    ku, kdu = _duhamel_tables(np.sqrt(mu), s, 1.5)
+    ku_ref, kdu_ref, scale = _direct_tables(mu, s, profile)
     assert (np.abs(ku - ku_ref) * np.sqrt(mu)).max() <= 1e-12 * scale
     assert np.abs(kdu - kdu_ref).max() <= 1e-12 * scale
     # at -s the same panels, mirrored: int_0^-s c(x) k(-s - x) dx equals
     # int_0^s c(-y) k(-(s - y)) dy with k = sin (odd) or cos (even), up to -1
-    ku, kdu = _duhamel_tables(np.sqrt(mu), -s, spline)
-    ku_ref, kdu_ref, scale = _direct_tables(mu, s, lambda y: spline(-y))
+    ku, kdu = _duhamel_tables(np.sqrt(mu), -s, 1.5)
+    ku_ref, kdu_ref, scale = _direct_tables(mu, s, lambda y: profile(-y))
     assert (np.abs(ku - ku_ref) * np.sqrt(mu)).max() <= 1e-12 * scale
     assert np.abs(kdu + kdu_ref).max() <= 1e-12 * scale
 
@@ -412,12 +443,11 @@ def test_forced_solve_matches_direct_panel_sum(fine_basis):
     eb, times = fine_basis, [0.37, 1.0, 1.93]
     rng = np.random.default_rng(6)
     f = rng.standard_normal(eb.size) + 1j * rng.standard_normal(eb.size)
-    t_grid = np.linspace(0.0, 2.0, 67)
-    res = solve_ibvp(eb, 0 * f, 0 * f, (t_grid, np.cos(1.5 * t_grid), f), times)
-    spline = _profile_spline(t_grid, np.cos(1.5 * t_grid), np.array(times))
+    res = solve_ibvp(eb, 0 * f, 0 * f, (1.5, f), times)
     f_hat = eb.project(f)
     for i, s in enumerate(times):
-        ku, kdu, _ = _direct_tables(eb.eigenvalues, s, spline)
+        ku, kdu, _ = _direct_tables(eb.eigenvalues, s,
+                                    lambda x: np.cos(1.5 * x))
         for got, table in ((res.u[i], ku), (res.du_dt[i], kdu)):
             want = eb.synthesize(table * f_hat)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -433,31 +463,25 @@ def test_ibvp_energy_conservation_unforced():
     assert np.abs(res.energy / res.energy[0] - 1.0).max() <= 1e-8
 
 
-def test_forcing_grid_too_coarse():
+def test_forcing_omega_must_be_real_and_finite():
     mesh, op = laplacian_op()
     eb = spectral_decompose(op)
     z = np.zeros(op.size)
-    with pytest.raises(ForcingGridTooCoarse):
-        solve_ibvp(eb, z, z, (np.array([0.0, 1.0]), np.zeros(2), z), [1.0])
-    with pytest.raises(ForcingGridTooCoarse):
-        solve_ibvp(eb, z, z, (np.linspace(0, 0.5, 9), np.zeros(9), z), [1.0])
-    with pytest.raises(ForcingGridTooCoarse, match="matching length"):
-        solve_ibvp(eb, z, z, (np.linspace(0, 1, 9), np.zeros(8), z), [1.0])
-    # a negative time needs the grid to reach back to it
-    with pytest.raises(ForcingGridTooCoarse, match=r"\[-0\.5, 1\.0\]"):
-        solve_ibvp(eb, z, z, (np.linspace(0, 1, 9), np.zeros(9), z),
-                   [-0.5, 1.0])
+    for omega in (np.nan, np.inf, -np.inf, 1.5 + 0.5j, np.complex128(1.5)):
+        with pytest.raises(ValueError, match="not real and finite"):
+            solve_ibvp(eb, z, z, (omega, z), [1.0])
 
 
 def test_forcing_as_samples_is_refused():
-    # the earlier (t_grid, samples) form, one dof vector per sample
+    # the earlier forms: (t_grid, samples), one dof vector per sample, and
+    # the sampled profile (t_grid, profile, f_space)
     mesh, op = laplacian_op()
     eb = spectral_decompose(op)
     z, t_grid = np.zeros(op.size), np.linspace(0.0, 1.0, 9)
-    with pytest.raises(ValueError, match=r"\(t_grid, profile, f_space\)"):
-        solve_ibvp(eb, z, z, (t_grid, np.zeros((9, op.size))), [1.0])
-    with pytest.raises(ValueError, match="profile is real"):
-        solve_ibvp(eb, z, z, (t_grid, np.exp(1j * t_grid), z), [1.0])
+    for forcing in ((t_grid, np.zeros((9, op.size))),
+                    (t_grid, np.cos(1.5 * t_grid), z)):
+        with pytest.raises(ValueError, match=r"\(omega, f_space\)"):
+            solve_ibvp(eb, z, z, forcing, [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +640,30 @@ def test_leapfrog_forced_matches_duhamel():
     eb = spectral_decompose(op)
     q1 = eb.synthesize(np.eye(op.size)).T[:, 0]
     omega = 2.0
-    t_grid = np.linspace(0.0, 1.0, 65)
-    res = solve_ibvp(eb, 0 * q1, 0 * q1, (t_grid, np.cos(omega * t_grid), q1),
-                     [1.0])
+    res = solve_ibvp(eb, 0 * q1, 0 * q1, (omega, q1), [1.0])
     u_lf = leapfrog_oracle(op, 0 * q1, 0 * q1,
                            lambda t: np.cos(omega * t) * q1, 1.0, 2e-4)
     assert np.abs(u_lf - res.u[0]).max() < 1e-6
+
+
+def test_forced_low_modes_match_leapfrog_to_second_order():
+    # data and forcing in the five lowest modes, cos(2t) f, at t = 1.5: the
+    # leapfrog error falls by 4 per halved dt, and the Richardson value of
+    # the two finest runs, (4 u(dt/2) - u(dt)) / 3, meets the Duhamel
+    # solution to 2.5e-6 relative (the error of the finest run is 1.4e-3)
+    mesh, op = laplacian_op(31)
+    eb = spectral_decompose(op)
+    coeffs = np.zeros((3, op.size))
+    coeffs[:, :5] = np.random.default_rng(17).standard_normal((3, 5))
+    phi, psi, f = eb.synthesize(coeffs)
+    omega, t = 2.0, 1.5
+    u = solve_ibvp(eb, phi, psi, (omega, f), [t]).u[0]
+    runs = [leapfrog_oracle(op, phi, psi, lambda s: np.cos(omega * s) * f,
+                            t, dt) for dt in (0.01, 0.005, 0.0025)]
+
+    def rel(v):
+        return np.abs(v - u).max() / np.abs(u).max()
+
+    errs = [rel(v) for v in runs]
+    assert all(3.9 <= a / b <= 4.1 for a, b in zip(errs, errs[1:])), errs
+    assert rel((4 * runs[2] - runs[1]) / 3) <= 1e-5

@@ -1,7 +1,8 @@
 """Cold start: importing the package loads numpy, scipy.linalg and
-scipy.sparse, and no other scipy subpackage; the Duhamel forcing loads
-scipy.interpolate when it is first used.  Each check runs in a fresh
-interpreter, since this test session has imported scipy widely."""
+scipy.sparse, and no other scipy subpackage; neither does a forced sweep,
+whose forcing profile cos(omega t) is evaluated in closed form.  Each check
+runs in a fresh interpreter, since this test session has imported scipy
+widely."""
 
 import os
 import pathlib
@@ -24,18 +25,21 @@ def run_fresh(code: str) -> str:
     return done.stdout
 
 
+def unwanted_modules(loaded) -> list:
+    return [name for name in loaded for pkg in UNUSED_AT_IMPORT
+            if name == pkg or name.startswith(pkg + ".")]
+
+
 def test_cli_import_loads_only_the_scipy_it_needs():
     loaded = run_fresh("import sys, oscillat.cli\n"
                        "print(*sorted(sys.modules))").split()
     assert {"scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"} <= set(loaded)
-    unwanted = [name for name in loaded for pkg in UNUSED_AT_IMPORT
-                if name == pkg or name.startswith(pkg + ".")]
-    assert unwanted == []
+    assert unwanted_modules(loaded) == []
 
 
 def test_forced_solve_ibvp_runs_in_fresh_process():
-    # one forced mode against its closed form (as test_evolution checks it);
-    # CubicSpline is loaded by the forcing, not before
+    # one forced mode against its closed form (as test_evolution checks it),
+    # then a small forced sweep; neither loads a module of UNUSED_AT_IMPORT
     out = run_fresh("""
 import sys
 import numpy as np
@@ -43,18 +47,19 @@ from oscillat.coefficients import catalog
 from oscillat.dirichlet import make_mesh, assemble_b_eps
 from oscillat.evolution import spectral_decompose, solve_ibvp
 from oscillat.lattice import unit_lattice
+from oscillat.study import SweepConfig, convergence_sweep
 
 op = assemble_b_eps(make_mesh([1.0], [63]), catalog("const", {"g": 1.0, "d": 1}),
                     1.0, unit_lattice(1))
 eb = spectral_decompose(op)
-before = "scipy.interpolate" in sys.modules
 q1, mu1, omega = eb.synthesize(np.eye(op.size)[0]), eb.eigenvalues[0], 3.0
-t_grid = np.linspace(0.0, 2.0, 81)
-res = solve_ibvp(eb, 0 * q1, 0 * q1, (t_grid, np.cos(omega * t_grid), q1),
-                 [0.5, 1.0, 2.0])
+res = solve_ibvp(eb, 0 * q1, 0 * q1, (omega, q1), [0.5, 1.0, 2.0])
 coef = (np.cos(omega * res.times) - np.cos(np.sqrt(mu1) * res.times)) / (mu1 - omega ** 2)
-print(before, "scipy.interpolate" in sys.modules,
-      np.abs(res.u - coef[:, None] * q1).max())
+print(np.abs(res.u - coef[:, None] * q1).max())
+convergence_sweep(SweepConfig(eps_list=(0.125, 0.0625, 0.03125, 0.015625),
+                              t_list=(0.5, 1.0), forcing="poly"))
+print(*sorted(sys.modules))
 """).split()
-    assert out[:2] == ["False", "True"]
-    assert float(out[2]) < 1e-8
+    assert float(out[0]) < 1e-8
+    assert "oscillat.study" in out[1:]
+    assert unwanted_modules(out[1:]) == []

@@ -248,6 +248,43 @@ def test_build_cases_shifts_each_operator_probed_once(monkeypatch):
             assert op.smallest_eig == base.smallest_eig + lam
 
 
+@pytest.mark.parametrize("smoothed", [True, False])
+def test_evolve_case_compiles_one_smoothing_and_one_extension(monkeypatch,
+                                                               smoothed):
+    # first_order_approx and flux_approx of one case share the corrector's
+    # factors and the extension of u0, with outputs bit-identical to the
+    # two public calls, which compile and extend on their own
+    import oscillat.dirichlet as dirichlet_mod
+    import oscillat.evolution as evolution_mod
+    import oscillat.study as study_mod
+    from oscillat.study import build_cases, evolve_case
+
+    cfg = SweepConfig(fixture="sine1d", eps_list=(0.125,), t_list=(-0.5, 1.0),
+                      forcing="poly", smoothed=smoothed)
+    fix = build_fixture(cfg)
+    case = build_cases(fix, cfg, [0.125])[0]
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(dirichlet_mod, "_smoothing_factors", counting(
+        "factors", dirichlet_mod._smoothing_factors))
+    for mod in (dirichlet_mod, evolution_mod, study_mod):
+        monkeypatch.setattr(mod, "extend", counting("extend", mod.extend))
+    _, u_0, _, v_eps, _, p_apx = evolve_case(fix, cfg, case,
+                                             energy_phi_zero=False)
+    assert sorted(calls) == ["extend", "factors"]
+    v = evolution_mod.first_order_approx(u_0, fix.cell, case.eps, smoothed,
+                                         fix.coeffs.symbol, case.ext, fix.lat)
+    p = evolution_mod.flux_approx(u_0, fix.cell, case.eps, smoothed,
+                                  fix.coeffs, case.ext, fix.lat)
+    assert np.array_equal(v, v_eps) and np.array_equal(p, p_apx)
+
+
 @pytest.mark.parametrize("fixture, box, eps, params", [
     ("sine1d", (1.0,), 0.125, {"q_const": -30.0}),
     ("laminate2d", (1.0, 1.0), 0.25, {})])
