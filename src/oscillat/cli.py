@@ -26,7 +26,6 @@ from .study import (
     build_fixture,
     build_cases,
     evolve_case,
-    require_decomposable,
     selftest,
 )
 
@@ -145,8 +144,7 @@ def cmd_cell(cfg: SweepConfig) -> int:
 def cmd_evolve(cfg: SweepConfig) -> int:
     fix = build_fixture(cfg)
     eps = float(cfg.evolve_eps)
-    require_decomposable(cfg, fix, [eps])
-    case = build_cases(fix, cfg, [eps])[0]
+    case = build_cases(fix, cfg, [eps], decomposes=True)[0]
     # the written solutions and fluxes all come from the full data
     u_eps, u_0, _, v_eps, p_eps, p_apx = evolve_case(fix, cfg, case,
                                                      energy_phi_zero=False)

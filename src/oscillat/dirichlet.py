@@ -15,7 +15,7 @@ is compiled once per case (SmoothedBD): per grid axis, sparse 1-D factors
 of the Steklov average, the centered difference and the restriction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 import functools
 import itertools
@@ -196,22 +196,21 @@ class DiscreteDirichletOperator:
     def factor(self, zeta=0.0):
         """Solver of (A - zeta I) and whether it keeps real data real.
 
-        Cached per zeta.  An operator with a closed-form spectrum is never
-        factored: its solve divides the sine_transform of the right-hand
-        sides by lambda - zeta and transforms back.  Every other operator
-        gets a sparse LU.
+        An operator with a closed-form spectrum is never factored: it
+        divides by lambda - zeta in its SineBasis, which is not cached, as
+        the basis refers back to the operator.  Every other operator gets a
+        sparse LU, cached per zeta.
         """
         key = complex(zeta)
         shift = key.real if key.imag == 0.0 else key    # real data stays real
-        if key not in self._factors and self.spectrum is not None:
-            gaps = self.spectrum - shift
+        if self.spectrum is not None:
+            eb = SineBasis(self.spectrum.ravel(), self)
+            gaps = eb.eigenvalues - shift
             if (gaps == 0.0).any():
                 raise NearSpectrumShift(f"{tag_text(self.eps_tag)}: zeta={zeta}"
                                         f" is an eigenvalue")
-            shape, gaps = gaps.shape, gaps.ravel()
-            solver = SimpleNamespace(solve=lambda cols: sine_transform(
-                sine_transform(cols.T, shape) / gaps, shape).T)
-            self._factors[key] = (solver, key.imag == 0.0)
+            return SimpleNamespace(solve=lambda cols: eb.synthesize(
+                eb.project(cols.T) / gaps).T), key.imag == 0.0
         if key not in self._factors:
             mat = self.matrix
             if key != 0:
@@ -369,6 +368,46 @@ def sine_transform(rows: np.ndarray, shape) -> np.ndarray:
         y = np.fft.rfft(odd).imag[..., 1:m + 1] * (-1.0 / np.sqrt(2.0 * m + 2.0))
         grid = np.moveaxis(y, -1, axis)
     return grid.reshape(rows.shape)
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """What every eigenbasis shares: factors broadcast against eigenvalues,
+    and a memo of the last time table built (evolution._time_factors)."""
+
+    _last_table: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
+
+    @property
+    def size(self) -> int:
+        return self.eigenvalues.size
+
+    def map_spectrum(self, factors: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.synthesize(factors * self.project(v))
+
+
+@dataclass(frozen=True)
+class SineBasis(_Basis):
+    """The orthonormal DST-I eigenbasis of an operator with a closed-form
+    spectrum: eigenvalues holds source.spectrum in grid order, so project
+    and synthesize are both sine_transform, which is its own inverse."""
+
+    eigenvalues: np.ndarray
+    source: DiscreteDirichletOperator = field(repr=False)
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        return sine_transform(v, self.source.mesh.m_int)
+
+    synthesize = project
+
+    def checked_rows(self):
+        """The lowest and highest unit modes and four seeded random rows c,
+        synthesized with and without mu, as evolution.certify reads them."""
+        c = np.random.default_rng(0).standard_normal((6, self.size))
+        c[:2] = 0.0
+        c[0, self.eigenvalues.argmin()] = c[1, self.eigenvalues.argmax()] = 1.0
+        yield (self.synthesize(c), self.synthesize(self.eigenvalues * c),
+               np.linalg.norm(c, axis=-1))
 
 
 def _lowest_tridiagonal(diag, sub) -> float:

@@ -3,16 +3,16 @@
 The operators cos(t A^(1/2)) and A^(-1/2) sin(t A^(1/2)) are realized
 through a full hermitian eigenbasis; at desk scale this is the simplest
 exact form of the spectral calculus and keeps per-mode energies conserved
-to machine precision.  Two backends share one interface (eigenvalues
-ascending, size, source, project, synthesize, map_spectrum).  Operators
+to machine precision.  Two backends share one interface, _Basis
+(eigenvalues, size, source, project, synthesize, map_spectrum).  Operators
 that the orthonormal DST-I diagonalizes (op.spectrum is not None: B0 of
-the scalar catalog fixtures without first-order terms) get a SineBasis:
-the closed-form spectrum, applied by fast sine transforms, with no stored
-eigenvector and no eigensolver.  Every other operator gets an EigenBasis
-of stored eigenvectors (_eigh).  certify bounds the backward error of
-every basis with sparse products, never through an N x N temporary.  A
-Stoermer-Verlet integrator provides an independent check that never
-touches the eigenbasis.
+the scalar catalog fixtures without first-order terms) get the SineBasis
+their resolvent solves use: the closed-form spectrum in grid order and
+fast sine transforms, with no eigensolver.  Every other operator gets an
+EigenBasis of stored eigenvectors (_eigh), eigenvalues ascending.  certify
+bounds the backward error of every basis with sparse products, never
+through an N x N temporary.  A Stoermer-Verlet integrator provides an
+independent check that never touches the eigenbasis.
 
 Importing the module, or running it with a forcing, loads numpy,
 scipy.linalg and scipy.sparse only: the sine transforms are numpy FFTs
@@ -41,12 +41,13 @@ import scipy.linalg
 from .errors import EigSolverFailure, CFLViolation
 from .dirichlet import (
     DiscreteDirichletOperator,
+    SineBasis,
+    _Basis,
     Corrector,
     ExtensionOperator,
     SmoothedBD,
     extend,
     bD_matrix,
-    sine_transform,
     tag_text,
 )
 from .coefficients import eval_scaled_grid
@@ -55,23 +56,6 @@ from .lattice import Lattice, unit_lattice
 
 #: full eigendecompositions are refused above this many unknowns
 _EIG_LIMIT = 8192
-
-
-@dataclass(frozen=True)
-class _Basis:
-    """What both backends share: factors broadcast against the eigenvalues,
-    and a one-entry memo of the last time table an operator function built
-    (_time_factors)."""
-
-    _last_table: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
-
-    @property
-    def size(self) -> int:
-        return self.eigenvalues.size
-
-    def map_spectrum(self, factors: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.synthesize(factors * self.project(v))
 
 
 @dataclass(frozen=True)
@@ -101,36 +85,6 @@ class EigenBasis(_Basis):
 
 
 @dataclass(frozen=True)
-class SineBasis(_Basis):
-    """The orthonormal DST-I eigenbasis of an operator with a closed-form
-    spectrum: eigenvalues holds source.spectrum ascending, order the flat
-    grid position of each.  project is sine_transform and a gather into that
-    order, synthesize the scatter back and sine_transform again (the DST-I is
-    its own inverse)."""
-
-    eigenvalues: np.ndarray
-    order: np.ndarray
-    source: DiscreteDirichletOperator = field(repr=False)
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return sine_transform(v, self.source.spectrum.shape)[..., self.order]
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        grid = np.empty_like(coeffs)
-        grid[..., self.order] = coeffs
-        return sine_transform(grid, self.source.spectrum.shape)
-
-    def checked_rows(self):
-        """The lowest and highest unit modes and four seeded random rows c,
-        synthesized with and without mu, as certify reads them."""
-        c = np.random.default_rng(0).standard_normal((6, self.size))
-        c[:2] = 0.0
-        c[0, 0] = c[1, -1] = 1.0
-        yield (self.synthesize(c), self.synthesize(self.eigenvalues * c),
-               np.linalg.norm(c, axis=-1))
-
-
-@dataclass(frozen=True)
 class EvolutionResult:
     """A path u (T, ..., ndof), its energies, and du_dt, synthesized when read."""
     times: np.ndarray
@@ -144,28 +98,28 @@ class EvolutionResult:
         return self.basis.synthesize(self.du_hat)
 
 
-def spectral_decompose(op: DiscreteDirichletOperator) -> EigenBasis | SineBasis:
-    """The eigenbasis of op, ascending: a SineBasis when op.spectrum is not
-    None, else an EigenBasis (_eigh).  Validates the spectral contract: the
-    lowest eigenvalue is positive, and certify passes."""
+def spectral_decompose(op: DiscreteDirichletOperator) -> _Basis:
+    """The eigenbasis of op: a SineBasis in grid order when op.spectrum is
+    not None, else an EigenBasis, ascending (_eigh).  Validates the
+    spectral contract: the lowest eigenvalue is positive, and certify
+    passes."""
     check_decomposable(op.size, op.eps_tag)
     at = tag_text(op.eps_tag)
     if op.spectrum is not None:
-        order = np.argsort(op.spectrum, axis=None, kind="stable")
-        eb = SineBasis(op.spectrum.ravel()[order], order, op)
+        eb = SineBasis(op.spectrum.ravel(), op)
     else:
         try:
             eb = EigenBasis(*_eigh(op), source=op)
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover
             raise EigSolverFailure(f"{at}: {exc}") from exc
-    if eb.eigenvalues[0] <= 0.0:
+    if eb.eigenvalues.min() <= 0.0:
         raise EigSolverFailure(
-            f"{at}: non-positive eigenvalue {eb.eigenvalues[0]:.3e}")
+            f"{at}: non-positive eigenvalue {eb.eigenvalues.min():.3e}")
     certify(eb)
     return eb
 
 
-def certify(eb: EigenBasis | SineBasis):
+def certify(eb: _Basis):
     """Raise EigSolverFailure unless |A x - y| <= 1e-13 |A|_1 |c| for every
     (x, y, |c|) of eb.checked_rows(), A = eb.source.matrix.
 
@@ -234,7 +188,7 @@ def _sinc_factors(mu: np.ndarray, t) -> np.ndarray:
     return out
 
 
-def _time_factors(eb: EigenBasis | SineBasis, fn, t, v) -> np.ndarray:
+def _time_factors(eb: _Basis, fn, t, v) -> np.ndarray:
     """The table fn(mu, t), shaped t.shape + (1,) * (v.ndim - 1) + (N,) to
     broadcast against v's coefficients.  Each basis keeps the last table it
     was asked for, read-only, so repeated calls on the same times (one per
@@ -249,18 +203,18 @@ def _time_factors(eb: EigenBasis | SineBasis, fn, t, v) -> np.ndarray:
     return memo[key].reshape(t.shape + (1,) * (np.ndim(v) - 1) + (eb.size,))
 
 
-def op_cosine(eb: EigenBasis, t, v: np.ndarray) -> np.ndarray:
+def op_cosine(eb: _Basis, t, v: np.ndarray) -> np.ndarray:
     """cos(t A^(1/2)) v, shape t.shape + v.shape; the identity at t = 0."""
     return eb.map_spectrum(_time_factors(eb, _cos_factors, t, v), v)
 
 
-def op_sine_scaled(eb: EigenBasis, t, v: np.ndarray) -> np.ndarray:
+def op_sine_scaled(eb: _Basis, t, v: np.ndarray) -> np.ndarray:
     """A^(-1/2) sin(t A^(1/2)) v, shape t.shape + v.shape; equals the time
     integral of the cosine."""
     return eb.map_spectrum(_time_factors(eb, _sinc_factors, t, v), v)
 
 
-def op_inv_sqrt(eb: EigenBasis, v: np.ndarray) -> np.ndarray:
+def op_inv_sqrt(eb: _Basis, v: np.ndarray) -> np.ndarray:
     return eb.map_spectrum(1.0 / np.sqrt(eb.eigenvalues), v)
 
 
@@ -297,7 +251,7 @@ def _duhamel_tables(root: np.ndarray, s: float, omega: float):
     return acc.imag / root, acc.real
 
 
-def solve_ibvp(eb: EigenBasis, phi: np.ndarray, psi: np.ndarray,
+def solve_ibvp(eb: _Basis, phi: np.ndarray, psi: np.ndarray,
                forcing=None, t_list=(1.0,)) -> EvolutionResult:
     """Evaluate the three-term Duhamel formula at the requested times.
 

@@ -6,10 +6,10 @@ effective operators, extension), collects an Estimate's error rows per case
 and fits log-log slopes.  The three estimates are HYPERBOLIC (wave
 solutions: L2, H1 with corrector, flux), RESOLVENT (fixed zeta: L2, H1 with
 corrector, inverse root) and COSINE (smoothed-cosine corrector in H1 plus
-the plain error without a verdict).  Estimates that eigendecompose every
-case refuse meshes above the eigensolver cap before any assembly; the
-inverse root is measured on every case when all meshes fit the cap, or
-on none.
+the plain error without a verdict).  build_cases checks every mesh against
+the eigensolver cap once, before any assembly: estimates that
+eigendecompose every case refuse a mesh above it, and the inverse root is
+measured on every case when all meshes fit the cap, or on none.
 Verdict thresholds sit strictly below the theoretical rates (0.9 for
 O(eps), 0.45 for O(sqrt(eps))) to absorb preasymptotic effects; raw slopes
 and per-(eps, t) errors are always reported.  A thresholded estimate with
@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .errors import InsufficientPoints, ZeroError
+from .errors import EigSolverFailure, InsufficientPoints, ZeroError
 from .lattice import Lattice, build_lattice, unit_lattice
 from .coefficients import CoefficientSet, catalog
 from .cell import CellSolution, solve_cell
@@ -49,7 +49,6 @@ from .evolution import (
     flux_approx,
     op_cosine,
     op_inv_sqrt,
-    _EIG_LIMIT,
 )
 
 #: errors at or below this are reported as "exact" and excluded from fits
@@ -90,6 +89,14 @@ class SweepConfig:
             raise ValueError(
                 f"[mesh] h_over_eps = {self.h_over_eps:g} must lie in "
                 f"(0, 1/16]: the mesh can only refine h <= eps/16")
+        for key, values in (("[sweep] eps", self.eps_list),
+                            ("[evolve] eps", (self.evolve_eps,))):
+            for eps in values:
+                if not 0.0 < eps <= 1.0:        # NaN fails too
+                    raise ValueError(f"{key} = {eps:g} must lie in (0, 1]")
+        if self.n_probe < 5:
+            raise ValueError(f"[sweep] n_probe = {self.n_probe} must be at "
+                             f"least 5 random right-hand sides per eps")
 
     def resolved_eps(self, d: int) -> list[float]:
         eps = list(self.eps_list) or [
@@ -265,15 +272,24 @@ def extension_margin(lat: Lattice, eps_max: float, box) -> float:
     return margin
 
 
-def build_cases(fix: Fixture, cfg: SweepConfig, eps_list) -> list[Case]:
+def build_cases(fix: Fixture, cfg: SweepConfig, eps_list,
+                decomposes: bool = False) -> list[Case]:
     """Both operators per eps, each assembled and probed once on its case's
-    mesh, then shifted by the lam those probes choose (no re-assembly);
-    decomposable is decided from the mesh sizes, before any assembly."""
+    mesh, then shifted by the lam those probes choose (no re-assembly).
+    Every mesh is first checked against the eigensolver cap: over it, a
+    caller that decomposes gets EigSolverFailure, any other undecomposable
+    cases."""
     box = tuple(float(L) for L in np.atleast_1d(cfg.box))
     margin = extension_margin(fix.lat, max(eps_list), box)
     meshes = [mesh_for(box, eps * cfg.h_over_eps) for eps in eps_list]
-    decomposable = (max(mesh.n_nodes for mesh in meshes)
-                    * fix.coeffs.symbol.n <= _EIG_LIMIT)
+    decomposable = True
+    try:
+        for eps, mesh in zip(eps_list, meshes):
+            check_decomposable(mesh.n_nodes * fix.coeffs.symbol.n, eps)
+    except EigSolverFailure:
+        if decomposes:
+            raise
+        decomposable = False
     pairs = [(assemble_b_eps(mesh, fix.coeffs, eps, fix.lat),
               assemble_b0(mesh, fix.cell, fix.coeffs))
              for eps, mesh in zip(eps_list, meshes)]
@@ -287,15 +303,8 @@ def build_cases(fix: Fixture, cfg: SweepConfig, eps_list) -> list[Case]:
 def _seeded_probes(cfg: SweepConfig, case_idx: int, mesh: Mesh, n: int):
     """Random right-hand sides of unit L2 norm, one per row."""
     rng = np.random.default_rng((cfg.seed, case_idx))
-    f = rng.standard_normal((max(5, cfg.n_probe), mesh.n_nodes * n))
+    f = rng.standard_normal((cfg.n_probe, mesh.n_nodes * n))
     return f / l2_norm(mesh, f)[:, None]
-
-
-def require_decomposable(cfg: SweepConfig, fix: Fixture, eps_list):
-    """Refuse, before any assembly, eps whose mesh exceeds the eigensolver cap."""
-    for eps in eps_list:
-        mesh = mesh_for(cfg.box, eps * cfg.h_over_eps)
-        check_decomposable(mesh.n_nodes * fix.coeffs.symbol.n, eps)
 
 
 def evolve_case(fix: Fixture, cfg: SweepConfig, case: Case,
@@ -365,9 +374,7 @@ def run_sweep(cfg: SweepConfig, estimate: Estimate) -> RateReport:
     estimate.check(cfg)
     fix = build_fixture(cfg)
     eps_list = cfg.resolved_eps(fix.coeffs.d)
-    if estimate.decomposes:
-        require_decomposable(cfg, fix, eps_list)
-    cases = build_cases(fix, cfg, eps_list)
+    cases = build_cases(fix, cfg, eps_list, estimate.decomposes)
     meta = {"fixture": cfg.fixture, "d": fix.coeffs.d, "eps": list(eps_list),
             "t": list(cfg.t_list), "smoothed": cfg.smoothed, "seed": cfg.seed,
             "corrector_norm": fix.cell.corrector_norm(),

@@ -103,8 +103,9 @@ def test_closed_form_eigenvalues_match_dense(closed_form_op):
     op = closed_form_op
     dense = np.linalg.eigvalsh(op.matrix.toarray())
     eb = spectral_decompose(op)
-    assert np.all(np.diff(eb.eigenvalues) >= 0.0)
-    assert np.abs(eb.eigenvalues - dense).max() <= 1e-12 * dense[-1]
+    # a sine basis keeps the grid order of op.spectrum
+    assert np.array_equal(eb.eigenvalues, op.spectrum.ravel())
+    assert np.abs(np.sort(eb.eigenvalues) - dense).max() <= 1e-12 * dense[-1]
     Q = eb.synthesize(np.eye(op.size)).T
     assert np.linalg.norm(Q.T @ Q - np.eye(op.size)) <= 1e-10
 
@@ -142,7 +143,11 @@ def test_sine_basis_matches_dense_basis(closed_form_op):
     eb = spectral_decompose(op)
     assert isinstance(eb, SineBasis)
     mu, Q = scipy.linalg.eigh(op.matrix.toarray())
-    Q *= np.sign(np.einsum("ij,ij->j", Q, eb.synthesize(np.eye(op.size)).T))
+    # the sine modes in grid order, the dense ones ascending: column k of the
+    # dense basis pairs with sine mode order[k]
+    order = np.argsort(eb.eigenvalues, kind="stable")
+    Q *= np.sign(np.einsum("ij,ij->j", Q,
+                           eb.synthesize(np.eye(op.size)).T[:, order]))
     dense = EigenBasis(eigenvalues=mu, eigenvectors=Q, source=op)
     # a dense eigenvector is accurate to about eps_mach |A| / gap: compare
     # single modes only where the relative gap to both neighbours is >= 3e-4
@@ -155,13 +160,18 @@ def test_sine_basis_matches_dense_basis(closed_form_op):
 
     rng = np.random.default_rng(14)
     v = rng.standard_normal((2, op.size))
-    assert close(eb.project(v)[:, apart], dense.project(v)[:, apart])
+    assert close(eb.project(v)[:, order][:, apart], dense.project(v)[:, apart])
     c = rng.standard_normal((2, op.size)) * apart
-    assert close(eb.synthesize(c), dense.synthesize(c))
+    grid_c = np.empty_like(c)
+    grid_c[:, order] = c
+    assert close(eb.synthesize(grid_c), dense.synthesize(c))
     # functions of the operator do not depend on the choice of eigenvectors
-    factors = np.cos(np.multiply.outer([0.5, 1.0, 2.0], np.sqrt(mu)))
-    assert close(eb.map_spectrum(factors[:, None], v),
-                 dense.map_spectrum(factors[:, None], v))
+    times = [0.5, 1.0, 2.0]
+    assert close(
+        eb.map_spectrum(np.cos(np.multiply.outer(times, np.sqrt(
+            eb.eigenvalues)))[:, None], v),
+        dense.map_spectrum(np.cos(np.multiply.outer(times, np.sqrt(mu)))
+                           [:, None], v))
     got, ref = (solve_ibvp(basis, v, v[::-1], (1.5, v[1]), [0.5, 1.0, 2.0])
                 for basis in (eb, dense))
     for name in ("u", "du_dt", "energy"):
@@ -187,14 +197,15 @@ def test_sine_certificate_catches_mutations(name):
     for spectrum in spectra.values():
         with pytest.raises(EigSolverFailure, match="eigen backward error"):
             spectral_decompose(_mutated(op, spectrum))
-    swapped = eb.order.copy()
+    # two distinct modes with their eigenvalues swapped
+    swapped = eb.eigenvalues.copy()
     mid = op.size // 2
-    assert eb.eigenvalues[mid] != eb.eigenvalues[mid + 1]
+    assert swapped[mid] != swapped[mid + 1]
     swapped[[mid, mid + 1]] = swapped[[mid + 1, mid]]
     lowest_off = eb.eigenvalues.copy()
-    lowest_off[0] *= 1.0 + 1e-6
-    for basis in (SineBasis(eb.eigenvalues, swapped, op),
-                  SineBasis(lowest_off, eb.order, op)):
+    lowest_off[lowest_off.argmin()] *= 1.0 + 1e-6
+    for mu in (swapped, lowest_off):
+        basis = SineBasis(mu, op)
         with pytest.raises(EigSolverFailure, match="eigen backward error"):
             certify(basis)
 
@@ -230,6 +241,18 @@ def test_closed_form_resolvent_matches_default_lu(closed_form_op):
         assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
         one = resolvent(op, zeta, f[1])
         assert np.abs(one - u[1]).max() <= 1e-14 * np.abs(u[1]).max()
+
+
+@pytest.mark.parametrize("name", ["const", "laminate2d-b0"])
+def test_resolvent_divides_in_the_sine_basis(name):
+    # the solve and the eigenbasis share one transform pair: the resolvent
+    # is the basis's synthesis of its projection over mu - zeta, bit for bit
+    op = CLOSED_FORM[name]()
+    eb = spectral_decompose(op)
+    f = np.random.default_rng(16).standard_normal((3, op.size))
+    for zeta in (-1.0, 2.0 + 1.5j):
+        assert np.array_equal(resolvent(op, zeta, f), eb.synthesize(
+            eb.project(f) / (eb.eigenvalues - zeta)))
 
 
 # ---------------------------------------------------------------------------

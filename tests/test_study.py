@@ -187,8 +187,10 @@ def test_monotone_refinement_mesh_policy():
 
 
 def test_run_sweep_frees_each_case_once_measured():
-    # a measured case's operators, and the LUs they cache, are freed before
-    # the next case is measured
+    # a measured case's operators, and the LUs they cache, are freed by
+    # reference count before the next case is measured: op_0, a sine
+    # operator, must not be tied into a cycle with the basis it solves in
+    import gc
     import weakref
     from oscillat.study import Estimate, run_sweep
 
@@ -196,14 +198,20 @@ def test_run_sweep_frees_each_case_once_measured():
 
     def case_rows(fix, cfg, idx, case):
         alive.extend(ref() is not None for ref in previous)
-        previous.append(weakref.ref(case.op_eps))
+        previous[:] = [weakref.ref(case.op_eps), weakref.ref(case.op_0)]
         case.op_eps.factor(0.0)
+        case.op_0.solve_shifted(0.0, np.ones(case.op_0.size))
         return {"e": [(case.eps, None, case.eps)]}
 
     cfg = SweepConfig(fixture="sine1d", cell_n=32,
                       eps_list=(0.25, 0.125, 0.0625))
-    run_sweep(cfg, Estimate(entries=(("e", "L2", None),), case_rows=case_rows))
-    assert alive == [False, False, False]
+    gc.disable()
+    try:
+        run_sweep(cfg, Estimate(entries=(("e", "L2", None),),
+                                case_rows=case_rows))
+    finally:
+        gc.enable()
+    assert alive == [False] * 4
 
 
 def test_build_cases_shifts_each_operator_probed_once(monkeypatch):
@@ -447,6 +455,64 @@ def test_over_cap_mesh_fails_before_assembly(tmp_path, monkeypatch, capsys):
                         f"[sweep]\nout_dir = {tmp_path}\n")
     assert run_cli(["evolve", "--config", str(cfg_path)]) == 1
     assert "eps=0.125: 16129 unknowns" in capsys.readouterr().err
+
+
+def test_one_constant_drives_the_cap(monkeypatch):
+    # sine1d at eps 1/8 .. 1/64 has 127 to 1023 unknowns: with the cap at
+    # 1000, the decomposing sweeps stop before any assembly, and the
+    # resolvent sweep drops the inverse root on every case
+    import oscillat.dirichlet as dirichlet_mod
+    import oscillat.evolution as evolution_mod
+    import oscillat.study as study_mod
+
+    monkeypatch.setattr(evolution_mod, "_EIG_LIMIT", 1000)
+    cfg = SweepConfig(eps_list=(1 / 8, 1 / 16, 1 / 32, 1 / 64), cell_n=64)
+    with monkeypatch.context() as m:
+        for mod in (dirichlet_mod, study_mod):
+            _forbid(m, mod, "assemble_b_eps", "assemble_b0")
+        for sweep in (convergence_sweep, cosine_corrector_sweep):
+            with pytest.raises(EigSolverFailure,
+                               match=r"eps=0\.015625: 1023 unknowns"):
+                sweep(cfg)
+    report = resolvent_sweep(cfg)
+    assert [e.tag for e in report.estimates] == ["resolvent_l2",
+                                                 "resolvent_h1_corrector"]
+
+
+@pytest.mark.parametrize("value", [0.0, -0.125, float("nan"), float("inf"),
+                                   1.5])
+def test_eps_outside_unit_interval_refused(value):
+    with pytest.raises(ValueError, match=r"\[sweep\] eps = .* \(0, 1\]"):
+        SweepConfig(eps_list=(0.25, value))
+    with pytest.raises(ValueError, match=r"\[evolve\] eps = .* \(0, 1\]"):
+        SweepConfig(evolve_eps=value)
+
+
+def test_eps_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    import oscillat.cli as cli_mod
+    import oscillat.study as study_mod
+
+    for mod in (cli_mod, study_mod):
+        _forbid(monkeypatch, mod, "build_fixture")
+    for value in (0.0, -0.125, float("nan"), float("inf"), 1.5):
+        text = json.dumps(value)        # NaN and Infinity in JSON
+        for section, line in (("sweep", f"eps = [0.25, {text}]"),
+                              ("evolve", f"eps = {text}")):
+            cfg_path = tmp_path / "bad.cfg"
+            cfg_path.write_text(f"[{section}]\n{line}\n\n[domain]\n"
+                                f"box = [1.0]\n")
+            for command in ("cell", "evolve", "sweep", "resolvent-sweep",
+                            "cos-sweep"):
+                assert run_cli([command, "--config", str(cfg_path),
+                                "--out", str(tmp_path)]) == 1
+                err = capsys.readouterr().err
+                assert f"[{section}] eps = " in err and "(0, 1]" in err
+
+
+@pytest.mark.parametrize("value", [0, 3, 4])
+def test_n_probe_below_floor_refused(value):
+    with pytest.raises(ValueError, match=r"\[sweep\] n_probe = .* least 5"):
+        SweepConfig(n_probe=value)
 
 
 # ---------------------------------------------------------------------------
