@@ -1,9 +1,10 @@
 """Command-line interface: cell solves, evolution runs, and rate sweeps.
 
 Configs are flat INI files with sections [lattice], [coeff], [domain],
-[mesh], [corrector], [data], [sweep], [evolve]; values are JSON fragments
-(numbers, lists, objects).  Exit codes: 0 success, 1 error or usage
-problem, 2 verdict failure.
+[mesh], [corrector], [data], [sweep], [evolve]; each key sets the
+SweepConfig field _KEYS names and is read as that field's default says.
+Unknown keys and ill-typed values are refused.  Exit codes: 0 success, 1
+error or usage problem, 2 verdict failure.
 """
 
 import argparse
@@ -30,51 +31,74 @@ from .study import (
 )
 
 
-def _json_value(raw: str):
-    try:
-        return json.loads(raw)
-    except (json.JSONDecodeError, TypeError):
+#: every config key: [section] key -> the SweepConfig field it sets; a
+#: samples file replaces the catalog fixture
+_KEYS = {
+    "lattice": {"basis": "basis"},
+    "coeff": {"catalog": "fixture", "params": "fixture_params",
+              "samples_file": "fixture"},
+    "domain": {"box": "box"},
+    "mesh": {"h_over_eps": "h_over_eps", "cell_n": "cell_n"},
+    "corrector": {"smoothed": "smoothed"},
+    "data": {"phi": "phi", "psi": "psi", "forcing": "forcing",
+             "forcing_omega": "forcing_omega"},
+    "sweep": {"eps": "eps_list", "t": "t_list", "seed": "seed",
+              "zeta": "zeta", "n_probe": "n_probe", "out_dir": "out_dir"},
+    "evolve": {"eps": "evolve_eps"},
+}
+
+
+#: how a field whose default has a given type reads its value: what the
+#: value must be, and the check of its JSON; a string field takes the text
+_KINDS = {
+    bool: ("true or false", lambda v: type(v) is bool),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    tuple: ("a number or a list of numbers",
+            lambda v: all(type(x) in (int, float) for x in v)),
+    dict: ("a JSON object", lambda v: type(v) is dict),
+    type(None): ("a JSON list", lambda v: type(v) is list),     # basis
+}
+
+
+def _read_value(name: str, raw: str, default):
+    """The value of config key name, read as the type of its field's
+    default says; a bare number is a list of one."""
+    if isinstance(default, str):
         return raw
-
-
-def _get(cp: configparser.ConfigParser, section: str, key: str, default=None):
-    if cp.has_option(section, key):
-        return _json_value(cp.get(section, key))
-    return default
+    kind, ok = _KINDS[type(default)]
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw                     # no check takes a string
+    if isinstance(default, tuple) and type(value) is not list:
+        value = [value]
+    if not ok(value):
+        raise ValueError(f"{name} = {raw}: expected {kind}")
+    return value if default is None else type(default)(value)
 
 
 def load_config(path) -> SweepConfig:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    """Read an INI config.  A key not in _KEYS, or a value not of its
+    field's kind, raises ValueError naming its [section] key."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   interpolation=None)
+    if not cp.read(path):
         raise OscillatError(f"cannot read config file {path}")
-    fixture = _get(cp, "coeff", "catalog", "sine1d")
-    fixture_params = _get(cp, "coeff", "params", {}) or {}
-    samples_file = _get(cp, "coeff", "samples_file", None)
-    if samples_file:
-        fixture = "samples_file"
-        fixture_params = {"path": samples_file}
-    cfg = SweepConfig(
-        fixture=fixture,
-        fixture_params=fixture_params,
-        basis=_get(cp, "lattice", "basis", None),
-        box=tuple(np.atleast_1d(_get(cp, "domain", "box", [1.0]))),
-        eps_list=tuple(_get(cp, "sweep", "eps", []) or []),
-        t_list=tuple(_get(cp, "sweep", "t", [0.5, 1.0, 2.0])),
-        phi=_get(cp, "data", "phi", "sinehump"),
-        psi=_get(cp, "data", "psi", "sinemix"),
-        forcing=_get(cp, "data", "forcing", "none"),
-        forcing_omega=float(_get(cp, "data", "forcing_omega", 1.5)),
-        smoothed=bool(_get(cp, "corrector", "smoothed", True)),
-        seed=int(_get(cp, "sweep", "seed", 7)),
-        n_probe=int(_get(cp, "sweep", "n_probe", 5)),
-        zeta=float(_get(cp, "sweep", "zeta", -1.0)),
-        cell_n=int(_get(cp, "mesh", "cell_n", 0)),
-        h_over_eps=float(_get(cp, "mesh", "h_over_eps", 1.0 / 16.0)),
-        out_dir=str(_get(cp, "sweep", "out_dir", ".")),
-        evolve_eps=float(_get(cp, "evolve", "eps", 0.125)),
-    )
-    return cfg
+    defaults = vars(SweepConfig())
+    values = {}
+    for section in cp.sections():
+        keys = _KEYS.get(section, {})
+        for key, raw in cp.items(section):
+            name = f"[{section}] {key}"
+            if key not in keys:
+                raise ValueError(f"{name}: unknown key; known: " + ", ".join(
+                    keys or (f"[{s}]" for s in _KEYS)))
+            values[keys[key]] = _read_value(name, raw, defaults[keys[key]])
+    if cp.has_option("coeff", "samples_file"):
+        values.update(fixture="samples_file",
+                      fixture_params={"path": cp.get("coeff", "samples_file")})
+    return SweepConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +148,9 @@ def cmd_cell(cfg: SweepConfig) -> int:
         "g0": _complex_matrix_json(sol.g0),
         "V": _complex_matrix_json(sol.V),
         "W": _complex_matrix_json(sol.W),
-        "voigt_reuss": {
-            "lower_ok": vr.lower_ok,
-            "upper_ok": vr.upper_ok,
-            "lower_margin": vr.lower_margin,
-            "upper_margin": vr.upper_margin,
-            "g_lower": _complex_matrix_json(vr.g_lower),
-            "g_upper": _complex_matrix_json(vr.g_upper),
-        },
+        "voigt_reuss": {k: _complex_matrix_json(v)
+                        if isinstance(v, np.ndarray) else v
+                        for k, v in vars(vr).items()},
         "residuals": {k: list(map(float, v))
                       for k, v in sol.residuals.items()},
         "corrector_norm": sol.corrector_norm(),
@@ -218,7 +237,7 @@ def run_cli(argv=None) -> int:
         if args.command == "evolve":
             return cmd_evolve(cfg)
         return _run_sweep(args.command, cfg)
-    except (OscillatError, ValueError, OSError) as exc:
+    except (OscillatError, ValueError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

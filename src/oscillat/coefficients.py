@@ -7,6 +7,7 @@ f^eps(x) = f(x/eps) goes through fractional cell coordinates.
 """
 
 from dataclasses import dataclass
+import pathlib
 
 import numpy as np
 
@@ -313,28 +314,9 @@ class CoefficientSet:
         return self
 
 
-def _default_samples(d: int) -> int:
-    return 256 if d == 1 else 64
-
-
-def _bandlimited_profile(rng, kmax: int, base: float, contrast: float, N: int):
-    """Random positive 1d profile base*(1 + contrast*s/max|s|), s band-limited."""
-    x = np.arange(N) / N
-    s = np.zeros(N)
-    for k in range(1, kmax + 1):
-        ak, bk = rng.standard_normal(2) / k
-        s += ak * np.cos(2 * np.pi * k * x) + bk * np.sin(2 * np.pi * k * x)
-    peak = np.abs(s).max()
-    if peak > 0:
-        s = s / peak
-    return base * (1.0 + contrast * s)
-
-
 def load_field_csv(path) -> PeriodicField:
     """Read grid samples from CSV: header "d,N,rows,cols", then one grid
     point per line (row-major), re/im interleaved per matrix entry."""
-    import pathlib
-
     lines = pathlib.Path(path).read_text().strip().splitlines()
     d, N, rows, cols = (int(v) for v in lines[0].split(","))
     data = np.array([[float(v) for v in line.split(",")]
@@ -349,95 +331,81 @@ def load_field_csv(path) -> PeriodicField:
                          positive=True).validate()
 
 
+#: every catalog entry's parameters and their defaults.  n_samples = 0
+#: means 256 samples per axis for d=1 and 64 for d=2; g is a number (times
+#: the identity) or an m x m matrix
+CATALOG_PARAMS = {
+    "const": {"d": 1, "g": [[3.0]], "n_samples": 0},
+    "sine1d": {"base": 2.0, "amp": 1.0, "a_amp": 0.0, "q_const": 0.0,
+               "q_amp": 0.0, "n_samples": 0},
+    "laminate2d": {"base": 2.0, "amp": 1.0, "n_samples": 0},
+    "checkerboard-smooth": {"base": 2.0, "amp": 0.5, "n_samples": 0},
+    "random-bandlimited": {"d": 1, "seed": 0, "kmax": 4, "base": 2.0,
+                           "contrast": 0.9, "n_samples": 0},
+}
+
+#: the term amp * s(x, y) a layered 2-D entry adds to base, times I_2
+_LAYERS_2D = {
+    "laminate2d": lambda amp, x, y: amp * np.sin(2 * np.pi * x),
+    "checkerboard-smooth": lambda amp, x, y: (amp * np.sin(2 * np.pi * x)
+                                              * np.sin(2 * np.pi * y)),
+}
+
+
 def catalog(name: str, params: dict | None = None) -> CoefficientSet:
     """Build a validated CoefficientSet from the fixture catalog.
 
-    Entries: const, sine1d, laminate2d, checkerboard-smooth,
-    random-bandlimited.  Every entry lives on the unit cubic lattice.
+    CATALOG_PARAMS lists the entries and their parameters; a parameter with
+    a numeric default is cast to the default's type, and an unknown one
+    raises ValueError.  Every entry lives on the unit cubic lattice.
     """
-    p = dict(params or {})
-
+    if name not in CATALOG_PARAMS:
+        raise UnknownCatalogEntry(name)
+    defaults = CATALOG_PARAMS[name]
+    unknown = sorted(set(params or {}) - set(defaults))
+    if unknown:
+        raise ValueError(f"catalog entry {name} has no parameter "
+                         f"{', '.join(unknown)}; it takes {', '.join(defaults)}")
+    p = {k: type(defaults[k])(v) if isinstance(defaults[k], (int, float))
+         else v for k, v in {**defaults, **(params or {})}.items()}
+    d = p.get("d", 1 if name == "sine1d" else 2)
+    N = p["n_samples"] or (256 if d == 1 else 64)
+    base, amp = p.get("base"), p.get("amp")
+    if amp is not None and base - abs(amp) <= POSITIVITY_FLOOR:
+        raise ValueError(f"{name} needs base > |amp|")
+    flags, a, Q = dict(hermitian=True, positive=True), (), None
     if name == "const":
-        d = int(p.get("d", 1))
-        value = p.get("g", 3.0)
-        N = int(p.get("n_samples", _default_samples(d)))
-        sym = make_symbol([[[1.0]]]) if d == 1 else gradient_symbol(d)
-        g_mat = np.atleast_2d(np.asarray(value, dtype=complex))
-        if g_mat.shape == (1, 1) and sym.m > 1:
-            g_mat = g_mat[0, 0] * np.eye(sym.m)
-        g = constant_field(g_mat, d, N, hermitian=True, positive=True)
-        return CoefficientSet(symbol=sym, g=g).validate()
-
-    if name == "sine1d":
-        base = float(p.get("base", 2.0))
-        amp = float(p.get("amp", 1.0))
-        N = int(p.get("n_samples", 256))
-        if base - abs(amp) <= POSITIVITY_FLOOR:
-            raise ValueError("sine1d needs base > |amp|")
-        sym = make_symbol([[[1.0]]])
+        g_mat = np.atleast_2d(np.asarray(p["g"], dtype=complex))
+        if g_mat.shape == (1, 1) and d > 1:
+            g_mat = g_mat[0, 0] * np.eye(d)
+        g = constant_field(g_mat, d, N, **flags)
+    elif name == "sine1d":
         g = field_from_function(lambda x: base + amp * np.sin(2 * np.pi * x),
-                                1, N, hermitian=True, positive=True)
-        a_fields = ()
-        a_amp = float(p.get("a_amp", 0.0))
-        if a_amp:
-            a_fields = (field_from_function(
-                lambda x: a_amp * np.sin(2 * np.pi * x), 1, N),)
-        Q = None
-        q_const = float(p.get("q_const", 0.0))
-        q_amp = float(p.get("q_amp", 0.0))
-        if q_const or q_amp:
+                                1, N, **flags)
+        if p["a_amp"]:
+            a = (field_from_function(
+                lambda x: p["a_amp"] * np.sin(2 * np.pi * x), 1, N),)
+        if p["q_const"] or p["q_amp"]:
             Q = field_from_function(
-                lambda x: q_const + q_amp * np.cos(2 * np.pi * x),
+                lambda x: p["q_const"] + p["q_amp"] * np.cos(2 * np.pi * x),
                 1, N, hermitian=True)
-        return CoefficientSet(symbol=sym, g=g, a=a_fields, Q=Q).validate()
-
-    if name == "laminate2d":
-        base = float(p.get("base", 2.0))
-        amp = float(p.get("amp", 1.0))
-        N = int(p.get("n_samples", 64))
-        if base - abs(amp) <= POSITIVITY_FLOOR:
-            raise ValueError("laminate2d needs base > |amp|")
-        sym = gradient_symbol(2)
+    elif name in _LAYERS_2D:
         g = field_from_function(
-            lambda x, y: (base + amp * np.sin(2 * np.pi * x))[..., None, None]
-            * np.eye(2),
-            2, N, hermitian=True, positive=True)
-        return CoefficientSet(symbol=sym, g=g).validate()
-
-    if name == "checkerboard-smooth":
-        base = float(p.get("base", 2.0))
-        amp = float(p.get("amp", 0.5))
-        N = int(p.get("n_samples", 64))
-        if base - abs(amp) <= POSITIVITY_FLOOR:
-            raise ValueError("checkerboard-smooth needs base > |amp|")
-        sym = gradient_symbol(2)
-        g = field_from_function(
-            lambda x, y: (base + amp * np.sin(2 * np.pi * x)
-                          * np.sin(2 * np.pi * y))[..., None, None] * np.eye(2),
-            2, N, hermitian=True, positive=True)
-        return CoefficientSet(symbol=sym, g=g).validate()
-
-    if name == "random-bandlimited":
-        d = int(p.get("d", 1))
-        seed = int(p.get("seed", 0))
-        kmax = int(p.get("kmax", 4))
-        base = float(p.get("base", 2.0))
-        contrast = float(p.get("contrast", 0.9))
-        N = int(p.get("n_samples", _default_samples(d)))
-        rng = np.random.default_rng(seed)
-        profile = _bandlimited_profile(rng, kmax, base, contrast, N)
-        if d == 1:
-            sym = make_symbol([[[1.0]]])
-            g = PeriodicField(profile[:, None, None].astype(complex), dim=1,
-                              hermitian=True, positive=True).validate()
-            return CoefficientSet(symbol=sym, g=g).validate()
-        if d == 2:
-            sym = gradient_symbol(2)
-            samples = profile[:, None, None, None] * np.eye(2)
-            samples = np.broadcast_to(samples, (N, N, 2, 2)).astype(complex)
-            g = PeriodicField(samples.copy(), dim=2, hermitian=True,
-                              positive=True).validate()
-            return CoefficientSet(symbol=sym, g=g).validate()
-        raise UnknownCatalogEntry(f"random-bandlimited supports d in {{1,2}}, got {d}")
-
-    raise UnknownCatalogEntry(name)
+            lambda x, y: (base + _LAYERS_2D[name](amp, x, y))[..., None, None]
+            * np.eye(2), 2, N, **flags)
+    else:
+        # random-bandlimited: base (1 + contrast s) I_d, max |s| = 1 along x_1
+        if d not in (1, 2):
+            raise UnknownCatalogEntry(
+                f"random-bandlimited supports d in {{1,2}}, got {d}")
+        rng, x = np.random.default_rng(p["seed"]), np.arange(N) / N
+        s = np.zeros(N)
+        for k in range(1, p["kmax"] + 1):
+            ak, bk = rng.standard_normal(2) / k
+            s += ak * np.cos(2 * np.pi * k * x) + bk * np.sin(2 * np.pi * k * x)
+        peak = np.abs(s).max()
+        profile = base * (1.0 + p["contrast"] * (s / peak if peak > 0 else s))
+        samples = profile.reshape((N,) + (1,) * (d + 1)) * np.eye(d)
+        g = PeriodicField(np.broadcast_to(samples, (N,) * d + (d, d))
+                          .astype(complex), dim=d, **flags).validate()
+    return CoefficientSet(symbol=gradient_symbol(d), g=g, a=a, Q=Q).validate()

@@ -14,18 +14,21 @@ Verdict thresholds sit strictly below the theoretical rates (0.9 for
 O(eps), 0.45 for O(sqrt(eps))) to absorb preasymptotic effects; raw slopes
 and per-(eps, t) errors are always reported.  A thresholded estimate with
 fewer than four usable eps gets its slope and the verdict "insufficient",
-which does not pass, so the sweep still writes its report.
+which does not pass, so the sweep still writes its report.  Any estimate
+with a non-finite error gets the verdict "fail".
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+import math
 import time
 
 import numpy as np
 
 from .errors import EigSolverFailure, InsufficientPoints, ZeroError
 from .lattice import Lattice, build_lattice, unit_lattice
-from .coefficients import CoefficientSet, catalog
+from .coefficients import (CoefficientSet, catalog, gradient_symbol,
+                           load_field_csv)
 from .cell import CellSolution, solve_cell
 from .dirichlet import (
     Mesh,
@@ -83,20 +86,26 @@ class SweepConfig:
     evolve_eps: float = 0.125       # single-eps runs of the evolve command
 
     def __post_init__(self):
-        # assembly refuses h > eps/16, so a coarser policy could only fail
-        # after the cell solve; refuse it before any work instead
-        if not 0.0 < self.h_over_eps <= H_OVER_EPS:
-            raise ValueError(
-                f"[mesh] h_over_eps = {self.h_over_eps:g} must lie in "
-                f"(0, 1/16]: the mesh can only refine h <= eps/16")
-        for key, values in (("[sweep] eps", self.eps_list),
-                            ("[evolve] eps", (self.evolve_eps,))):
-            for eps in values:
-                if not 0.0 < eps <= 1.0:        # NaN fails too
-                    raise ValueError(f"{key} = {eps:g} must lie in (0, 1]")
-        if self.n_probe < 5:
-            raise ValueError(f"[sweep] n_probe = {self.n_probe} must be at "
-                             f"least 5 random right-hand sides per eps")
+        # refuse what could only fail after the cell solve.  Per INI key:
+        # its values, their test and what the test asks; NaN fails each
+        unit = lambda v: 0.0 < v <= 1.0
+        for key, values, ok, must in (
+                ("[mesh] h_over_eps", [self.h_over_eps],
+                 lambda v: 0.0 < v <= H_OVER_EPS,
+                 "lie in (0, 1/16]: the mesh can only refine h <= eps/16"),
+                ("[sweep] eps", self.eps_list, unit, "lie in (0, 1]"),
+                ("[evolve] eps", [self.evolve_eps], unit, "lie in (0, 1]"),
+                ("[sweep] n_probe", [self.n_probe], lambda v: v >= 5,
+                 "be at least 5 random right-hand sides per eps"),
+                ("[sweep] t", self.t_list, np.isfinite, "be finite"),
+                ("[sweep] zeta", [self.zeta], np.isfinite, "be finite"),
+                ("[data] forcing_omega", [self.forcing_omega], np.isfinite,
+                 "be finite"),
+                ("[domain] box", np.atleast_1d(self.box),
+                 lambda v: 0.0 < v < np.inf, "be finite and positive")):
+            for v in values:
+                if not ok(v):
+                    raise ValueError(f"{key} = {v:g} must {must}")
 
     def resolved_eps(self, d: int) -> list[float]:
         eps = list(self.eps_list) or [
@@ -175,19 +184,23 @@ def fit_rate(points) -> tuple[float, float, float]:
 
 def _judge(tag: str, norm: str, rows, threshold) -> EstimateResult:
     """Aggregate rows to per-eps errors, fit, and attach the verdict."""
+    nan = float("nan")
+    if not all(math.isfinite(err) for _eps, _t, err in rows):
+        # max() below drops NaN, so a non-finite error fails outright
+        return EstimateResult(tag, norm, rows, nan, nan, nan,
+                              threshold or nan, "fail")
     per_eps: dict[float, float] = {}
     for eps, _t, err in rows:
         per_eps[eps] = max(per_eps.get(eps, 0.0), float(err))
     usable = [(e, v) for e, v in sorted(per_eps.items()) if v > EXACT_TOL]
     if not usable:
-        return EstimateResult(tag, norm, rows, float("nan"), float("nan"),
-                              0.0, threshold if threshold else float("nan"),
+        return EstimateResult(tag, norm, rows, nan, nan, 0.0, threshold or nan,
                               "exact" if threshold else "reported")
     slope, intercept, resid = (fit_rate(usable) if len(usable) >= 2
-                               else (float("nan"),) * 3)
+                               else (nan,) * 3)
     if threshold is None:
-        return EstimateResult(tag, norm, rows, slope, intercept, resid,
-                              float("nan"), "reported")
+        return EstimateResult(tag, norm, rows, slope, intercept, resid, nan,
+                              "reported")
     if len(usable) < 4:     # a slope, but too few points for a verdict
         verdict = "insufficient"
     else:
@@ -235,12 +248,8 @@ class Fixture:
 def build_fixture(cfg: SweepConfig) -> Fixture:
     """Coefficients (from the catalog or a samples file), lattice and cell."""
     if cfg.fixture == "samples_file":
-        from .coefficients import (load_field_csv, make_symbol,
-                                   gradient_symbol)
-
         g = load_field_csv(cfg.fixture_params["path"])
-        sym = make_symbol([[[1.0]]]) if g.dim == 1 else gradient_symbol(g.dim)
-        coeffs = CoefficientSet(symbol=sym, g=g).validate()
+        coeffs = CoefficientSet(symbol=gradient_symbol(g.dim), g=g).validate()
     else:
         coeffs = catalog(cfg.fixture, cfg.fixture_params)
     lat = (build_lattice(cfg.basis) if cfg.basis is not None

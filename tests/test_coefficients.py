@@ -13,6 +13,7 @@ from oscillat.coefficients import (
     resample,
     sup_opnorm,
     inv_sup_opnorm,
+    CATALOG_PARAMS,
     catalog,
     load_field_csv,
 )
@@ -200,6 +201,31 @@ def test_catalog_random_bandlimited_reproducible_and_positive():
 def test_catalog_unknown_raises():
     with pytest.raises(UnknownCatalogEntry):
         catalog("not-a-fixture")
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+def test_catalog_unknown_parameter_raises(name):
+    # a misspelled parameter must not fall back to its default
+    with pytest.raises(ValueError, match=rf"{name} has no parameter ampl; "
+                                         rf"it takes .*n_samples"):
+        catalog(name, {"ampl": 0.5})
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+def test_catalog_defaults_are_the_table(name):
+    # the table's defaults, passed explicitly, build the same fields
+    a = catalog(name)
+    b = catalog(name, dict(CATALOG_PARAMS[name]))
+    assert np.array_equal(a.g.samples, b.g.samples)
+    assert a.g.samples.dtype == b.g.samples.dtype == complex
+    assert (a.g.hermitian, a.g.positive) == (True, True)
+
+
+@pytest.mark.parametrize("name", ["sine1d", "laminate2d",
+                                  "checkerboard-smooth"])
+def test_catalog_refuses_amp_at_base(name):
+    with pytest.raises(ValueError, match=rf"{name} needs base > \|amp\|"):
+        catalog(name, {"base": 1.0, "amp": -1.0})
 
 
 def test_field_csv_roundtrip(tmp_path):

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from oscillat.study import (
     rates_csv_text,
     report_txt_text,
     selftest,
+    _judge,
 )
 from oscillat.cli import run_cli, load_config
 
@@ -59,6 +62,46 @@ def test_fit_rate_insufficient_points():
 def test_fit_rate_duplicate_eps_rejected():
     with pytest.raises(ValueError):
         fit_rate([(0.1, 0.1), (0.1, 0.2), (0.05, 0.07)])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("threshold", [0.9, None])
+def test_judge_fails_a_non_finite_error(bad, threshold):
+    # max(0.0, nan) is 0.0: a NaN row must not vanish into an exact verdict
+    rows = [(e, t, 0.0) for e in (0.125, 0.0625, 0.03125, 0.015625)
+            for t in (0.5, 1.0)]
+    rows[3] = (rows[3][0], rows[3][1], bad)
+    est = _judge("solution_l2", "L2", rows, threshold)
+    assert est.verdict == "fail" and not est.passed()
+    assert est.rows == rows
+    good = [(e, None, e) for e in (0.125, 0.0625, 0.03125, 0.015625)]
+    assert _judge("x", "L2", good + [(0.0078125, None, bad)],
+                  threshold).verdict == "fail"
+
+
+def test_cli_non_finite_error_exits_2(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    import oscillat.study as study_mod
+
+    def case_rows(fix, cfg, idx, case):
+        rows = study_mod._resolvent_rows(fix, cfg, idx, case)
+        if idx == 1:
+            rows["resolvent_l2"] = [(case.eps, None, float("nan"))]
+        return rows
+
+    monkeypatch.setattr(study_mod, "RESOLVENT", dataclasses.replace(
+        study_mod.RESOLVENT, case_rows=case_rows))
+    out = tmp_path / "out"
+    cfg_path = write_quick_config(tmp_path, out)
+    assert run_cli(["resolvent-sweep", "--config", str(cfg_path)]) == 2
+    verdicts = dict(line.split()[::3] for line in
+                    (out / "report.txt").read_text().splitlines()[:-1])
+    assert verdicts["resolvent_l2"] == "fail"
+    assert verdicts["resolvent_h1_corrector"] == "pass"
+    rates = (out / "rates.csv").read_text()
+    assert "resolvent_l2,0.0625,,nan,L2" in rates
+    assert rates.count("resolvent_l2,") == 4
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +168,95 @@ out_dir = out
     assert cfg.h_over_eps == 0.03125
     assert cfg.phi == "poly" and cfg.psi == "sinehump"
     assert cfg.forcing == "sinemix" and cfg.forcing_omega == 2.5
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_config() -> str:
+    """The README's ```ini block, verbatim."""
+    text = README.read_text()
+    start = text.index("```ini\n") + len("```ini\n")
+    return text[start:text.index("```", start)]
+
+
+def test_readme_config_loads_verbatim(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(readme_config())
+    cfg = load_config(path)
+    assert cfg.basis == [[1.0]] and cfg.box == (1.0,)
+    assert cfg.fixture == "sine1d"
+    assert cfg.fixture_params == {"base": 2.0, "amp": 1.0}
+    assert cfg.h_over_eps == 0.0625 and cfg.cell_n == 256
+    assert cfg.smoothed is True
+    assert (cfg.phi, cfg.psi, cfg.forcing) == ("sinehump", "sinemix", "poly")
+    assert cfg.forcing_omega == 1.5
+    assert cfg.eps_list == tuple(2.0 ** -k for k in range(3, 8))
+    assert cfg.t_list == (0.5, 1.0, 2.0)
+    assert (cfg.seed, cfg.zeta, cfg.n_probe) == (7, -1.0, 5)
+    assert cfg.out_dir == "out" and cfg.evolve_eps == 0.125
+    assert run_cli(["cell", "--config", str(path),
+                    "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "effective.json").exists()
+
+
+def test_load_config_reads_by_field_default(tmp_path):
+    path = tmp_path / "conf.cfg"
+    path.write_text("[domain]\nbox = 2 # a bare number is a list of one\n"
+                    "[sweep]\neps = 0.25\nzeta = -1\nout_dir = a%b ; c\n"
+                    "[data]\nphi = poly\n")
+    cfg = load_config(path)
+    assert cfg.box == (2,) and cfg.eps_list == (0.25,)
+    assert cfg.zeta == -1.0 and isinstance(cfg.zeta, float)
+    assert cfg.out_dir == "a%b" and cfg.phi == "poly"
+    assert cfg.t_list == SweepConfig().t_list       # defaults stay
+
+
+@pytest.mark.parametrize("section, line, key", [
+    ("corrector", "smoothed = False", "[corrector] smoothed"),
+    ("corrector", "smoothed = no", "[corrector] smoothed"),
+    ("corrector", "smoothed = 1", "[corrector] smoothed"),
+    ("sweep", "eps = [nan, 0.125]", "[sweep] eps"),
+    ("sweep", "eps = [0.25, true]", "[sweep] eps"),
+    ("sweep", "seed = 7.9", "[sweep] seed"),
+    ("sweep", "seed = 7.0", "[sweep] seed"),
+    ("mesh", "cell_n = \"64\"", "[mesh] cell_n"),
+    ("sweep", "zeta = -1.0.0", "[sweep] zeta"),
+    ("coeff", "params = [1.0]", "[coeff] params"),
+    ("lattice", "basis = 1.0", "[lattice] basis"),
+    ("sweep", "n_probes = 3", "[sweep] n_probes"),
+    ("swep", "seed = 3", "[swep] seed"),
+    ("sweep", "seed = 3\nseed = 4", "While reading"),     # duplicate key
+    ("", "seed = 3", "File contains no section headers"),
+])
+def test_misconfiguration_refused_before_any_work(tmp_path, monkeypatch,
+                                                  capsys, section, line, key):
+    # a value of the wrong kind, an unknown key and an unknown section are
+    # all refused by name, before the cell solve and without a traceback
+    import oscillat.cli as cli_mod
+    import oscillat.study as study_mod
+
+    for mod in (cli_mod, study_mod):
+        _forbid(monkeypatch, mod, "build_fixture")
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"[{section}]\n{line}\n" if section else line)
+    assert run_cli(["sweep", "--config", str(cfg_path),
+                    "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}") and "Traceback" not in err
+
+
+def test_unknown_catalog_parameter_refused_before_cell_solve(
+        tmp_path, monkeypatch, capsys):
+    import oscillat.study as study_mod
+
+    _forbid(monkeypatch, study_mod, "solve_cell")
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text('[coeff]\ncatalog = sine1d\nparams = {"ampl": 0.5}\n')
+    assert run_cli(["cell", "--config", str(cfg_path),
+                    "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "sine1d has no parameter ampl" in err and "amp, " in err
 
 
 def test_data_profiles_normalized():
@@ -513,6 +645,46 @@ def test_eps_refused_before_any_work(tmp_path, monkeypatch, capsys):
 def test_n_probe_below_floor_refused(value):
     with pytest.raises(ValueError, match=r"\[sweep\] n_probe = .* least 5"):
         SweepConfig(n_probe=value)
+
+
+@pytest.mark.parametrize("field, value, key", [
+    ("t_list", (0.5, float("nan")), "[sweep] t"),
+    ("t_list", (float("inf"),), "[sweep] t"),
+    ("zeta", float("nan"), "[sweep] zeta"),
+    ("forcing_omega", float("nan"), "[data] forcing_omega"),
+    ("forcing_omega", float("-inf"), "[data] forcing_omega"),
+    ("box", (float("nan"),), "[domain] box"),
+    ("box", (1.0, float("inf")), "[domain] box"),
+    ("box", (1.0, 0.0), "[domain] box"),
+    ("box", (-1.0,), "[domain] box"),
+])
+def test_non_finite_settings_refused(monkeypatch, field, value, key):
+    import oscillat.study as study_mod
+
+    _forbid(monkeypatch, study_mod, "build_fixture")
+    with pytest.raises(ValueError, match=re.escape(key) + " = "):
+        convergence_sweep(SweepConfig(**{field: value}))
+
+
+def test_non_finite_settings_refused_from_the_command_line(
+        tmp_path, monkeypatch, capsys):
+    import oscillat.cli as cli_mod
+    import oscillat.study as study_mod
+
+    for mod in (cli_mod, study_mod):
+        _forbid(monkeypatch, mod, "build_fixture")
+    for section, line in (("sweep", "zeta = NaN"), ("sweep", "t = [NaN]"),
+                          ("data", "forcing_omega = NaN"),
+                          ("domain", "box = [NaN]"),
+                          ("domain", "box = [1.0, Infinity]")):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"[{section}]\n{line}\n")
+        for command in ("cell", "sweep", "cos-sweep"):
+            assert run_cli([command, "--config", str(cfg_path),
+                            "--out", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            key = f"[{section}] {line.split()[0]} = "
+            assert err.startswith(f"error: {key}") and "finite" in err
 
 
 # ---------------------------------------------------------------------------
