@@ -27,6 +27,7 @@ from .study import (
     build_fixture,
     build_cases,
     evolve_case,
+    check_times,
     selftest,
 )
 
@@ -161,6 +162,7 @@ def cmd_cell(cfg: SweepConfig) -> int:
 
 
 def cmd_evolve(cfg: SweepConfig) -> int:
+    check_times(cfg)
     fix = build_fixture(cfg)
     eps = float(cfg.evolve_eps)
     case = build_cases(fix, cfg, [eps], decomposes=True)[0]

@@ -12,7 +12,8 @@ part uses Q1 elements with the coefficient frozen at each cell midpoint
 are collocated at nodes with centered differences and symmetrized, which
 keeps every assembled matrix hermitian at machine precision.  A corrector
 is compiled once per case (SmoothedBD): per grid axis, sparse 1-D factors
-of the Steklov average, the centered difference and the restriction.
+from interior to interior nodes of the extension (reflection and cutoff),
+the Steklov average, the centered difference and the restriction.
 """
 
 from dataclasses import dataclass, field
@@ -133,11 +134,6 @@ def h1_norm(mesh: Mesh, vec: np.ndarray, n: int):
     """Discrete H1 norm: a float for a dof vector, one per row of a stack."""
     norm = np.sqrt(l2_norm(mesh, vec) ** 2 + grad_sq(mesh, vec, n))
     return float(norm) if np.ndim(norm) == 0 else norm
-
-
-def _ax_slice(d, ax, sl):
-    """Index taking sl on grid axis ax of a (..., M_1, .., M_d, n) array."""
-    return (Ellipsis, sl) + (slice(None),) * (d - ax)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +670,8 @@ def choose_lambda(ops: list, coeffs: CoefficientSet) -> float:
 
 @dataclass(frozen=True)
 class ExtensionOperator:
-    """Hestenes reflection (order 3) plus smooth cutoff around the box."""
+    """Hestenes reflection (order 3: it matches value and two derivatives of
+    smooth data) plus smooth cutoff around the box: kron_k E_k of factors."""
 
     mesh: Mesh
     margin: float
@@ -682,11 +679,23 @@ class ExtensionOperator:
     shape_ext: tuple
 
     @cached_property
-    def cutoff(self) -> np.ndarray:
-        """Per-axis smooth steps of the distance to the box, multiplied."""
-        return functools.reduce(np.multiply.outer, [
-            _smoothstep(np.maximum(np.maximum(-x, x - L), 0.0) / self.margin)
-            for x, L in zip(self.axes_ext(), self.mesh.box)])
+    def factors(self) -> list:
+        """Per grid axis k, the CSR E_k (shape_ext[k] x M_k): the identity on
+        interior nodes, zero on the boundary nodes, the order-3 reflection
+        rows (6, -8, 3) across both faces, sourced from face -+ j, 2j, 3j
+        in the box (build_extension), all times the axis's cutoff."""
+        out = []
+        for x, L, p, M in zip(self.axes_ext(), self.mesh.box, self.pad,
+                              self.mesh.m_int):
+            j = np.repeat(np.arange(1, p + 1), 3)
+            src = j * np.tile([1, 2, 3], p)     # box nodes 0 .. M + 1
+            rows = np.r_[p + 1:p + M + 1, p - j, p + M + 1 + j]
+            cols = np.r_[1:M + 1, src, M + 1 - src]
+            vals = np.r_[np.ones(M), np.tile([6.0, -8.0, 3.0], 2 * p)]
+            vals *= _smoothstep(np.maximum(-x, x - L) / self.margin)[rows]
+            box = sp.csr_matrix((vals, (rows, cols)), shape=(x.size, M + 2))
+            out.append(box[:, 1:-1])        # the boundary nodes hold zero
+        return out
 
     def axes_ext(self) -> list[np.ndarray]:
         return [self.mesh.h[k] * np.arange(-self.pad[k],
@@ -721,39 +730,27 @@ def build_extension(mesh: Mesh, margin: float) -> ExtensionOperator:
                              shape_ext=shape_ext)
 
 
-def _reflect_axis(values: np.ndarray, d: int, axis: int, pad: int, m_int: int):
-    """Order-3 Hestenes reflection across both faces of one grid axis, all
-    pad layers of a face at once: 3 pad <= m_int + 1 (build_extension)
-    keeps the sources face -+ j, 2j, 3j between the faces."""
-    j = np.arange(1, pad + 1)
-    sl = lambda i: _ax_slice(d, axis, i)
-    for face, out in ((pad, -1), (pad + m_int + 1, 1)):    # x=0, x=L nodes
-        values[sl(face + out * j)] = (6.0 * values[sl(face - out * j)]
-                                      - 8.0 * values[sl(face - 2 * out * j)]
-                                      + 3.0 * values[sl(face - 3 * out * j)])
-    return values
+def _axis_products(mats, grid: np.ndarray) -> np.ndarray:
+    """mats[k] applied along grid axis k of grids (..., N_1, .., N_d, n), the
+    last axis first: one CSR @ columns product per axis, whose columns are
+    the other axes, stack axes too, complex ones split in two, so a stack
+    maps as its rows do."""
+    y = np.asarray(grid)
+    for k in reversed(range(len(mats))):
+        ax = k - len(mats) - 1
+        cols = np.moveaxis(y, ax, 0)
+        flat = np.ascontiguousarray(cols.reshape(cols.shape[0], -1),
+                                    dtype=np.result_type(y, float))
+        out = (mats[k] @ flat.view(float)).view(flat.dtype)
+        y = np.moveaxis(out.reshape((-1,) + cols.shape[1:]), 0, ax)
+    return y
 
 
-def extend(u: np.ndarray, op: ExtensionOperator, n: int = 1,
-           apply_cutoff: bool = True) -> np.ndarray:
-    """Extend an interior grid function to the enlarged box.
-
-    Zero Dirichlet values are imposed on the boundary nodes, each face is
-    reflected with the 3-term rule (matches value and two derivatives for
-    smooth data), and the result is multiplied by the cutoff.  Restriction
-    back to interior nodes reproduces u exactly.  u has shape
-    (..., n_nodes * n); the extension has shape (..., *shape_ext, n).
-    """
-    mesh = op.mesh
-    u = np.asarray(u)
-    ext = np.zeros(u.shape[:-1] + op.shape_ext + (n,),
-                   dtype=np.result_type(u, float))
-    ext[(..., *op.interior_slices(), slice(None))] = mesh.to_grid(u, n)
-    for ax in range(mesh.dim):
-        _reflect_axis(ext, mesh.dim, ax, op.pad[ax], mesh.m_int[ax])
-    if apply_cutoff:
-        ext = ext * op.cutoff[..., None]
-    return ext
+def extend(u: np.ndarray, op: ExtensionOperator, n: int = 1) -> np.ndarray:
+    """Interior dof vectors (..., n_nodes * n) as grids (..., *shape_ext, n)
+    on the enlarged box: the per-axis products of op.factors.  Restriction
+    back to interior nodes reproduces u exactly."""
+    return _axis_products(op.factors, op.mesh.to_grid(u, n))
 
 
 _GAUSS_POINTS = 8
@@ -840,7 +837,7 @@ def _stencil_rows(size: int, rows: np.ndarray, terms, diff: bool):
 def _smoothing_factors(ext_op: ExtensionOperator, lat: Lattice, eps: float,
                        smoothed: bool) -> list:
     """Per Kronecker term of S_eps (or I) and grid axis k, the CSR pair
-    R_k S_k, R_k D_k S_k of SmoothedBD."""
+    R_k S_k E_k, R_k D_k S_k E_k of SmoothedBD."""
     d, h = lat.dim, ext_op.mesh.h
     if smoothed and not lat.diagonal:   # the tensor rule by x2 offsets
         groups = {}
@@ -850,20 +847,22 @@ def _smoothing_factors(ext_op: ExtensionOperator, lat: Lattice, eps: float,
     else:           # one term: per axis, its 1-D (cw, off) terms
         kron = [[[(cw, off[k]) for cw, off in _steklov_terms(lat, eps, h, [k])]
                  if smoothed else [(1.0, 0)] for k in range(d)]]
-    return [[[_stencil_rows(E, np.arange(E)[sl], terms, diff)
+    return [[[_stencil_rows(E.shape[0], np.arange(E.shape[0])[sl], terms,
+                            diff) @ E
               for diff in (False, True)] for terms, E, sl
-             in zip(term, ext_op.shape_ext, ext_op.interior_slices())]
+             in zip(term, ext_op.factors, ext_op.interior_slices())]
             for term in kron]
 
 
 class SmoothedBD:
-    """u_ext -> a^eps b(D) s + c^eps s on interior nodes, s = S_eps u_ext
-    (u_ext unsmoothed), compiled per case from the fields a, c there.
+    """u -> a^eps b(D) s + c^eps s on interior nodes, s = S_eps E u (E the
+    extension, u unsmoothed), compiled per case from the fields a, c there.
 
     S_eps is a sum of Kronecker products: one term for a box cell (its 1-D
     averages), one per x2 offset of the tensor rule for a skew cell.  Per
-    term and grid axis k, factors holds the real CSR pair R_k S_k and
-    R_k D_k S_k (M_k x shape_ext[k]), R_k the restriction to interior nodes,
+    term and grid axis k, factors holds the real CSR pair R_k S_k E_k and
+    R_k D_k S_k E_k (M_k x M_k, interior to interior), E_k the extension's
+    factor, R_k the restriction to interior nodes,
     D_k u = u(x + h e_k) - u(x - h e_k); weights holds a b_k (-i / 2 h_k),
     then c (None when zero).  No d-dimensional matrix is formed.  factors,
     when given, are those of another SmoothedBD of the same ext_op, lat, eps
@@ -882,31 +881,26 @@ class SmoothedBD:
                         for b, hl in zip(sym.b_mats, ext_op.mesh.h)] + [
                             c if c.any() else None]
 
-    def __call__(self, u_ext: np.ndarray) -> np.ndarray:
-        """The map of grids (..., *shape_ext, n), as (..., M_1, .., M_d, r):
-        per term and weight, one CSR @ columns product per grid axis, the
-        last first (other axes, stack axes too, are columns, complex ones
-        split in two, so a stack sums as its rows do), one complex multiply."""
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """The map of interior dof vectors (..., n_nodes * n), as grids
+        (..., M_1, .., M_d, r): per term and weight, the per-axis products
+        of its factors and one complex multiply."""
+        grid = self.ext_op.mesh.to_grid(u, self.sym.n)
         total = None
         for term, (l, weight) in itertools.product(self.factors,
                                                    enumerate(self.weights)):
             if weight is None:
                 continue
-            y = np.asarray(u_ext)
-            for k, ax in reversed(list(enumerate(range(-len(term) - 1, -1)))):
-                cols = np.moveaxis(y, ax, 0)
-                flat = np.ascontiguousarray(cols.reshape(cols.shape[0], -1),
-                                            dtype=np.result_type(y, float))
-                out = (term[k][k == l] @ flat.view(float)).view(flat.dtype)
-                y = np.moveaxis(out.reshape((-1,) + cols.shape[1:]), 0, ax)
+            y = _axis_products([pair[k == l] for k, pair in enumerate(term)],
+                               grid)
             part = np.einsum("...ij,...j->...i", weight, y, order="C")
             total = part if total is None else np.add(total, part, out=total)
         return total
 
 
 class Corrector(SmoothedBD):
-    """The corrector (Λ^eps b(D) + Λ̃^eps)(S_eps or I): the SmoothedBD map
-    of Λ^eps and Λ̃^eps, compiled once per case."""
+    """The corrector (Λ^eps b(D) + Λ̃^eps)(S_eps or I) of the extension: the
+    SmoothedBD map of Λ^eps and Λ̃^eps, compiled once per case."""
 
     def __init__(self, cell: CellSolution, eps: float, sym: Symbol,
                  ext_op: ExtensionOperator, lat: Lattice, smoothed: bool = True):
@@ -914,14 +908,11 @@ class Corrector(SmoothedBD):
             eval_scaled_grid(f, lat, eps, ext_op.mesh.axes())
             for f in (cell.Lambda, cell.LambdaTilde)))
 
-    def apply_ext(self, u_ext: np.ndarray) -> np.ndarray:
-        """Corrector of extended grid functions (..., *shape_ext, n); returns
-        interior dof vectors (..., n_nodes * n)."""
-        return self.ext_op.mesh.from_grid(self(u_ext))
-
     def apply(self, u_interior: np.ndarray) -> np.ndarray:
         """Corrector of interior dof vectors (..., n_nodes * n)."""
-        return self.apply_ext(extend(u_interior, self.ext_op, n=self.sym.n))
+        return self.ext_op.mesh.from_grid(self(u_interior))
+
+    apply_ext = apply   # the name the sweeps call and bench/spans.py counts
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from .dirichlet import (
     Corrector,
     ExtensionOperator,
     SmoothedBD,
-    extend,
     bD_matrix,
     tag_text,
 )
@@ -302,7 +301,7 @@ def solve_ibvp(eb: _Basis, phi: np.ndarray, psi: np.ndarray,
 def first_order_approx(u0: np.ndarray, cell: CellSolution, eps: float,
                        smoothed: bool, sym, ext_op: ExtensionOperator,
                        lat: Lattice | None = None) -> np.ndarray:
-    """v_eps = u0 + eps * corrector(extend(u0)) for dof vectors (..., ndof)."""
+    """v_eps = u0 + eps * corrector(u0) for interior dof vectors (..., ndof)."""
     lat = lat or unit_lattice(ext_op.mesh.dim)
     return u0 + eps * Corrector(cell, eps, sym, ext_op, lat, smoothed).apply(u0)
 
@@ -322,21 +321,18 @@ def flux(u: np.ndarray, coeffs, eps: float, mesh,
 
 def flux_approx(u0: np.ndarray, cell: CellSolution, eps: float,
                 smoothed: bool, coeffs, ext_op: ExtensionOperator,
-                lat: Lattice | None = None, factors: list | None = None,
-                u_ext: np.ndarray | None = None) -> np.ndarray:
+                lat: Lattice | None = None,
+                factors: list | None = None) -> np.ndarray:
     """g̃^eps (S_eps) b(D) ũ0 + g^eps (b(D)Λ̃)^eps (S_eps) ũ0 on interior nodes,
-    for dof vectors u0 (..., ndof); shape (..., nodes, m): the SmoothedBD
-    map of g̃^eps and g^eps (b(D)Λ̃)^eps.  A caller that holds them passes
-    the factors of the case's Corrector and u_ext = ũ0, the extension of
-    u0, so neither is built twice."""
+    ũ0 the extension of dof vectors u0 (..., ndof); shape (..., nodes, m):
+    the SmoothedBD map of g̃^eps and g^eps (b(D)Λ̃)^eps.  A caller that holds
+    the factors of the case's Corrector passes them, not to build them twice."""
     lat = lat or unit_lattice(ext_op.mesh.dim)
     sym = coeffs.symbol
     g_tilde, g, bdlt = (eval_scaled_grid(f, lat, eps, ext_op.mesh.axes())
                         for f in (cell.g_tilde, coeffs.g, cell.bD_LambdaTilde))
-    if u_ext is None:
-        u_ext = extend(u0, ext_op, n=sym.n)
     total = SmoothedBD(ext_op, lat, eps, smoothed, sym, g_tilde, g @ bdlt,
-                       factors)(u_ext)
+                       factors)(u0)
     return total.reshape(u0.shape[:-1] + (-1, sym.m))
 
 

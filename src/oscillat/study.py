@@ -38,7 +38,6 @@ from .dirichlet import (
     choose_lambda,
     build_extension,
     Corrector,
-    extend,
     resolvent,
     l2_norm,
     h1_norm,
@@ -106,6 +105,8 @@ class SweepConfig:
             for v in values:
                 if not ok(v):
                     raise ValueError(f"{key} = {v:g} must {must}")
+        if not np.size(self.box):
+            raise ValueError("[domain] box = [] must give one side per axis")
 
     def resolved_eps(self, d: int) -> list[float]:
         eps = list(self.eps_list) or [
@@ -252,9 +253,14 @@ def build_fixture(cfg: SweepConfig) -> Fixture:
         coeffs = CoefficientSet(symbol=gradient_symbol(g.dim), g=g).validate()
     else:
         coeffs = catalog(cfg.fixture, cfg.fixture_params)
-    lat = (build_lattice(cfg.basis) if cfg.basis is not None
-           else unit_lattice(coeffs.d))
-    cell = solve_cell(coeffs, lat, cfg.resolved_cell_n(coeffs.d))
+    d = coeffs.d
+    lat = build_lattice(cfg.basis) if cfg.basis is not None else unit_lattice(d)
+    for key, dim in (("[domain] box", np.size(cfg.box)),
+                     ("[lattice] basis", lat.dim)):
+        if dim != d:        # refused before the cell solve
+            raise ValueError(f"{key} is {dim}-dimensional, but fixture "
+                             f"{cfg.fixture} is {d}-dimensional")
+    cell = solve_cell(coeffs, lat, cfg.resolved_cell_n(d))
     return Fixture(lat=lat, coeffs=coeffs, cell=cell)
 
 
@@ -344,15 +350,13 @@ def evolve_case(fix: Fixture, cfg: SweepConfig, case: Case,
                              t_list).u for eb in (eb_eps, eb_0))
     en = int(energy_phi_zero)
     ue_en, u0_en, u_eps, u_0 = u_eps[:, en], u_0[:, en], u_eps[:, 0], u_0[:, 0]
-    # first_order_approx and flux_approx, on one compiled smoothing and one
-    # extension of u0
+    # first_order_approx and flux_approx on one compiled smoothing
     cor = Corrector(fix.cell, case.eps, fix.coeffs.symbol, case.ext, fix.lat,
                     cfg.smoothed)
-    u0_ext = extend(u0_en, case.ext, n=n)
-    v_eps = u0_en + case.eps * cor.apply_ext(u0_ext)
+    v_eps = u0_en + case.eps * cor.apply_ext(u0_en)
     p_eps = flux(ue_en, fix.coeffs, case.eps, case.mesh, fix.lat)
     p_apx = flux_approx(u0_en, fix.cell, case.eps, cfg.smoothed, fix.coeffs,
-                        case.ext, fix.lat, cor.factors, u0_ext)
+                        case.ext, fix.lat, cor.factors)
     return u_eps, u_0, ue_en, v_eps, p_eps, p_apx
 
 
@@ -423,7 +427,7 @@ def _resolvent_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
     u_eps = resolvent(case.op_eps, zeta, probes)
     u_0 = resolvent(case.op_0, zeta, probes)
     e_l2 = l2_norm(case.mesh, u_eps - u_0).max()
-    v_eps = u_0 + case.eps * cor.apply(u_0)
+    v_eps = u_0 + case.eps * cor.apply_ext(u_0)
     e_h1 = h1_norm(case.mesh, u_eps - v_eps, n).max()
     rows = {"resolvent_l2": [(case.eps, None, float(e_l2))],
             "resolvent_h1_corrector": [(case.eps, None, float(e_h1))]}
@@ -452,7 +456,7 @@ def _cosine_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
         y00 = case.op_0.solve_shifted(0.0, y0)          # (B0)^-2 f
         y_eps = case.op_eps.solve_shifted(0.0, y0)      # (B_eps)^-1 (B0)^-1 f
         w_0 = op_cosine(eb_0, t_list, y00)
-        k = cor.apply(w_0)              # w_0 + eps K w_0, in place
+        k = cor.apply_ext(w_0)          # w_0 + eps K w_0, in place
         corrected = np.add(np.multiply(k, case.eps, out=k), w_0, out=k)
         # B_eps of both vectors in one pass: (T, 2, ndof)
         w = op_cosine(eb_eps, t_list, np.stack([y_eps, y00]))
@@ -464,16 +468,21 @@ def _cosine_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
             for tag, per_probe in errors.items()}
 
 
+def check_times(cfg: SweepConfig):
+    if not cfg.t_list:
+        raise ValueError("[sweep] t = [] must hold at least one time")
+
+
 def _check_cosine_times(cfg: SweepConfig):
     if all(t == 0.0 for t in cfg.t_list):
-        raise ValueError("cosine corrector sweep needs t != 0")
+        raise ValueError("[sweep] t needs a time t != 0 for the cosine sweep")
 
 
 HYPERBOLIC = Estimate(
     entries=(("solution_l2", "L2", SLOPE_FULL),
              ("solution_h1_corrector", "H1", SLOPE_HALF),
              ("flux_l2", "L2", SLOPE_HALF)),
-    case_rows=_hyperbolic_rows, decomposes=True)
+    case_rows=_hyperbolic_rows, decomposes=True, check=check_times)
 
 RESOLVENT = Estimate(
     entries=(("resolvent_l2", "L2", SLOPE_FULL),
@@ -543,7 +552,7 @@ def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
     from .lattice import frequencies
     from .coefficients import eval_scaled, symbol_bounds
     from .cell import solve_lambda, solve_lambda_tilde
-    from .dirichlet import (make_mesh, steklov, build_extension,
+    from .dirichlet import (make_mesh, steklov, build_extension, extend,
                             smallest_eigenvalue, DiscreteDirichletOperator)
     from .evolution import op_sine_scaled
     import scipy.sparse as sp

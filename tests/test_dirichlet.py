@@ -33,6 +33,7 @@ from oscillat.dirichlet import (
     read_bands,
     build_extension,
     extend,
+    _smoothstep,
     steklov,
     Corrector,
     resolvent,
@@ -333,14 +334,19 @@ def test_extension_zero_and_identity():
 
 
 def test_extension_reproduces_quadratics():
-    # order-3 reflection continues any quadratic exactly (pre-cutoff)
+    # order-3 reflection continues any quadratic exactly: checked with the
+    # cutoff divided out wherever it is positive
     mesh = make_mesh([1.0], [63])
     ext = build_extension(mesh, 0.1)
     x = mesh.axes()[0]
     u = x * (1.0 - x)
-    vals = extend(u, ext, apply_cutoff=False)[:, 0]
+    vals = extend(u, ext)[:, 0]
     ax = ext.axes_ext()[0]
-    assert np.abs(vals - ax * (1.0 - ax)).max() < 1e-12
+    cutoff = _smoothstep(np.maximum(np.maximum(-ax, ax - 1.0), 0.0)
+                         / ext.margin)
+    pos = cutoff > 0.0
+    assert pos.sum() > mesh.n_nodes + 2     # reflected nodes are checked
+    assert np.abs(vals[pos] / cutoff[pos] - (ax * (1.0 - ax))[pos]).max() < 1e-12
 
 
 def test_extension_h1_bound_on_eigenvectors():
@@ -483,19 +489,25 @@ def test_corrector_zero_when_correctors_vanish():
     sol = solve_cell(cs, LAT1, 32)
     mesh = mesh_for([1.0], 0.125 / 16)
     ext = build_extension(mesh, 2 * LAT1.r1 * 0.125)
-    u_ext = extend(np.sin(np.pi * mesh.axes()[0]), ext)
     cor = Corrector(sol, 0.125, cs.symbol, ext, LAT1, smoothed=True)
-    out = cor.apply_ext(u_ext)
+    out = cor.apply(np.sin(np.pi * mesh.axes()[0]))
     assert np.abs(out).max() < 1e-14
 
 
 def test_corrector_zero_on_constants():
-    # constant extended data: b(D) term vanishes; LambdaTilde is zero
-    cs, sol, mesh, ext = build_sine_fixture()
-    u_ext = np.ones(ext.shape_ext + (1,))
-    cor = Corrector(sol, 0.125, cs.symbol, ext, LAT1, smoothed=False)
-    out = cor.apply_ext(u_ext)
-    assert np.abs(out).max() < 1e-12
+    # constant data: b(D) term vanishes where the smoothing and the
+    # difference read no extended node; LambdaTilde is zero
+    eps = 0.125
+    cs, sol, mesh, ext = build_sine_fixture(eps)
+    x, h = mesh.axes()[0], mesh.h[0]
+    for smoothed in (False, True):
+        cor = Corrector(sol, eps, cs.symbol, ext, LAT1, smoothed=smoothed)
+        out = cor.apply(np.ones(mesh.n_nodes))
+        reach = eps * LAT1.r1 * smoothed + h
+        inner = (x > reach) & (x < 1.0 - reach)
+        assert inner.sum() > mesh.n_nodes // 2
+        assert np.abs(out[inner]).max() < 1e-12
+        assert np.abs(out).max() > 1e-2     # the extension reaches the rest
 
 
 def test_corrector_hand_composed_oracle():

@@ -2,6 +2,7 @@
 reflection, the seeded probes and the cosine rows take a whole stack in one
 call and agree with one call per row, kept here as the reference loops."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -18,8 +19,9 @@ from oscillat.dirichlet import (
     l2_norm,
     h1_norm,
     Corrector,
-    _ax_slice,
-    _reflect_axis,
+    _smoothstep,
+    build_extension,
+    extend,
 )
 from oscillat.evolution import EigenBasis, op_cosine, spectral_decompose
 from oscillat.study import (
@@ -103,35 +105,48 @@ def test_complex_projection_copies_no_basis():
 
 
 # ---------------------------------------------------------------------------
-# reflection: all layers of a face in one assignment
+# reflection: the per-axis factors against the layer loop
 
 
 def _reflect_axis_loop(values, d, axis, pad, m_int):
     """One layer at a time, as the reflection was first written."""
     left_face = pad
     right_face = pad + m_int + 1
-    sl = lambda i: _ax_slice(d, axis, i)
+    v = np.moveaxis(values, axis - d - 1, 0)    # a view, grid axis first
     for j in range(1, pad + 1):
-        values[sl(left_face - j)] = (6.0 * values[sl(left_face + j)]
-                                     - 8.0 * values[sl(left_face + 2 * j)]
-                                     + 3.0 * values[sl(left_face + 3 * j)])
-        values[sl(right_face + j)] = (6.0 * values[sl(right_face - j)]
-                                      - 8.0 * values[sl(right_face - 2 * j)]
-                                      + 3.0 * values[sl(right_face - 3 * j)])
+        v[left_face - j] = (6.0 * v[left_face + j] - 8.0 * v[left_face + 2 * j]
+                            + 3.0 * v[left_face + 3 * j])
+        v[right_face + j] = (6.0 * v[right_face - j]
+                             - 8.0 * v[right_face - 2 * j]
+                             + 3.0 * v[right_face - 3 * j])
     return values
 
 
 @pytest.mark.parametrize("m_int, pad", [((17,), (6,)), ((17,), (1,)),
                                          ((14, 11), (5, 4))])
-def test_reflection_is_bit_identical_to_the_layer_loop(m_int, pad):
-    d = len(m_int)
+def test_extension_matches_the_layer_loop(m_int, pad):
+    # extend is the products of its per-axis factors, which sum each
+    # reflected value in column order and carry the cutoff in their
+    # entries, so it agrees with the loop times the cutoff to rounding.
+    # 3 pad = M + 1 on every axis: the farthest source is the boundary node
+    d, n = len(m_int), 2
+    mesh = make_mesh([1.0] * d, list(m_int))
+    ext = build_extension(mesh, min((p - 0.5) * h for p, h in zip(pad, mesh.h)))
+    assert ext.pad == pad
     rng = np.random.default_rng(3)
-    shape = (4,) + tuple(M + 2 + 2 * p for M, p in zip(m_int, pad)) + (2,)
-    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    u = (rng.standard_normal((4, mesh.n_nodes * n))
+         + 1j * rng.standard_normal((4, mesh.n_nodes * n)))
+    want = np.zeros((4,) + ext.shape_ext + (n,), dtype=complex)
+    want[(..., *ext.interior_slices(), slice(None))] = mesh.to_grid(u, n)
     for axis in range(d):
-        want = _reflect_axis_loop(values.copy(), d, axis, pad[axis], m_int[axis])
-        got = _reflect_axis(values.copy(), d, axis, pad[axis], m_int[axis])
-        assert np.array_equal(got, want)
+        _reflect_axis_loop(want, d, axis, pad[axis], m_int[axis])
+    cutoff = functools.reduce(np.multiply.outer, [
+        _smoothstep(np.maximum(np.maximum(-x, x - L), 0.0) / ext.margin)
+        for x, L in zip(ext.axes_ext(), mesh.box)])
+    want *= cutoff[..., None]
+    got = extend(u, ext, n)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

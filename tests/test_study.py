@@ -15,6 +15,7 @@ from oscillat.study import (
     resolvent_sweep,
     cosine_corrector_sweep,
     build_fixture,
+    RESOLVENT,
     rates_csv_text,
     report_txt_text,
     selftest,
@@ -392,8 +393,9 @@ def test_build_cases_shifts_each_operator_probed_once(monkeypatch):
 def test_evolve_case_compiles_one_smoothing_and_one_extension(monkeypatch,
                                                                smoothed):
     # first_order_approx and flux_approx of one case share the corrector's
-    # factors and the extension of u0, with outputs bit-identical to the
-    # two public calls, which compile and extend on their own
+    # factors, which fold in the extension, so no extension is built, with
+    # outputs bit-identical to the two public calls, which compile on their
+    # own
     import oscillat.dirichlet as dirichlet_mod
     import oscillat.evolution as evolution_mod
     import oscillat.study as study_mod
@@ -414,10 +416,11 @@ def test_evolve_case_compiles_one_smoothing_and_one_extension(monkeypatch,
     monkeypatch.setattr(dirichlet_mod, "_smoothing_factors", counting(
         "factors", dirichlet_mod._smoothing_factors))
     for mod in (dirichlet_mod, evolution_mod, study_mod):
-        monkeypatch.setattr(mod, "extend", counting("extend", mod.extend))
+        if hasattr(mod, "extend"):
+            monkeypatch.setattr(mod, "extend", counting("extend", mod.extend))
     _, u_0, _, v_eps, _, p_apx = evolve_case(fix, cfg, case,
                                              energy_phi_zero=False)
-    assert sorted(calls) == ["extend", "factors"]
+    assert calls == ["factors"]
     v = evolution_mod.first_order_approx(u_0, fix.cell, case.eps, smoothed,
                                          fix.coeffs.symbol, case.ext, fix.lat)
     p = evolution_mod.flux_approx(u_0, fix.cell, case.eps, smoothed,
@@ -540,6 +543,82 @@ def test_cosine_sweep_rejects_zero_times_before_cell_solve(monkeypatch):
     _forbid(monkeypatch, study_mod, "build_fixture")
     with pytest.raises(ValueError, match="t != 0"):
         cosine_corrector_sweep(SweepConfig(t_list=(0.0,)))
+
+
+def test_empty_box_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    import oscillat.cli as cli_mod
+    import oscillat.study as study_mod
+
+    with pytest.raises(ValueError, match=re.escape("[domain] box = []")):
+        SweepConfig(box=())
+    for mod in (cli_mod, study_mod):
+        _forbid(monkeypatch, mod, "build_fixture")
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("[domain]\nbox = []\n")
+    for command in ("cell", "evolve", "sweep", "resolvent-sweep", "cos-sweep"):
+        assert run_cli([command, "--config", str(cfg_path),
+                        "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [domain] box = []"), command
+
+
+def test_empty_times_refused_by_the_commands_that_read_them(
+        tmp_path, monkeypatch, capsys):
+    # sweep and evolve evolve to every time and cos-sweep needs one != 0;
+    # resolvent-sweep reads no time and keeps accepting t = []
+    import oscillat.cli as cli_mod
+    import oscillat.study as study_mod
+
+    assert RESOLVENT.check(SweepConfig(t_list=())) is None
+    for mod in (cli_mod, study_mod):
+        _forbid(monkeypatch, mod, "build_fixture")
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("[sweep]\nt = []\n")
+    for command in ("evolve", "sweep", "cos-sweep"):
+        assert run_cli([command, "--config", str(cfg_path),
+                        "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [sweep] t ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fixture, line, key, d", [
+    ("sine1d", "[domain]\nbox = [1.0, 1.0]", "[domain] box", 1),
+    ("laminate2d", "[domain]\nbox = [1.0]", "[domain] box", 2),
+    ("sine1d", "[lattice]\nbasis = [[1.0, 0.0], [0.0, 1.0]]",
+     "[lattice] basis", 1),
+    ("laminate2d", "[domain]\nbox = [1.0, 1.0]\n[lattice]\nbasis = [[1.0]]",
+     "[lattice] basis", 2),
+], ids=["sine1d-box2", "laminate2d-box1", "sine1d-basis2", "laminate2d-basis1"])
+def test_dimension_mismatch_refused_before_cell_solve(
+        tmp_path, monkeypatch, capsys, fixture, line, key, d):
+    import oscillat.study as study_mod
+
+    _forbid(monkeypatch, study_mod, "solve_cell")
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"[coeff]\ncatalog = {fixture}\n{line}\n")
+    for command in ("cell", "evolve", "sweep", "resolvent-sweep", "cos-sweep"):
+        assert run_cli([command, "--config", str(cfg_path),
+                        "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and "Traceback" not in err
+        assert f"{fixture} is {d}-dimensional" in err
+
+
+def test_sweeps_build_no_extension(monkeypatch):
+    # the corrector and flux factors fold the extension in: no sweep path
+    # extends a grid function
+    import sys
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("oscillat") and hasattr(mod, "extend"):
+            _forbid(monkeypatch, mod, "extend")
+    cfg = SweepConfig(fixture="sine1d", eps_list=(0.25, 0.125),
+                      t_list=(0.5,), forcing="poly", cell_n=64)
+    for sweep in (convergence_sweep, resolvent_sweep, cosine_corrector_sweep):
+        report = sweep(cfg)
+        assert report.estimates and all(
+            np.isfinite(err) for est in report.estimates
+            for _eps, _t, err in est.rows)
 
 
 @pytest.mark.parametrize("value", [0.125, 0.0625 * (1 + 1e-9), 0.0, -0.05,
