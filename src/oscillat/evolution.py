@@ -40,6 +40,7 @@ import scipy.linalg
 
 from .errors import EigSolverFailure, CFLViolation
 from .dirichlet import (
+    GAUSS_8,
     DiscreteDirichletOperator,
     SineBasis,
     _Basis,
@@ -148,23 +149,24 @@ def _eigh(op):
     """Ascending eigenvalues and stored eigenvectors of a discrete hermitian
     operator without a closed-form spectrum, by one of two paths.
 
-    - Tridiagonal: op.bands is one pair (diag, sub), and A equals D T D^H
-      with T real symmetric, subdiagonal |sub|, and D = diag(phase),
-      phase[k+1] = phase[k] sub[k] / |sub[k]| (signs for a real A, applied
-      in place).  T goes to LAPACK's divide-and-conquer ?stevd; MRRR
-      (?stemr) fails with info=22 on the unscaled sine1d operator at 2047
-      unknowns.
+    - Tridiagonal: op.bands is one pair (diag, sub), which goes to LAPACK's
+      divide-and-conquer ?stevd; MRRR (?stemr) fails with info=22 on the
+      unscaled sine1d operator at 2047 unknowns.  A real sub, signs and
+      all, is passed as it is.  A complex one gives A = D T D^H with T real
+      symmetric, subdiagonal |sub|, and D = diag(phase),
+      phase[k+1] = phase[k] sub[k] / |sub[k]|: T is decomposed and its
+      eigenvectors are scaled by the phases.
     - Dense: every other matrix gets dense eigh.
     """
     if op.bands is None or len(op.bands) != 1:
         return scipy.linalg.eigh(op.matrix.toarray())
     (diag, sub), = op.bands
+    if np.isrealobj(sub):
+        return scipy.linalg.eigh_tridiagonal(diag, sub, lapack_driver="stevd")
     mag = np.abs(sub)
     unit = np.divide(sub, mag, out=np.ones_like(sub), where=mag > 0.0)
     phase = np.concatenate(([1.0], np.cumprod(unit)))
     mu, Q = scipy.linalg.eigh_tridiagonal(diag, mag, lapack_driver="stevd")
-    if np.isrealobj(phase):     # signs: applied in place
-        return mu, np.multiply(Q, phase[:, None], out=Q)
     return mu, phase[:, None] * Q
 
 
@@ -237,7 +239,7 @@ def _duhamel_tables(root: np.ndarray, s: float, omega: float):
         return np.zeros_like(root), np.zeros_like(root)
     n = max(1, int(np.ceil(abs(s) / min(0.1, abs(s) / 4.0))))
     h = s / n
-    xi, w = np.polynomial.legendre.leggauss(8)
+    xi, w = GAUSS_8
     cw = 0.5 * h * w * np.cos(omega * h * (np.arange(n)[:, None]
                                            + 0.5 * (1.0 + xi)))
     e = np.exp(1j * np.multiply.outer(0.5 * h * (1.0 - xi), root))

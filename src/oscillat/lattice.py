@@ -54,7 +54,7 @@ def build_lattice(basis) -> Lattice:
     to the product of the basis-vector norms.
     """
     a = np.asarray(basis, dtype=float)
-    if a.ndim == 1:
+    if a.size == 1:                 # one number: a 1-D lattice
         a = a.reshape(1, 1)
     d = a.shape[0]
     if a.shape != (d, d):

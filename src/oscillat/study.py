@@ -61,6 +61,15 @@ SLOPE_FULL = 0.9      # O(eps) estimates
 SLOPE_HALF = 0.45     # O(sqrt(eps)) estimates
 
 
+def _is_basis(basis) -> bool:
+    """Whether a lattice basis is one number or d rows of d numbers."""
+    try:
+        a = np.asarray(basis, dtype=float)
+    except (TypeError, ValueError):     # ragged rows, or not numbers
+        return False
+    return a.size == 1 or (a.ndim == 2 and a.shape[0] == a.shape[1])
+
+
 @dataclass
 class SweepConfig:
     """Everything one sweep needs; defaults follow the d=1 sine fixture."""
@@ -107,6 +116,10 @@ class SweepConfig:
                     raise ValueError(f"{key} = {v:g} must {must}")
         if not np.size(self.box):
             raise ValueError("[domain] box = [] must give one side per axis")
+        if self.basis is not None and not _is_basis(self.basis):
+            raise ValueError(f"[lattice] basis = {self.basis} must be d rows "
+                             "of d numbers, as [[1.0, 0.0], [0.5, 1.0]], or "
+                             "one number, as [2.0]")
 
     def resolved_eps(self, d: int) -> list[float]:
         eps = list(self.eps_list) or [
@@ -443,6 +456,12 @@ def _check_zeta(cfg: SweepConfig):
         raise ValueError("resolvent sweep expects zeta <= 0")
 
 
+def _subtract_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b, written over b when b's dtype holds it (b real and a complex
+    does not: a real corrector meets a complex B_eps)."""
+    return np.subtract(a, b, out=b if np.result_type(a, b) == b.dtype else None)
+
+
 def _cosine_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
     sym, n = fix.coeffs.symbol, fix.coeffs.symbol.n
     t_list = [t for t in cfg.t_list if t != 0.0]
@@ -450,19 +469,23 @@ def _cosine_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
     eb_eps = spectral_decompose(case.op_eps)
     eb_0 = spectral_decompose(case.op_0)
     errors = {"cos_h1_corrector": [], "cos_plain_h1": []}    # per probe
-    # one stack of times per probe: stacking the probes too costs memory
-    for f in _seeded_probes(cfg, idx, case.mesh, n):
-        y0 = case.op_0.solve_shifted(0.0, f)            # (B0)^-1 f
-        y00 = case.op_0.solve_shifted(0.0, y0)          # (B0)^-2 f
-        y_eps = case.op_eps.solve_shifted(0.0, y0)      # (B_eps)^-1 (B0)^-1 f
-        w_0 = op_cosine(eb_0, t_list, y00)
+    # the three solves once per case, on the probe stack; the times stay
+    # one stack per probe, as stacking the probes too would hold n_probe
+    # (T, ndof) paths at once and raise peak RSS
+    f = _seeded_probes(cfg, idx, case.mesh, n)
+    y0 = case.op_0.solve_shifted(0.0, f)              # (B0)^-1 f
+    y00 = case.op_0.solve_shifted(0.0, y0)            # (B0)^-2 f
+    y_eps = case.op_eps.solve_shifted(0.0, y0)        # (B_eps)^-1 (B0)^-1 f
+    for y_e, y_00 in zip(y_eps, y00):
+        w_0 = op_cosine(eb_0, t_list, y_00)
         k = cor.apply_ext(w_0)          # w_0 + eps K w_0, in place
         corrected = np.add(np.multiply(k, case.eps, out=k), w_0, out=k)
         # B_eps of both vectors in one pass: (T, 2, ndof)
-        w = op_cosine(eb_eps, t_list, np.stack([y_eps, y00]))
-        errors["cos_h1_corrector"].append(h1_norm(
-            case.mesh, np.subtract(w[:, 0], corrected, out=corrected), n))
-        errors["cos_plain_h1"].append(h1_norm(case.mesh, w[:, 1] - w_0, n))
+        w = op_cosine(eb_eps, t_list, np.stack([y_e, y_00]))
+        errors["cos_h1_corrector"].append(
+            h1_norm(case.mesh, _subtract_into(w[:, 0], corrected), n))
+        errors["cos_plain_h1"].append(
+            h1_norm(case.mesh, _subtract_into(w[:, 1], w_0), n))
     return {tag: [(case.eps, t, e) for err in per_probe
                   for t, e in zip(t_list, err.tolist())]
             for tag, per_probe in errors.items()}

@@ -232,3 +232,16 @@ def test_apply_bD_spectral_derivative():
     # b(D) = D = -i d/dx
     assert np.abs(df.samples[:, 0, 0]
                   - (-1j) * 2 * np.pi * np.cos(2 * np.pi * x)).max() < 1e-10
+
+
+@pytest.mark.parametrize("name", ["sine1d", "laminate2d"])
+def test_real_problem_keeps_lambda_imaginary(name):
+    # b and g real: Λ = iΦ with Φ real, so solve_cell keeps i Im Λ exactly;
+    # CG leaves rounding in Re Λ, which is all the projection removes
+    cs = catalog(name)
+    lat, N = (LAT1, 256) if cs.d == 1 else (LAT2, 64)     # the defaults
+    raw = solve_lambda(cs.symbol, cs.g, lat, N).samples
+    assert 0.0 < np.abs(raw.real).max() < 1e-15 * np.abs(raw.imag).max()
+    sol = solve_cell(cs, lat, N)
+    assert not sol.Lambda.samples.real.any()
+    assert np.array_equal(sol.Lambda.samples.imag, raw.imag)

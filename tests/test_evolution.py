@@ -667,3 +667,52 @@ def test_forced_low_modes_match_leapfrog_to_second_order():
     errs = [rel(v) for v in runs]
     assert all(3.9 <= a / b <= 4.1 for a, b in zip(errs, errs[1:])), errs
     assert rel((4 * runs[2] - runs[1]) / 3) <= 1e-5
+
+
+def test_real_tridiagonal_operator_keeps_its_signed_subdiagonal(monkeypatch):
+    # sine1d B_eps at 2047 unknowns: ?stevd on the signed subdiagonal gives
+    # the eigenpairs of the sign-transformed |sub| matrix, eigenvalues equal
+    # and eigenvectors equal up to sign, and the eigen check passes
+    eps = 1.0 / 128
+    op = assemble_b_eps(mesh_for([1.0], eps / 16), catalog("sine1d"), eps, LAT1)
+    assert op.size == 2047
+    (diag, sub), = op.bands
+    assert np.isrealobj(sub) and (sub < 0.0).all()
+    mu_abs, q_abs = scipy.linalg.eigh_tridiagonal(diag, np.abs(sub),
+                                                  lapack_driver="stevd")
+    signs = np.concatenate(([1.0], np.cumprod(np.sign(sub))))
+    q_ref = signs[:, None] * q_abs
+    seen = []
+    stevd = scipy.linalg.eigh_tridiagonal
+
+    def recording(d, e, **kwargs):
+        seen.append(e)
+        return stevd(d, e, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
+    eb = spectral_decompose(op)             # runs certify
+    assert len(seen) == 1 and seen[0] is sub
+    assert np.abs(eb.eigenvalues - mu_abs).max() <= 1e-15 * np.abs(mu_abs).max()
+    assert (np.abs(eb.eigenvalues / mu_abs - 1.0) <= 1e-15).all()
+    flip = np.sign(np.einsum("ij,ij->j", eb.eigenvectors, q_ref))
+    assert np.abs(eb.eigenvectors - q_ref * flip).max() <= 1e-12
+
+
+def test_gauss_rule_is_computed_once(monkeypatch):
+    # the Steklov averages and the Duhamel tables share one 8-point rule
+    from oscillat import dirichlet
+    from oscillat.dirichlet import GAUSS_8, steklov
+
+    want = np.polynomial.legendre.leggauss(8)
+    assert all(np.array_equal(a, b) for a, b in zip(GAUSS_8, want))
+
+    def no_rule(*args, **kwargs):
+        raise AssertionError("the Gauss-Legendre rule was computed again")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
+    mu = np.linspace(1.0, 400.0, 17)
+    ku, kdu = _duhamel_tables(np.sqrt(mu), 0.7, 1.5)
+    assert np.isfinite(ku).all() and np.isfinite(kdu).all()
+    out = steklov(np.ones(64), LAT1, 0.25, 1.0 / 64, periodic=True)
+    assert np.abs(out - 1.0).max() < 1e-12
+    assert len(dirichlet._steklov_terms(LAT1, 0.25, 1.0 / 64, [0])) == 16

@@ -52,6 +52,15 @@ def test_degenerate_basis_raises():
         build_lattice([[1.0, 0.0], [1.0, 1e-15]])
 
 
+def test_only_one_number_reads_as_a_1d_basis():
+    for one in (2.0, [2.0], [[2.0]]):
+        lat = build_lattice(one)
+        assert lat.dim == 1 and lat.basis[0, 0] == 2.0
+    for flat in ([1.0, 0.5], [[1.0, 0.5]]):
+        with pytest.raises(DegenerateBasis, match="d vectors in R\\^d"):
+            build_lattice(flat)
+
+
 def test_duality_invariant_random_bases():
     rng = np.random.default_rng(11)
     for _ in range(20):

@@ -3,6 +3,8 @@ terms, plus a 2d end-to-end pass: exercises the block assembly, the
 complex-hermitian eigenpath, and the corrector machinery beyond the
 scalar fixtures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +17,7 @@ from oscillat.coefficients import (
     make_symbol,
     catalog,
 )
-from oscillat.cell import solve_cell, voigt_reuss
+from oscillat.cell import solve_cell, solve_lambda, voigt_reuss
 from oscillat.dirichlet import (
     make_mesh,
     mesh_for,
@@ -316,6 +318,51 @@ def _chain_oracle(u_ext, ext, lat, eps, sym, smoothed, a, c):
                         + np.einsum("...ij,...j->...i", c, s))
 
 
+def test_matrix_system_lambda_is_not_projected():
+    # complex g: Λ has a real part of its own, and solve_cell keeps it
+    cs = matrix_system()
+    raw = solve_lambda(cs.symbol, cs.g, LAT1, 64).samples
+    sol = solve_cell(cs, LAT1, 64)
+    assert np.abs(sol.Lambda.samples.real).max() > 1e-3
+    assert np.array_equal(sol.Lambda.samples, raw)
+
+
+@pytest.mark.parametrize("case", ["sine1d", "sine1d-a_amp", "laminate2d"])
+def test_real_corrector_matches_the_complex_chain(case):
+    # a real problem (Re Λ == 0, Λ̃ == 0, b real) compiles real weights, so
+    # real data give a float64 corrector, equal to the complex chain on the
+    # unprojected Λ; a_amp brings Λ̃ != 0, and the corrector stays complex
+    from oscillat.study import extension_margin
+
+    eps = 0.25
+    if case == "laminate2d":
+        cs, lat, mesh = catalog("laminate2d"), LAT2, make_mesh([1.0, 1.0],
+                                                               [23, 27])
+    else:
+        cs = catalog("sine1d", {"a_amp": 0.3} if case.endswith("a_amp") else {})
+        lat, mesh = LAT1, make_mesh([1.0], [31])
+    # at N = 64 Re Λ is rounding; at 32 it still holds the truncation's
+    # Nyquist asymmetry, about 1e-11
+    sol = solve_cell(cs, lat, 64)
+    raw = solve_lambda(cs.symbol, cs.g, lat, 64)
+    assert 0.0 < np.abs(raw.samples.real).max() < 1e-16
+    ext = build_extension(mesh, extension_margin(lat, eps, mesh.box))
+    U = np.random.default_rng(4).standard_normal((3, mesh.n_nodes))
+    got = Corrector(sol, eps, cs.symbol, ext, lat).apply(U)
+    unprojected = Corrector(dataclasses.replace(sol, Lambda=raw), eps,
+                            cs.symbol, ext, lat).apply(U)
+    want = _chain_oracle(extend(U, ext), ext, lat, eps, cs.symbol, True, *(
+        eval_scaled_grid(f, lat, eps, ext.axes_ext())
+        for f in (raw, sol.LambdaTilde)))
+    assert unprojected.dtype == want.dtype == np.complex128
+    if case.endswith("a_amp"):
+        assert got.dtype == np.complex128 and np.abs(got.imag).max() > 1e-3
+    else:
+        assert got.dtype == np.float64
+    for oracle in (unprojected, want):
+        assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
 @pytest.mark.parametrize("case", ["sine1d", "sine1d_plain", "matrix_system",
                                   "laminate2d", "laminate2d_skew"])
 def test_compiled_corrector_matches_the_chain(case):
@@ -446,3 +493,31 @@ def test_stacked_functions_match_one_at_a_time(case):
                 assert close(path.u[:, row], one.u)
                 assert close(path.du_dt[:, row], one.du_dt)
                 assert close(path.energy[:, row], one.energy)
+
+
+def test_cosine_rows_with_a_real_corrector_and_a_complex_b_eps():
+    # real b and g, no a: the corrector is real, while a complex hermitian
+    # Q of real mean makes B_eps complex and leaves B0 real, so the cosine
+    # rows subtract real paths from complex ones
+    from oscillat.study import (SweepConfig, Fixture, build_cases,
+                                _cosine_rows)
+
+    x = np.arange(64) / 64
+    g = np.zeros((64, 2, 2))
+    g[:, 0, 0], g[:, 1, 1] = 2.0 + np.sin(2 * np.pi * x), 3.0
+    q = np.zeros((64, 2, 2), dtype=complex)
+    q[:, 0, 1] = 0.5j * np.tile([0.0, 1.0, 0.0, -1.0], 16)    # mean 0, exactly
+    q[:, 1, 0] = q[:, 0, 1].conj()
+    cs = CoefficientSet(symbol=make_symbol([np.eye(2)]),
+                        g=PeriodicField(g, dim=1, hermitian=True, positive=True),
+                        Q=PeriodicField(q, dim=1, hermitian=True)).validate()
+    fix = Fixture(lat=LAT1, coeffs=cs, cell=solve_cell(cs, LAT1, 64))
+    cfg = SweepConfig(t_list=(0.5, 1.0), n_probe=5)
+    case, = build_cases(fix, cfg, [0.125])
+    assert case.op_eps.matrix.dtype.kind == "c"
+    assert case.op_0.matrix.dtype.kind == "f"
+    cor = Corrector(fix.cell, case.eps, cs.symbol, case.ext, LAT1)
+    assert cor.apply(np.ones(case.mesh.n_nodes * 2)).dtype == np.float64
+    rows = _cosine_rows(fix, cfg, 0, case)
+    assert [len(r) for r in rows.values()] == [10, 10]
+    assert all(np.isfinite(e) and e > 0 for r in rows.values() for *_, e in r)

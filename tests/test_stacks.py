@@ -17,6 +17,7 @@ from oscillat.dirichlet import (
     assemble_b_eps,
     read_bands,
     l2_norm,
+    grad_sq,
     h1_norm,
     Corrector,
     _smoothstep,
@@ -60,6 +61,29 @@ def test_stacked_norms_equal_per_row_calls(d, n, lead, complex_, seed):
         for name, value in row.items():
             assert type(value) is float
             assert abs(np.asarray(stacked[name])[idx] - value) <= 1e-14 * value
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_norms_match_the_explicit_formulas(d, n, complex_):
+    # one einsum per part replaces |x|^2, /h and abs temporaries
+    mesh = make_mesh([1.0, 1.3][:d], [9, 6][:d])
+    rng = np.random.default_rng(3 + d + 2 * n)
+    shape = (3, 2, mesh.n_nodes * n)
+    vec = rng.standard_normal(shape)
+    if complex_:
+        vec = vec + 1j * rng.standard_normal(shape)
+    l2 = np.sqrt(mesh.sigma) * np.linalg.norm(vec, axis=-1)
+    grid = mesh.to_grid(vec, n)
+    grad = sum(mesh.sigma * np.sum(
+        np.abs(np.diff(grid, axis=k - d - 1) / mesh.h[k]) ** 2,
+        axis=tuple(range(-d - 1, 0))) for k in range(d))
+    h1 = np.sqrt(l2 ** 2 + grad)
+    for got, want in ((l2_norm(mesh, vec), l2), (grad_sq(mesh, vec, n), grad),
+                      (h1_norm(mesh, vec, n), h1)):
+        assert got.shape == want.shape == (3, 2)
+        assert got.dtype == np.float64
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).min()
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +229,38 @@ def test_cosine_rows_match_the_per_probe_loop(params):
             for (_, _, a), (_, _, b) in zip(got[tag], want[tag]):
                 assert type(a) is float
                 assert abs(a - b) <= 1e-11 * b
+
+
+@pytest.mark.parametrize("params", [{}, {"a_amp": 0.3}])
+def test_cosine_rows_solve_each_probe_stack_once(params):
+    # the three solves of a case run on its probe stack and give the rows
+    # of one solve per probe; the real fixture keeps its paths real
+    cfg = SweepConfig(fixture="sine1d", fixture_params=params, cell_n=64,
+                      t_list=(0.5, 1.0, 2.0), n_probe=5)
+    fix = build_fixture(cfg)
+    for idx, case in enumerate(build_cases(fix, cfg, [0.125, 0.0625])):
+        got = _cosine_rows(fix, cfg, idx, case)
+        calls = []
+
+        def per_probe(solve):
+            def rows(zeta, rhs):
+                calls.append(len(rhs))
+                return np.array([solve(zeta, f) for f in rhs])
+            return rows
+
+        for op in (case.op_0, case.op_eps):
+            op.solve_shifted = per_probe(op.solve_shifted)
+        want = _cosine_rows(fix, cfg, idx, case)
+        assert calls == [5, 5, 5]           # B0 twice, B_eps once
+        for tag in want:
+            assert [r[:2] for r in got[tag]] == [r[:2] for r in want[tag]]
+            for (_, _, a), (_, _, b) in zip(got[tag], want[tag]):
+                assert abs(a - b) <= 1e-14 * b
+        cor = Corrector(fix.cell, case.eps, fix.coeffs.symbol, case.ext,
+                        fix.lat)
+        w = np.ones((2, case.mesh.n_nodes))
+        assert cor.apply_ext(w).dtype == (np.complex128 if params
+                                          else np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -604,6 +604,35 @@ def test_dimension_mismatch_refused_before_cell_solve(
         assert f"{fixture} is {d}-dimensional" in err
 
 
+@pytest.mark.parametrize("basis", ["[1.0, 0.5]", "[]", "[[1.0, 0.5]]",
+                                   "[[1.0, 0.0], [0.5]]", '["a"]'])
+def test_basis_not_in_rows_refused_before_cell_solve(
+        tmp_path, monkeypatch, capsys, basis):
+    # only a one-number basis reads as 1 x 1; anything else that is not d
+    # rows of d numbers is refused naming the key and the expected form
+    import oscillat.study as study_mod
+
+    _forbid(monkeypatch, study_mod, "solve_cell")
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"[coeff]\ncatalog = sine1d\n[lattice]\nbasis = {basis}\n")
+    for command in ("cell", "evolve", "sweep", "resolvent-sweep", "cos-sweep"):
+        assert run_cli([command, "--config", str(cfg_path),
+                        "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [lattice] basis = ") and "Traceback" not in err
+        assert "must be d rows of d numbers, as [[1.0, 0.0], [0.5, 1.0]]" in err
+
+
+def test_one_number_basis_still_runs(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("[coeff]\ncatalog = sine1d\n[lattice]\nbasis = [2.0]\n"
+                        "[mesh]\ncell_n = 64\n")
+    assert load_config(cfg_path).basis == [2.0]
+    assert run_cli(["cell", "--config", str(cfg_path),
+                    "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "effective.json").is_file()
+
+
 def test_sweeps_build_no_extension(monkeypatch):
     # the corrector and flux factors fold the extension in: no sweep path
     # extends a grid function
