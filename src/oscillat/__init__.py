@@ -13,7 +13,7 @@ from .dirichlet import (
     assemble_b_eps,
     assemble_b0,
     build_extension,
-    steklov,
+    smooth,
     l2_norm,
     h1_norm,
 )
@@ -30,7 +30,7 @@ from .study import SweepConfig, convergence_sweep, resolvent_sweep
 __all__ = [
     "unit_lattice", "catalog", "solve_cell", "voigt_reuss",
     "mesh_for", "assemble_b_eps", "assemble_b0", "build_extension",
-    "steklov", "l2_norm", "h1_norm",
+    "smooth", "l2_norm", "h1_norm",
     "spectral_decompose", "solve_ibvp", "first_order_approx", "flux",
     "flux_approx", "leapfrog_oracle",
     "SweepConfig", "convergence_sweep", "resolvent_sweep",

@@ -13,7 +13,8 @@ are collocated at nodes with centered differences and symmetrized, which
 keeps every assembled matrix hermitian at machine precision.  A corrector
 is compiled once per case (SmoothedBD): per grid axis, sparse 1-D factors
 from interior to interior nodes of the extension (reflection and cutoff),
-the Steklov average, the centered difference and the restriction.
+the Steklov average, the centered difference and the restriction.  smooth
+is the one S_eps: the same factors without the difference.
 """
 
 from dataclasses import dataclass, field
@@ -48,7 +49,7 @@ from .cell import CellSolution
 H_OVER_EPS = 1.0 / 16.0
 
 #: the 8-point Gauss-Legendre rule on [-1, 1], (nodes, weights), computed
-#: once: Steklov averages and the Duhamel tables (evolution) share it
+#: once: the Steklov factors and the Duhamel tables (evolution) share it
 GAUSS_8 = np.polynomial.legendre.leggauss(8)
 
 
@@ -774,7 +775,6 @@ def _steklov_terms(lat: Lattice, eps: float, spacing, axes) -> list:
     """(cw, off) with (S_eps u)[i] = sum of cw * u[i + off] over the cell
     coordinates of these lattice axes: 8 Gauss-Legendre points per axis,
     multilinear interpolation at each shifted point (off in grid units)."""
-    spacing = np.atleast_1d(np.asarray(spacing, dtype=float))
     xi, w = GAUSS_8[0] / 2.0, GAUSS_8[1] / 2.0
     idx = np.array(list(np.ndindex(*(xi.size,) * len(axes))))
     tau = xi[idx] @ np.eye(lat.dim)[axes]         # one row per Gauss point
@@ -787,50 +787,6 @@ def _steklov_terms(lat: Lattice, eps: float, spacing, axes) -> list:
     cw = np.prod(w[idx], axis=1)[:, None] * np.prod(
         np.where(corner == 1, frac, 1.0 - frac), axis=-1)
     return list(zip(cw[keep], (base[:, None] + corner)[keep]))
-
-
-def steklov(u: np.ndarray, lat: Lattice, eps: float, spacing,
-            periodic: bool = False, margin: float | None = None) -> np.ndarray:
-    """Cell average (S_eps u)(x) = |cell|^-1 int u(x - eps z) dz on a grid.
-
-    The terms of _steklov_terms, applied as shifted whole-grid adds: one
-    pass of 8 shifts per grid axis for a diagonal basis (a box cell), else
-    one pass of the 8^d-point tensor rule.  Out-of-range samples are zero
-    (matching cutoff extensions) unless periodic=True.  u has shape
-    (..., M_1, .., M_d, n), or (M_1, .., M_d) for one function.
-    """
-    d = lat.dim
-    if margin is not None and eps * lat.r1 > margin + 1e-12:
-        raise MarginTooSmall(
-            f"smoothing reach eps*r1={eps * lat.r1:.3e} exceeds margin {margin:.3e}")
-    values = np.asarray(u)
-    grid_only = values.ndim == d
-    if grid_only:
-        values = values[..., None]
-
-    for axes in [[k] for k in range(d)] if lat.diagonal else [list(range(d))]:
-        values = _shift_sum(values, _steklov_terms(lat, eps, spacing, axes),
-                            periodic)
-    return values[..., 0] if grid_only else values
-
-
-def _shift_sum(values: np.ndarray, terms, periodic: bool) -> np.ndarray:
-    """out[i] = sum of cw * values[i + off] over the (cw, off) terms, for
-    grids (..., M_1, .., M_d, n); out of range values[j] are zero unless
-    periodic."""
-    d = len(terms[0][1])
-    grid_axes = tuple(range(-d - 1, -1))
-    sizes = values.shape[-d - 1:-1]
-    out = np.zeros_like(values, dtype=np.result_type(values, float))
-    for cw, off in terms:
-        if periodic:
-            out += cw * np.roll(values, tuple(-off), axis=grid_axes)
-            continue
-        ks = [max(M - abs(o), 0) for M, o in zip(sizes, off)]
-        src = [slice(max(o, 0), max(o, 0) + k) for o, k in zip(off, ks)]
-        dst = [slice(max(-o, 0), max(-o, 0) + k) for o, k in zip(off, ks)]
-        out[(..., *dst, slice(None))] += cw * values[(..., *src, slice(None))]
-    return out
 
 
 def _stencil_rows(size: int, rows: np.ndarray, terms, diff: bool):
@@ -850,7 +806,10 @@ def _stencil_rows(size: int, rows: np.ndarray, terms, diff: bool):
 def _smoothing_factors(ext_op: ExtensionOperator, lat: Lattice, eps: float,
                        smoothed: bool) -> list:
     """Per Kronecker term of S_eps (or I) and grid axis k, the CSR pair
-    R_k S_k E_k, R_k D_k S_k E_k of SmoothedBD."""
+    R_k S_k E_k, R_k D_k S_k E_k of SmoothedBD and smooth."""
+    if eps * lat.r1 > ext_op.margin + 1e-12:
+        raise MarginTooSmall(f"eps*r1={eps * lat.r1:.3e} exceeds extension"
+                             f" margin {ext_op.margin:.3e}")
     d, h = lat.dim, ext_op.mesh.h
     if smoothed and not lat.diagonal:   # the tensor rule by x2 offsets
         groups = {}
@@ -865,6 +824,17 @@ def _smoothing_factors(ext_op: ExtensionOperator, lat: Lattice, eps: float,
               for diff in (False, True)] for terms, E, sl
              in zip(term, ext_op.factors, ext_op.interior_slices())]
             for term in kron]
+
+
+def smooth(u: np.ndarray, ext_op: ExtensionOperator, lat: Lattice, eps: float,
+           n: int = 1) -> np.ndarray:
+    """R S_eps E u, the cell average |cell|^-1 int v(x - eps z) dz of the
+    extension v = E u, of interior dof vectors (..., n_nodes * n) as grids
+    (..., M_1, .., M_d, n).  Farther than eps r1 + h from the boundary it
+    reads interior nodes only: there it averages u itself."""
+    grid = ext_op.mesh.to_grid(u, n)
+    return sum(_axis_products([pair[0] for pair in term], grid)
+               for term in _smoothing_factors(ext_op, lat, eps, True))
 
 
 class SmoothedBD:
@@ -884,9 +854,6 @@ class SmoothedBD:
     def __init__(self, ext_op: ExtensionOperator, lat: Lattice, eps: float,
                  smoothed: bool, sym: Symbol, a: np.ndarray, c: np.ndarray,
                  factors: list | None = None):
-        if eps * lat.r1 > ext_op.margin + 1e-12:
-            raise MarginTooSmall(f"eps*r1={eps * lat.r1:.3e} exceeds extension"
-                                 f" margin {ext_op.margin:.3e}")
         self.sym, self.ext_op = sym, ext_op
         self.factors = (_smoothing_factors(ext_op, lat, eps, smoothed)
                         if factors is None else factors)

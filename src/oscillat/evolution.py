@@ -390,20 +390,3 @@ def leapfrog_oracle(op: DiscreteDirichletOperator, phi, psi, forcing,
         return u, v
     return u
 
-
-def leapfrog_energy_drift(op: DiscreteDirichletOperator, phi, psi,
-                          t: float, dt: float, n_checks: int = 20) -> float:
-    """Max relative drift of |v|^2 + u*Au along an unforced leapfrog run."""
-    times = np.linspace(t / n_checks, t, n_checks)
-    def energy(u, v):
-        return float(np.vdot(v, v).real + np.vdot(u, op.matrix @ u).real)
-    e0 = energy(np.asarray(phi, dtype=float), np.asarray(psi, dtype=float))
-    worst = 0.0
-    u, v = np.array(phi, dtype=float), np.array(psi, dtype=float)
-    t_prev = 0.0
-    for tk in times:
-        u, v = leapfrog_oracle(op, u, v, None, tk - t_prev, dt,
-                               return_velocity=True)
-        worst = max(worst, abs(energy(u, v) - e0) / abs(e0))
-        t_prev = tk
-    return worst

@@ -17,7 +17,9 @@ from oscillat.dirichlet import (
     mesh_for,
     assemble_b_eps,
     assemble_b0,
-    steklov,
+    build_extension,
+    make_mesh,
+    smooth,
     l2_norm,
 )
 from oscillat.evolution import (
@@ -26,7 +28,6 @@ from oscillat.evolution import (
     op_sine_scaled,
     solve_ibvp,
     leapfrog_oracle,
-    leapfrog_energy_drift,
     estimate_mu_max,
 )
 from oscillat.study import (
@@ -39,6 +40,7 @@ from oscillat.study import (
 from oscillat.cli import run_cli
 
 from test_evolution import _gauss_panels
+from oracles import beyond_reach, by_tag, leapfrog_energy_drift
 
 
 LAT1 = unit_lattice(1)
@@ -121,28 +123,37 @@ def _band_limited(rng, x, kmax=8):
 
 
 def test_criterion_04_steklov_propositions():
+    # smooth of periodic samples on the interior nodes of the unit box:
+    # both sides of each bound are norms over the nodes, the left one over
+    # the nodes beyond the smoothing's reach, where S_eps reads interior
+    # nodes only, the right one over every node
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     # d = 1: 25 draws
     N = 256
-    x = np.arange(N) / N
+    mesh = make_mesh([1.0], [N - 1])        # the nodes k / N, k = 1 .. N - 1
+    ext = build_extension(mesh, 0.25 * LAT1.r1)
+    x = mesh.axes()[0]
     for trial in range(25):
         u, du = _band_limited(rng, x)
         phi_raw, _ = _band_limited(rng, x, kmax=6)
         phi = phi_raw.real + 2.0
         for eps in (0.25, 0.0625):
-            su = steklov(u, LAT1, eps, 1.0 / N, periodic=True)
-            assert (np.linalg.norm(su - u)
+            inner = beyond_reach(mesh, eps * LAT1.r1)
+            su = smooth(u, ext, LAT1, eps)
+            assert (np.linalg.norm((su - u[:, None])[inner])
                     <= 1.1 * eps * LAT1.r1 * np.linalg.norm(du))
             phi_eps = np.interp((x / eps) % 1.0, x, phi, period=1.0)
-            prod = phi_eps * su
+            prod = phi_eps[:, None] * su
             phi_l2 = np.sqrt(np.mean(np.abs(phi) ** 2))  # |cell|=1
-            assert (np.linalg.norm(prod)
+            assert (np.linalg.norm(prod[inner])
                     <= 1.1 * phi_l2 * np.linalg.norm(u))
     # d = 2: 25 draws; the grid must resolve the oscillating factor, whose
     # frequency content reaches kmax/eps
     M = 256
-    xg = np.arange(M) / M
+    mesh = make_mesh([1.0, 1.0], [M - 1, M - 1])
+    ext = build_extension(mesh, 0.25 * LAT2.r1)
+    xg = mesh.axes()[0]
     X, Y = np.meshgrid(xg, xg, indexing="ij")
     for trial in range(25):
         ux, dux = _band_limited(rng, X, kmax=5)
@@ -152,13 +163,15 @@ def test_criterion_04_steklov_propositions():
         phi_x, _ = _band_limited(rng, X, kmax=2)
         phi = phi_x.real + 1.5
         for eps in (0.25, 0.0625):
-            su = steklov(u, LAT2, eps, (1.0 / M, 1.0 / M), periodic=True)
-            assert (np.linalg.norm(su - u)
+            inner = beyond_reach(mesh, eps * LAT2.r1)
+            su = smooth(u.ravel(), ext, LAT2, eps)
+            assert (np.linalg.norm((su - u[..., None])[inner])
                     <= 1.1 * eps * LAT2.r1 * np.sqrt(grad_sq))
             phi_eps_x = np.interp((xg / eps) % 1.0, xg, phi[:, 0], period=1.0)
-            prod = phi_eps_x[:, None] * su
+            prod = phi_eps_x[:, None, None] * su
             phi_l2 = np.sqrt(np.mean(np.abs(phi) ** 2))
-            assert np.linalg.norm(prod) <= 1.1 * phi_l2 * np.linalg.norm(u)
+            assert (np.linalg.norm(prod[inner])
+                    <= 1.1 * phi_l2 * np.linalg.norm(u))
     _record("criterion 4 (Steklov propositions, 50 seeded)", t0)
 
 
@@ -223,10 +236,10 @@ def test_criterion_06_resolvent_rates():
     cfg = SweepConfig(fixture="sine1d", zeta=-1.0, seed=7,
                       eps_list=tuple(2.0 ** -k for k in range(3, 8)))
     report = resolvent_sweep(cfg)
-    assert report.by_tag("resolvent_l2").slope >= 0.9
-    assert report.by_tag("resolvent_l2").verdict == "pass"
-    assert report.by_tag("resolvent_h1_corrector").slope >= 0.45
-    assert report.by_tag("inv_sqrt_l2").slope >= 0.45
+    assert by_tag(report, "resolvent_l2").slope >= 0.9
+    assert by_tag(report, "resolvent_l2").verdict == "pass"
+    assert by_tag(report, "resolvent_h1_corrector").slope >= 0.45
+    assert by_tag(report, "inv_sqrt_l2").slope >= 0.45
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     _record("criterion 6 (resolvent rates)", t0)
@@ -238,9 +251,9 @@ def test_criterion_07_hyperbolic_rates():
                       phi="sinehump", psi="sinemix", forcing="poly",
                       seed=7, smoothed=True)
     report = convergence_sweep(cfg)
-    assert report.by_tag("solution_l2").slope >= 0.9
-    assert report.by_tag("solution_h1_corrector").slope >= 0.45
-    assert report.by_tag("flux_l2").slope >= 0.45
+    assert by_tag(report, "solution_l2").slope >= 0.9
+    assert by_tag(report, "solution_h1_corrector").slope >= 0.45
+    assert by_tag(report, "flux_l2").slope >= 0.45
     assert report.all_passed()
     elapsed = time.perf_counter() - t0
     assert elapsed < 180.0
@@ -251,9 +264,9 @@ def test_criterion_08_cosine_corrector_rate():
     t0 = time.perf_counter()
     cfg = SweepConfig(fixture="sine1d", t_list=(1.0,), seed=7)
     report = cosine_corrector_sweep(cfg)
-    assert report.by_tag("cos_h1_corrector").slope >= 0.45
-    assert report.by_tag("cos_h1_corrector").verdict == "pass"
-    plain = report.by_tag("cos_plain_h1")
+    assert by_tag(report, "cos_h1_corrector").slope >= 0.45
+    assert by_tag(report, "cos_h1_corrector").verdict == "pass"
+    plain = by_tag(report, "cos_plain_h1")
     assert plain.verdict == "reported"
     assert np.isnan(plain.threshold)
     _record("criterion 8 (cosine corrector rate)", t0)
@@ -265,7 +278,7 @@ def test_criterion_09_smoothing_removal():
                       phi="sinehump", psi="sinemix", forcing="poly",
                       seed=7, smoothed=False)
     report = convergence_sweep(cfg)
-    assert report.by_tag("solution_h1_corrector").slope >= 0.45
+    assert by_tag(report, "solution_h1_corrector").slope >= 0.45
     assert report.all_passed()
     _record("criterion 9 (smoothing removal)", t0)
 

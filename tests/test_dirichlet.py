@@ -34,7 +34,7 @@ from oscillat.dirichlet import (
     build_extension,
     extend,
     _smoothstep,
-    steklov,
+    smooth,
     Corrector,
     resolvent,
     DiscreteDirichletOperator,
@@ -42,6 +42,7 @@ from oscillat.dirichlet import (
     _grad_tensors,
     _stencil_form,
 )
+from oracles import beyond_reach, steklov_tensor_rule
 
 LAT1 = unit_lattice(1)
 LAT2 = unit_lattice(2)
@@ -375,101 +376,91 @@ def test_extension_margin_too_small():
 
 
 # ---------------------------------------------------------------------------
-# steklov smoothing
+# steklov smoothing: smooth, read where it reads interior nodes only
+
+
+def _smoothed(u, box, m_int, lat, eps, margin, n=1):
+    """smooth of u, given on the interior nodes of the mesh as a function of
+    the coordinates, at the nodes beyond the smoothing's reach."""
+    mesh = make_mesh(box, m_int)
+    nodes = np.meshgrid(*mesh.axes(), indexing="ij")
+    out = smooth(u(*nodes).ravel(), build_extension(mesh, margin), lat, eps, n)
+    return out[beyond_reach(mesh, eps * lat.r1)], mesh
 
 
 def test_steklov_constant_unchanged():
-    u = np.ones(128)
-    out = steklov(u, LAT1, 0.25, 1.0 / 128, periodic=True)
+    out, _ = _smoothed(np.ones_like, [1.0], [127], LAT1, 0.25, 0.2)
+    assert out.size > 64
     assert np.abs(out - 1.0).max() < 1e-12
 
 
 def test_steklov_linear_unchanged():
     # odd integrand over a symmetric cell cancels; multilinear interpolation
-    # is exact on linear data, so interior values match exactly
-    grid = np.linspace(-1.0, 1.0, 257)
-    u = grid.copy()
-    out = steklov(u, LAT1, 0.25, grid[1] - grid[0])
-    reach = int(np.ceil(0.25 * LAT1.r1 / (grid[1] - grid[0]))) + 1
-    inner = slice(reach, -reach)
-    assert np.abs(out[inner] - u[inner]).max() < 1e-12
+    # is exact on linear data, so the values beyond the reach match exactly
+    out, mesh = _smoothed(lambda x: x - 1.0, [2.0], [255], LAT1, 0.25, 0.2)
+    want = mesh.axes()[0][:, None] - 1.0
+    assert np.abs(out - want[beyond_reach(mesh, 0.125)]).max() < 1e-12
 
 
 def test_steklov_character_annihilated():
-    N = 256
-    x = np.arange(N) / N
-    u = np.exp(2j * np.pi * x)
-    out = steklov(u, LAT1, 1.0, 1.0 / N, periodic=True)
+    # a character of the cell averages to zero: 256 nodes per period
+    out, _ = _smoothed(lambda x: np.exp(2j * np.pi * x), [2.0], [511], LAT1,
+                       1.0, 0.5)
+    assert out.size > 200
     assert np.abs(out).max() < 1e-4
 
 
 def test_steklov_contraction_bound():
-    # |S_eps u - u| <= 1.1 eps r1 |Du| on band-limited periodic samples
+    # |S_eps u - u| <= 1.1 eps r1 |Du| on band-limited periodic samples,
+    # the left side beyond the reach, the right side on every node
     rng = np.random.default_rng(0)
     N = 256
-    x = np.arange(N) / N
+    mesh = make_mesh([1.0], [N - 1])
+    ext = build_extension(mesh, 0.125)
+    x = mesh.axes()[0]
     ks = np.arange(1, 9)
     for eps in (0.25, 0.0625):
+        inner = beyond_reach(mesh, eps * LAT1.r1)
         for _ in range(10):
             c = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             u = (c * np.exp(2j * np.pi * np.outer(x, ks))).sum(axis=1)
             du = (c * 2j * np.pi * ks
                   * np.exp(2j * np.pi * np.outer(x, ks))).sum(axis=1)
-            lhs = np.linalg.norm(steklov(u, LAT1, eps, 1 / N, periodic=True) - u)
+            diff = smooth(u, ext, LAT1, eps) - u[:, None]
+            lhs = np.linalg.norm(diff[inner])
             assert lhs <= 1.1 * eps * LAT1.r1 * np.linalg.norm(du)
-
-
-def _steklov_tensor_rule(u, lat, eps, spacing, periodic):
-    """Reference: the 8^d-point tensor Gauss rule in one pass, with
-    multilinear interpolation at every shifted point (grid layout
-    (..., M_1, .., M_d, n))."""
-    d = lat.dim
-    xi, w = np.polynomial.legendre.leggauss(8)
-    xi, w = xi / 2.0, w / 2.0
-    spacing = np.asarray(spacing, dtype=float)
-    grid_axes = tuple(range(-d - 1, -1))
-    sizes = u.shape[-d - 1:-1]
-    out = np.zeros(u.shape, dtype=complex)
-    for idx in np.ndindex(*(8,) * d):
-        tau, wq = xi[list(idx)], np.prod(w[list(idx)])
-        shift = -eps * (tau @ lat.basis) / spacing
-        base = np.floor(shift).astype(int)
-        frac = shift - base
-        for corner in np.ndindex(*(2,) * d):
-            cw = wq * np.prod(np.where(np.array(corner) == 1, frac, 1.0 - frac))
-            off = base + np.array(corner)
-            if periodic:
-                out += cw * np.roll(u, tuple(-off), axis=grid_axes)
-                continue
-            ks = [max(M - abs(o), 0) for M, o in zip(sizes, off)]
-            src = [slice(max(o, 0), max(o, 0) + k) for o, k in zip(off, ks)]
-            dst = [slice(max(-o, 0), max(-o, 0) + k) for o, k in zip(off, ks)]
-            out[(..., *dst, slice(None))] += cw * u[(..., *src, slice(None))]
-    return out
 
 
 @pytest.mark.parametrize("periodic", [False, True])
 def test_steklov_matches_tensor_rule(periodic):
-    # a box cell is averaged one grid axis at a time: the passes agree with
-    # the tensor rule to rounding; a skew cell still takes the tensor rule
+    # smooth runs per-axis sparse factors of interior nodes; the reference
+    # is the 8^d-point tensor rule in one pass.  On every node smooth is
+    # restrict(tensor rule(extend u)); beyond the reach it reads interior
+    # nodes only, so there it is the periodic tensor rule of u itself
     rng = np.random.default_rng(12)
-    shape = (3, 29, 37, 2)           # a stack of 3 functions with n = 2
+    mesh = make_mesh([1.0, 1.3], [47, 39])
+    shape = (3,) + mesh.m_int + (2,)   # a stack of 3 functions with n = 2
     u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    spacing = (1.0 / 48, 1.3 / 40)
-    for basis in (np.eye(2), np.diag([1.0, 1.3])):
+    ext = build_extension(mesh, 0.3)
+    for basis in (np.eye(2), np.diag([1.0, 1.3]), [[1.0, 0.0], [0.5, 1.0]]):
         lat = build_lattice(basis)
-        got = steklov(u, lat, 0.3, spacing, periodic=periodic)
-        want = _steklov_tensor_rule(u, lat, 0.3, spacing, periodic)
+        got = smooth(mesh.from_grid(u), ext, lat, 0.3, n=2)
+        if periodic:
+            inner = beyond_reach(mesh, 0.3 * lat.r1)
+            got, want = got[inner], steklov_tensor_rule(u, lat, 0.3, mesh.h,
+                                                        True)[inner]
+            assert got.size >= 3 * 2 * 10
+        else:
+            want = mesh.to_grid(ext.restrict(steklov_tensor_rule(
+                extend(mesh.from_grid(u), ext, n=2), lat, 0.3, mesh.h,
+                False)), 2)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    skew = build_lattice([[1.0, 0.0], [0.5, 1.0]])
-    assert np.array_equal(steklov(u, skew, 0.3, spacing, periodic=periodic),
-                          _steklov_tensor_rule(u, skew, 0.3, spacing, periodic))
 
 
 def test_steklov_margin_check():
-    u = np.ones(64)
+    mesh = make_mesh([1.0], [63])
     with pytest.raises(MarginTooSmall):
-        steklov(u, LAT1, 0.5, 1.0 / 64, margin=0.1)
+        smooth(np.ones(63), build_extension(mesh, 0.1), LAT1, 0.5)
 
 
 # ---------------------------------------------------------------------------

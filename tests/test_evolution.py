@@ -29,10 +29,10 @@ from oscillat.evolution import (
     flux,
     flux_approx,
     leapfrog_oracle,
-    leapfrog_energy_drift,
     estimate_mu_max,
     _duhamel_tables,
 )
+from oracles import beyond_reach, leapfrog_energy_drift, steklov_tensor_rule
 
 LAT1 = unit_lattice(1)
 
@@ -555,10 +555,10 @@ def test_flux_special_case_constant_g_tilde():
     phi = np.sin(np.pi * mesh.axes()[0])
     u0 = solve_ibvp(eb0, phi, 0 * phi, None, [0.6])
     pa = flux_approx(u0.u, sol, eps, True, cs, ext, LAT1)
-    from oscillat.dirichlet import steklov, extend
+    from oscillat.dirichlet import extend
 
     u_ext = extend(u0.u[0], ext, n=1)
-    sm = steklov(u_ext, LAT1, eps, mesh.h, margin=ext.margin)
+    sm = steklov_tensor_rule(u_ext, LAT1, eps, mesh.h, False)
     h = mesh.h[0]
     dsm = np.zeros(sm.shape, dtype=complex)
     dsm[1:-1] = -1j * (sm[2:] - sm[:-2]) / (2 * h)
@@ -701,7 +701,7 @@ def test_real_tridiagonal_operator_keeps_its_signed_subdiagonal(monkeypatch):
 def test_gauss_rule_is_computed_once(monkeypatch):
     # the Steklov averages and the Duhamel tables share one 8-point rule
     from oscillat import dirichlet
-    from oscillat.dirichlet import GAUSS_8, steklov
+    from oscillat.dirichlet import GAUSS_8, smooth
 
     want = np.polynomial.legendre.leggauss(8)
     assert all(np.array_equal(a, b) for a, b in zip(GAUSS_8, want))
@@ -713,6 +713,7 @@ def test_gauss_rule_is_computed_once(monkeypatch):
     mu = np.linspace(1.0, 400.0, 17)
     ku, kdu = _duhamel_tables(np.sqrt(mu), 0.7, 1.5)
     assert np.isfinite(ku).all() and np.isfinite(kdu).all()
-    out = steklov(np.ones(64), LAT1, 0.25, 1.0 / 64, periodic=True)
-    assert np.abs(out - 1.0).max() < 1e-12
+    mesh = make_mesh([1.0], [63])
+    out = smooth(np.ones(63), build_extension(mesh, 0.2), LAT1, 0.25)
+    assert np.abs(out[beyond_reach(mesh, 0.125)] - 1.0).max() < 1e-12
     assert len(dirichlet._steklov_terms(LAT1, 0.25, 1.0 / 64, [0])) == 16

@@ -63,3 +63,20 @@ print(*sorted(sys.modules))
     assert float(out[0]) < 1e-8
     assert "oscillat.study" in out[1:]
     assert unwanted_modules(out[1:]) == []
+
+
+def test_package_namespace_is_what_the_demos_import():
+    # the package namespace holds the names the demos use: each name in
+    # oscillat.__all__ is imported by some demo, and each name a demo
+    # imports from oscillat is in __all__
+    import ast
+
+    import oscillat
+
+    used = set()
+    for path in (SRC.parent / "demos").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "oscillat":
+                used.update(alias.name for alias in node.names)
+    assert used and used == set(oscillat.__all__)
+    assert all(hasattr(oscillat, name) for name in oscillat.__all__)

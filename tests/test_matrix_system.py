@@ -27,7 +27,7 @@ from oscillat.dirichlet import (
     choose_lambda,
     build_extension,
     extend,
-    steklov,
+    smooth,
     Corrector,
     resolvent,
     l2_norm,
@@ -47,6 +47,7 @@ from oscillat.evolution import (
     flux,
     flux_approx,
 )
+from oracles import steklov_tensor_rule
 
 LAT1 = unit_lattice(1)
 LAT2 = unit_lattice(2)
@@ -309,11 +310,11 @@ def test_bD_centered_matches_assembly_stencil(symbol, box, m_int):
 
 
 def _chain_oracle(u_ext, ext, lat, eps, sym, smoothed, a, c):
-    """The corrector chain as it runs on the extended grid: steklov,
-    bD_centered, the weights a on b(D)s and c on s, both given on the
-    extended grid, and restrict."""
+    """The corrector chain as it runs on the extended grid: the tensor-rule
+    Steklov average, bD_centered, the weights a on b(D)s and c on s, both
+    given on the extended grid, and restrict."""
     h = ext.mesh.h
-    s = steklov(u_ext, lat, eps, h, margin=ext.margin) if smoothed else u_ext
+    s = steklov_tensor_rule(u_ext, lat, eps, h, False) if smoothed else u_ext
     return ext.restrict(np.einsum("...ij,...j->...i", a, bD_centered(s, sym, h))
                         + np.einsum("...ij,...j->...i", c, s))
 
@@ -367,8 +368,8 @@ def test_real_corrector_matches_the_complex_chain(case):
                                   "laminate2d", "laminate2d_skew"])
 def test_compiled_corrector_matches_the_chain(case):
     # Corrector and flux_approx run per-axis sparse factors of interior
-    # nodes; the oracle runs extend, steklov, bD_centered, the weights and
-    # restrict
+    # nodes; the oracle runs extend, the tensor rule, bD_centered, the
+    # weights and restrict
     from oscillat.study import extension_margin
 
     eps, k = 0.25, 3
@@ -442,10 +443,9 @@ def test_stacked_functions_match_one_at_a_time(case):
     maps = {
         "extend": (lambda u: extend(u, ext, n=n), U),
         "restrict": (ext.restrict, E),
-        "steklov": (lambda e: steklov(e, steklov_lat, eps, mesh.h,
-                                      margin=ext.margin), E),
-        "steklov_periodic": (lambda e: steklov(e, steklov_lat, eps, mesh.h,
-                                               periodic=True), E),
+        "smooth": (lambda u: smooth(u, ext, steklov_lat, eps, n), U),
+        "tensor_rule": (lambda e: steklov_tensor_rule(e, steklov_lat, eps,
+                                                      mesh.h, False), E),
         "Corrector.apply": (cor.apply, U),
     }
     for name, (fn, stack) in maps.items():

@@ -749,6 +749,25 @@ def test_eps_refused_before_any_work(tmp_path, monkeypatch, capsys):
                 assert f"[{section}] eps = " in err and "(0, 1]" in err
 
 
+@pytest.mark.parametrize("eps", ["[0.125, 0.0625, 0.125]", "[0.125, 0.5]"],
+                         ids=["repeated", "above_bound"])
+def test_bad_eps_list_refused_before_cell_solve(tmp_path, monkeypatch, capsys,
+                                                eps):
+    # a repeated eps, or one above min box side / 4, is refused naming the
+    # key before the cell solve
+    import oscillat.study as study_mod
+
+    _forbid(monkeypatch, study_mod, "solve_cell")
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"[sweep]\neps = {eps}\n")
+    for command in ("sweep", "resolvent-sweep", "cos-sweep"):
+        assert run_cli([command, "--config", str(cfg_path),
+                        "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [sweep] eps = ") and "Traceback" not in err
+        assert "distinct values up to the surrogate bound min box side / 4" in err
+
+
 @pytest.mark.parametrize("value", [0, 3, 4])
 def test_n_probe_below_floor_refused(value):
     with pytest.raises(ValueError, match=r"\[sweep\] n_probe = .* least 5"):
@@ -917,5 +936,17 @@ out_dir = {tmp_path / 'out'}
 
 
 def test_selftest_all_green():
+    # the exact set of checks, so that no port drops one silently
     checks = selftest(verbose=False)
-    assert checks and all(ok for _, ok in checks)
+    assert [name for name, _ in checks] == [
+        "lattice.unit_duality", "lattice.frequencies_n2",
+        "symbol.scalar_bounds", "coefficients.const_eval",
+        "cell.lambda_zero_for_const", "cell.lambda_tilde_zero_without_a",
+        "dirichlet.unit_laplacian", "dirichlet.q1_stencil_2d",
+        "dirichlet.steklov_constant", "dirichlet.steklov_character",
+        "dirichlet.steklov_character_2d", "dirichlet.extension_identity",
+        "evolution.cos_t0_identity", "evolution.sine_t0_zero",
+        "evolution.ibvp_zero_data", "dirichlet.separable_probe_laplacian",
+        "dirichlet.dst_spectrum_laplacian", "study.fit_rate_exact",
+        "study.fit_rate_sqrt"]
+    assert all(ok for _, ok in checks)
