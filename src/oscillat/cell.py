@@ -294,7 +294,7 @@ def solve_cell(coeffs, lat: Lattice, N: int) -> CellSolution:
     """Run both cell problems and collect every effective quantity.
 
     When every b_l and g are exactly real, Λ = iΦ with Φ real, so Λ is
-    projected onto i Im Λ before anything reads it, as _finalize keeps the
+    projected onto i Im Λ before anything reads it, as assembly keeps the
     hermitian part of an operator.  That drops CG rounding (about 1e-17 at
     the default N) and the unpaired Nyquist mode's asymmetry (1e-11 at
     N = 32 on sine1d), and lets dirichlet.Corrector run in real arithmetic.

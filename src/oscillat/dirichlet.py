@@ -6,11 +6,13 @@ On a grid a function has the layout (..., M_1, .., M_d, n): every grid
 function addresses the d grid axes and the component axis from the right,
 so optional leading axes hold a stack of functions (the times of a path,
 say) and pass through unchanged.
-The oscillating operator is assembled from the quadratic form: the principal
-part uses Q1 elements with the coefficient frozen at each cell midpoint
-(exact element integrals, so no spurious kernel modes), lower-order terms
-are collocated at nodes with centered differences and symmetrized, which
-keeps every assembled matrix hermitian at machine precision.  A corrector
+The oscillating operator is assembled from the quadratic form as blocks on
+the 3^d neighbours of each interior node: the principal part uses Q1
+elements with the coefficient frozen at each cell midpoint (exact element
+integrals, so no spurious kernel modes), lower-order terms are collocated
+at nodes with centered differences.  One writer takes the hermitian part on
+those blocks and writes the CSR once, so every assembled matrix equals its
+conjugate transpose entry for entry.  A corrector
 is compiled once per case (SmoothedBD): per grid axis, sparse 1-D factors
 from interior to interior nodes of the extension (reflection and cutoff),
 the Steklov average, the centered difference and the restriction.  smooth
@@ -194,12 +196,22 @@ class DiscreteDirichletOperator:
                                         self.eps_tag, probe, self.lam + lam)
         out.bands = self.bands and ((self.bands[0][0] + lam, self.bands[0][1]),
                                     *self.bands[1:])
+        out.off_diagonal_sums = self.off_diagonal_sums
         return out
 
     @cached_property
     def bands(self):
-        """read_bands of the matrix on the mesh's interior grid, read once."""
+        """read_bands of the matrix on the mesh's interior grid, read once;
+        assembly sets them from its neighbour blocks."""
         return read_bands(self.matrix, self.mesh.m_int)
+
+    @cached_property
+    def off_diagonal_sums(self):
+        """Column sums of |A| off the diagonal, which no shift moves: the
+        part of |A - zeta I|_1 that norm1 reads for every zeta.  Assembly
+        sets them from its neighbour blocks."""
+        cols = np.asarray(abs(self.matrix).sum(axis=0)).ravel()
+        return cols - np.abs(self.matrix.diagonal())
 
     @cached_property
     def spectrum(self):
@@ -226,31 +238,35 @@ class DiscreteDirichletOperator:
             return SimpleNamespace(solve=lambda cols: eb.synthesize(
                 eb.project(cols.T) / gaps).T), key.imag == 0.0
         if key not in self._factors:
+            # A is hermitian, so the CSC arrays of A - zeta I are the CSR
+            # arrays of its transpose conj(A - conj(zeta) I): SuperLU reads
+            # the shifted CSR as they are, conjugated when complex
             mat = self.matrix
             if key != 0:
-                mat = mat - shift * sp.identity(self.size, format="csr")
-            real_ok = mat.dtype.kind != "c" or not mat.data.imag.any()
-            if real_ok and mat.dtype.kind == "c":
-                mat = mat.real
+                mat = mat - shift.conjugate() * sp.identity(self.size,
+                                                            format="csr")
+            data = mat.data
+            real_ok = data.dtype.kind != "c" or not data.imag.any()
+            data = np.ascontiguousarray(data.real) if real_ok else data.conj()
             # 2-D: symmetric mode on the fill-reducing A + A^T ordering, with
             # the default pivot threshold, so complex and indefinite shifts
             # stay stable.  A 1-D operator is banded in node order and the
             # default ordering already factors it without fill.
             order = {} if self.mesh.dim == 1 else dict(
                 permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
-            self._factors[key] = (spla.splu(mat.tocsc(), **order), real_ok)
+            self._factors[key] = (spla.splu(sp.csc_matrix(
+                (data, mat.indices, mat.indptr), shape=mat.shape), **order),
+                real_ok)
         return self._factors[key]
 
     def norm1(self, zeta=0.0) -> float:
         """|A - zeta I|_1, cached per zeta: the scale of the backward errors
-        that resolvent and spectral_decompose bound.  The column sums of |A|
-        get the diagonal shifted in place of a shifted copy of A."""
+        that resolvent and spectral_decompose bound, the off-diagonal column
+        sums plus the shifted diagonal, with no copy of A."""
         key = complex(zeta)
         if key not in self._norms:
-            diag = self.matrix.diagonal()
-            cols = np.asarray(abs(self.matrix).sum(axis=0)).ravel()
-            self._norms[key] = float(
-                (cols - np.abs(diag) + np.abs(diag - key)).max())
+            self._norms[key] = float((self.off_diagonal_sums + np.abs(
+                self.matrix.diagonal() - key)).max())
         return self._norms[key]
 
     def solve_shifted(self, zeta, rhs):
@@ -265,23 +281,12 @@ class DiscreteDirichletOperator:
 
 
 def read_bands(matrix, m_int):
-    """The bands of a hermitian operator on interior nodes m_int, or None.
-
-    d = 1: ((diag, sub),) of a tridiagonal matrix.  d = 2: the x1 bands
-    ((diag_a, sub_a), (diag_o, sub_o)) of Ta, the entries on one x2 line,
-    and To, those between x2 neighbours, when the matrix equals
-    kron(Ta, I) + kron(To, S2), S2 the x2 shift (ones on the first
-    off-diagonals), as a laminate's does.  Each pair has a real diagonal
-    and the superdiagonal conj(sub).  Every check is exact.
-
-    The split is read off the CSR arrays.  Each entry's column offset
-    names its neighbour (s, a): the node (i1 + s, i2 + a), |s|, |a| <= 1,
-    with a = 0 in d = 1; a nonzero entry at any other offset refuses the
-    split.  The entries go to a neighbour grid [s, a, i1, i2], which must
-    hold Ta[i1, i1 + s] at every a = 0 position, To[i1, i1 + s] at every
-    a = +-1 position whose neighbour is on the line, and zero where it is
-    off the line (an offset that wraps around an x2 line).
-    """
+    """The bands (_grid_bands) of a hermitian matrix on interior nodes m_int,
+    or None, read off its CSR arrays: each entry's column offset names its
+    neighbour (s, a), the node (i1 + s, i2 + a), |s|, |a| <= 1, with a = 0
+    in d = 1, and goes to the neighbour grid [s, a, i1, i2].  A nonzero
+    entry at any other offset refuses the split.  Assembly hands its grid
+    to _grid_bands directly; this reads a matrix that has none."""
     size = matrix.shape[0]
     if size != np.prod(m_int):
         return None
@@ -308,8 +313,25 @@ def read_bands(matrix, m_int):
         return None
     grid = np.zeros(3 * len(a_all) * size, dtype=vals.dtype)
     grid[k * size + rows] = vals
-    grid = grid.reshape(3, len(a_all), size // m2, m2)
-    along = grid[:, len(a_all) // 2]                    # a = 0
+    return _grid_bands(grid.reshape(3, len(a_all), size // m2, m2), m_int)
+
+
+def _grid_bands(grid, m_int):
+    """The bands of a hermitian operator on interior nodes m_int, given as
+    its neighbour grid [s, a, i1, i2], or None.  Every check is exact.
+
+    grid[s, a, i1, i2] couples node (i1, i2) to (i1 + s, i2 + a), zero
+    where that node is off the grid; a = 0 only in d = 1 (i2 = 0).  d = 1:
+    ((diag, sub),) of a tridiagonal matrix.  d = 2: the x1 bands
+    ((diag_a, sub_a), (diag_o, sub_o)) of Ta, the entries on one x2 line,
+    and To, those between x2 neighbours, when the matrix equals
+    kron(Ta, I) + kron(To, S2), S2 the x2 shift (ones on the first
+    off-diagonals), as a laminate's does: the grid must hold Ta[i1, i1 + s]
+    at every a = 0 position, To[i1, i1 + s] at every a = +-1 position whose
+    neighbour is on the line, and zero where it is off the line.  Each pair
+    has a real diagonal and the superdiagonal conj(sub).
+    """
+    along = grid[:, grid.shape[1] // 2]                 # a = 0
     pairs = [along[..., 0].copy()]                      # Ta: (s, i1)
     if len(m_int) == 2:
         pairs.append(grid[:, 2, :, 0].copy())           # To: (s, i1)
@@ -510,8 +532,24 @@ def _grad_tensors(mesh: Mesh):
                      np.kron(C1.T, C2), np.kron(M1, K2)]).reshape(2, 2, 4, 4)
 
 
+def _offsets(d: int) -> np.ndarray:
+    """The 3^d neighbour offsets o_k, k in C order, so o_(K-1-k) = -o_k."""
+    return np.array(list(np.ndindex(*(3,) * d))) - 1
+
+
+def _inside(m_int) -> np.ndarray:
+    """inside[k, i]: whether node i + o_k (_offsets) is an interior node."""
+    d = len(m_int)
+    offsets = _offsets(d).T.reshape((d, -1) + (1,) * d)
+    nbs = [ik + ok for ik, ok in zip(np.indices(m_int, sparse=True), offsets)]
+    return functools.reduce(
+        operator.and_, [(nb >= 0) & (nb < Mk) for nb, Mk in zip(nbs, m_int)])
+
+
 def _stencil_form(mesh: Mesh, sym: Symbol, g_cells: np.ndarray):
-    """The principal form on the interior dofs, as canonical CSR.
+    """The principal form as neighbour blocks: blocks[k, r, s, i] couples
+    component r of interior node i to component s of node i + o_k
+    (_offsets), and is not read where that node is off the grid.
 
     g_cells holds the (m x m) coefficient at every cell midpoint, shape
     (M_1+1, .., M_d+1, m, m), or is one (m x m) matrix that every cell
@@ -519,16 +557,16 @@ def _stencil_form(mesh: Mesh, sym: Symbol, g_cells: np.ndarray):
     (n x n) block sum over l', l of S[l', l, q, p] b_{l'}^H g b_l: one
     matmul of the cells' g with a fixed tensor, in real arithmetic when the
     symbol is real and the imaginary part of g symmetric, as the hermitian
-    part that _finalize keeps is then real.  Each interior node sums the
+    part the operator keeps is then real.  Each interior node sums the
     elements of its 2^d cells into its 3^d neighbour blocks by shifted
-    slices, and the blocks of interior neighbours are written node-major,
-    n components per node, with sorted columns.
+    slices.
     """
     d, n, m, M = mesh.dim, sym.n, sym.m, mesh.m_int
     b = np.stack(sym.b_mats)                                    # (d, m, n)
     T = np.einsum("abqp,air,bjs->qprsij", _grad_tensors(mesh), b.conj(), b)
-    if not b.imag.any() and (g_cells.imag
-                             == np.swapaxes(g_cells.imag, -1, -2)).all():
+    g_imag = g_cells.imag
+    if not b.imag.any() and all((g_imag[..., i, j] == g_imag[..., j, i]).all()
+                                for i in range(m) for j in range(i)):
         g_cells, T = g_cells.real, T.real
     n_corner = T.shape[0]
     elem = T.reshape(-1, m * m) @ g_cells.reshape(-1, m * m).T
@@ -536,128 +574,164 @@ def _stencil_form(mesh: Mesh, sym: Symbol, g_cells: np.ndarray):
         elem.reshape((n_corner, n_corner, n, n)
                      + (g_cells.shape[:-2] or (1,) * d)),
         (n_corner, n_corner, n, n) + tuple(Mk + 1 for Mk in M))
-
-    # blocks[k, r, s, i] couples component r of interior node i to
-    # component s of node i + offsets[k]
-    offsets = np.array(list(np.ndindex(*(3,) * d))) - 1
-    blocks = np.zeros((len(offsets), n, n) + M, dtype=elem.dtype)
+    blocks = np.zeros((3 ** d, n, n) + M, dtype=elem.dtype)
     corners = list(np.ndindex(*(2,) * d))
     for (iq, q), (ip, p) in itertools.product(enumerate(corners), repeat=2):
         k = np.ravel_multi_index(np.subtract(p, q) + 1, (3,) * d)
         blocks[k] += elem[(iq, ip, Ellipsis) + tuple(
             slice(1 - a, 1 - a + Mk) for a, Mk in zip(q, M))]
+    return blocks
 
-    # per axis, the neighbours' indices i_k + offsets[:, k]; the neighbour
-    # i + offsets[k] is kept when interior, as node number cols[k, i]
-    nbs = [ik + ok for ik, ok in zip(np.indices(M, sparse=True),
-                                     offsets.T.reshape((d, -1) + (1,) * d))]
-    inside = functools.reduce(operator.and_,
-                              [(nb >= 0) & (nb < Mk) for nb, Mk in zip(nbs, M)])
-    cols = sum(nb * int(np.prod(M[k + 1:])) for k, nb in enumerate(nbs))
-    indices = cols[:, None, None] * n + np.arange(n).reshape((n,) + (1,) * d)
-    # the entries in CSR order: node, row component, offset, column component
-    perm = tuple(range(3, 3 + d)) + (1, 0, 2)
-    keep = np.broadcast_to(inside[:, None, None], blocks.shape).transpose(perm)
-    counts = np.repeat(n * inside.sum(axis=0).ravel(), n)
-    size = mesh.n_nodes * n
-    return sp.csr_matrix(
-        (blocks.transpose(perm)[keep],
-         np.broadcast_to(indices, blocks.shape).transpose(perm)[keep],
-         np.concatenate(([0], np.cumsum(counts)))), shape=(size, size))
+
+def _adjoint(blocks):
+    """The neighbour blocks of the adjoint form: block k of node i is the
+    conjugate transpose of block K-1-k of node i + o_k, zero where that
+    node is off the grid.  It reads no block whose neighbour is off it."""
+    M = blocks.shape[3:]
+    out = np.zeros_like(blocks)
+    flipped = np.swapaxes(blocks[::-1], 1, 2)
+    for k, o in enumerate(_offsets(len(M))):
+        out[(k, Ellipsis) + tuple(slice(max(0, -a), Mk - max(0, a))
+                                  for a, Mk in zip(o, M))] = flipped[
+            (k, Ellipsis) + tuple(slice(max(0, a), Mk - max(0, -a))
+                                  for a, Mk in zip(o, M))]
+    return out.conj() if np.iscomplexobj(out) else out
+
+
+def _centered_weights(h: float) -> np.ndarray:
+    """The weights of u(x + h), u(x - h) in D = -i times the centered
+    difference: the one b(D) stencil, of assembly and fluxes."""
+    return np.array([1.0, -1.0]) * (-1j / (2.0 * h))
 
 
 def _centered_diff(mesh: Mesh, axis: int):
     """Sparse D_axis = -i * centered difference on interior nodes."""
     return functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), [
-        sp.diags([np.ones(M - 1), -np.ones(M - 1)], [1, -1], format="csr")
-        * (-1j / (2.0 * mesh.h[k])) if k == axis else sp.identity(M, format="csr")
+        sp.diags([np.full(M - 1, w) for w in _centered_weights(mesh.h[k])],
+                 [1, -1], format="csr")
+        if k == axis else sp.identity(M, format="csr")
         for k, M in enumerate(mesh.m_int)])
 
 
 def bD_matrix(mesh: Mesh, sym: Symbol):
     """Sparse b(D) = sum_l D_l b_l on interior dof vectors, zero outside the
-    grid: the one centered b(D) stencil, of assembly and fluxes."""
+    grid, as fluxes read it."""
     return sum(sp.kron(_centered_diff(mesh, l), b, format="csr")
                for l, b in enumerate(sym.b_mats))
 
 
-def _block_diag_field(values: np.ndarray):
-    """Sparse block-diagonal matrix from per-node (n x n) blocks."""
-    idx = np.arange(values.shape[0] * values.shape[1]).reshape(values.shape[:2])
-    rows, cols = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
-    return sp.csr_matrix((values.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(idx.size, idx.size))
+def _write_operator(blocks, mesh: Mesh, eps_tag) -> DiscreteDirichletOperator:
+    """The operator of a form given as neighbour blocks (which it takes
+    over), each entry written once: the form over the node volume sigma,
+    its hermitian part (B + B^H) / 2 taken on the blocks, real when no
+    imaginary part is left, as CSR in node-major order with sorted columns,
+    an entry stored where it is nonzero.  The same blocks give the bands
+    (n = 1), the off-diagonal column sums of |A| and, with those bands, the
+    probe."""
+    d, M, n = mesh.dim, mesh.m_int, blocks.shape[1]
+    size = mesh.n_nodes * n
+    form = np.multiply(blocks, 1.0 / mesh.sigma, out=blocks)
+    np.copyto(form, 0.0, where=~_inside(M)[:, None, None])
+    herm = _adjoint(form)
+    herm += form
+    herm *= 0.5
+    if np.iscomplexobj(herm) and not herm.imag.any():
+        herm = np.ascontiguousarray(herm.real)
 
+    # the entries in CSR order (node, row component, offset, column
+    # component), written over the form, which is read no more
+    entries = form.reshape(-1).view(herm.dtype)[:herm.size].reshape(
+        M + (n, 3 ** d, n))
+    np.copyto(entries, herm.transpose(tuple(range(3, 3 + d)) + (1, 0, 2)))
+    entries = entries.reshape(size, -1)
+    stored = entries != 0
+    strides = [int(np.prod(M[k + 1:])) for k in range(d)]
+    cols = np.add.outer(np.arange(size, dtype=np.int32) // n * n, np.add.outer(
+        (_offsets(d) @ strides).astype(np.int32) * n,
+        np.arange(n, dtype=np.int32)).ravel())
+    counts = np.moveaxis(np.count_nonzero(herm, axis=(0, 2)), 0, -1).ravel()
+    matrix = sp.csr_matrix((entries[stored], cols[stored], np.concatenate(
+        ([0], np.cumsum(counts))).astype(np.int32)), shape=(size, size))
 
-def _finalize(form, mesh: Mesh, eps_tag):
-    op_mat = (form / mesh.sigma).tocsr()
-    op_mat = (op_mat + op_mat.conj().T) * 0.5
-    if np.abs(op_mat.imag.data).max(initial=0.0) == 0.0:
-        op_mat = op_mat.real
-    bands = read_bands(op_mat, mesh.m_int)
-    op = DiscreteDirichletOperator(op_mat, mesh, eps_tag,
-                                   smallest_eigenvalue(op_mat, bands))
+    bands = None if n > 1 else _grid_bands(
+        herm.reshape(3, 3 ** (d - 1), M[0], -1), M)
+    off_diag = np.abs(herm, out=herm) if herm.dtype.kind == "f" else abs(herm)
+    off_diag[(3 ** d // 2,) + np.diag_indices(n)] = 0.0
+    op = DiscreteDirichletOperator(matrix, mesh, eps_tag,
+                                   smallest_eigenvalue(matrix, bands))
     op.bands = bands
+    op.off_diagonal_sums = np.moveaxis(off_diag.sum(axis=(0, 2)), 0,
+                                       -1).ravel()
     return op
+
+
+def _first_order(blocks, mesh: Mesh, axis: int, c):
+    """blocks plus sigma (X + X^H), X = diag(c) D_axis with the (n x n)
+    fields c[r, s, i] (or one block broadcast over the grid): the form
+    (c u, D_axis u) + (D_axis u, c u)."""
+    first = np.zeros(blocks.shape, dtype=complex)
+    center, step = 3 ** mesh.dim // 2, 3 ** (mesh.dim - 1 - axis)
+    for k, w in zip((center + step, center - step),      # o = +-e_axis
+                    _centered_weights(mesh.h[axis])):
+        first[k] = c * w
+    return blocks + mesh.sigma * (first + _adjoint(first))
+
+
+def _zero_order(blocks, mesh: Mesh, c):
+    """blocks plus sigma diag(c): the form (c u, u)."""
+    blocks = blocks.astype(np.result_type(blocks, c), copy=False)
+    blocks[3 ** mesh.dim // 2] += mesh.sigma * c
+    return blocks
 
 
 def assemble_b_eps(mesh: Mesh, coeffs: CoefficientSet, eps: float,
                    lat: Lattice | None = None) -> DiscreteDirichletOperator:
-    """Assemble the unshifted oscillating operator at scale eps on the mesh."""
+    """Assemble the unshifted oscillating operator at scale eps on the mesh:
+    the principal blocks, then per axis the first-order term of
+    a_j(x / eps), then Q(x / eps)."""
     if eps <= 0 or eps > 1:
         raise ValueError("eps must lie in (0, 1]")
     if max(mesh.h) > eps * H_OVER_EPS * (1 + 1e-12):
         raise ResolutionViolation(
             f"h={max(mesh.h):.3e} exceeds eps/16={eps * H_OVER_EPS:.3e}")
     lat = lat or unit_lattice(mesh.dim)
-    sym, n = coeffs.symbol, coeffs.symbol.n
 
-    g_cells = eval_scaled_grid(coeffs.g, lat, eps, mesh.midpoint_axes())
-    form = _stencil_form(mesh, sym, g_cells)
+    def at_nodes(f):        # (n, n, M_1, .., M_d)
+        return np.moveaxis(eval_scaled_grid(f, lat, eps, mesh.axes()),
+                           (-2, -1), (0, 1))
 
-    sigma = mesh.sigma
-    node_axes = mesh.axes()
-    if coeffs.a:
-        for j, aj in enumerate(coeffs.a):
-            vals = eval_scaled_grid(aj, lat, eps, node_axes).reshape(-1, n, n)
-            X = _block_diag_field(vals) @ sp.kron(
-                _centered_diff(mesh, j), sp.identity(n), format="csr")
-            form = form + sigma * (X + X.conj().T)
+    blocks = _stencil_form(mesh, coeffs.symbol, eval_scaled_grid(
+        coeffs.g, lat, eps, mesh.midpoint_axes()))
+    for j, aj in enumerate(coeffs.a):
+        blocks = _first_order(blocks, mesh, j, at_nodes(aj))
     if coeffs.Q is not None:
-        vals = eval_scaled_grid(coeffs.Q, lat, eps, node_axes).reshape(-1, n, n)
-        form = form + sigma * _block_diag_field(vals)
-    return _finalize(form, mesh, float(eps))
+        blocks = _zero_order(blocks, mesh, at_nodes(coeffs.Q))
+    return _write_operator(blocks, mesh, float(eps))
 
 
 def assemble_b0(mesh: Mesh, cell: CellSolution,
                 coeffs: CoefficientSet) -> DiscreteDirichletOperator:
-    """Assemble the unshifted constant-coefficient effective operator."""
-    sym, n = coeffs.symbol, coeffs.symbol.n
-    form = _stencil_form(mesh, sym, cell.g0)
-
-    sigma = mesh.sigma
-    n_nodes = mesh.n_nodes
-    eye_nodes = sp.identity(n_nodes, format="csr")
-
-    # -b(D)*V - V*b(D), assembled from the form -2 Re (V u, b(D) u)
-    if np.abs(cell.V).max() > 0:
-        BD = bD_matrix(mesh, sym)
-        Vhat = sp.kron(eye_nodes, cell.V, format="csr")
-        form = form - sigma * (BD.conj().T @ Vhat + Vhat.conj().T @ BD)
-
+    """Assemble the unshifted constant-coefficient effective operator: the
+    principal blocks, then -b(D)* V - V* b(D) (the form -2 Re (V u,
+    b(D) u)) as the first-order terms of -V* b_l, then those of
+    (mean a_j + its adjoint) / 2, then -W + mean Q."""
+    sym, d, V = coeffs.symbol, mesh.dim, cell.V
+    blocks = _stencil_form(mesh, sym, cell.g0)
+    grid = (Ellipsis,) + (None,) * d
+    if np.abs(V).max() > 0:     # V* b(D) = sum_l diag(V* b_l) D_l
+        for l, b in enumerate(sym.b_mats):
+            blocks = _first_order(blocks, mesh, l, -(V.conj().T @ b)[grid])
     for j, aj in enumerate(coeffs.a):
         cj = aj.mean()
         cj = cj + cj.conj().T
         if np.abs(cj).max() > 0:
-            X = sp.kron(_centered_diff(mesh, j), cj, format="csr")
-            form = form + sigma * 0.5 * (X + X.conj().T)
-
+            blocks = _first_order(blocks, mesh, j, (0.5 * cj)[grid])
     zero_order = -np.asarray(cell.W, dtype=complex)
     if coeffs.Q is not None:
         zero_order = zero_order + coeffs.Q.mean()
     if np.abs(zero_order).max() > 0:
-        form = form + sigma * sp.kron(eye_nodes, zero_order, format="csr")
-    return _finalize(form, mesh, "effective")
+        blocks = _zero_order(blocks, mesh, zero_order[grid])
+    return _write_operator(blocks, mesh, "effective")
 
 
 def choose_lambda(ops: list, coeffs: CoefficientSet) -> float:

@@ -128,6 +128,11 @@ class SweepConfig:
             2.0 ** -k for k in (range(3, 8) if d == 1 else range(2, 6))],
             reverse=True)
         if len(set(eps)) < len(eps) or eps[0] > min(self.box) / 4.0 + 1e-12:
+            if not self.eps_list:
+                raise ValueError(
+                    f"[sweep] eps is not set, and the default list for d={d}, "
+                    f"{eps}, exceeds the surrogate bound min box side / 4 = "
+                    f"{min(self.box) / 4.0:g}; [sweep] eps sets the list")
             raise ValueError(f"[sweep] eps = {eps} must hold distinct values "
                              "up to the surrogate bound min box side / 4")
         return eps
@@ -253,8 +258,11 @@ class Fixture:
     cell: CellSolution
 
 
-def build_fixture(cfg: SweepConfig) -> Fixture:
-    """Coefficients (from the catalog or a samples file), lattice and cell."""
+def build_fixture(cfg: SweepConfig, sweep: bool = False) -> Fixture:
+    """Coefficients (from the catalog or a samples file), lattice and cell.
+    What needs only the fixture's dimension d is checked before the cell
+    solve: the box, the basis and, for a sweep, its eps list, the default
+    list for d included."""
     if cfg.fixture == "samples_file":
         g = load_field_csv(cfg.fixture_params["path"])
         coeffs = CoefficientSet(symbol=gradient_symbol(g.dim), g=g).validate()
@@ -267,6 +275,8 @@ def build_fixture(cfg: SweepConfig) -> Fixture:
         if dim != d:        # refused before the cell solve
             raise ValueError(f"{key} is {dim}-dimensional, but fixture "
                              f"{cfg.fixture} is {d}-dimensional")
+    if sweep:
+        cfg.resolved_eps(d)
     cell = solve_cell(coeffs, lat, cfg.resolved_cell_n(d))
     return Fixture(lat=lat, coeffs=coeffs, cell=cell)
 
@@ -392,7 +402,7 @@ def run_sweep(cfg: SweepConfig, estimate: Estimate) -> RateReport:
     """Measure one estimate on every eps case and fit its rates."""
     t0 = time.perf_counter()
     estimate.check(cfg)
-    fix = build_fixture(cfg)
+    fix = build_fixture(cfg, sweep=True)
     eps_list = cfg.resolved_eps(fix.coeffs.d)
     cases = build_cases(fix, cfg, eps_list, estimate.decomposes)
     meta = {"fixture": cfg.fixture, "d": fix.coeffs.d, "eps": list(eps_list),

@@ -23,8 +23,8 @@ from oscillat.dirichlet import (
     read_bands,
     build_extension,
     extend,
-    _finalize,
 )
+from oracles import raw_operator
 
 #: few examples, drawn the same way on every run
 PROPERTY = settings(max_examples=8, deadline=None, derandomize=True)
@@ -108,7 +108,7 @@ def test_positivity_probe_certifies_exactly_the_definite(seed, lattice,
                   * sp.identity(op.size)).tocsr()
     assert smallest_eigenvalue(indefinite, bands(indefinite)) <= 0.0
     with pytest.raises(NotPositiveDefinite):
-        _finalize(indefinite * op.mesh.sigma, op.mesh, 0.5).shifted(0.0)
+        raw_operator(indefinite, op.mesh, 0.5).shifted(0.0)
 
 
 @PROPERTY

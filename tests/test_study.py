@@ -433,24 +433,29 @@ def test_evolve_case_compiles_one_smoothing_and_one_extension(monkeypatch,
     ("laminate2d", (1.0, 1.0), 0.25, {})])
 def test_each_operator_reads_its_bands_once(fixture, box, eps, params,
                                             monkeypatch):
-    # one read per assembled operator; its shift, the probe, the closed
-    # form, the eigen path and the solvers all use the cached bands (the
-    # d=1 potential -30 makes the shift lam nonzero)
+    # one band check per assembled operator, on the neighbour blocks it was
+    # written from, and no read of its CSR; its shift, the probe, the
+    # closed form, the eigen path and the solvers all use the cached bands
+    # (the d=1 potential -30 makes the shift lam nonzero)
     import oscillat.dirichlet as dirichlet_mod
     from oscillat.evolution import spectral_decompose
     from oscillat.study import build_cases
 
-    reader = dirichlet_mod.read_bands
-    reads = []
+    reads, csr_reads = [], []
 
-    def counting(matrix, m_int):
-        reads.append(matrix.shape[0])
-        return reader(matrix, m_int)
+    def counting(log, reader):
+        def read(arg, m_int):
+            log.append(int(np.prod(m_int)))
+            return reader(arg, m_int)
+        return read
 
     cfg = SweepConfig(fixture=fixture, box=box, eps_list=(eps,), cell_n=32,
                       fixture_params=params)
     fix = build_fixture(cfg)
-    monkeypatch.setattr(dirichlet_mod, "read_bands", counting)
+    monkeypatch.setattr(dirichlet_mod, "_grid_bands",
+                        counting(reads, dirichlet_mod._grid_bands))
+    monkeypatch.setattr(dirichlet_mod, "read_bands",
+                        counting(csr_reads, dirichlet_mod.read_bands))
     case = build_cases(fix, cfg, [eps])[0]
     assert (case.op_eps.lam > 0) == bool(params)
     # dense eigh of the 3969-unknown d=2 B_eps takes about 20 s, so in d=2
@@ -462,7 +467,7 @@ def test_each_operator_reads_its_bands_once(fixture, box, eps, params,
     for op in ops:
         resolvent(op, -1.0, probes)
         resolvent(op, -1.0 + 0.5j, probes)
-    assert reads == [case.mesh.n_nodes] * 2
+    assert reads == [case.mesh.n_nodes] * 2 and csr_reads == []
 
 
 def test_resolvent_sweep_inv_sqrt_on_every_case_or_none():
@@ -766,6 +771,36 @@ def test_bad_eps_list_refused_before_cell_solve(tmp_path, monkeypatch, capsys,
         err = capsys.readouterr().err
         assert err.startswith("error: [sweep] eps = ") and "Traceback" not in err
         assert "distinct values up to the surrogate bound min box side / 4" in err
+
+
+@pytest.mark.parametrize("fixture, box, default", [
+    ("sine1d", "[0.4]", "d=1, [0.125, 0.0625, "),
+    ("laminate2d", "[0.8, 1.0]", "d=2, [0.25, 0.125, ")])
+def test_default_eps_list_refused_before_cell_solve(tmp_path, monkeypatch,
+                                                    capsys, fixture, box,
+                                                    default):
+    # with no [sweep] eps, the default list of the fixture's dimension is
+    # checked once the box matches that dimension, before the cell solve;
+    # cell and evolve, which do not read the list, still run on that box
+    import oscillat.study as study_mod
+
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text(f"[coeff]\ncatalog = {fixture}\n[domain]\nbox = {box}\n"
+                        "[mesh]\ncell_n = 32\n")
+    with monkeypatch.context() as patched:
+        _forbid(patched, study_mod, "solve_cell")
+        for command in ("sweep", "resolvent-sweep", "cos-sweep"):
+            assert run_cli([command, "--config", str(cfg_path),
+                            "--out", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: [sweep] eps is not set, and the "
+                                  f"default list for {default}")
+            assert err.rstrip().endswith("[sweep] eps sets the list")
+            assert "Traceback" not in err
+    commands = ("cell", "evolve") if fixture == "sine1d" else ("cell",)
+    for command in commands:
+        assert run_cli([command, "--config", str(cfg_path),
+                        "--out", str(tmp_path / command)]) == 0
 
 
 @pytest.mark.parametrize("value", [0, 3, 4])
