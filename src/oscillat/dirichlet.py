@@ -208,8 +208,7 @@ class DiscreteDirichletOperator:
     @cached_property
     def off_diagonal_sums(self):
         """Column sums of |A| off the diagonal, which no shift moves: the
-        part of |A - zeta I|_1 that norm1 reads for every zeta.  Assembly
-        sets them from its neighbour blocks."""
+        part of |A - zeta I|_1 that norm1 reads for every zeta, read once."""
         cols = np.asarray(abs(self.matrix).sum(axis=0)).ravel()
         return cols - np.abs(self.matrix.diagonal())
 
@@ -626,8 +625,7 @@ def _write_operator(blocks, mesh: Mesh, eps_tag) -> DiscreteDirichletOperator:
     its hermitian part (B + B^H) / 2 taken on the blocks, real when no
     imaginary part is left, as CSR in node-major order with sorted columns,
     an entry stored where it is nonzero.  The same blocks give the bands
-    (n = 1), the off-diagonal column sums of |A| and, with those bands, the
-    probe."""
+    (n = 1) and, with those bands, the probe."""
     d, M, n = mesh.dim, mesh.m_int, blocks.shape[1]
     size = mesh.n_nodes * n
     form = np.multiply(blocks, 1.0 / mesh.sigma, out=blocks)
@@ -655,13 +653,9 @@ def _write_operator(blocks, mesh: Mesh, eps_tag) -> DiscreteDirichletOperator:
 
     bands = None if n > 1 else _grid_bands(
         herm.reshape(3, 3 ** (d - 1), M[0], -1), M)
-    off_diag = np.abs(herm, out=herm) if herm.dtype.kind == "f" else abs(herm)
-    off_diag[(3 ** d // 2,) + np.diag_indices(n)] = 0.0
     op = DiscreteDirichletOperator(matrix, mesh, eps_tag,
                                    smallest_eigenvalue(matrix, bands))
     op.bands = bands
-    op.off_diagonal_sums = np.moveaxis(off_diag.sum(axis=(0, 2)), 0,
-                                       -1).ravel()
     return op
 
 
