@@ -7,6 +7,10 @@ dealiasing), and the truncated systems are solved by preconditioned
 conjugate gradients on the zero-mean subspace.  For band-limited
 coefficients the Galerkin matrices are exact, so cell-stage error decays
 spectrally and stays far below the homogenization rates measured downstream.
+
+solve_cell is one pass over one truncated operator: it solves the m columns
+of Λ and the n columns of Λ̃ on it, applies b(D) once to each, and forms
+g̃, g⁰, V and W on the operator's dealiased grid.
 """
 
 from dataclasses import dataclass
@@ -79,16 +83,19 @@ class _CellOperator:
     """Truncated operator X -> P_K b(D)* g b(D) X on zero-mean coefficients.
 
     Coefficient arrays are FFT-ordered with shape (N,)*d + (n,); the
-    frequency-zero entry is pinned to zero throughout.
+    frequency-zero entry is pinned to zero throughout.  It builds the
+    right-hand sides of both cell problems and solves them.
     """
 
     def __init__(self, sym: Symbol, g: PeriodicField, lat: Lattice, N: int):
+        if N < 8 or N % 2:
+            raise ValueError("cell resolution must be even and >= 8")
         self.sym = sym
-        self.lat = lat
         self.N = N
         self.d = sym.d
         self.M = _dealias_grid(N, g.resolution)
-        self.bk = sym.at(fft_frequency_grid(lat, N))          # (grid, m, n)
+        self.k = fft_frequency_grid(lat, N)                   # (grid, d)
+        self.bk = sym.at(self.k)                              # (grid, m, n)
         self.bkH = np.swapaxes(self.bk, -1, -2).conj()        # (grid, n, m)
         self.g_pad = resample(g, self.M).samples              # (Grid, m, m)
         self.g_trunc = resample(g, N)                         # field at N
@@ -133,11 +140,35 @@ class _CellOperator:
     def apply_precon(self, r):
         return np.einsum("...ij,...j->...i", self.precon, r)
 
-    def rhs_from_field(self, field_coeffs_col):
-        """-b(D)* applied to the truncated coefficients of a given m-field."""
-        out = -np.einsum("...nm,...m->...n", self.bkH, field_coeffs_col)
-        out[(0,) * self.d] = 0.0
-        return out
+    def rhs_lambda(self):
+        """The m right-hand sides -b(D)* g 1_m of Λ, one per column of g."""
+        g_coeffs = self.g_trunc.coeffs()  # (grid, m, m) truncated to solver band
+        cols = []
+        for c in range(self.sym.m):
+            out = -np.einsum("...nm,...m->...n", self.bkH, g_coeffs[..., :, c])
+            out[(0,) * self.d] = 0.0
+            cols.append(out)
+        return cols
+
+    def rhs_lambda_tilde(self, a):
+        """The n right-hand sides -sum_j D_j a_j* of Λ̃ (zero for no a)."""
+        d, n, N = self.d, self.sym.n, self.N
+        rhs = np.zeros((N,) * d + (n, n), dtype=complex)
+        for j, aj in enumerate(a):
+            ajH = PeriodicField(np.swapaxes(aj.samples, -1, -2).conj(), dim=d)
+            rhs -= self.k[..., j, None, None] * resample(ajH, N).coeffs()
+        rhs[(0,) * d] = 0.0
+        return [rhs[..., :, c] for c in range(n)]
+
+    def solve(self, rhs_cols):
+        """One PCG solve per column, stacked into an (n, cols) field;
+        returns it with the relative residual of each column."""
+        solved = [_pcg(self, rhs, 10 * self.N ** self.d, CG_TOL)
+                  for rhs in rhs_cols]
+        c = np.stack([x for x, _ in solved], axis=-1)  # (grid, n, cols)
+        samples = np.fft.ifftn(c * self.N ** self.d, axes=tuple(range(self.d)))
+        return (PeriodicField(samples=samples, dim=self.d),
+                [res for _, res in solved])
 
 
 def _pcg(op: _CellOperator, rhs, max_iter: int, tol: float):
@@ -174,100 +205,26 @@ def _pcg(op: _CellOperator, rhs, max_iter: int, tol: float):
     return x, res
 
 
-def _solve_columns(op: _CellOperator, rhs_cols, residuals) -> PeriodicField:
-    """Solve one system per column and stack the (grid, n) coefficient
-    solutions into an (n, cols) field; appends each residual."""
-    cols = []
-    for rhs in rhs_cols:
-        x, res = _pcg(op, rhs, 10 * op.N ** op.d, CG_TOL)
-        cols.append(x)
-        if residuals is not None:
-            residuals.append(res)
-    c = np.stack(cols, axis=-1)  # (grid, n, cols)
-    samples = np.fft.ifftn(c * op.N ** op.d, axes=tuple(range(op.d)))
-    return PeriodicField(samples=samples, dim=op.d)
-
-
 # ---------------------------------------------------------------------------
 # cell problems
 
 
-def solve_lambda(sym: Symbol, g: PeriodicField, lat: Lattice, N: int,
-                 _residuals: list | None = None) -> PeriodicField:
+def solve_lambda(sym: Symbol, g: PeriodicField, lat: Lattice,
+                 N: int) -> PeriodicField:
     """Zero-mean n x m solution of b(D)* g (b(D) Λ + 1_m) = 0.
 
     The m columns are independent problems; each is solved to a relative
     residual of 1e-10 or better (target 1e-12).
     """
-    if N < 8 or N % 2:
-        raise ValueError("cell resolution must be even and >= 8")
     op = _CellOperator(sym, g, lat, N)
-    g_coeffs = op.g_trunc.coeffs()  # (grid, m, m) truncated to solver band
-    return _solve_columns(op, [op.rhs_from_field(g_coeffs[..., :, c])
-                               for c in range(sym.m)], _residuals)
+    return op.solve(op.rhs_lambda())[0]
 
 
-def solve_lambda_tilde(sym: Symbol, g: PeriodicField, a, lat: Lattice, N: int,
-                       _residuals: list | None = None) -> PeriodicField:
+def solve_lambda_tilde(sym: Symbol, g: PeriodicField, a, lat: Lattice,
+                       N: int) -> PeriodicField:
     """Zero-mean n x n solution of b(D)* g b(D) Λ̃ + sum_j D_j a_j* = 0."""
-    if N < 8 or N % 2:
-        raise ValueError("cell resolution must be even and >= 8")
-    d, n = sym.d, sym.n
-    if not a or all(np.abs(aj.samples).max() == 0 for aj in a):
-        if _residuals is not None:
-            _residuals.extend([0.0] * n)
-        zero = np.zeros((N,) * d + (n, n), dtype=complex)
-        return PeriodicField(samples=zero, dim=d)
     op = _CellOperator(sym, g, lat, N)
-    k_grid = fft_frequency_grid(lat, N)  # (grid, d)
-    rhs_field = np.zeros((N,) * d + (n, n), dtype=complex)
-    for j, aj in enumerate(a):
-        ajH = PeriodicField(np.swapaxes(aj.samples, -1, -2).conj(), dim=d)
-        cj = resample(ajH, N).coeffs()
-        rhs_field -= k_grid[..., j, None, None] * cj  # -D_j a_j* in frequency
-    rhs_field[(0,) * d] = 0.0
-    return _solve_columns(op, [rhs_field[..., :, c] for c in range(n)],
-                          _residuals)
-
-
-# ---------------------------------------------------------------------------
-# effective quantities
-
-
-def effective_matrix(g: PeriodicField, Lambda: PeriodicField, sym: Symbol,
-                     lat: Lattice):
-    """g̃(x) = g(x)(b(D)Λ(x) + 1_m) and its hermitized cell mean g⁰."""
-    N = Lambda.resolution
-    M = _dealias_grid(N, g.resolution)
-    bdl = resample(apply_bD(Lambda, sym, lat), M).samples
-    g_pad = resample(g, M).samples
-    g_tilde = np.einsum("...ij,...jk->...ik", g_pad, bdl + np.eye(sym.m))
-    g0_raw = g_tilde.mean(axis=tuple(range(g.dim)))
-    g0 = 0.5 * (g0_raw + g0_raw.conj().T)
-    skew = np.linalg.norm(g0_raw - g0_raw.conj().T)
-    if skew > 1e-8 * max(np.linalg.norm(g0), 1e-300):
-        warnings.warn(f"effective matrix has skew part {skew:.3e}; hermitized")
-    return PeriodicField(samples=g_tilde, dim=g.dim), g0
-
-
-def interaction_matrices(g: PeriodicField, Lambda: PeriodicField,
-                         LambdaTilde: PeriodicField, sym: Symbol, lat: Lattice):
-    """Cell averages V = <(bDΛ)* g bDΛ̃> (m x n) and W = <(bDΛ̃)* g bDΛ̃> (n x n)."""
-    N = Lambda.resolution
-    M = _dealias_grid(N, g.resolution)
-    bdl = resample(apply_bD(Lambda, sym, lat), M).samples
-    bdlt = resample(apply_bD(LambdaTilde, sym, lat), M).samples
-    g_pad = resample(g, M).samples
-    grid_axes = tuple(range(g.dim))
-    v = np.einsum("...ji,...jk,...kl->...il", bdl.conj(), g_pad, bdlt)
-    w = np.einsum("...ji,...jk,...kl->...il", bdlt.conj(), g_pad, bdlt)
-    V = v.mean(axis=grid_axes)
-    W = w.mean(axis=grid_axes)
-    W = 0.5 * (W + W.conj().T)
-    w_eigs = np.linalg.eigvalsh(W)
-    if w_eigs.min() < -1e-10 * max(np.abs(w_eigs).max(), 1e-300):
-        raise SolverBreakdown("Gram average W has a significantly negative eigenvalue")
-    return V, W
+    return op.solve(op.rhs_lambda_tilde(a))[0]
 
 
 def voigt_reuss(g: PeriodicField, g0: np.ndarray) -> VoigtReussReport:
@@ -291,7 +248,12 @@ def voigt_reuss(g: PeriodicField, g0: np.ndarray) -> VoigtReussReport:
 
 
 def solve_cell(coeffs, lat: Lattice, N: int) -> CellSolution:
-    """Run both cell problems and collect every effective quantity.
+    """Run both cell problems on one truncated operator and collect every
+    effective quantity.
+
+    g̃ = g (b(D)Λ + 1_m) and its hermitized cell mean g⁰, and the averages
+    V = <(b(D)Λ)* g b(D)Λ̃> (m x n) and W = <(b(D)Λ̃)* g b(D)Λ̃> (n x n),
+    are formed on the operator's dealiased grid.
 
     When every b_l and g are exactly real, Λ = iΦ with Φ real, so Λ is
     projected onto i Im Λ before anything reads it, as assembly keeps the
@@ -300,23 +262,38 @@ def solve_cell(coeffs, lat: Lattice, N: int) -> CellSolution:
     N = 32 on sine1d), and lets dirichlet.Corrector run in real arithmetic.
     """
     sym, g = coeffs.symbol, coeffs.g
-    res_l, res_lt = [], []
-    Lambda = solve_lambda(sym, g, lat, N, _residuals=res_l)
+    op = _CellOperator(sym, g, lat, N)
+    Lambda, res_l = op.solve(op.rhs_lambda())
     if not (g.samples.imag.any() or any(b.imag.any() for b in sym.b_mats)):
         Lambda = PeriodicField(1j * Lambda.samples.imag, dim=Lambda.dim)
-    LambdaTilde = solve_lambda_tilde(sym, g, coeffs.a, lat, N, _residuals=res_lt)
+    LambdaTilde, res_lt = op.solve(op.rhs_lambda_tilde(coeffs.a))
     _check_zero_mean(Lambda, "Lambda")
     _check_zero_mean(LambdaTilde, "LambdaTilde")
-    g_tilde, g0 = effective_matrix(g, Lambda, sym, lat)
-    if np.linalg.eigvalsh(g0).min() <= 0:
-        raise SolverBreakdown("effective matrix is not positive definite")
-    V, W = interaction_matrices(g, Lambda, LambdaTilde, sym, lat)
     bD_Lambda = apply_bD(Lambda, sym, lat)
     bD_LambdaTilde = apply_bD(LambdaTilde, sym, lat)
+    bdl = resample(bD_Lambda, op.M).samples
+    bdlt = resample(bD_LambdaTilde, op.M).samples
+    grid_axes = tuple(range(op.d))
+    g_tilde = np.einsum("...ij,...jk->...ik", op.g_pad, bdl + np.eye(sym.m))
+    g0_raw = g_tilde.mean(axis=grid_axes)
+    g0 = 0.5 * (g0_raw + g0_raw.conj().T)
+    skew = np.linalg.norm(g0_raw - g0_raw.conj().T)
+    if skew > 1e-8 * max(np.linalg.norm(g0), 1e-300):
+        warnings.warn(f"effective matrix has skew part {skew:.3e}; hermitized")
+    if np.linalg.eigvalsh(g0).min() <= 0:
+        raise SolverBreakdown("effective matrix is not positive definite")
+    V = np.einsum("...ji,...jk,...kl->...il", bdl.conj(), op.g_pad,
+                  bdlt).mean(axis=grid_axes)
+    W = np.einsum("...ji,...jk,...kl->...il", bdlt.conj(), op.g_pad,
+                  bdlt).mean(axis=grid_axes)
+    W = 0.5 * (W + W.conj().T)
+    w_eigs = np.linalg.eigvalsh(W)
+    if w_eigs.min() < -1e-10 * max(np.abs(w_eigs).max(), 1e-300):
+        raise SolverBreakdown("Gram average W has a significantly negative eigenvalue")
     return CellSolution(
         N=N, Lambda=Lambda, LambdaTilde=LambdaTilde,
         bD_Lambda=bD_Lambda, bD_LambdaTilde=bD_LambdaTilde,
-        g_tilde=g_tilde, g0=g0, V=V, W=W,
+        g_tilde=PeriodicField(samples=g_tilde, dim=op.d), g0=g0, V=V, W=W,
         residuals={"lambda": res_l, "lambda_tilde": res_lt},
     )
 

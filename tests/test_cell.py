@@ -3,6 +3,7 @@ import pytest
 
 from oscillat.lattice import unit_lattice
 from oscillat.coefficients import (
+    CoefficientSet,
     catalog,
     constant_field,
     field_from_function,
@@ -11,8 +12,6 @@ from oscillat.coefficients import (
 from oscillat.cell import (
     solve_lambda,
     solve_lambda_tilde,
-    effective_matrix,
-    interaction_matrices,
     voigt_reuss,
     solve_cell,
     apply_bD,
@@ -95,19 +94,16 @@ def test_lambda_tilde_fourier_division_oracle():
 def test_interaction_matrices_trivial_cases():
     cs = catalog("sine1d")
     sol = solve_cell(cs, LAT1, 64)
-    V, W = interaction_matrices(cs.g, sol.Lambda, sol.LambdaTilde,
-                                cs.symbol, LAT1)
-    assert np.abs(V).max() == pytest.approx(0.0, abs=1e-14)
-    assert np.abs(W).max() == pytest.approx(0.0, abs=1e-14)
+    assert np.abs(sol.V).max() == pytest.approx(0.0, abs=1e-14)
+    assert np.abs(sol.W).max() == pytest.approx(0.0, abs=1e-14)
     # constant g with nonzero a: Lambda = 0, W is a PSD Gram average
     csc = catalog("const", {"g": 1.0, "d": 1})
     a = (field_from_function(lambda x: np.sin(2 * np.pi * x), 1, 64),)
-    lam = solve_lambda(csc.symbol, csc.g, LAT1, 64)
-    lt = solve_lambda_tilde(csc.symbol, csc.g, a, LAT1, 64)
-    V2, W2 = interaction_matrices(csc.g, lam, lt, csc.symbol, LAT1)
-    assert np.abs(V2).max() < 1e-13
-    assert W2[0, 0].real > 0
-    assert abs(W2[0, 0].imag) < 1e-14
+    sol2 = solve_cell(CoefficientSet(symbol=csc.symbol, g=csc.g, a=a).validate(),
+                      LAT1, 64)
+    assert np.abs(sol2.V).max() < 1e-13
+    assert sol2.W[0, 0].real > 0
+    assert abs(sol2.W[0, 0].imag) < 1e-14
 
 
 def test_interaction_matrices_quadrature_oracle():
@@ -245,3 +241,26 @@ def test_real_problem_keeps_lambda_imaginary(name):
     sol = solve_cell(cs, lat, N)
     assert not sol.Lambda.samples.real.any()
     assert np.array_equal(sol.Lambda.samples.imag, raw.imag)
+
+
+def test_solve_cell_builds_one_cell_operator(monkeypatch):
+    # one truncated operator serves both cell problems, and b(D) is applied
+    # once to Λ and once to Λ̃, whose averages V and W are nonzero here
+    import oscillat.cell as cell_mod
+
+    built, applied = [], []
+
+    class Counting(cell_mod._CellOperator):
+        def __init__(self, *args):
+            built.append(args[-1])
+            super().__init__(*args)
+
+    def counting_bD(*args):
+        applied.append(args[0].resolution)
+        return apply_bD(*args)
+
+    monkeypatch.setattr(cell_mod, "_CellOperator", Counting)
+    monkeypatch.setattr(cell_mod, "apply_bD", counting_bD)
+    sol = solve_cell(catalog("sine1d", {"a_amp": 0.3}), LAT1, 256)
+    assert abs(sol.W[0, 0]) > 0
+    assert built == [256] and applied == [256, 256]
