@@ -82,9 +82,11 @@ def _dealias_grid(N: int, n_g: int) -> int:
 class _CellOperator:
     """Truncated operator X -> P_K b(D)* g b(D) X on zero-mean coefficients.
 
-    Coefficient arrays are FFT-ordered with shape (N,)*d + (n,); the
-    frequency-zero entry is pinned to zero throughout.  It builds the
-    right-hand sides of both cell problems and solves them.
+    Coefficient arrays are FFT-ordered with shape (N,)*d + (n,).  The
+    modes in `pinned` stay zero throughout: frequency zero, and index N/2
+    on any axis, whose frequency -N/2 has no partner +N/2, so the kept
+    band is symmetric and real problems keep their conjugation symmetry.
+    It builds the right-hand sides of both cell problems and solves them.
     """
 
     def __init__(self, sym: Symbol, g: PeriodicField, lat: Lattice, N: int):
@@ -97,6 +99,8 @@ class _CellOperator:
         self.k = fft_frequency_grid(lat, N)                   # (grid, d)
         self.bk = sym.at(self.k)                              # (grid, m, n)
         self.bkH = np.swapaxes(self.bk, -1, -2).conj()        # (grid, n, m)
+        i = np.indices((N,) * self.d)
+        self.pinned = (i == N // 2).any(axis=0) | (i == 0).all(axis=0)
         self.g_pad = resample(g, self.M).samples              # (Grid, m, m)
         self.g_trunc = resample(g, N)                         # field at N
         # mean-coefficient preconditioner: pinv of b(k)* mean(g) b(k)
@@ -104,8 +108,8 @@ class _CellOperator:
         gram = np.einsum("...nm,mk,...kj->...nj", self.bkH, g_mean, self.bk)
         flat = gram.reshape(-1, sym.n, sym.n)
         precon = np.zeros_like(flat)
-        nonzero = np.linalg.norm(flat, axis=(1, 2)) > 0
-        precon[nonzero] = np.linalg.inv(flat[nonzero])
+        kept = ~self.pinned.ravel()
+        precon[kept] = np.linalg.inv(flat[kept])
         self.precon = precon.reshape(gram.shape)
 
     def _pad_coeffs(self, c):
@@ -134,7 +138,7 @@ class _CellOperator:
         z_phys = np.einsum("...ij,...j->...i", self.g_pad, y_phys)
         z = self._truncate_phys(z_phys)
         out = np.einsum("...nm,...m->...n", self.bkH, z)
-        out[(0,) * self.d] = 0.0
+        out[self.pinned] = 0.0
         return out
 
     def apply_precon(self, r):
@@ -146,7 +150,7 @@ class _CellOperator:
         cols = []
         for c in range(self.sym.m):
             out = -np.einsum("...nm,...m->...n", self.bkH, g_coeffs[..., :, c])
-            out[(0,) * self.d] = 0.0
+            out[self.pinned] = 0.0
             cols.append(out)
         return cols
 
@@ -157,7 +161,7 @@ class _CellOperator:
         for j, aj in enumerate(a):
             ajH = PeriodicField(np.swapaxes(aj.samples, -1, -2).conj(), dim=d)
             rhs -= self.k[..., j, None, None] * resample(ajH, N).coeffs()
-        rhs[(0,) * d] = 0.0
+        rhs[self.pinned] = 0.0
         return [rhs[..., :, c] for c in range(n)]
 
     def solve(self, rhs_cols):
@@ -257,9 +261,8 @@ def solve_cell(coeffs, lat: Lattice, N: int) -> CellSolution:
 
     When every b_l and g are exactly real, Λ = iΦ with Φ real, so Λ is
     projected onto i Im Λ before anything reads it, as assembly keeps the
-    hermitian part of an operator.  That drops CG rounding (about 1e-17 at
-    the default N) and the unpaired Nyquist mode's asymmetry (1e-11 at
-    N = 32 on sine1d), and lets dirichlet.Corrector run in real arithmetic.
+    hermitian part of an operator.  That drops CG rounding (about 1e-17)
+    and lets dirichlet.Corrector run in real arithmetic.
     """
     sym, g = coeffs.symbol, coeffs.g
     op = _CellOperator(sym, g, lat, N)

@@ -264,3 +264,13 @@ def test_solve_cell_builds_one_cell_operator(monkeypatch):
     sol = solve_cell(catalog("sine1d", {"a_amp": 0.3}), LAT1, 256)
     assert abs(sol.W[0, 0]) > 0
     assert built == [256] and applied == [256, 256]
+
+
+@pytest.mark.parametrize("name", ["sine1d", "laminate2d"])
+def test_truncation_keeps_conjugation_symmetry(name):
+    # the band drops the unpaired frequency -N/2, so a real problem's raw
+    # Λ is imaginary up to CG rounding even at a coarse N
+    cs = catalog(name)
+    lat = LAT1 if cs.d == 1 else LAT2
+    raw = solve_lambda(cs.symbol, cs.g, lat, 16).samples
+    assert np.abs(raw.real).max() <= 1e-15

@@ -328,6 +328,25 @@ def test_matrix_system_lambda_is_not_projected():
     assert np.array_equal(sol.Lambda.samples, raw)
 
 
+def test_matrix_system_solves_pin_the_nyquist_mode(monkeypatch):
+    # the truncated band is symmetric: no solved column of Λ or Λ̃ holds
+    # the unpaired frequency -N/2
+    import oscillat.cell as cell_mod
+
+    pcg, solved = cell_mod._pcg, []
+
+    def recording(op, rhs, *args):
+        x, res = pcg(op, rhs, *args)
+        solved.append(x)
+        return x, res
+
+    monkeypatch.setattr(cell_mod, "_pcg", recording)
+    solve_cell(matrix_system(), LAT1, 64)
+    assert len(solved) == 4                     # two columns each
+    for x in solved:
+        assert np.abs(x).max() > 0 and not x[32].any()
+
+
 @pytest.mark.parametrize("case", ["sine1d", "sine1d-a_amp", "laminate2d"])
 def test_real_corrector_matches_the_complex_chain(case):
     # a real problem (Re Λ == 0, Λ̃ == 0, b real) compiles real weights, so
@@ -342,8 +361,7 @@ def test_real_corrector_matches_the_complex_chain(case):
     else:
         cs = catalog("sine1d", {"a_amp": 0.3} if case.endswith("a_amp") else {})
         lat, mesh = LAT1, make_mesh([1.0], [31])
-    # at N = 64 Re Λ is rounding; at 32 it still holds the truncation's
-    # Nyquist asymmetry, about 1e-11
+    # Re Λ is CG rounding: the truncation keeps a band symmetric in k
     sol = solve_cell(cs, lat, 64)
     raw = solve_lambda(cs.symbol, cs.g, lat, 64)
     assert 0.0 < np.abs(raw.samples.real).max() < 1e-16
