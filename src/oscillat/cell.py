@@ -104,13 +104,9 @@ class _CellOperator:
         self.g_pad = resample(g, self.M).samples              # (Grid, m, m)
         self.g_trunc = resample(g, N)                         # field at N
         # mean-coefficient preconditioner: pinv of b(k)* mean(g) b(k)
-        g_mean = g.mean()
-        gram = np.einsum("...nm,mk,...kj->...nj", self.bkH, g_mean, self.bk)
-        flat = gram.reshape(-1, sym.n, sym.n)
-        precon = np.zeros_like(flat)
-        kept = ~self.pinned.ravel()
-        precon[kept] = np.linalg.inv(flat[kept])
-        self.precon = precon.reshape(gram.shape)
+        gram = np.einsum("...nm,mk,...kj->...nj", self.bkH, g.mean(), self.bk)
+        self.precon = np.zeros_like(gram)
+        self.precon[~self.pinned] = np.linalg.inv(gram[~self.pinned])
 
     def _pad_coeffs(self, c):
         """Embed shifted N-spectrum into the M physical grid and transform."""
@@ -146,13 +142,9 @@ class _CellOperator:
 
     def rhs_lambda(self):
         """The m right-hand sides -b(D)* g 1_m of Λ, one per column of g."""
-        g_coeffs = self.g_trunc.coeffs()  # (grid, m, m) truncated to solver band
-        cols = []
-        for c in range(self.sym.m):
-            out = -np.einsum("...nm,...m->...n", self.bkH, g_coeffs[..., :, c])
-            out[self.pinned] = 0.0
-            cols.append(out)
-        return cols
+        rhs = -np.einsum("...nm,...mc->...nc", self.bkH, self.g_trunc.coeffs())
+        rhs[self.pinned] = 0.0
+        return [rhs[..., c] for c in range(self.sym.m)]
 
     def rhs_lambda_tilde(self, a):
         """The n right-hand sides -sum_j D_j a_j* of Λ̃ (zero for no a)."""
@@ -274,8 +266,7 @@ def solve_cell(coeffs, lat: Lattice, N: int) -> CellSolution:
     _check_zero_mean(LambdaTilde, "LambdaTilde")
     bD_Lambda = apply_bD(Lambda, sym, lat)
     bD_LambdaTilde = apply_bD(LambdaTilde, sym, lat)
-    bdl = resample(bD_Lambda, op.M).samples
-    bdlt = resample(bD_LambdaTilde, op.M).samples
+    bdl, bdlt = (resample(f, op.M).samples for f in (bD_Lambda, bD_LambdaTilde))
     grid_axes = tuple(range(op.d))
     g_tilde = np.einsum("...ij,...jk->...ik", op.g_pad, bdl + np.eye(sym.m))
     g0_raw = g_tilde.mean(axis=grid_axes)
@@ -285,10 +276,8 @@ def solve_cell(coeffs, lat: Lattice, N: int) -> CellSolution:
         warnings.warn(f"effective matrix has skew part {skew:.3e}; hermitized")
     if np.linalg.eigvalsh(g0).min() <= 0:
         raise SolverBreakdown("effective matrix is not positive definite")
-    V = np.einsum("...ji,...jk,...kl->...il", bdl.conj(), op.g_pad,
-                  bdlt).mean(axis=grid_axes)
-    W = np.einsum("...ji,...jk,...kl->...il", bdlt.conj(), op.g_pad,
-                  bdlt).mean(axis=grid_axes)
+    V, W = (np.einsum("...ji,...jk,...kl->...il", f.conj(), op.g_pad,
+                      bdlt).mean(axis=grid_axes) for f in (bdl, bdlt))
     W = 0.5 * (W + W.conj().T)
     w_eigs = np.linalg.eigvalsh(W)
     if w_eigs.min() < -1e-10 * max(np.abs(w_eigs).max(), 1e-300):
@@ -303,8 +292,5 @@ def solve_cell(coeffs, lat: Lattice, N: int) -> CellSolution:
 
 def _check_zero_mean(f: PeriodicField, name: str):
     scale = np.sqrt(np.mean(np.abs(f.samples) ** 2))
-    if scale == 0.0:
-        return
-    mean = np.abs(f.mean()).max()
-    if mean > 1e-10 * scale:
+    if scale > 0.0 and np.abs(f.mean()).max() > 1e-10 * scale:
         raise SolverBreakdown(f"{name} lost the zero-mean side condition")

@@ -54,6 +54,9 @@ H_OVER_EPS = 1.0 / 16.0
 #: once: the Steklov factors and the Duhamel tables (evolution) share it
 GAUSS_8 = np.polynomial.legendre.leggauss(8)
 
+#: step limit and relative stopping change of the probe's power iteration
+_PROBE_ITERS, _PROBE_TOL = 200, 1e-8
+
 
 # ---------------------------------------------------------------------------
 # meshes and discrete norms
@@ -458,8 +461,7 @@ def _gershgorin_lower(matrix) -> float:
     return float((diag - radius).min())
 
 
-def smallest_eigenvalue(matrix, bands=None, iters: int = 200,
-                        tol: float = 1e-8) -> float:
+def smallest_eigenvalue(matrix, bands=None) -> float:
     """Probe for the smallest eigenvalue of a sparse hermitian matrix.
 
     bands is the matrix's read_bands.  One tridiagonal band pair gets a
@@ -500,14 +502,14 @@ def smallest_eigenvalue(matrix, bands=None, iters: int = 200,
         x = x.astype(complex)
     x /= np.linalg.norm(x)
     rho_old = np.inf
-    for _ in range(iters):
+    for _ in range(_PROBE_ITERS):
         y = lu.solve(x)
         ny = np.linalg.norm(y)
         if not np.isfinite(ny) or ny == 0.0:
             return 0.0
         rho = float((np.vdot(y, x) / np.vdot(y, y)).real)
         x = y / ny
-        if abs(rho - rho_old) <= tol * max(abs(rho), 1e-300):
+        if abs(rho - rho_old) <= _PROBE_TOL * max(abs(rho), 1e-300):
             return rho
         rho_old = rho
     return rho_old

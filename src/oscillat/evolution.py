@@ -57,6 +57,9 @@ from .lattice import Lattice, unit_lattice
 #: full eigendecompositions are refused above this many unknowns
 _EIG_LIMIT = 8192
 
+#: power-iteration steps of estimate_mu_max
+_POWER_ITERS = 60
+
 
 @dataclass(frozen=True)
 class EigenBasis(_Basis):
@@ -342,7 +345,7 @@ def flux_approx(u0: np.ndarray, cell: CellSolution, eps: float,
 # leapfrog oracle
 
 
-def estimate_mu_max(op: DiscreteDirichletOperator, iters: int = 60) -> float:
+def estimate_mu_max(op: DiscreteDirichletOperator) -> float:
     """Power-iteration estimate of the largest eigenvalue."""
     rng = np.random.default_rng(4321)
     x = rng.standard_normal(op.size)
@@ -350,7 +353,7 @@ def estimate_mu_max(op: DiscreteDirichletOperator, iters: int = 60) -> float:
         x = x.astype(complex)
     x /= np.linalg.norm(x)
     mu = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         y = op.matrix @ x
         mu = float(np.vdot(x, y).real)
         ny = np.linalg.norm(y)

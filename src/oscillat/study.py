@@ -105,6 +105,9 @@ class SweepConfig:
                 ("[evolve] eps", [self.evolve_eps], unit, "lie in (0, 1]"),
                 ("[sweep] n_probe", [self.n_probe], lambda v: v >= 5,
                  "be at least 5 random right-hand sides per eps"),
+                ("[mesh] cell_n", [self.cell_n],
+                 lambda v: v == 0 or (v >= 8 and v % 2 == 0),
+                 "be 0 (the dimension default) or an even integer >= 8"),
                 ("[sweep] t", self.t_list, np.isfinite, "be finite"),
                 ("[sweep] zeta", [self.zeta], np.isfinite, "be finite"),
                 ("[data] forcing_omega", [self.forcing_omega], np.isfinite,

@@ -222,6 +222,8 @@ def test_load_config_reads_by_field_default(tmp_path):
     ("sweep", "seed = 7.9", "[sweep] seed"),
     ("sweep", "seed = 7.0", "[sweep] seed"),
     ("mesh", "cell_n = \"64\"", "[mesh] cell_n"),
+    ("mesh", "cell_n = 7", "[mesh] cell_n = 7 must be 0"),
+    ("mesh", "cell_n = -4", "[mesh] cell_n = -4 must be 0"),
     ("sweep", "zeta = -1.0.0", "[sweep] zeta"),
     ("coeff", "params = [1.0]", "[coeff] params"),
     ("lattice", "basis = 1.0", "[lattice] basis"),
