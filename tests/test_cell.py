@@ -267,4 +267,3 @@ def test_solve_cell_builds_one_cell_operator(monkeypatch):
     sol = solve_cell(catalog("sine1d", {"a_amp": 0.3}), LAT1, 256)
     assert abs(sol.W[0, 0]) > 0
     assert built == [256] and applied == [256, 256]
-
