@@ -12,7 +12,8 @@ elements with the coefficient frozen at each cell midpoint (exact element
 integrals, so no spurious kernel modes), lower-order terms are collocated
 at nodes with centered differences.  One writer takes the hermitian part on
 those blocks and writes the CSR once, so every assembled matrix equals its
-conjugate transpose entry for entry.  A corrector
+conjugate transpose entry for entry.  Every sparse LU of a 2-D operator is
+taken in the grid's own nested-dissection order (_dissection).  A corrector
 is compiled once per case (SmoothedBD): per grid axis, sparse 1-D factors
 from interior to interior nodes of the extension (reflection and cutoff),
 the Steklov average, the centered difference and the restriction.  smooth
@@ -56,6 +57,9 @@ GAUSS_8 = np.polynomial.legendre.leggauss(8)
 
 #: step limit and relative stopping change of the probe's power iteration
 _PROBE_ITERS, _PROBE_TOL = 200, 1e-8
+
+#: most nodes in a leaf block of _dissection, which keeps node order
+_LEAF_NODES = 4
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +204,8 @@ class DiscreteDirichletOperator:
         out.bands = self.bands and ((self.bands[0][0] + lam, self.bands[0][1]),
                                     *self.bands[1:])
         out.off_diagonal_sums = self.off_diagonal_sums
+        if "order" in vars(self):       # an LU has needed it: shared
+            out.order = self.order
         return out
 
     @cached_property
@@ -207,6 +213,15 @@ class DiscreteDirichletOperator:
         """read_bands of the matrix on the mesh's interior grid, read once;
         assembly sets them from its neighbour blocks."""
         return read_bands(self.matrix, self.mesh.m_int)
+
+    @cached_property
+    def order(self):
+        """The order of every sparse LU: _dissection on a 2-D mesh, None
+        (SuperLU's default ordering) on a 1-D one, computed when an LU
+        first needs it."""
+        if self.mesh.dim == 1:
+            return None
+        return _dissection(self.mesh.m_int, self.size // self.mesh.n_nodes)
 
     @cached_property
     def off_diagonal_sums(self):
@@ -227,7 +242,11 @@ class DiscreteDirichletOperator:
         An operator with a closed-form spectrum is never factored: it
         divides by lambda - zeta in its SineBasis, which is not cached, as
         the basis refers back to the operator.  Every other operator gets a
-        sparse LU, cached per zeta.
+        sparse LU of P (A - zeta I) P^T in its order (_sparse_lu), cached per
+        zeta.  On a 2-D mesh that is the nested dissection, factored in
+        symmetric mode with the default pivot threshold, so complex and
+        indefinite shifts stay stable; a 1-D operator is banded in node
+        order, and SuperLU's default ordering factors it without fill.
         """
         key = complex(zeta)
         shift = key.real if key.imag == 0.0 else key    # real data stays real
@@ -240,25 +259,7 @@ class DiscreteDirichletOperator:
             return SimpleNamespace(solve=lambda cols: eb.synthesize(
                 eb.project(cols.T) / gaps).T), key.imag == 0.0
         if key not in self._factors:
-            # A is hermitian, so the CSC arrays of A - zeta I are the CSR
-            # arrays of its transpose conj(A - conj(zeta) I): SuperLU reads
-            # the shifted CSR as they are, conjugated when complex
-            mat = self.matrix
-            if key != 0:
-                mat = mat - shift.conjugate() * sp.identity(self.size,
-                                                            format="csr")
-            data = mat.data
-            real_ok = data.dtype.kind != "c" or not data.imag.any()
-            data = np.ascontiguousarray(data.real) if real_ok else data.conj()
-            # 2-D: symmetric mode on the fill-reducing A + A^T ordering, with
-            # the default pivot threshold, so complex and indefinite shifts
-            # stay stable.  A 1-D operator is banded in node order and the
-            # default ordering already factors it without fill.
-            order = {} if self.mesh.dim == 1 else dict(
-                permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
-            self._factors[key] = (spla.splu(sp.csc_matrix(
-                (data, mat.indices, mat.indptr), shape=mat.shape), **order),
-                real_ok)
+            self._factors[key] = _sparse_lu(self.matrix, shift, self.order)
         return self._factors[key]
 
     def norm1(self, zeta=0.0) -> float:
@@ -461,7 +462,101 @@ def _gershgorin_lower(matrix) -> float:
     return float((diag - radius).min())
 
 
-def smallest_eigenvalue(matrix, bands=None) -> float:
+def _dissection(m_int, n) -> np.ndarray:
+    """George's nested-dissection order of the dofs on the M_1 x M_2
+    interior grid, n components per node: p, the dofs in elimination order,
+    so that P A P^T = A[p][:, p], with the components of a node adjacent.
+
+    A block of more than _LEAF_NODES nodes is split at its middle grid line
+    across its longer side (a row line on a tie), which separates any
+    9-point stencil; its two halves come first, then that line.  A leaf and
+    a line keep node order.  Each pass splits every block of one level; the
+    leaves and lines then tile the order, and are written row by row.
+    """
+    r0, r1, c0, c1, start = ([0], [m_int[0]], [0], [m_int[1]], [0])
+    final = []          # (r0, r1, c0, c1, start) of the leaves and lines
+    while len(start):
+        h, w = np.subtract(r1, r0), np.subtract(c1, c0)
+        leaf = h * w <= _LEAF_NODES
+        final.append([np.compress(leaf, x) for x in (r0, r1, c0, c1, start)])
+        r0, r1, c0, c1, start, h, w = (np.compress(~leaf, x) for x in (
+            r0, r1, c0, c1, start, h, w))
+        rows = h >= w               # both halves have 2 lines or more
+        mid_r, mid_c = r0 + h // 2, c0 + w // 2
+        final.append((np.where(rows, mid_r, r0), np.where(rows, mid_r + 1, r1),
+                      np.where(rows, c0, mid_c), np.where(rows, c1, mid_c + 1),
+                      start + h * w - np.where(rows, w, h)))
+        r0, r1 = (np.r_[r0, np.where(rows, mid_r + 1, r0)],
+                  np.r_[np.where(rows, mid_r, r1), r1])
+        c0, c1 = (np.r_[c0, np.where(rows, c0, mid_c + 1)],
+                  np.r_[np.where(rows, c1, mid_c), c1])
+        start = np.r_[start, start + np.where(rows, h // 2 * w, w // 2 * h)]
+    r0, r1, c0, c1, start = (np.concatenate(x) for x in zip(*final))
+    by_start = np.argsort(start)
+    r0, r1, c0, c1 = (x[by_start] for x in (r0, r1, c0, c1))
+    h = r1 - r0
+    block = np.repeat(np.arange(h.size), h)     # one entry per block row
+    row = np.arange(block.size) - np.repeat(np.cumsum(h) - h, h) + r0[block]
+    width = (c1 - c0)[block]
+    offset = row * m_int[1] + c0[block] - (np.cumsum(width) - width)
+    nodes = np.repeat(offset, width) + np.arange(width.sum())
+    return (nodes[:, None] * n + np.arange(n)).ravel().astype(np.int32)
+
+
+def _sparse_lu(matrix, shift, order, **kwargs):
+    """A solver of A - shift I, A a hermitian CSR matrix, and whether it is
+    real.  Its lu is SuperLU's of P (A - shift I) P^T, P the permutation
+    order (A[p][:, p]), factored as it is, in symmetric mode; order None
+    keeps A's own and SuperLU's default ordering.  kwargs go to splu.
+
+    A = A^H, so the conjugated CSR arrays of P (A - conj(shift) I) P^T are
+    the CSC arrays of P (A - shift I) P^T, and they are the one copy: A's
+    rows taken in order, their columns renumbered in place in parts of
+    8192, numpy's index buffer, so no index array of A's size is added, and
+    the stored diagonal shifted.  A matrix with duplicates or an unstored
+    diagonal entry is first rewritten with every position stored once.
+    """
+    size = matrix.shape[0]
+    diag = np.empty(0)
+    if matrix.has_canonical_format:
+        rows = np.repeat(np.arange(size, dtype=matrix.indices.dtype),
+                         np.diff(matrix.indptr))
+        diag = np.flatnonzero(matrix.indices == rows)
+        del rows
+    if diag.size < size:
+        coo, every = matrix.tocoo(), np.arange(size)
+        return _sparse_lu(sp.csr_matrix(
+            (np.r_[coo.data, np.zeros(size, coo.dtype)],
+             (np.r_[coo.row, every], np.r_[coo.col, every])),
+            shape=matrix.shape), shift, order, **kwargs)
+    real_ok = shift.imag == 0 and (matrix.dtype.kind != "c"
+                                   or not matrix.data.imag.any())
+    if order is None:
+        data, solve = matrix.data.copy(), None
+    else:
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(size, dtype=order.dtype)
+        diag = diag[order] - matrix.indptr[order]
+        matrix = matrix[order]
+        diag += matrix.indptr[:-1]
+        for part in np.split(matrix.indices, range(8192, matrix.nnz, 8192)):
+            part[...] = inverse[part]
+        data = matrix.data
+        kwargs.update(permc_spec="NATURAL", options=dict(SymmetricMode=True))
+
+        def solve(cols):    # gathered as rows: each one contiguous
+            return lu.solve(cols.T[..., order].T).T[..., inverse].T
+    data = (np.ascontiguousarray(data.real) if real_ok
+            else data.astype(complex, copy=False))
+    if not real_ok:
+        np.conjugate(data, out=data)
+    data[diag] -= shift
+    lu = spla.splu(sp.csc_matrix((data, matrix.indices, matrix.indptr),
+                                 shape=matrix.shape), **kwargs)
+    return SimpleNamespace(solve=solve or lu.solve, lu=lu), real_ok
+
+
+def smallest_eigenvalue(matrix, bands=None, order=None) -> float:
     """Probe for the smallest eigenvalue of a sparse hermitian matrix.
 
     bands is the matrix's read_bands.  One tridiagonal band pair gets a
@@ -471,8 +566,9 @@ def smallest_eigenvalue(matrix, bands=None) -> float:
     c_j = 2 cos(j pi / (M_2 + 1)), j = 1 .. M_2.  The lowest eigenvalue of
     Ta + c To is concave in c, so its minimum over the blocks lies at
     c_1 or c_M2, and two Sturm counts give the exact probe.  A matrix
-    without bands gets a symmetric-mode sparse LU
-    P A P^T = L D L^H, which gives the inertia of A by Sylvester's law:
+    without bands gets a symmetric-mode sparse LU P A P^T = L D L^H in
+    order (_sparse_lu; assembly passes the operator's), which gives the
+    inertia of A by Sylvester's law:
     when every pivot is positive, A is positive definite and inverse power
     iteration at shift zero finds its smallest eigenvalue.  Otherwise (a
     pivot <= 0, pivoting that was not symmetric, or a singular
@@ -488,22 +584,23 @@ def smallest_eigenvalue(matrix, bands=None) -> float:
         return min(_lowest_tridiagonal(d_along + cj * d_across,
                                        s_along + cj * s_across)
                    for cj in (c, -c))
-    size = matrix.shape[0]
+    matrix = matrix.tocsr()
     try:
-        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        solver, real_ok = _sparse_lu(matrix, 0.0, order, diag_pivot_thresh=0.0,
+                                     options=dict(SymmetricMode=True))
     except RuntimeError:
         return _gershgorin_lower(matrix)
+    lu = solver.lu
     if (lu.perm_r != lu.perm_c).any() or (lu.U.diagonal().real <= 0.0).any():
         return _gershgorin_lower(matrix)
     rng = np.random.default_rng(1234)
-    x = rng.standard_normal(size)
-    if matrix.dtype.kind == "c":
+    x = rng.standard_normal(matrix.shape[0])
+    if not real_ok:
         x = x.astype(complex)
     x /= np.linalg.norm(x)
     rho_old = np.inf
     for _ in range(_PROBE_ITERS):
-        y = lu.solve(x)
+        y = solver.solve(x)
         ny = np.linalg.norm(y)
         if not np.isfinite(ny) or ny == 0.0:
             return 0.0
@@ -655,9 +752,10 @@ def _write_operator(blocks, mesh: Mesh, eps_tag) -> DiscreteDirichletOperator:
 
     bands = None if n > 1 else _grid_bands(
         herm.reshape(3, 3 ** (d - 1), M[0], -1), M)
-    op = DiscreteDirichletOperator(matrix, mesh, eps_tag,
-                                   smallest_eigenvalue(matrix, bands))
+    op = DiscreteDirichletOperator(matrix, mesh, eps_tag, None)
     op.bands = bands
+    op.smallest_eig = smallest_eigenvalue(    # the order only for an LU
+        matrix, bands, op.order if bands is None else None)
     return op
 
 
