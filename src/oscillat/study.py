@@ -460,7 +460,8 @@ def _resolvent_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
 
 def _check_zeta(cfg: SweepConfig):
     if float(cfg.zeta) > 0:
-        raise ValueError("resolvent sweep expects zeta <= 0")
+        raise ValueError(f"[sweep] zeta = {cfg.zeta:g}: the resolvent sweep "
+                         "expects zeta <= 0")
 
 
 def _subtract_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:

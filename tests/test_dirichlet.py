@@ -273,7 +273,7 @@ def test_factor_real_shift_stays_real(d):
         assert peak <= 1.5 * (A.data.nbytes + A.indices.nbytes
                               + A.indptr.nbytes)
     # the same LU as factoring the complex copy A - (-1 + 0j) I's real part,
-    # in d = 2 permuted to the operator's order
+    # in d = 2 permuted to the operator's order, with its supernode sizes
     shifted = (op.matrix - complex(-1.0) * sp.identity(op.size, format="csr"))
     rhs = np.cos(np.arange(op.size))
     if d == 1:
@@ -281,7 +281,8 @@ def test_factor_real_shift_stays_real(d):
     else:
         p = op.order
         ref = spla.splu(shifted.real.tocsc()[p][:, p], permc_spec="NATURAL",
-                        options=dict(SymmetricMode=True))
+                        options=dict(SymmetricMode=True), relax=4,
+                        panel_size=4)
         want = np.empty_like(rhs)
         want[p] = ref.solve(rhs[p])
     assert np.array_equal(op.solve_shifted(-1.0, rhs), want)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -170,11 +172,79 @@ def test_eigen_check_bounds_the_normwise_backward_error():
     assert 0.0 < eb.eigenvalues[0] < 1e-8 * norm1
     # Weyl: each eigenvalue within the backward error of the exact one
     assert np.abs(eb.eigenvalues - dense).max() <= 1e-13 * norm1
-    # the bound still refuses a wrong pair, here in the last block of columns
+    # the bound still refuses a wrong pair, here in the last block of rows
     mu = eb.eigenvalues.copy()
     mu[-1] *= 1.0 + 1e-6
     with pytest.raises(EigSolverFailure, match="eigen backward error"):
         certify(EigenBasis(mu, eb.eigenvectors, op))
+
+
+def _tridiagonal_basis(size):
+    """The ?stevd basis of a random positive definite tridiagonal matrix."""
+    rng = np.random.default_rng(size)
+    sub = -1.0 - rng.random(size - 1)
+    op = _FakeOp(sp.diags([sub, 4.0 + rng.random(size), sub], [-1, 0, 1]))
+    return EigenBasis(*evolution._eigh(op), source=op)
+
+
+@pytest.mark.parametrize("size", [1, 31, 32, 33, 100])
+def test_checked_rows_yield_every_eigenvector_once(size):
+    eb = _tridiagonal_basis(size)
+    xs, ys = [], []
+    for x, y, scale in eb.checked_rows():
+        # rows of the Fortran-ordered Q^T, read in place
+        assert x.flags.c_contiguous and np.shares_memory(x, eb.eigenvectors)
+        assert len(x) <= 32 and scale == 1.0
+        xs.append(x)
+        ys.append(y)
+    assert np.array_equal(np.concatenate(xs), eb.eigenvectors.T)
+    assert np.array_equal(np.concatenate(ys),
+                          eb.eigenvectors.T * eb.eigenvalues[:, None])
+
+
+@pytest.mark.parametrize("k", [3, 98])     # the first block, the last one
+def test_certify_refuses_one_corrupted_eigenvector(k):
+    eb = _tridiagonal_basis(100)
+    certify(eb)
+    q = eb.eigenvectors.copy(order="F")
+    q[:, k] += 1e-9 * np.random.default_rng(k).standard_normal(100)
+    with pytest.raises(EigSolverFailure, match="eigen backward error"):
+        certify(EigenBasis(eb.eigenvalues, q, eb.source))
+
+
+def test_certify_peak_memory_is_a_few_blocks():
+    # 2047 unknowns: a 32-row block's y and product take about 1.6 MiB
+    eb = _tridiagonal_basis(2047)
+    eb.source.norm1()
+    tracemalloc.start()
+    try:
+        certify(eb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
+
+
+def test_dense_eigh_overwrites_one_fortran_copy():
+    from test_matrix_system import matrix_system
+
+    ops = [assemble_b_eps(make_mesh([1.0, 1.0], [31, 31]),
+                          catalog("laminate2d"), 0.5, unit_lattice(2)),
+           assemble_b_eps(make_mesh([1.0], [450]), matrix_system(), 0.25,
+                          LAT1)]
+    assert [op.matrix.dtype.kind for op in ops] == ["f", "c"]
+    for op in ops:
+        assert op.bands is None or len(op.bands) != 1   # the dense path
+        tracemalloc.start()
+        try:
+            mu, q = evolution._eigh(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense copy LAPACK overwrites, the eigenvectors, and workspace
+        assert peak <= 2.2 * op.size ** 2 * op.matrix.dtype.itemsize
+        want_mu, want_q = scipy.linalg.eigh(op.matrix.toarray())
+        assert np.array_equal(mu, want_mu) and np.array_equal(q, want_q)
 
 
 # ---------------------------------------------------------------------------

@@ -540,7 +540,8 @@ def test_resolvent_sweep_rejects_positive_zeta_before_cell_solve(monkeypatch):
     import oscillat.study as study_mod
 
     _forbid(monkeypatch, study_mod, "build_fixture")
-    with pytest.raises(ValueError, match="zeta <= 0"):
+    with pytest.raises(ValueError, match=r"^\[sweep\] zeta = 0\.5: .* "
+                                         r"expects zeta <= 0$"):
         resolvent_sweep(SweepConfig(zeta=0.5))
 
 
