@@ -205,24 +205,6 @@ def _pcg(op: _CellOperator, rhs, max_iter: int, tol: float):
 # cell problems
 
 
-def solve_lambda(sym: Symbol, g: PeriodicField, lat: Lattice,
-                 N: int) -> PeriodicField:
-    """Zero-mean n x m solution of b(D)* g (b(D) Λ + 1_m) = 0.
-
-    The m columns are independent problems; each is solved to a relative
-    residual of 1e-10 or better (target 1e-12).
-    """
-    op = _CellOperator(sym, g, lat, N)
-    return op.solve(op.rhs_lambda())[0]
-
-
-def solve_lambda_tilde(sym: Symbol, g: PeriodicField, a, lat: Lattice,
-                       N: int) -> PeriodicField:
-    """Zero-mean n x n solution of b(D)* g b(D) Λ̃ + sum_j D_j a_j* = 0."""
-    op = _CellOperator(sym, g, lat, N)
-    return op.solve(op.rhs_lambda_tilde(a))[0]
-
-
 def voigt_reuss(g: PeriodicField, g0: np.ndarray) -> VoigtReussReport:
     """Check the matrix bracketing harmonic mean <= g0 <= arithmetic mean."""
     grid_axes = tuple(range(g.dim))

@@ -245,15 +245,19 @@ def eval_scaled_grid(f: PeriodicField, lat: Lattice, eps: float, axes_pts) -> np
 
     A diagonal lattice basis (every catalog fixture) takes one contraction
     per axis over its distinct phases x/eps mod 1 (16 when h = eps/16),
-    indexed back onto its points; other bases evaluate per point.
+    indexed back onto its points; other bases evaluate each distinct row
+    of fractional coordinates once (1,026 of 49,729 skew-lattice nodes at
+    eps 1/14, h = eps/16), indexed back onto the points.
     Returns shape (len(ax_0), ..., len(ax_{d-1}), rows, cols).
     """
     d, N = f.dim, f.resolution
     if not lat.diagonal:
-        grids = np.meshgrid(*axes_pts, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        vals = eval_scaled(f, lat, eps, pts)
-        return vals.reshape(tuple(len(a) for a in axes_pts) + f.shape)
+        pts = np.stack([g.ravel() for g in np.meshgrid(*axes_pts,
+                                                       indexing="ij")], -1)
+        tau, at = np.unique(lat.fractional(pts / eps), axis=0,
+                            return_inverse=True)
+        return _interp_fractional(f, tau)[at.ravel()].reshape(
+            tuple(len(a) for a in axes_pts) + f.shape)
     c = f.coeffs()
     nus = fft_indices(d, N)
     out = c

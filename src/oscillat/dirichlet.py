@@ -55,9 +55,6 @@ H_OVER_EPS = 1.0 / 16.0
 #: once: the Steklov factors and the Duhamel tables (evolution) share it
 GAUSS_8 = np.polynomial.legendre.leggauss(8)
 
-#: step limit and relative stopping change of the probe's power iteration
-_PROBE_ITERS, _PROBE_TOL = 200, 1e-8
-
 #: most nodes in a leaf block of _dissection, which keeps node order
 _LEAF_NODES = 4
 
@@ -173,15 +170,17 @@ def tag_text(eps_tag) -> str:
 
 
 class DiscreteDirichletOperator:
-    """Sparse hermitian operator on interior nodes, its probe and shift."""
+    """Sparse hermitian operator on interior nodes, its bands as assembly
+    wrote them (or None), its probe (a lower eigenvalue bound) and shift."""
 
     def __init__(self, matrix, mesh: Mesh, eps_tag, smallest_eig: float,
-                 lam: float = 0.0):
+                 lam: float = 0.0, bands=None):
         self.matrix = matrix.tocsr()
         self.mesh = mesh
         self.eps_tag = eps_tag
         self.smallest_eig = smallest_eig
         self.lam = lam
+        self.bands = bands
         self._factors = {}
         self._norms = {}
 
@@ -198,21 +197,14 @@ class DiscreteDirichletOperator:
                                       f"eigenvalue probe {probe:.3e} <= 0")
         if lam == 0:
             return self
-        eye = sp.identity(self.size, format="csr")
-        out = DiscreteDirichletOperator(self.matrix + lam * eye, self.mesh,
-                                        self.eps_tag, probe, self.lam + lam)
-        out.bands = self.bands and ((self.bands[0][0] + lam, self.bands[0][1]),
-                                    *self.bands[1:])
+        out = DiscreteDirichletOperator(
+            self.matrix + lam * sp.identity(self.size, format="csr"),
+            self.mesh, self.eps_tag, probe, self.lam + lam, self.bands and (
+                (self.bands[0][0] + lam, self.bands[0][1]), *self.bands[1:]))
         out.off_diagonal_sums = self.off_diagonal_sums
         if "order" in vars(self):       # an LU has needed it: shared
             out.order = self.order
         return out
-
-    @cached_property
-    def bands(self):
-        """read_bands of the matrix on the mesh's interior grid, read once;
-        assembly sets them from its neighbour blocks."""
-        return read_bands(self.matrix, self.mesh.m_int)
 
     @cached_property
     def order(self):
@@ -259,7 +251,8 @@ class DiscreteDirichletOperator:
             return SimpleNamespace(solve=lambda cols: eb.synthesize(
                 eb.project(cols.T) / gaps).T), key.imag == 0.0
         if key not in self._factors:
-            self._factors[key] = _sparse_lu(self.matrix, shift, self.order)
+            self._factors[key] = _sparse_lu(self.matrix, shift, self.order,
+                                            tag_text(self.eps_tag))
         return self._factors[key]
 
     def norm1(self, zeta=0.0) -> float:
@@ -281,42 +274,6 @@ class DiscreteDirichletOperator:
         if real_ok:
             return (lu.solve(cols.real) + 1j * lu.solve(cols.imag)).T
         return lu.solve(cols.astype(complex)).T
-
-
-def read_bands(matrix, m_int):
-    """The bands (_grid_bands) of a hermitian matrix on interior nodes m_int,
-    or None, read off its CSR arrays: each entry's column offset names its
-    neighbour (s, a), the node (i1 + s, i2 + a), |s|, |a| <= 1, with a = 0
-    in d = 1, and goes to the neighbour grid [s, a, i1, i2].  A nonzero
-    entry at any other offset refuses the split.  Assembly hands its grid
-    to _grid_bands directly; this reads a matrix that has none."""
-    size = matrix.shape[0]
-    if size != np.prod(m_int):
-        return None
-    m2 = m_int[1] if len(m_int) == 2 else 1
-    a_all = (-1, 0, 1) if len(m_int) == 2 else (0,)
-    reach = m2 + a_all[-1]
-    csr = matrix.tocsr()
-    if not csr.has_canonical_format:        # one entry per position
-        csr = csr.copy()
-        csr.sum_duplicates()
-    rows = np.repeat(np.arange(size, dtype=csr.indices.dtype),
-                     np.diff(csr.indptr))
-    offset, vals = csr.indices - rows, csr.data
-    if not vals.all():                      # explicit zeros are no coupling
-        keep = vals != 0
-        rows, offset, vals = rows[keep], offset[keep], vals[keep]
-    if np.abs(offset).max(initial=0) > reach:
-        return None
-    slot = np.full(2 * reach + 1, -1)       # neighbour number of an offset
-    for k, (s, a) in enumerate(itertools.product((-1, 0, 1), a_all)):
-        slot[reach + s * m2 + a] = k
-    k = slot[offset + reach]
-    if (k < 0).any():
-        return None
-    grid = np.zeros(3 * len(a_all) * size, dtype=vals.dtype)
-    grid[k * size + rows] = vals
-    return _grid_bands(grid.reshape(3, len(a_all), size // m2, m2), m_int)
 
 
 def _grid_bands(grid, m_int):
@@ -356,7 +313,7 @@ def _grid_bands(grid, m_int):
 
 def dst_spectrum(bands, m_int):
     """Eigenvalues on the interior grid m_int when the orthonormal DST-I
-    diagonalizes an operator with these read_bands, else None.
+    diagonalizes an operator with these bands (_grid_bands), else None.
 
     The bands must be real and constant, exactly: (a, s) in d = 1, (da, sa)
     in Ta and (do, so) in To in d = 2, as for a scalar real operator with
@@ -503,7 +460,7 @@ def _dissection(m_int, n) -> np.ndarray:
     return (nodes[:, None] * n + np.arange(n)).ravel().astype(np.int32)
 
 
-def _sparse_lu(matrix, shift, order, **kwargs):
+def _sparse_lu(matrix, shift, order, name, **kwargs):
     """A solver of A - shift I, A a hermitian CSR matrix, and whether it is
     real.  Its lu is SuperLU's of P (A - shift I) P^T, P the permutation
     order (A[p][:, p]), factored as it is, in symmetric mode, with
@@ -518,22 +475,17 @@ def _sparse_lu(matrix, shift, order, **kwargs):
     the CSC arrays of P (A - shift I) P^T, and they are the one copy: A's
     rows taken in order, their columns renumbered in place in parts of
     8192, numpy's index buffer, so no index array of A's size is added, and
-    the stored diagonal shifted.  A matrix with duplicates or an unstored
-    diagonal entry is first rewritten with every position stored once.
+    the stored diagonal shifted.  Assembly writes every CSR with sorted
+    columns, each position once and the diagonal stored; any other matrix
+    is refused with a ValueError that names it.
     """
     size = matrix.shape[0]
-    diag = np.empty(0)
-    if matrix.has_canonical_format:
-        rows = np.repeat(np.arange(size, dtype=matrix.indices.dtype),
-                         np.diff(matrix.indptr))
-        diag = np.flatnonzero(matrix.indices == rows)
-        del rows
-    if diag.size < size:
-        coo, every = matrix.tocoo(), np.arange(size)
-        return _sparse_lu(sp.csr_matrix(
-            (np.r_[coo.data, np.zeros(size, coo.dtype)],
-             (np.r_[coo.row, every], np.r_[coo.col, every])),
-            shape=matrix.shape), shift, order, **kwargs)
+    diag = np.flatnonzero(matrix.indices == np.repeat(np.arange(
+        size, dtype=matrix.indices.dtype), np.diff(matrix.indptr)))
+    if not matrix.has_canonical_format or diag.size < size:
+        raise ValueError(f"{name}: a sparse LU needs a CSR with sorted "
+                         f"columns, each position stored once and the "
+                         f"diagonal stored")
     real_ok = shift.imag == 0 and (matrix.dtype.kind != "c"
                                    or not matrix.data.imag.any())
     if order is None:
@@ -562,24 +514,29 @@ def _sparse_lu(matrix, shift, order, **kwargs):
     return SimpleNamespace(solve=solve or lu.solve, lu=lu), real_ok
 
 
-def smallest_eigenvalue(matrix, bands=None, order=None) -> float:
-    """Probe for the smallest eigenvalue of a sparse hermitian matrix.
+def coercive_margin(coeffs: CoefficientSet, box_max: float) -> float:
+    """0.25 c_* pi^2 / box_max^2, c_* = alpha0 / (4 |g^-1|_inf) a discrete
+    stand-in for the coercivity constant of the principal part: the level
+    assembly probes at and choose_lambda shifts every operator to."""
+    c_star = coeffs.symbol.alpha0 / (4.0 * inv_sup_opnorm(coeffs.g))
+    return 0.25 * c_star * np.pi ** 2 / box_max ** 2
 
-    bands is the matrix's read_bands.  One tridiagonal band pair gets a
-    Sturm-count bisection for the lowest eigenvalue.  Two, a d = 2 matrix
-    kron(Ta, I) + kron(To, S2) on M_1 x M_2 nodes, are exact too: the DST-I
-    along x2 turns it into the blocks Ta + c_j To with
-    c_j = 2 cos(j pi / (M_2 + 1)), j = 1 .. M_2.  The lowest eigenvalue of
-    Ta + c To is concave in c, so its minimum over the blocks lies at
-    c_1 or c_M2, and two Sturm counts give the exact probe.  A matrix
-    without bands gets a symmetric-mode sparse LU P A P^T = L D L^H in
-    order (_sparse_lu; assembly passes the operator's), which gives the
-    inertia of A by Sylvester's law:
-    when every pivot is positive, A is positive definite and inverse power
-    iteration at shift zero finds its smallest eigenvalue.  Otherwise (a
-    pivot <= 0, pivoting that was not symmetric, or a singular
-    factorization) the Gershgorin lower bound is returned, which is <= 0
-    for every matrix that is not positive definite.
+
+def smallest_eigenvalue(matrix, bands=None, order=None, margin=0.0) -> float:
+    """A certified lower bound of the smallest eigenvalue of a sparse
+    hermitian CSR matrix, exact when it has bands (_grid_bands).
+
+    One tridiagonal band pair gets a Sturm-count bisection.  Two, a d = 2
+    matrix kron(Ta, I) + kron(To, S2) on M_1 x M_2 nodes: the DST-I along
+    x2 turns it into the blocks Ta + c_j To, c_j = 2 cos(j pi / (M_2 + 1)).
+    Their lowest eigenvalue is concave in c, so its minimum lies at c_1 or
+    c_M2, and two Sturm counts give it.  A matrix without bands gets one
+    symmetric-mode sparse LU P (A - margin I) P^T = L D L^H in order
+    (_sparse_lu; assembly passes the operator's order and coercive_margin),
+    the inertia of A - margin I by Sylvester's law: when every pivot is
+    positive, every eigenvalue lies above margin, which is returned.
+    Otherwise (a pivot <= 0, pivoting that was not symmetric, or a singular
+    factor) the Gershgorin lower bound is returned, then at most margin.
     """
     if bands is not None and len(bands) == 1:
         return _lowest_tridiagonal(*bands[0])
@@ -590,32 +547,14 @@ def smallest_eigenvalue(matrix, bands=None, order=None) -> float:
         return min(_lowest_tridiagonal(d_along + cj * d_across,
                                        s_along + cj * s_across)
                    for cj in (c, -c))
-    matrix = matrix.tocsr()
     try:
-        solver, real_ok = _sparse_lu(matrix, 0.0, order, diag_pivot_thresh=0.0,
-                                     options=dict(SymmetricMode=True))
-    except RuntimeError:
-        return _gershgorin_lower(matrix)
-    lu = solver.lu
-    if (lu.perm_r != lu.perm_c).any() or (lu.U.diagonal().real <= 0.0).any():
-        return _gershgorin_lower(matrix)
-    rng = np.random.default_rng(1234)
-    x = rng.standard_normal(matrix.shape[0])
-    if not real_ok:
-        x = x.astype(complex)
-    x /= np.linalg.norm(x)
-    rho_old = np.inf
-    for _ in range(_PROBE_ITERS):
-        y = solver.solve(x)
-        ny = np.linalg.norm(y)
-        if not np.isfinite(ny) or ny == 0.0:
-            return 0.0
-        rho = float((np.vdot(y, x) / np.vdot(y, y)).real)
-        x = y / ny
-        if abs(rho - rho_old) <= _PROBE_TOL * max(abs(rho), 1e-300):
-            return rho
-        rho_old = rho
-    return rho_old
+        lu = _sparse_lu(matrix, margin, order, "probe", diag_pivot_thresh=0.0,
+                        options=dict(SymmetricMode=True))[0].lu
+        certified = ((lu.perm_r == lu.perm_c).all()
+                     and (lu.U.diagonal().real > 0.0).all())
+    except RuntimeError:        # a singular factor
+        certified = False
+    return float(margin) if certified else _gershgorin_lower(matrix)
 
 
 # element integrals for Q1 bases on one cell of size h
@@ -724,13 +663,14 @@ def bD_matrix(mesh: Mesh, sym: Symbol):
                for l, b in enumerate(sym.b_mats))
 
 
-def _write_operator(blocks, mesh: Mesh, eps_tag) -> DiscreteDirichletOperator:
+def _write_operator(blocks, mesh: Mesh, eps_tag,
+                    coeffs: CoefficientSet) -> DiscreteDirichletOperator:
     """The operator of a form given as neighbour blocks (which it takes
     over), each entry written once: the form over the node volume sigma,
     its hermitian part (B + B^H) / 2 taken on the blocks, real when no
     imaginary part is left, as CSR in node-major order with sorted columns,
     an entry stored where it is nonzero.  The same blocks give the bands
-    (n = 1) and, with those bands, the probe."""
+    (n = 1) and, with those bands or at coercive_margin, the probe."""
     d, M, n = mesh.dim, mesh.m_int, blocks.shape[1]
     size = mesh.n_nodes * n
     form = np.multiply(blocks, 1.0 / mesh.sigma, out=blocks)
@@ -758,10 +698,10 @@ def _write_operator(blocks, mesh: Mesh, eps_tag) -> DiscreteDirichletOperator:
 
     bands = None if n > 1 else _grid_bands(
         herm.reshape(3, 3 ** (d - 1), M[0], -1), M)
-    op = DiscreteDirichletOperator(matrix, mesh, eps_tag, None)
-    op.bands = bands
-    op.smallest_eig = smallest_eigenvalue(    # the order only for an LU
-        matrix, bands, op.order if bands is None else None)
+    op = DiscreteDirichletOperator(matrix, mesh, eps_tag, None, bands=bands)
+    op.smallest_eig = (smallest_eigenvalue(matrix, bands) if bands else
+                       smallest_eigenvalue(matrix, None, op.order, (
+                           coercive_margin(coeffs, max(mesh.box)))))
     return op
 
 
@@ -806,7 +746,7 @@ def assemble_b_eps(mesh: Mesh, coeffs: CoefficientSet, eps: float,
         blocks = _first_order(blocks, mesh, j, at_nodes(aj))
     if coeffs.Q is not None:
         blocks = _zero_order(blocks, mesh, at_nodes(coeffs.Q))
-    return _write_operator(blocks, mesh, float(eps))
+    return _write_operator(blocks, mesh, float(eps), coeffs)
 
 
 def assemble_b0(mesh: Mesh, cell: CellSolution,
@@ -831,21 +771,15 @@ def assemble_b0(mesh: Mesh, cell: CellSolution,
         zero_order = zero_order + coeffs.Q.mean()
     if np.abs(zero_order).max() > 0:
         blocks = _zero_order(blocks, mesh, zero_order[grid])
-    return _write_operator(blocks, mesh, "effective")
+    return _write_operator(blocks, mesh, "effective", coeffs)
 
 
 def choose_lambda(ops: list, coeffs: CoefficientSet) -> float:
-    """Smallest shift from {0, 1, 2, 4, ...} making every operator coercive.
-
-    Adding lam I moves every eigenvalue by lam, so the probes the operators
-    were assembled with decide the shift: it must lift the smallest probe
-    to the margin 0.25 * c_* * pi^2 / (max L_k)^2 with
-    c_* = alpha0 / (4 |g^-1|_inf), a discrete stand-in for the coercivity
-    constant of the principal part.  Apply it with ``op.shifted(lam)``.
-    """
-    c_star = coeffs.symbol.alpha0 / (4.0 * inv_sup_opnorm(coeffs.g))
-    box_max = max(max(op.mesh.box) for op in ops)
-    margin = 0.25 * c_star * np.pi ** 2 / box_max ** 2
+    """Smallest shift from {0, 1, 2, 4, ...} making every operator coercive:
+    adding lam I moves every eigenvalue by lam, so it must lift the lowest
+    of the probes, certified lower bounds, to coercive_margin on the longest
+    box side of any operator.  Apply it with ``op.shifted(lam)``."""
+    margin = coercive_margin(coeffs, max(max(op.mesh.box) for op in ops))
     worst = min(ops, key=lambda op: op.smallest_eig)
 
     for lam in [0.0] + [float(2 ** k) for k in range(17)]:

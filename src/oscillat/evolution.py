@@ -23,7 +23,7 @@ Vectors are rows: a dof vector has shape (..., ndof), leading axes hold a
 stack of vectors, and the eigenbasis projects and synthesizes all rows
 at once.  Times lead: an operator function of times t (a scalar or a 1-D
 array) applied to v returns t.shape + v.shape, and a path of solutions has
-shape (T, ..., ndof).
+shape (T, ..., ndof); its du/dt stays modal, where its energies read it.
 
 The forcing is F(t) = cos(omega t) f, given as (omega, f_space).
 solve_ibvp projects f once; per time s each mode's Duhamel term is a table
@@ -33,7 +33,6 @@ modal solution before the one synthesis.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -92,16 +91,12 @@ class EigenBasis(_Basis):
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """A path u (T, ..., ndof), its energies, and du_dt, synthesized when read."""
+    """A path u (T, ..., ndof), its energies, and du/dt as modal du_hat."""
     times: np.ndarray
     u: np.ndarray
     energy: np.ndarray
     du_hat: np.ndarray = field(repr=False)
     basis: _Basis = field(repr=False)
-
-    @cached_property
-    def du_dt(self) -> np.ndarray:
-        return self.basis.synthesize(self.du_hat)
 
 
 def spectral_decompose(op: DiscreteDirichletOperator) -> _Basis:
@@ -266,8 +261,8 @@ def solve_ibvp(eb: _Basis, phi: np.ndarray, psi: np.ndarray,
     """Evaluate the three-term Duhamel formula at the requested times.
 
     phi and psi are dof vectors or broadcastable stacks of them
-    (..., ndof); the path holds u and du_dt of shape (T, ..., ndof), and
-    du_dt is synthesized only when read.  forcing is None or
+    (..., ndof); the path holds u of shape (T, ..., ndof), its energies,
+    and du/dt as modal du_hat, which basis synthesizes.  forcing is None or
     F(t) = cos(omega t) f: a pair (omega, f_space) of a real finite omega
     and one dof vector f_space (real or complex), the same for every
     stacked row.  phi, psi and f_space are projected as one stack of rows,

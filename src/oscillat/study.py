@@ -582,7 +582,6 @@ def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
     """Run every cheap closed-form fixture; returns (name, ok) pairs."""
     from .lattice import frequencies
     from .coefficients import eval_scaled, symbol_bounds
-    from .cell import solve_lambda, solve_lambda_tilde
     from .dirichlet import (make_mesh, smooth, build_extension, extend,
                             smallest_eigenvalue, DiscreteDirichletOperator)
     from .evolution import op_sine_scaled
@@ -613,12 +612,10 @@ def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
     check("coefficients.const_eval",
           lambda: abs(eval_scaled(cs_const.g, lat1, 0.3, [[0.2]])[0, 0, 0] - 3.0)
           < 1e-12)
-    check("cell.lambda_zero_for_const",
-          lambda: np.abs(solve_lambda(cs_const.symbol, cs_const.g, lat1, 16)
-                         .samples).max() < 1e-12)
-    check("cell.lambda_tilde_zero_without_a",
-          lambda: np.abs(solve_lambda_tilde(cs_const.symbol, cs_const.g, (),
-                                            lat1, 16).samples).max() == 0.0)
+    check("cell.lambda_zero_for_const", lambda: np.abs(
+        solve_cell(cs_const, lat1, 16).Lambda.samples).max() < 1e-12)
+    check("cell.lambda_tilde_zero_without_a", lambda: np.abs(
+        solve_cell(cs_const, lat1, 16).LambdaTilde.samples).max() == 0.0)
     mesh = make_mesh([1.0], [31])
     op = assemble_b_eps(mesh, catalog("const", {"g": 1.0, "d": 1}), 1.0)
     h = mesh.h[0]
@@ -673,7 +670,10 @@ def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
                      [-1, 0, 1]) / hk ** 2 for M, hk in zip(m2.m_int, m2.h)]
     lap2 = (sp.kron(lap1[0], sp.identity(m2.m_int[1]))
             + sp.kron(sp.identity(m2.m_int[0]), lap1[1])).tocsr()
-    lap_op = DiscreteDirichletOperator(lap2, m2, "laplacian", 0.0)
+    (M1, _), (h1, h2) = m2.m_int, m2.h    # Ta on an x2 line, To across
+    lap_op = DiscreteDirichletOperator(lap2, m2, "laplacian", 0.0, bands=(
+        (np.full(M1, 2 / h1 ** 2 + 2 / h2 ** 2), np.full(M1 - 1, -1 / h1 ** 2)),
+        (np.full(M1, -1 / h2 ** 2), np.zeros(M1 - 1))))
     check("dirichlet.separable_probe_laplacian",
           lambda: abs(smallest_eigenvalue(lap2, lap_op.bands)
                       - sum(4.0 / hk ** 2 * np.sin(np.pi * hk / 2) ** 2

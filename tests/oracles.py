@@ -8,11 +8,12 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
+from oscillat.cell import _CellOperator
 from oscillat.coefficients import eval_scaled_grid
 from oscillat.dirichlet import (
     DiscreteDirichletOperator,
     _grad_tensors,
-    read_bands,
+    _grid_bands,
     smallest_eigenvalue,
 )
 from oscillat.evolution import leapfrog_oracle
@@ -214,10 +215,65 @@ def csr_symmetrized_b0(mesh, cell, coeffs, principal):
     return _csr_symmetrized(form, mesh)
 
 
+def read_bands(matrix, m_int):
+    """The bands (_grid_bands) of a hermitian matrix on interior nodes m_int,
+    or None, read off its CSR arrays: each entry's column offset names its
+    neighbour (s, a), the node (i1 + s, i2 + a), |s|, |a| <= 1, with a = 0
+    in d = 1, and goes to the neighbour grid [s, a, i1, i2].  A nonzero
+    entry at any other offset refuses the split.  Assembly hands its grid
+    to _grid_bands directly; this reads a matrix that has none."""
+    size = matrix.shape[0]
+    if size != np.prod(m_int):
+        return None
+    m2 = m_int[1] if len(m_int) == 2 else 1
+    a_all = (-1, 0, 1) if len(m_int) == 2 else (0,)
+    reach = m2 + a_all[-1]
+    csr = matrix.tocsr()
+    if not csr.has_canonical_format:        # one entry per position
+        csr = csr.copy()
+        csr.sum_duplicates()
+    rows = np.repeat(np.arange(size, dtype=csr.indices.dtype),
+                     np.diff(csr.indptr))
+    offset, vals = csr.indices - rows, csr.data
+    if not vals.all():                      # explicit zeros are no coupling
+        keep = vals != 0
+        rows, offset, vals = rows[keep], offset[keep], vals[keep]
+    if np.abs(offset).max(initial=0) > reach:
+        return None
+    slot = np.full(2 * reach + 1, -1)       # neighbour number of an offset
+    for k, (s, a) in enumerate(itertools.product((-1, 0, 1), a_all)):
+        slot[reach + s * m2 + a] = k
+    k = slot[offset + reach]
+    if (k < 0).any():
+        return None
+    grid = np.zeros(3 * len(a_all) * size, dtype=vals.dtype)
+    grid[k * size + rows] = vals
+    return _grid_bands(grid.reshape(3, len(a_all), size // m2, m2), m_int)
+
+
 def raw_operator(matrix, mesh, eps_tag):
-    """A DiscreteDirichletOperator of a given hermitian matrix, probed as
-    assembly probes its own."""
+    """A DiscreteDirichletOperator of a given hermitian matrix with the
+    bands read_bands reads, probed with them, or else certified at 0."""
     matrix = sp.csr_matrix(matrix)
+    bands = read_bands(matrix, mesh.m_int)
     return DiscreteDirichletOperator(
-        matrix, mesh, eps_tag,
-        smallest_eigenvalue(matrix, read_bands(matrix, mesh.m_int)))
+        matrix, mesh, eps_tag, smallest_eigenvalue(matrix, bands), bands=bands)
+
+
+def solve_lambda(sym, g, lat, N):
+    """Zero-mean n x m solution of b(D)* g (b(D) Λ + 1_m) = 0 on the cell
+    operator solve_cell uses, as solved: no projection onto i Im Λ."""
+    op = _CellOperator(sym, g, lat, N)
+    return op.solve(op.rhs_lambda())[0]
+
+
+def solve_lambda_tilde(sym, g, a, lat, N):
+    """Zero-mean n x n solution of b(D)* g b(D) Λ̃ + sum_j D_j a_j* = 0 on
+    the cell operator solve_cell uses."""
+    op = _CellOperator(sym, g, lat, N)
+    return op.solve(op.rhs_lambda_tilde(a))[0]
+
+
+def synthesized_du_dt(result):
+    """du/dt of an EvolutionResult, synthesized from its modal du_hat."""
+    return result.basis.synthesize(result.du_hat)

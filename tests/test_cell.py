@@ -10,12 +10,11 @@ from oscillat.coefficients import (
     make_symbol,
 )
 from oscillat.cell import (
-    solve_lambda,
-    solve_lambda_tilde,
     voigt_reuss,
     solve_cell,
     apply_bD,
 )
+from oracles import solve_lambda, solve_lambda_tilde
 
 LAT1 = unit_lattice(1)
 LAT2 = unit_lattice(2)

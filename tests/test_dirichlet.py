@@ -16,6 +16,7 @@ from oscillat.lattice import build_lattice, unit_lattice
 from oscillat.coefficients import (
     CoefficientSet,
     catalog,
+    constant_field,
     eval_scaled_grid,
     field_from_function,
     make_symbol,
@@ -28,8 +29,9 @@ from oscillat.dirichlet import (
     assemble_b_eps,
     assemble_b0,
     choose_lambda,
+    coercive_margin,
     smallest_eigenvalue,
-    read_bands,
+    _gershgorin_lower,
     build_extension,
     extend,
     _smoothstep,
@@ -46,6 +48,7 @@ from oracles import (
     csr_symmetrized_b0,
     csr_symmetrized_b_eps,
     raw_operator,
+    read_bands,
     steklov_tensor_rule,
 )
 
@@ -219,7 +222,8 @@ def test_one_writer_matches_the_csr_symmetrization(name):
         if mesh.dim == 1:
             assert np.array_equal(A.data, ref.data)
             assert op.smallest_eig == smallest_eigenvalue(
-                ref, read_bands(ref, mesh.m_int))
+                ref, read_bands(ref, mesh.m_int), None,
+                coercive_margin(cs, max(mesh.box)))
         scale = np.abs(ref.data).max()
         assert np.abs(A.data - ref.data).max() <= 1e-14 * scale
         bands = read_bands(A, mesh.m_int)
@@ -734,16 +738,21 @@ def _laplacian_2d(M):
     return (sp.kron(T, eye) + sp.kron(eye, T)).tocsr(), h
 
 
-def test_sparse_probe_matches_laplacian_eigenvalue():
-    A, h = _laplacian_2d(65)  # 4225 unknowns: the sparse LU path
-    assert A.shape[0] > 4096
+def test_sparse_probe_certifies_margins_below_the_laplacian_eigenvalue():
+    # without bands, one LU of A - margin I certifies any margin below the
+    # lowest eigenvalue, here known in closed form, and refuses one just
+    # above it: the probe is then the Gershgorin bound, 0 for the Laplacian
+    A, h = _laplacian_2d(65)  # 4225 unknowns
     exact = 2 * dirichlet_laplacian_eigs(65, h, 1.0)[0]
-    assert smallest_eigenvalue(A) == pytest.approx(exact, rel=1e-8)
+    for margin in (0.0, 0.25 * exact, exact * (1 - 1e-9)):
+        assert smallest_eigenvalue(A, margin=margin) == margin
+    for margin in (exact * (1 + 1e-9), 2 * exact):
+        assert smallest_eigenvalue(A, margin=margin) == 0.0
+    assert _gershgorin_lower(A) == 0.0
 
 
 def test_probe_rejects_indefinite_matrix_above_dense_limit():
-    # -10 is the smallest eigenvalue but 0.1 the one nearest zero, which
-    # inverse iteration at shift zero alone would return
+    # -10 is the smallest eigenvalue but 0.1 the one nearest zero
     size = 5002
     diag = sp.diags(np.concatenate([[-10.0, 0.1], np.ones(size - 2)]),
                     format="csr")
@@ -846,8 +855,81 @@ def test_probe_path_separable_or_lu(fixture, monkeypatch):
     separates = fixture == "laminate2d"
     bands = read_bands(A, mesh.m_int)
     assert (bands is not None) == separates
-    probe = smallest_eigenvalue(A, bands)
+    margin = coercive_margin(cs, 1.5)
+    probe = smallest_eigenvalue(A, bands, None, margin)
     assert len(calls) == (0 if separates else 1)
-    assert probe == pytest.approx(dense_min, rel=1e-12 if separates else 1e-8)
-    assert smallest_eigenvalue(A) == pytest.approx(dense_min, rel=1e-8)
+    assert probe == (pytest.approx(dense_min, rel=1e-12) if separates
+                     else margin)
+    assert margin < dense_min
+    assert smallest_eigenvalue(A, None, None, margin) == margin
     assert len(calls) == (1 if separates else 2)
+
+
+def _probe_kind_case(kind):
+    """(operator, coefficients) of one probe kind, at most 1,000 unknowns:
+    Sturm counts, the separable split, the LU certificate of the margin,
+    and the Gershgorin bound where the certificate fails."""
+    if kind in ("sturm", "lu-matrix_system"):
+        from test_matrix_system import matrix_system
+        cs = catalog("sine1d") if kind == "sturm" else matrix_system()
+        return assemble_b_eps(mesh_for([1.0], 0.25 / 16), cs, 0.25, LAT1), cs
+    if kind == "gershgorin":
+        return _below_margin_case()
+    lat = build_lattice([[1.0, 0.0], [0.5, 1.0]]) if kind.endswith("skew") \
+        else LAT2
+    cs = catalog("checkerboard-smooth" if kind == "lu-checkerboard"
+                 else "laminate2d")
+    return assemble_b_eps(mesh_for([1.0, 1.0], 0.5 / 16), cs, 0.5, lat), cs
+
+
+def _below_margin_case():
+    """checkerboard-smooth B_eps (961 unknowns) with a constant potential
+    that puts its lowest eigenvalue at 0.99 of the margin."""
+    cs = catalog("checkerboard-smooth")
+    mesh = mesh_for([1.0, 1.0], 0.5 / 16)
+    lowest = np.linalg.eigvalsh(
+        assemble_b_eps(mesh, cs, 0.5, LAT2).matrix.toarray())[0]
+    q = 0.99 * coercive_margin(cs, 1.0) - lowest
+    cs = CoefficientSet(symbol=cs.symbol, g=cs.g, Q=constant_field(
+        [[q]], 2, hermitian=True)).validate()
+    return assemble_b_eps(mesh, cs, 0.5, LAT2), cs
+
+
+@pytest.mark.parametrize("kind", ["sturm", "separable", "lu-laminate2d-skew",
+                                  "lu-checkerboard", "lu-matrix_system",
+                                  "gershgorin"])
+def test_probe_is_a_certified_lower_bound(kind):
+    # smallest_eig never exceeds the lowest eigenvalue.  Dense eigvalsh is
+    # backward stable, so the exact Sturm probes may sit above its result
+    # by a few ulps of |A|_1 (6e-13 of 4.9e4 for sine1d); an estimate from
+    # above, a Rayleigh quotient converged to 1e-8, sits 1.4e-8 to 1e-7
+    # above it on the LU kinds, far beyond that tolerance
+    op, cs = _probe_kind_case(kind)
+    assert op.size <= 1000
+    A = op.matrix
+    dense = np.linalg.eigvalsh(A.toarray())[0]
+    assert op.smallest_eig <= dense + 1e-14 * spla.norm(A, 1)
+    margin = coercive_margin(cs, max(op.mesh.box))
+    if kind in ("sturm", "separable"):
+        assert len(op.bands) == (1 if kind == "sturm" else 2)
+        assert op.smallest_eig == pytest.approx(dense, rel=1e-12)
+    elif kind == "gershgorin":
+        assert op.bands is None and op.smallest_eig == _gershgorin_lower(A)
+        assert op.smallest_eig < margin
+    else:
+        assert op.bands is None and op.smallest_eig == margin < dense
+
+
+def test_certificate_fails_just_below_margin_and_the_shift_lifts_it():
+    # lowest eigenvalue 0.99 of the margin: A - margin I is indefinite, so
+    # the probe is the Gershgorin bound, and choose_lambda takes the least
+    # shift of its grid that lifts that bound to the margin
+    op, cs = _below_margin_case()
+    margin = coercive_margin(cs, 1.0)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())[0]
+    assert dense == pytest.approx(0.99 * margin, rel=1e-9)
+    assert op.smallest_eig == _gershgorin_lower(op.matrix) < dense
+    lam = choose_lambda([op], cs)
+    grid = [0.0] + [2.0 ** k for k in range(17)]
+    assert lam == min(v for v in grid if op.smallest_eig + v >= margin)
+    assert lam > 0 and op.shifted(lam).smallest_eig >= margin

@@ -9,11 +9,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
+import oscillat.dirichlet as dirichlet_mod
 from oscillat.dirichlet import (
     _LEAF_NODES,
     _dissection,
     DiscreteDirichletOperator,
     assemble_b_eps,
+    coercive_margin,
     smallest_eigenvalue,
 )
 from test_dirichlet import _kernel_case
@@ -108,34 +110,60 @@ def test_dissection_lu_matches_minimum_degree(name, zeta):
 
 @pytest.mark.parametrize("name", ["checkerboard-smooth", "laminate2d-lower",
                                   "laminate-pair"])
-def test_probe_lu_takes_the_operator_order(name):
-    # assembly probes an operator without bands in its order; the default
-    # ordering's probe is checked against dense eigenvalues elsewhere
+def test_probe_lu_takes_the_operator_order(name, monkeypatch):
+    # assembly certifies the margin of an operator without bands by one LU
+    # in its order; the default ordering reaches the same verdict, and the
+    # verdict is checked against dense eigenvalues elsewhere
     mesh, cs, eps, lat = _kernel_case(name)
+    orders, sparse_lu = [], dirichlet_mod._sparse_lu
+
+    def recording(matrix, shift, order, *args, **kwargs):
+        orders.append(order)
+        return sparse_lu(matrix, shift, order, *args, **kwargs)
+
+    monkeypatch.setattr(dirichlet_mod, "_sparse_lu", recording)
     op = assemble_b_eps(mesh, cs, eps, lat)
-    assert op.bands is None
-    assert op.smallest_eig == smallest_eigenvalue(op.matrix, None, op.order)
-    assert op.smallest_eig == pytest.approx(smallest_eigenvalue(op.matrix),
-                                            rel=1e-8)
+    margin = coercive_margin(cs, max(mesh.box))
+    assert op.bands is None and op.smallest_eig == margin
+    assert len(orders) == 1 and np.array_equal(orders[0], op.order)
+    assert smallest_eigenvalue(op.matrix, None, None, margin) == margin
     assert op.shifted(1.0).order is op.order
 
 
 def test_dissection_lu_of_a_raw_matrix():
-    # unsorted columns, and diagonal entries that are not stored: the LU
-    # reads the matrix rewritten with every position stored once
+    # unsorted columns, a position stored twice, or a diagonal entry that is
+    # not stored: no assembly writes such a CSR, and its LU and its probe
+    # are refused by name; rewritten with every position stored once, the
+    # matrix factors in the dissection order
     mesh, cs, eps, lat = _kernel_case("laminate2d")
-    A = assemble_b_eps(mesh, cs, eps, lat).matrix.tolil()
-    A[5, 5] = A[700, 700] = 0.0
-    A = A.tocsr()
-    assert A.nnz < assemble_b_eps(mesh, cs, eps, lat).matrix.nnz
+    A = assemble_b_eps(mesh, cs, eps, lat).matrix
     flip = np.concatenate([np.arange(s, e)[::-1]
                            for s, e in zip(A.indptr[:-1], A.indptr[1:])])
-    raw = sp.csr_matrix((A.data[flip], A.indices[flip], A.indptr),
-                        shape=A.shape)
-    assert not raw.has_canonical_format
-    op = DiscreteDirichletOperator(raw, mesh, "raw", 1.0)
-    f = np.cos(np.arange(op.size))
-    want = spla.spsolve((A + sp.identity(op.size)).tocsc(), f)
+    unsorted = sp.csr_matrix((A.data[flip], A.indices[flip], A.indptr),
+                             shape=A.shape)
+    twice = A.copy()
+    twice.data[0] *= 0.5
+    twice = sp.csr_matrix((np.r_[twice.data[:1], twice.data],
+                           np.r_[twice.indices[:1], twice.indices],
+                           np.r_[0, twice.indptr[1:] + 1]), shape=A.shape)
+    unstored = A.tolil()
+    unstored[5, 5] = unstored[700, 700] = 0.0
+    unstored = unstored.tocsr()
+    assert unstored.nnz < A.nnz and unstored.has_canonical_format
+    assert (unsorted != A).nnz == 0 and (twice != A).nnz == 0
+    f = np.cos(np.arange(A.shape[0]))
+    for raw in (unsorted, twice, unstored):
+        op = DiscreteDirichletOperator(raw, mesh, "raw", 1.0)
+        with pytest.raises(ValueError, match="raw: a sparse LU needs"):
+            op.solve_shifted(-1.0, f)
+        with pytest.raises(ValueError, match="sparse LU needs"):
+            smallest_eigenvalue(raw, None, op.order, 0.5)
+    coo, every = unstored.tocoo(), np.arange(A.shape[0])
+    stored = sp.csr_matrix((np.r_[coo.data, np.zeros(every.size)],
+                            (np.r_[coo.row, every], np.r_[coo.col, every])),
+                           shape=A.shape)
+    assert stored.has_canonical_format and stored.nnz == A.nnz
+    op = DiscreteDirichletOperator(stored, mesh, "stored", 1.0)
+    want = spla.spsolve((unstored + sp.identity(op.size)).tocsc(), f)
     assert np.linalg.norm(op.solve_shifted(-1.0, f) - want) \
         <= 1e-12 * np.linalg.norm(want)
-    assert np.array_equal(op.matrix.indices, A.indices[flip])

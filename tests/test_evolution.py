@@ -18,7 +18,6 @@ from oscillat.dirichlet import (
     assemble_b0,
     build_extension,
     l2_norm,
-    read_bands,
 )
 from oscillat.evolution import (
     EigenBasis,
@@ -34,7 +33,8 @@ from oscillat.evolution import (
     estimate_mu_max,
     _duhamel_tables,
 )
-from oracles import beyond_reach, leapfrog_energy_drift, steklov_tensor_rule
+from oracles import (beyond_reach, leapfrog_energy_drift, read_bands,
+                     steklov_tensor_rule, synthesized_du_dt)
 
 LAT1 = unit_lattice(1)
 
@@ -383,21 +383,21 @@ def test_ibvp_zero_data():
     z = np.zeros(op.size)
     res = solve_ibvp(eb, z, z, None, [0.5, 1.0])
     assert np.abs(res.u).max() == 0.0
-    assert np.abs(res.du_dt).max() == 0.0
+    assert np.abs(synthesized_du_dt(res)).max() == 0.0
 
 
 def test_ibvp_velocity_synthesized_when_read():
-    # u and the energy come from one solve; du_dt is synthesized on its
-    # first read, once, and equals cos(t A^1/2) psi - A A^-1/2 sin(t A^1/2) phi
+    # u and the energy come from one solve; the path keeps du/dt modal, and
+    # its reader synthesizes cos(t A^1/2) psi - A A^-1/2 sin(t A^1/2) phi
     mesh, op = laplacian_op()
     eb = spectral_decompose(op)
     rng = np.random.default_rng(3)
     phi, psi = rng.standard_normal((2, op.size))
     res = solve_ibvp(eb, phi, psi, None, [0.7])
-    assert "du_dt" not in vars(res)
-    assert res.du_dt is res.du_dt
+    assert res.du_hat.shape == res.u.shape and res.basis is eb
     du = op_cosine(eb, 0.7, psi) - op.matrix @ op_sine_scaled(eb, 0.7, phi)
-    assert np.abs(res.du_dt[0] - du).max() <= 1e-12 * np.abs(du).max()
+    assert np.abs(synthesized_du_dt(res)[0] - du).max() \
+        <= 1e-12 * np.abs(du).max()
 
 
 def test_ibvp_single_mode_energy():
@@ -464,7 +464,7 @@ def test_forced_mode_matches_closed_form(detune):
     if detune == 0.0:   # the resonant growth s sin(omega s) / (2 omega)
         assert np.allclose(ku, times * np.sin(omega * times) / (2 * omega),
                            rtol=1e-14, atol=0.0)
-    for got, k in ((res.u, ku), (res.du_dt, kdu)):
+    for got, k in ((res.u, ku), (synthesized_du_dt(res), kdu)):
         want = k[:, None] * f
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -518,7 +518,7 @@ def test_forced_solve_matches_direct_panel_sum(fine_basis):
     for i, s in enumerate(times):
         ku, kdu, _ = _direct_tables(eb.eigenvalues, s,
                                     lambda x: np.cos(1.5 * x))
-        for got, table in ((res.u[i], ku), (res.du_dt[i], kdu)):
+        for got, table in ((res.u[i], ku), (synthesized_du_dt(res)[i], kdu)):
             want = eb.synthesize(table * f_hat)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 

@@ -17,7 +17,7 @@ from oscillat.coefficients import (
     make_symbol,
     catalog,
 )
-from oscillat.cell import solve_cell, solve_lambda, voigt_reuss
+from oscillat.cell import solve_cell, voigt_reuss
 from oscillat.dirichlet import (
     make_mesh,
     mesh_for,
@@ -32,7 +32,7 @@ from oscillat.dirichlet import (
     resolvent,
     l2_norm,
     h1_norm,
-    read_bands,
+    coercive_margin,
     smallest_eigenvalue,
 )
 from oscillat.evolution import (
@@ -47,7 +47,8 @@ from oscillat.evolution import (
     flux,
     flux_approx,
 )
-from oracles import steklov_tensor_rule
+from oracles import (read_bands, solve_lambda, steklov_tensor_rule,
+                     synthesized_du_dt)
 
 LAT1 = unit_lattice(1)
 LAT2 = unit_lattice(2)
@@ -246,13 +247,16 @@ def test_block_b0_keeps_lu_and_dense_path(solver_calls):
 ])
 def test_lu_probe_matches_dense(fixture, eps, monkeypatch):
     # called without bands, every operator that is not tridiagonal, however
-    # small, takes the symmetric-mode LU inertia probe (126 to 1022 unknowns)
+    # small, takes the symmetric-mode LU inertia certificate (126 to 1022
+    # unknowns), whose verdict matches the dense lowest eigenvalue: it
+    # returns a margin below it, and the Gershgorin bound just above it
     cs = matrix_system() if fixture == "matrix_system" else catalog(fixture)
     lat = LAT1 if cs.d == 1 else LAT2
     sol = solve_cell(cs, lat, 128 if cs.d == 1 else 64)
     mesh = mesh_for([1.0] * cs.d, eps / 16)
     ops = [assemble_b_eps(mesh, cs, eps, lat), assemble_b0(mesh, sol, cs)]
     dense = [np.linalg.eigvalsh(op.matrix.toarray())[0] for op in ops]
+    margin = coercive_margin(cs, 1.0)
 
     def no_dense(*args, **kwargs):
         raise AssertionError("sparse matrix took the dense probe")
@@ -260,7 +264,10 @@ def test_lu_probe_matches_dense(fixture, eps, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", no_dense)
     for op, want in zip(ops, dense):
         assert read_bands(op.matrix, (op.size,)) is None
-        assert smallest_eigenvalue(op.matrix) == pytest.approx(want, rel=1e-8)
+        assert margin < want
+        assert smallest_eigenvalue(op.matrix, None, None, margin) == margin
+        above = smallest_eigenvalue(op.matrix, None, None, want * (1 + 1e-9))
+        assert above < margin
 
 
 def _elasticity2d_symbol():
@@ -509,7 +516,8 @@ def test_stacked_functions_match_one_at_a_time(case):
                                                          psi_each)):
                 one = solve_ibvp(eb, phi_row, psi_row, forcing, times)
                 assert close(path.u[:, row], one.u)
-                assert close(path.du_dt[:, row], one.du_dt)
+                assert close(synthesized_du_dt(path)[:, row],
+                             synthesized_du_dt(one))
                 assert close(path.energy[:, row], one.energy)
 
 

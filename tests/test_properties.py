@@ -20,11 +20,10 @@ from oscillat.dirichlet import (
     assemble_b_eps,
     assemble_b0,
     smallest_eigenvalue,
-    read_bands,
     build_extension,
     extend,
 )
-from oracles import raw_operator
+from oracles import raw_operator, read_bands
 
 #: few examples, drawn the same way on every run
 PROPERTY = settings(max_examples=8, deadline=None, derandomize=True)
@@ -94,7 +93,9 @@ def test_bands_present_exactly_when_expected(seed, lattice, lam):
 def test_positivity_probe_certifies_exactly_the_definite(seed, lattice,
                                                           with_grid, gap):
     # every probe path: Sturm counts in d=1, the separable split on the
-    # unit d=2 lattice, the LU inertia on the skew one or without bands
+    # unit d=2 lattice, the LU inertia on the skew one or without bands,
+    # which certifies a margin below the lowest eigenvalue and refuses one
+    # above it
     op = bandlimited_operator(seed, lattice)
 
     def bands(matrix):
@@ -102,8 +103,14 @@ def test_positivity_probe_certifies_exactly_the_definite(seed, lattice,
 
     lowest = np.linalg.eigvalsh(op.matrix.toarray())[0]
     assert lowest > 0.0
-    probe = smallest_eigenvalue(op.matrix, bands(op.matrix))
-    assert probe == pytest.approx(lowest, rel=1e-8)
+    grid = bands(op.matrix)
+    below, above = lowest / (1.0 + gap), lowest * (1.0 + gap)
+    probe = smallest_eigenvalue(op.matrix, grid, None, below)
+    if grid is None:
+        assert probe == below
+        assert smallest_eigenvalue(op.matrix, None, None, above) <= lowest
+    else:
+        assert probe == pytest.approx(lowest, rel=1e-8)
     indefinite = (op.matrix - (1.0 + gap) * lowest
                   * sp.identity(op.size)).tocsr()
     assert smallest_eigenvalue(indefinite, bands(indefinite)) <= 0.0

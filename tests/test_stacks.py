@@ -15,7 +15,6 @@ from oscillat.dirichlet import (
     make_mesh,
     mesh_for,
     assemble_b_eps,
-    read_bands,
     l2_norm,
     grad_sq,
     h1_norm,
@@ -32,6 +31,7 @@ from oscillat.study import (
     _cosine_rows,
     _seeded_probes,
 )
+from oracles import read_bands
 
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
 

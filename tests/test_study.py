@@ -436,28 +436,24 @@ def test_evolve_case_compiles_one_smoothing_and_one_extension(monkeypatch,
 def test_each_operator_reads_its_bands_once(fixture, box, eps, params,
                                             monkeypatch):
     # one band check per assembled operator, on the neighbour blocks it was
-    # written from, and no read of its CSR; its shift, the probe, the
-    # closed form, the eigen path and the solvers all use the cached bands
-    # (the d=1 potential -30 makes the shift lam nonzero)
+    # written from; its shift, the probe, the closed form, the eigen path
+    # and the solvers all use those bands (the d=1 potential -30 makes the
+    # shift lam nonzero)
     import oscillat.dirichlet as dirichlet_mod
     from oscillat.evolution import spectral_decompose
     from oscillat.study import build_cases
 
-    reads, csr_reads = [], []
+    reads = []
+    grid_bands = dirichlet_mod._grid_bands
 
-    def counting(log, reader):
-        def read(arg, m_int):
-            log.append(int(np.prod(m_int)))
-            return reader(arg, m_int)
-        return read
+    def counting(grid, m_int):
+        reads.append(int(np.prod(m_int)))
+        return grid_bands(grid, m_int)
 
     cfg = SweepConfig(fixture=fixture, box=box, eps_list=(eps,), cell_n=32,
                       fixture_params=params)
     fix = build_fixture(cfg)
-    monkeypatch.setattr(dirichlet_mod, "_grid_bands",
-                        counting(reads, dirichlet_mod._grid_bands))
-    monkeypatch.setattr(dirichlet_mod, "read_bands",
-                        counting(csr_reads, dirichlet_mod.read_bands))
+    monkeypatch.setattr(dirichlet_mod, "_grid_bands", counting)
     case = build_cases(fix, cfg, [eps])[0]
     assert (case.op_eps.lam > 0) == bool(params)
     # dense eigh of the 3969-unknown d=2 B_eps takes about 20 s, so in d=2
@@ -469,7 +465,7 @@ def test_each_operator_reads_its_bands_once(fixture, box, eps, params,
     for op in ops:
         resolvent(op, -1.0, probes)
         resolvent(op, -1.0 + 0.5j, probes)
-    assert reads == [case.mesh.n_nodes] * 2 and csr_reads == []
+    assert reads == [case.mesh.n_nodes] * 2
 
 
 def test_resolvent_sweep_inv_sqrt_on_every_case_or_none():
