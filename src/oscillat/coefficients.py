@@ -281,9 +281,10 @@ def sup_opnorm(f: PeriodicField) -> float:
 
 
 def inv_sup_opnorm(f: PeriodicField) -> float:
-    """max over samples of |M(x)^-1|, i.e. 1 / min singular value."""
-    s = np.linalg.svd(f.samples, compute_uv=False)
-    return float(1.0 / s[..., -1].min())
+    """max over samples of |M(x)^-1|, i.e. 1 / min singular value, read as
+    1 / min eigenvalue: for hermitian positive definite samples, as every
+    g is validated to be, the two agree."""
+    return float(1.0 / np.linalg.eigvalsh(f.samples)[..., 0].min())
 
 
 # ---------------------------------------------------------------------------

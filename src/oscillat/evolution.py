@@ -3,21 +3,25 @@
 The operators cos(t A^(1/2)) and A^(-1/2) sin(t A^(1/2)) are realized
 through a full hermitian eigenbasis; at desk scale this is the simplest
 exact form of the spectral calculus and keeps per-mode energies conserved
-to machine precision.  Two backends share one interface, _Basis
+to machine precision.  Three backends share one interface, _Basis
 (eigenvalues, size, source, project, synthesize, map_spectrum).  Operators
 that the orthonormal DST-I diagonalizes (op.spectrum is not None: B0 of
 the scalar catalog fixtures without first-order terms) get the SineBasis
 their resolvent solves use: the closed-form spectrum in grid order and
-fast sine transforms, with no eigensolver.  Every other operator gets an
-EigenBasis of stored eigenvectors (_eigh), eigenvalues ascending.  certify
-bounds the backward error of every basis with sparse products, never
-through an N x N temporary.  A Stoermer-Verlet integrator provides an
-independent check that never touches the eigenbasis.
+fast sine transforms, with no eigensolver.  A d=1 operator whose bands
+repeat exactly with a period p dividing N + 1 (_bloch_period: B_eps at a
+dyadic eps) gets a BlochBasis: the eigenpairs of p x p Floquet matrices
+and of one cell, in (angle, band) order, applied by FFTs along the cells
+(_bloch).  Every other operator gets an EigenBasis of stored eigenvectors
+(_eigh), eigenvalues ascending.  certify bounds the backward error of
+every basis with sparse products, never through an N x N temporary.  A
+Stoermer-Verlet integrator provides an independent check that never
+touches the eigenbasis.
 
 Importing the module, or running it with a forcing, loads numpy,
-scipy.linalg and scipy.sparse only: the sine transforms are numpy FFTs
-(dirichlet.sine_transform), and the forcing profile is evaluated in closed
-form at the quadrature nodes.
+scipy.linalg and scipy.sparse only: the sine and Bloch transforms are
+numpy FFTs (dirichlet.sine_transform, BlochBasis), and the forcing profile
+is evaluated in closed form at the quadrature nodes.
 
 Vectors are rows: a dof vector has shape (..., ndof), leading axes hold a
 stack of vectors, and the eigenbasis projects and synthesizes all rows
@@ -33,6 +37,7 @@ modal solution before the one synthesis.
 """
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 import scipy.linalg
@@ -62,7 +67,8 @@ _POWER_ITERS = 60
 
 @dataclass(frozen=True)
 class EigenBasis(_Basis):
-    """Stored orthonormal eigenpairs of a positive definite discrete operator."""
+    """Stored orthonormal eigenpairs of a positive definite discrete operator
+    without a closed-form or Bloch basis (_eigh), eigenvalues ascending."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -90,6 +96,101 @@ class EigenBasis(_Basis):
 
 
 @dataclass(frozen=True)
+class BlochBasis(_Basis):
+    """The Floquet-Bloch eigenbasis of a periodic Jacobi matrix (_bloch).
+
+    The N = pL - 1 unknowns are a grid (L, p) of L cells, node kp + r at
+    [k, r - 1], padded by the Dirichlet node N + 1.  eigenvalues holds the
+    bands in (theta_j, band) order, theta_j = pi j / L, j = 1 .. L-1, then
+    the p - 1 cell eigenvalues.  Band eigenvector (j, b) is
+    Im(e^{i k theta_j} bloch[j-1, r, b]) at node (k, r); cell eigenvector
+    i is weights[i, k] cell[i, r], zero on the last node of each cell.  So
+    project and synthesize are one FFT of length 2L along k plus one
+    batched p x p product per theta_j, with no N x N array.  phase scales
+    the basis of a complex subdiagonal (_phase_similarity)."""
+
+    eigenvalues: np.ndarray
+    bloch: np.ndarray = field(repr=False)       # (L-1, p, p)
+    cell: np.ndarray = field(repr=False)        # (p-1, p-1), rows
+    weights: np.ndarray = field(repr=False)     # (p-1, L)
+    phase: np.ndarray | None = field(repr=False)
+    source: DiscreteDirichletOperator = field(repr=False)
+
+    @staticmethod
+    def _real(fn, rows):
+        """fn, a real linear map of rows, applied to real or complex rows."""
+        if np.iscomplexobj(rows):
+            return fn(rows.real) + 1j * fn(rows.imag)
+        return fn(rows)
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        rows = np.reshape(v, (-1, np.shape(v)[-1]))
+        if self.phase is not None:
+            rows = rows * self.phase.conj()
+        return self._real(self._project, rows).reshape(np.shape(v))
+
+    def _project(self, rows):
+        n_cells = self.weights.shape[1]
+        # (R, L, p), the Dirichlet node N + 1 padded on
+        grid = np.pad(rows, ((0, 0), (0, 1))).reshape(len(rows), n_cells, -1)
+        f = np.fft.rfft(grid, 2 * n_cells, axis=1)[:, 1:n_cells]
+        bands = np.matmul(f.conj().transpose(1, 0, 2), self.bloch).imag
+        cell = ((grid[..., :-1] @ self.cell.T) * self.weights.T).sum(axis=1)
+        return np.concatenate(
+            [bands.transpose(1, 0, 2).reshape(len(rows), -1), cell], axis=1)
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        rows = np.reshape(coeffs, (-1, np.shape(coeffs)[-1]))
+        out = self._real(self._synthesize, rows)
+        if self.phase is not None:
+            out = out * self.phase
+        return out.reshape(np.shape(coeffs))
+
+    def _synthesize(self, rows):
+        n_cells, p = self.weights.shape[1], self.cell.shape[0] + 1
+        split = (n_cells - 1) * p
+        bands = rows[:, :split].reshape(len(rows), n_cells - 1, p)
+        x = np.zeros((len(rows), n_cells + 1, p), complex)
+        x[:, 1:n_cells] = np.matmul(bands.transpose(1, 0, 2),
+                                    self.bloch.transpose(0, 2, 1)
+                                    ).transpose(1, 0, 2)
+        # Im(sum_j e^{i k theta_j} x_j) = Re(sum_j e^{i k theta_j} (-i x_j))
+        grid = n_cells * np.fft.irfft(-1j * x, 2 * n_cells,
+                                      axis=1)[:, :n_cells]
+        grid[..., :-1] += (rows[:, split:, None] * self.weights).transpose(
+            0, 2, 1) @ self.cell
+        return grid.reshape(len(rows), -1)[:, :-1]
+
+    def checked_rows(self):
+        """Every eigenvector x with y = mu x, as certify reads them, built
+        from the closed form about 32 at a time: the p bands of
+        max(1, 32 // p) angles theta_j, then 32 cell eigenvectors."""
+        n_cells, p = self.weights.shape[1], self.cell.shape[0] + 1
+        k = np.arange(n_cells)
+        step = max(1, 32 // p)
+        for j in range(0, n_cells - 1, step):
+            js = np.arange(j, min(j + step, n_cells - 1))
+            # k theta_j reduced below 2 pi in integers, accurate to an ulp
+            angle = np.pi / n_cells * (np.outer(js + 1, k) % (2 * n_cells))
+            w = self.bloch[js, None].transpose(0, 3, 1, 2)     # (j, b, 1, r)
+            x = (np.cos(angle)[:, None, :, None] * w.imag
+                 + np.sin(angle)[:, None, :, None] * w.real)
+            yield self._rows(x.reshape(-1, n_cells, p), js[0] * p)
+        for i in range(0, p - 1, 32):
+            grid = np.zeros((min(32, p - 1 - i), n_cells, p))
+            grid[..., :-1] = (self.weights[i:i + 32, :, None]
+                              * self.cell[i:i + 32, None, :])
+            yield self._rows(grid, (n_cells - 1) * p + i)
+
+    def _rows(self, grid, start):
+        """checked_rows' (x, mu x, 1) of eigenvectors start.. on the grid."""
+        x = np.ascontiguousarray(grid.reshape(len(grid), -1)[:, :-1])
+        if self.phase is not None:
+            x = x * self.phase
+        return x, x * self.eigenvalues[start:start + len(x), None], 1.0
+
+
+@dataclass(frozen=True)
 class EvolutionResult:
     """A path u (T, ..., ndof), its energies, and du/dt as modal du_hat."""
     times: np.ndarray
@@ -101,17 +202,20 @@ class EvolutionResult:
 
 def spectral_decompose(op: DiscreteDirichletOperator) -> _Basis:
     """The eigenbasis of op: a SineBasis in grid order when op.spectrum is
-    not None, else an EigenBasis, ascending (_eigh).  Validates the
-    spectral contract: the lowest eigenvalue is positive, and certify
-    passes."""
+    not None, else a BlochBasis in (angle, band) order when its bands have
+    a period (_bloch_period), else an EigenBasis, ascending (_eigh).
+    Validates the spectral contract: the lowest eigenvalue is positive, and
+    certify passes."""
     check_decomposable(op.size, op.eps_tag)
     at = tag_text(op.eps_tag)
     if op.spectrum is not None:
         eb = SineBasis(op.spectrum.ravel(), op)
     else:
+        period = _bloch_period(op.bands)
         try:
-            eb = EigenBasis(*_eigh(op), source=op)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+            eb = (EigenBasis(*_eigh(op), source=op) if period is None
+                  else _bloch(op, period))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise EigSolverFailure(f"{at}: {exc}") from exc
     if eb.eigenvalues.min() <= 0.0:
         raise EigSolverFailure(
@@ -148,15 +252,15 @@ def check_decomposable(size: int, eps_tag):
 
 def _eigh(op):
     """Ascending eigenvalues and stored eigenvectors of a discrete hermitian
-    operator without a closed-form spectrum, by one of two paths.
+    operator without a closed-form spectrum or a Bloch period
+    (_bloch_period), by one of two paths.
 
     - Tridiagonal: op.bands is one pair (diag, sub), which goes to LAPACK's
       divide-and-conquer ?stevd; MRRR (?stemr) fails with info=22 on the
-      unscaled sine1d operator at 2047 unknowns.  A real sub, signs and
+      unscaled sine1d operator at 1919 unknowns.  A real sub, signs and
       all, is passed as it is.  A complex one gives A = D T D^H with T real
-      symmetric, subdiagonal |sub|, and D = diag(phase),
-      phase[k+1] = phase[k] sub[k] / |sub[k]|: T is decomposed and its
-      eigenvectors are scaled by the phases.
+      symmetric (_phase_similarity): T is decomposed and its eigenvectors
+      are scaled by the phases.
     - Dense: every other matrix gets dense eigh of a Fortran-ordered
       copy, which LAPACK overwrites, so the copy and the eigenvectors are
       the only N x N arrays.
@@ -167,11 +271,80 @@ def _eigh(op):
     (diag, sub), = op.bands
     if np.isrealobj(sub):
         return scipy.linalg.eigh_tridiagonal(diag, sub, lapack_driver="stevd")
-    mag = np.abs(sub)
-    unit = np.divide(sub, mag, out=np.ones_like(sub), where=mag > 0.0)
-    phase = np.concatenate(([1.0], np.cumprod(unit)))
+    mag, phase = _phase_similarity(sub)
     mu, Q = scipy.linalg.eigh_tridiagonal(diag, mag, lapack_driver="stevd")
     return mu, phase[:, None] * Q
+
+
+def _phase_similarity(sub):
+    """|sub| and the phases D of A = D T D^H, T real with subdiagonal |sub|:
+    phase[k+1] = phase[k] sub[k] / |sub[k]|, a zero entry taken as 1."""
+    mag = np.abs(sub)
+    unit = np.divide(sub, mag, out=np.ones_like(sub), where=mag > 0.0)
+    return mag, np.concatenate(([1.0], np.cumprod(unit)))
+
+
+def _bloch_period(bands):
+    """The period p of a BlochBasis for an operator with these bands, or
+    None: the smallest p >= 2 at which a tridiagonal operator's bands
+    repeat exactly (==, no tolerance), p dividing N + 1 = pL with L >= p
+    periods, every sub entry nonzero.  Constant bands, of period 1, get
+    none: real ones have a closed-form spectrum, complex ones stay on
+    ?stevd."""
+    if bands is None or len(bands) != 1:
+        return None
+    (diag, sub), = bands
+    if not sub.all() or ((diag == diag[0]).all() and (sub == sub[0]).all()):
+        return None
+    nodes = diag.size + 1
+    for p in range(2, math.isqrt(nodes) + 1):
+        if (nodes % p == 0 and (diag[p:] == diag[:-p]).all()
+                and (sub[p:] == sub[:-p]).all()):
+            return p
+    return None
+
+
+def _bloch(op, p) -> BlochBasis:
+    """The BlochBasis of a tridiagonal operator whose bands have period p
+    (_bloch_period), with d_r = diag[r-1] and c_r = sub[r-1] on one cell.
+
+    - Bands: one batched eigh of the L - 1 hermitian p x p Floquet matrices
+      J(theta_j), theta_j = pi j / L: diagonal d, couplings c_1..c_{p-1},
+      and the corners J[p, 1] = c_p e^{i theta}, J[1, p] = c_p e^{-i theta}.
+      Each eigenpair (mu, phi) gives the Dirichlet eigenvector
+      sqrt(2/L) Im(e^{i(k+1) theta} e^{-i arg phi_p} phi_r) at node kp + r,
+      which vanishes at nodes 0 and pL, unit by the orthogonality of the
+      sines and cosines of k theta_j.
+    - Cells: the p - 1 eigenvectors that vanish at every node kp.  An
+      eigenpair (mu, v) of the (p-1) x (p-1) cell matrix with zero ends is
+      continued from cell k to k + 1 by rho = -c_{p-1} v_{p-1} / (c_p v_1),
+      the weights rho^k normalized from the decaying end, so nothing
+      overflows.
+    A complex sub goes through the phase similarity of _eigh: the basis of
+    the real matrix with couplings |sub|, scaled by the phases.
+    """
+    (diag, sub), = op.bands
+    c, phase = _phase_similarity(sub) if np.iscomplexobj(sub) else (sub, None)
+    cells = (diag.size + 1) // p
+    theta = np.pi * np.arange(1, cells) / cells
+    r = np.arange(p)
+    floquet = np.zeros((cells - 1, p, p), complex)
+    floquet[:, r, r] = diag[:p]
+    floquet[:, r[1:], r[:-1]] = floquet[:, r[:-1], r[1:]] = c[:p - 1]
+    floquet[:, -1, 0] += c[p - 1] * np.exp(1j * theta)
+    floquet[:, 0, -1] += c[p - 1] * np.exp(-1j * theta)
+    mu, phi = np.linalg.eigh(floquet)
+    bloch = np.sqrt(2.0 / cells) * phi * np.exp(
+        1j * (theta[:, None] - np.angle(phi[:, -1])))[:, None]
+    cell_mu, v = scipy.linalg.eigh_tridiagonal(diag[:p - 1], c[:p - 2],
+                                               lapack_driver="stev")
+    rho = -c[p - 2] * v[-1] / (c[p - 1] * v[0])
+    grows = np.abs(rho) > 1.0
+    weights = np.where(grows, 1.0 / rho, rho)[:, None] ** np.arange(cells)
+    weights[grows] = weights[grows, ::-1]
+    weights /= np.linalg.norm(weights, axis=1, keepdims=True)
+    return BlochBasis(np.concatenate([mu.ravel(), cell_mu]), bloch, v.T,
+                      weights, phase, op)
 
 
 def _cos_factors(mu: np.ndarray, t) -> np.ndarray:

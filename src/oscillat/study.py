@@ -20,7 +20,6 @@ with a non-finite error gets the verdict "fail".
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-import math
 import time
 
 import numpy as np
@@ -201,14 +200,17 @@ def fit_rate(points) -> tuple[float, float, float]:
 def _judge(tag: str, norm: str, rows, threshold) -> EstimateResult:
     """Aggregate rows to per-eps errors, fit, and attach the verdict."""
     nan = float("nan")
-    if not all(math.isfinite(err) for _eps, _t, err in rows):
-        # max() below drops NaN, so a non-finite error fails outright
+    errs = np.array([err for _eps, _t, err in rows], dtype=float)
+    if not np.isfinite(errs).all():
+        # the maximum below would carry NaN, so a non-finite error fails
         return EstimateResult(tag, norm, rows, nan, nan, nan,
                               threshold or nan, "fail")
-    per_eps: dict[float, float] = {}
-    for eps, _t, err in rows:
-        per_eps[eps] = max(per_eps.get(eps, 0.0), float(err))
-    usable = [(e, v) for e, v in sorted(per_eps.items()) if v > EXACT_TOL]
+    eps_values, which = np.unique([eps for eps, _t, _err in rows],
+                                  return_inverse=True)
+    worst = np.zeros(eps_values.size)
+    np.maximum.at(worst, which, errs)
+    usable = [(e, v) for e, v in zip(eps_values.tolist(), worst.tolist())
+              if v > EXACT_TOL]
     if not usable:
         return EstimateResult(tag, norm, rows, nan, nan, 0.0, threshold or nan,
                               "exact" if threshold else "reported")
@@ -484,12 +486,12 @@ def _cosine_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
     y0 = case.op_0.solve_shifted(0.0, f)              # (B0)^-1 f
     y00 = case.op_0.solve_shifted(0.0, y0)            # (B0)^-2 f
     y_eps = case.op_eps.solve_shifted(0.0, y0)        # (B_eps)^-1 (B0)^-1 f
-    for y_e, y_00 in zip(y_eps, y00):
+    for y_00, pair in zip(y00, np.stack([y_eps, y00], axis=1)):
         w_0 = op_cosine(eb_0, t_list, y_00)
         k = cor.apply_ext(w_0)          # w_0 + eps K w_0, in place
         corrected = np.add(np.multiply(k, case.eps, out=k), w_0, out=k)
         # B_eps of both vectors in one pass: (T, 2, ndof)
-        w = op_cosine(eb_eps, t_list, np.stack([y_e, y_00]))
+        w = op_cosine(eb_eps, t_list, pair)
         errors["cos_h1_corrector"].append(
             h1_norm(case.mesh, _subtract_into(w[:, 0], corrected), n))
         errors["cos_plain_h1"].append(
@@ -584,7 +586,7 @@ def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
     from .coefficients import eval_scaled, symbol_bounds
     from .dirichlet import (make_mesh, smooth, build_extension, extend,
                             smallest_eigenvalue, DiscreteDirichletOperator)
-    from .evolution import op_sine_scaled
+    from .evolution import BlochBasis, op_sine_scaled
     import scipy.sparse as sp
 
     checks = []
@@ -665,6 +667,24 @@ def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
     check("evolution.ibvp_zero_data",
           lambda: np.abs(solve_ibvp(eb, 0 * v, 0 * v, None, [0.5, 1.0]).u).max()
           == 0.0)
+    # diagonal a, b, .., a (N = 2L - 1) and sub c: the Bloch bands
+    # (a+b)/2 -+ sqrt(((a-b)/2)^2 + 2c^2 (1 + cos(pi j/L))), j < L, and a
+    a, b, c, cells = 3.0, 5.0, -1.0, 9
+    diag2, sub2 = np.tile([a, b], cells)[:-1], np.full(2 * cells - 2, c)
+    jacobi = DiscreteDirichletOperator(
+        sp.diags([sub2, diag2, sub2], [-1, 0, 1]),
+        make_mesh([1.0], [2 * cells - 1]), "2-periodic", 0.0,
+        bands=((diag2, sub2),))
+    root = np.sqrt(((a - b) / 2) ** 2 + 2 * c ** 2 * (
+        1 + np.cos(np.pi * np.arange(1, cells) / cells)))
+    exact = np.sort(np.r_[(a + b) / 2 - root, (a + b) / 2 + root, a])
+
+    def bloch_spectrum():
+        eb = spectral_decompose(jacobi)
+        return isinstance(eb, BlochBasis) and np.abs(
+            np.sort(eb.eigenvalues) - exact).max() < 1e-12
+
+    check("evolution.bloch_two_periodic", bloch_spectrum)
     m2 = make_mesh([1.0, 1.0], [15, 17])
     lap1 = [sp.diags([-np.ones(M - 1), np.full(M, 2.0), -np.ones(M - 1)],
                      [-1, 0, 1]) / hk ** 2 for M, hk in zip(m2.m_int, m2.h)]

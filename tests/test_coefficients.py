@@ -157,6 +157,15 @@ def test_norm_product_inequality():
     assert sup_opnorm(cs.g) * inv_sup_opnorm(cs.g) >= 1.0
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+def test_inverse_norm_from_the_smallest_eigenvalue_matches_the_svd(name):
+    # g is hermitian positive definite: its smallest eigenvalue is its
+    # smallest singular value at every sample
+    g = catalog(name).g
+    svd = 1.0 / np.linalg.svd(g.samples, compute_uv=False)[..., -1].min()
+    assert abs(inv_sup_opnorm(g) / svd - 1.0) <= 1e-14
+
+
 def test_resample_band_limited_exact():
     f = field_from_function(lambda x: 1 + 0.3 * np.sin(2 * np.pi * x)
                             + 0.1 * np.cos(6 * np.pi * x), 1, 16)

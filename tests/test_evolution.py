@@ -117,13 +117,16 @@ def test_reconstruction_contract():
 
 @pytest.mark.parametrize("params", [None, {"a_amp": 0.2}])
 def test_tridiagonal_backend_matches_dense(params, monkeypatch):
-    # real sine1d and its complex hermitian variant with a first-order term
-    eps = 1 / 64
+    # real sine1d and its complex hermitian variant with a first-order term,
+    # at eps 1/120, whose bands repeat every 16 nodes only to a few ulp: no
+    # Bloch basis, so ?stevd decomposes them
+    eps = 1 / 120
     op = assemble_b_eps(mesh_for([1.0], eps / 16), catalog("sine1d", params),
                         eps, LAT1)
-    assert op.size >= 1023
+    assert op.size == 1919
     assert (op.matrix.dtype.kind == "c") == (params is not None)
     assert op.bands is not None and len(op.bands) == 1
+    assert evolution._bloch_period(op.bands) is None
     dense = op.matrix.toarray()
     mu = scipy.linalg.eigh(dense, eigvals_only=True)
 
@@ -740,12 +743,13 @@ def test_forced_low_modes_match_leapfrog_to_second_order():
 
 
 def test_real_tridiagonal_operator_keeps_its_signed_subdiagonal(monkeypatch):
-    # sine1d B_eps at 2047 unknowns: ?stevd on the signed subdiagonal gives
-    # the eigenpairs of the sign-transformed |sub| matrix, eigenvalues equal
-    # and eigenvectors equal up to sign, and the eigen check passes
-    eps = 1.0 / 128
+    # sine1d B_eps at 1919 unknowns (eps 1/120, no exact period, so no Bloch
+    # basis): ?stevd on the signed subdiagonal gives the eigenpairs of the
+    # sign-transformed |sub| matrix, eigenvalues equal and eigenvectors
+    # equal up to sign, and the eigen check passes
+    eps = 1.0 / 120
     op = assemble_b_eps(mesh_for([1.0], eps / 16), catalog("sine1d"), eps, LAT1)
-    assert op.size == 2047
+    assert op.size == 1919
     (diag, sub), = op.bands
     assert np.isrealobj(sub) and (sub < 0.0).all()
     mu_abs, q_abs = scipy.linalg.eigh_tridiagonal(diag, np.abs(sub),

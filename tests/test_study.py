@@ -8,6 +8,7 @@ import pytest
 from oscillat.errors import EigSolverFailure, InsufficientPoints, ZeroError
 from oscillat.dirichlet import make_mesh, l2_norm, resolvent
 from oscillat.study import (
+    EXACT_TOL,
     SweepConfig,
     fit_rate,
     data_profile,
@@ -78,6 +79,22 @@ def test_judge_fails_a_non_finite_error(bad, threshold):
     good = [(e, None, e) for e in (0.125, 0.0625, 0.03125, 0.015625)]
     assert _judge("x", "L2", good + [(0.0078125, None, bad)],
                   threshold).verdict == "fail"
+
+
+def test_judge_fits_the_worst_error_per_eps():
+    # the per-eps maximum, by the loop it replaces, with one eps exact
+    rng = np.random.default_rng(3)
+    eps_list = (0.125, 0.0625, 0.03125, 0.015625, 0.0078125)
+    rows = [(e, t, float(e * rng.random()) if e != 0.0078125 else 0.0)
+            for t in (0.5, 1.0, 2.0) for e in rng.permutation(eps_list)]
+    per_eps = {}
+    for e, _t, err in rows:
+        per_eps[e] = max(per_eps.get(e, 0.0), err)
+    want = fit_rate([(e, v) for e, v in sorted(per_eps.items())
+                     if v > EXACT_TOL])
+    est = _judge("x", "L2", rows, 0.9)
+    assert (est.slope, est.intercept, est.max_residual) == want
+    assert est.verdict == ("pass" if want[0] >= 0.9 else "fail")
 
 
 def test_cli_non_finite_error_exits_2(tmp_path, monkeypatch, capsys):
@@ -980,7 +997,8 @@ def test_selftest_all_green():
         "dirichlet.steklov_constant", "dirichlet.steklov_character",
         "dirichlet.steklov_character_2d", "dirichlet.extension_identity",
         "evolution.cos_t0_identity", "evolution.sine_t0_zero",
-        "evolution.ibvp_zero_data", "dirichlet.separable_probe_laplacian",
+        "evolution.ibvp_zero_data", "evolution.bloch_two_periodic",
+        "dirichlet.separable_probe_laplacian",
         "dirichlet.dst_spectrum_laplacian", "study.fit_rate_exact",
         "study.fit_rate_sqrt"]
     assert all(ok for _, ok in checks)
