@@ -18,14 +18,13 @@ from oscillat import (
     build_extension,
     spectral_decompose,
     solve_ibvp,
-    first_order_approx,
     flux,
     flux_approx,
     leapfrog_oracle,
     l2_norm,
     h1_norm,
 )
-from oscillat.dirichlet import choose_lambda
+from oscillat.dirichlet import Corrector, choose_lambda
 from oscillat.evolution import estimate_mu_max
 
 eps = 1 / 8
@@ -54,8 +53,8 @@ phi = np.zeros_like(psi)
 t_list = [0.5, 1.0, 2.0]
 u_eps = solve_ibvp(eb_eps, phi, psi, None, t_list)
 u_0 = solve_ibvp(eb_0, phi, psi, None, t_list)
-v_eps = first_order_approx(u_0.u, cell, eps, True, cs.symbol, ext, lat)
-p_eps = flux(u_eps.u, cs, eps, mesh, lat)
+v_eps = u_0.u + eps * Corrector(cell, eps, cs.symbol, ext, lat).apply(u_0.u)
+p_eps = flux(u_eps.u, cs, eps, ext, lat)
 p_apx = flux_approx(u_0.u, cell, eps, True, cs, ext, lat)
 
 print("\nerror of the effective description at each time")

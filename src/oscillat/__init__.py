@@ -20,7 +20,6 @@ from .dirichlet import (
 from .evolution import (
     spectral_decompose,
     solve_ibvp,
-    first_order_approx,
     flux,
     flux_approx,
     leapfrog_oracle,
@@ -31,7 +30,7 @@ __all__ = [
     "unit_lattice", "catalog", "solve_cell", "voigt_reuss",
     "mesh_for", "assemble_b_eps", "assemble_b0", "build_extension",
     "smooth", "l2_norm", "h1_norm",
-    "spectral_decompose", "solve_ibvp", "first_order_approx", "flux",
-    "flux_approx", "leapfrog_oracle",
+    "spectral_decompose", "solve_ibvp", "flux", "flux_approx",
+    "leapfrog_oracle",
     "SweepConfig", "convergence_sweep", "resolvent_sweep",
 ]

@@ -3,10 +3,12 @@
 The two cell problems are discretized by a Fourier--Galerkin method:
 differentiation is exact in frequency space, multiplication by the
 coefficient happens pointwise on a zero-padded physical grid (3/2-style
-dealiasing), and the truncated systems are solved by preconditioned
-conjugate gradients on the zero-mean subspace.  For band-limited
-coefficients the Galerkin matrices are exact, so cell-stage error decays
-spectrally and stays far below the homogenization rates measured downstream.
+dealiasing; coefficients.spectral_samples pads a spectrum onto it and
+spectral_coeffs truncates back), and the truncated systems are solved by
+preconditioned conjugate gradients on the zero-mean subspace.  For
+band-limited coefficients the Galerkin matrices are exact, so cell-stage
+error decays spectrally and stays far below the homogenization rates
+measured downstream.
 
 solve_cell is one pass over one truncated operator: it solves the m columns
 of Λ and the n columns of Λ̃ on it, applies b(D) once to each, and forms
@@ -20,7 +22,8 @@ import numpy as np
 
 from .errors import SolverBreakdown
 from .lattice import Lattice, fft_frequency_grid
-from .coefficients import PeriodicField, Symbol, resample, sup_opnorm
+from .coefficients import (PeriodicField, Symbol, resample, spectral_coeffs,
+                           spectral_samples, sup_opnorm)
 
 #: relative residual target for the truncated cell systems
 CG_TOL = 1e-12
@@ -69,8 +72,7 @@ def apply_bD(f: PeriodicField, sym: Symbol, lat: Lattice) -> PeriodicField:
     N, d = f.resolution, f.dim
     bk = sym.at(fft_frequency_grid(lat, N))
     c = np.einsum("...mn,...nc->...mc", bk, f.coeffs())
-    samples = np.fft.ifftn(c * N ** d, axes=tuple(range(d)))
-    return PeriodicField(samples=samples, dim=d)
+    return PeriodicField(samples=spectral_samples(c, d, N), dim=d)
 
 
 def _dealias_grid(N: int, n_g: int) -> int:
@@ -108,31 +110,11 @@ class _CellOperator:
         self.precon = np.zeros_like(gram)
         self.precon[~self.pinned] = np.linalg.inv(gram[~self.pinned])
 
-    def _pad_coeffs(self, c):
-        """Embed shifted N-spectrum into the M physical grid and transform."""
-        d, N, M = self.d, self.N, self.M
-        axes = tuple(range(d))
-        c = np.fft.fftshift(c, axes=axes)
-        pad = [(M // 2 - N // 2, M - N - (M // 2 - N // 2))] * d
-        pad += [(0, 0)] * (c.ndim - d)
-        c = np.pad(c, pad)
-        c = np.fft.ifftshift(c, axes=axes)
-        return np.fft.ifftn(c * M ** d, axes=axes)
-
-    def _truncate_phys(self, values):
-        d, N, M = self.d, self.N, self.M
-        axes = tuple(range(d))
-        c = np.fft.fftn(values, axes=axes) / M ** d
-        c = np.fft.fftshift(c, axes=axes)
-        sl = tuple(slice(M // 2 - N // 2, M // 2 + N // 2) for _ in axes)
-        c = c[sl + (Ellipsis,)]
-        return np.fft.ifftshift(c, axes=axes)
-
     def apply(self, x):
         y = np.einsum("...mn,...n->...m", self.bk, x)
-        y_phys = self._pad_coeffs(y)
+        y_phys = spectral_samples(y, self.d, self.M)
         z_phys = np.einsum("...ij,...j->...i", self.g_pad, y_phys)
-        z = self._truncate_phys(z_phys)
+        z = spectral_coeffs(z_phys, self.d, self.N)
         out = np.einsum("...nm,...m->...n", self.bkH, z)
         out[self.pinned] = 0.0
         return out
@@ -162,8 +144,8 @@ class _CellOperator:
         solved = [_pcg(self, rhs, 10 * self.N ** self.d, CG_TOL)
                   for rhs in rhs_cols]
         c = np.stack([x for x, _ in solved], axis=-1)  # (grid, n, cols)
-        samples = np.fft.ifftn(c * self.N ** self.d, axes=tuple(range(self.d)))
-        return (PeriodicField(samples=samples, dim=self.d),
+        return (PeriodicField(samples=spectral_samples(c, self.d, self.N),
+                              dim=self.d),
                 [res for _, res in solved])
 
 

@@ -4,6 +4,8 @@ Fields are stored as matrix-valued samples on a uniform N^d grid over one
 periodicity cell and interpolated trigonometrically, so band-limited catalog
 fields are evaluated exactly at arbitrary points.  Scaled evaluation
 f^eps(x) = f(x/eps) goes through fractional cell coordinates.
+spectral_samples and spectral_coeffs pass between FFT-ordered spectra and
+grid samples, padding or truncating: resample and the cell solver use them.
 """
 
 from dataclasses import dataclass
@@ -129,9 +131,7 @@ class PeriodicField:
 
     def coeffs(self) -> np.ndarray:
         """True Fourier coefficients in FFT layout."""
-        axes = tuple(range(self.dim))
-        n_grid = self.resolution ** self.dim
-        return np.fft.fftn(self.samples, axes=axes) / n_grid
+        return spectral_coeffs(self.samples, self.dim, self.resolution)
 
     def mean(self) -> np.ndarray:
         """Cell average (exact for band-limited samples)."""
@@ -177,40 +177,48 @@ def field_from_function(fn, d: int, N: int, **flags) -> PeriodicField:
 
 def resample(f: PeriodicField, M: int) -> PeriodicField:
     """Spectral resampling onto an M^d grid (pad or truncate frequencies)."""
-    N = f.resolution
-    if M == N:
+    if M == f.resolution:
         return f
-    d = f.dim
+    return PeriodicField(samples=spectral_samples(f.coeffs(), f.dim, M),
+                         dim=f.dim, hermitian=f.hermitian, positive=f.positive)
+
+
+def spectral_samples(c: np.ndarray, d: int, M: int) -> np.ndarray:
+    """Samples on the M^d grid of FFT-ordered coefficients c (N,)*d + (...),
+    the spectrum padded or truncated to M per axis (_embed)."""
+    return np.fft.ifftn(_embed(c, d, M) * M ** d, axes=tuple(range(d)))
+
+
+def spectral_coeffs(values: np.ndarray, d: int, N: int) -> np.ndarray:
+    """FFT-ordered coefficients (N,)*d + (...) of samples on an M^d grid,
+    the spectrum truncated or padded to N per axis (_embed)."""
     axes = tuple(range(d))
-    c = np.fft.fftshift(f.coeffs(), axes=axes)
+    return _embed(np.fft.fftn(values, axes=axes) / values.shape[0] ** d, d, N)
+
+
+def _embed(c, d, M):
+    """FFT-ordered coefficients (N,)*d + (...) re-centered to M per axis."""
+    if c.shape[0] == M:
+        return c
+    axes = tuple(range(d))
+    c = np.fft.fftshift(c, axes=axes)
     for ax in axes:
-        c = _embed_axis(c, ax, N, M)
-    c = np.fft.ifftshift(c, axes=axes)
-    samples = np.fft.ifftn(c * M ** d, axes=axes)
-    return PeriodicField(samples=samples, dim=d, hermitian=f.hermitian,
-                         positive=f.positive)
+        c = _embed_axis(c, ax, M)
+    return np.fft.ifftshift(c, axes=axes)
 
 
-def _embed_axis(c, ax, N, M):
-    """Re-center one axis of a centered spectrum from length N to M."""
-    shape = list(c.shape)
-    shape[ax] = M
-    if M > N:
-        out = np.zeros(shape, dtype=complex)
-        sl_out = [slice(None)] * c.ndim
-        sl_out[ax] = slice(M // 2 - N // 2, M // 2 + N // 2)
-        out[tuple(sl_out)] = c
-        # split the unpaired Nyquist row so real fields stay real
-        lo = [slice(None)] * c.ndim
-        lo[ax] = M // 2 - N // 2
-        hi = [slice(None)] * c.ndim
-        hi[ax] = M // 2 + N // 2
-        out[tuple(hi)] = 0.5 * out[tuple(lo)]
-        out[tuple(lo)] = out[tuple(hi)]
-        return out
-    sl = [slice(None)] * c.ndim
-    sl[ax] = slice(N // 2 - M // 2, N // 2 + M // 2)
-    return c[tuple(sl)]
+def _embed_axis(c, ax, M):
+    """Re-center axis ax of a centered spectrum from its length N to M.  A
+    pad splits the unpaired Nyquist row in two, so real fields stay real."""
+    N = c.shape[ax]
+    at = (slice(None),) * ax
+    if M <= N:
+        return c[at + (slice(N // 2 - M // 2, N // 2 + M // 2),)]
+    lo, hi = M // 2 - N // 2, M // 2 + N // 2
+    out = np.zeros(c.shape[:ax] + (M,) + c.shape[ax + 1:], dtype=complex)
+    out[at + (slice(lo, hi),)] = c
+    out[at + (hi,)] = out[at + (lo,)] = 0.5 * out[at + (lo,)]
+    return out
 
 
 def eval_scaled(f: PeriodicField, lat: Lattice, eps: float, points) -> np.ndarray:

@@ -13,11 +13,13 @@ integrals, so no spurious kernel modes), lower-order terms are collocated
 at nodes with centered differences.  One writer takes the hermitian part on
 those blocks and writes the CSR once, so every assembled matrix equals its
 conjugate transpose entry for entry.  Every sparse LU of a 2-D operator is
-taken in the grid's own nested-dissection order (_dissection).  A corrector
-is compiled once per case (SmoothedBD): per grid axis, sparse 1-D factors
+taken in the grid's own nested-dissection order (_dissection).  Every map
+through b(D) (the corrector, evolution's flux and flux approximation) is
+compiled once per case as a SmoothedBD: per grid axis, sparse 1-D factors
 from interior to interior nodes of the extension (reflection and cutoff),
-the Steklov average, the centered difference and the restriction.  smooth
-is the one S_eps: the same factors without the difference.
+the Steklov average (or none), the centered difference and the
+restriction.  smooth is the one S_eps: the same factors without the
+difference.
 """
 
 from dataclasses import dataclass, field
@@ -643,24 +645,9 @@ def _adjoint(blocks):
 
 def _centered_weights(h: float) -> np.ndarray:
     """The weights of u(x + h), u(x - h) in D = -i times the centered
-    difference: the one b(D) stencil, of assembly and fluxes."""
+    difference: the one b(D) stencil, written by assembly and scaled into
+    the weights of every SmoothedBD (corrector, flux, flux approximation)."""
     return np.array([1.0, -1.0]) * (-1j / (2.0 * h))
-
-
-def _centered_diff(mesh: Mesh, axis: int):
-    """Sparse D_axis = -i * centered difference on interior nodes."""
-    return functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), [
-        sp.diags([np.full(M - 1, w) for w in _centered_weights(mesh.h[k])],
-                 [1, -1], format="csr")
-        if k == axis else sp.identity(M, format="csr")
-        for k, M in enumerate(mesh.m_int)])
-
-
-def bD_matrix(mesh: Mesh, sym: Symbol):
-    """Sparse b(D) = sum_l D_l b_l on interior dof vectors, zero outside the
-    grid, as fluxes read it."""
-    return sum(sp.kron(_centered_diff(mesh, l), b, format="csr")
-               for l, b in enumerate(sym.b_mats))
 
 
 def _write_operator(blocks, mesh: Mesh, eps_tag,
@@ -955,9 +942,10 @@ class SmoothedBD:
     R_k D_k S_k E_k (M_k x M_k, interior to interior), E_k the extension's
     factor, R_k the restriction to interior nodes,
     D_k u = u(x + h e_k) - u(x - h e_k); weights holds a b_k (-i / 2 h_k),
-    then c (None when zero).  No d-dimensional matrix is formed.  factors,
-    when given, are those of another SmoothedBD of the same ext_op, lat, eps
-    and smoothed, shared rather than built again."""
+    the stencil weight of _centered_weights, then c (None when zero).  No
+    d-dimensional matrix is formed.  factors, when given, are those of
+    another SmoothedBD of the same ext_op, lat, eps and smoothed, shared
+    rather than built again."""
 
     def __init__(self, ext_op: ExtensionOperator, lat: Lattice, eps: float,
                  smoothed: bool, sym: Symbol, a: np.ndarray, c: np.ndarray,
@@ -965,7 +953,8 @@ class SmoothedBD:
         self.sym, self.ext_op = sym, ext_op
         self.factors = (_smoothing_factors(ext_op, lat, eps, smoothed)
                         if factors is None else factors)
-        self.weights = [np.tensordot(a, b * (-0.5j / hl), axes=(-1, 0))
+        self.weights = [np.tensordot(a, b * _centered_weights(hl)[0],
+                                     axes=(-1, 0))
                         for b, hl in zip(sym.b_mats, ext_op.mesh.h)] + [
                             c if c.any() else None]
 

@@ -34,6 +34,10 @@ solve_ibvp projects f once; per time s each mode's Duhamel term is a table
 of a scalar integral of cos(omega x) (_duhamel_tables), evaluated by
 Gauss-Legendre panels and a phase recurrence over them, and added to the
 modal solution before the one synthesis.
+
+flux and flux_approx are SmoothedBD maps (dirichlet), as the corrector K of
+u0 + eps K u0 is: g^eps b(D) u unsmoothed, and g̃^eps S_eps b(D) u0 +
+g^eps (b(D)Λ̃)^eps S_eps u0.
 """
 
 from dataclasses import dataclass, field
@@ -48,10 +52,8 @@ from .dirichlet import (
     DiscreteDirichletOperator,
     SineBasis,
     _Basis,
-    Corrector,
     ExtensionOperator,
     SmoothedBD,
-    bD_matrix,
     tag_text,
 )
 from .coefficients import eval_scaled_grid
@@ -459,8 +461,9 @@ def solve_ibvp(eb: _Basis, phi: np.ndarray, psi: np.ndarray,
     phi_hat, psi_hat, *f_hat = (h.reshape(r.shape) for h, r in zip(hats, rows))
     t_list = np.asarray(list(t_list), dtype=float)
     t = t_list.reshape((-1,) + (1,) * max(phi_hat.ndim, psi_hat.ndim))
-    u_hat = _cos_factors(mu, t) * phi_hat + _sinc_factors(mu, t) * psi_hat
-    du_hat = -root * np.sin(t * root) * phi_hat + _cos_factors(mu, t) * psi_hat
+    cos = _cos_factors(mu, t)
+    u_hat = cos * phi_hat + _sinc_factors(mu, t) * psi_hat
+    du_hat = -root * np.sin(t * root) * phi_hat + cos * psi_hat
     if forcing is not None:
         # (T, 2, 1.., N): Ku and Kdu of each time, broadcast over the stack
         k = np.reshape([_duhamel_tables(root, s, forcing[0]) for s in t_list],
@@ -474,28 +477,20 @@ def solve_ibvp(eb: _Basis, phi: np.ndarray, psi: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# first-order approximation and fluxes
+# fluxes
 
 
-def first_order_approx(u0: np.ndarray, cell: CellSolution, eps: float,
-                       smoothed: bool, sym, ext_op: ExtensionOperator,
-                       lat: Lattice | None = None) -> np.ndarray:
-    """v_eps = u0 + eps * corrector(u0) for interior dof vectors (..., ndof)."""
-    lat = lat or unit_lattice(ext_op.mesh.dim)
-    return u0 + eps * Corrector(cell, eps, sym, ext_op, lat, smoothed).apply(u0)
-
-
-def flux(u: np.ndarray, coeffs, eps: float, mesh,
+def flux(u: np.ndarray, coeffs, eps: float, ext_op: ExtensionOperator,
          lat: Lattice | None = None) -> np.ndarray:
-    """p_eps = g^eps b(D) u by centered differences for dof vectors
-    u (..., ndof); shape (..., nodes, m)."""
-    lat = lat or unit_lattice(mesh.dim)
+    """p_eps = g^eps b(D) u on interior nodes of dof vectors u (..., ndof),
+    shape (..., nodes, m): the unsmoothed SmoothedBD map of g^eps, whose
+    centered differences read zero outside the box."""
+    lat = lat or unit_lattice(ext_op.mesh.dim)
     sym = coeffs.symbol
-    g_eps = eval_scaled_grid(coeffs.g, lat, eps, mesh.axes())
-    rows = np.reshape(u, (-1, np.shape(u)[-1]))
-    bdu = mesh.to_grid((bD_matrix(mesh, sym) @ rows.T).T, sym.m)
-    p = np.einsum("...ij,...j->...i", g_eps, bdu)
-    return p.reshape(np.shape(u)[:-1] + (-1, sym.m))
+    g_eps = eval_scaled_grid(coeffs.g, lat, eps, ext_op.mesh.axes())
+    total = SmoothedBD(ext_op, lat, eps, False, sym, g_eps,
+                       np.zeros((sym.m, sym.n)))(u)
+    return total.reshape(np.shape(u)[:-1] + (-1, sym.m))
 
 
 def flux_approx(u0: np.ndarray, cell: CellSolution, eps: float,

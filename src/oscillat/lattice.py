@@ -5,6 +5,8 @@ independent basis vectors a_1..a_d.  The cell is the parallelepiped with
 fractional coordinates in (-1/2, 1/2); the dual basis b_1..b_d satisfies
 <b_j, a_i> = 2*pi*delta_ji, so frequency points k = sum nu_j b_j pair with
 fractional coordinates tau through exp(i<k, x>) = exp(2*pi*i nu.tau).
+A resolution N keeps the nu_j in [-N/2, N/2), laid out in numpy's FFT order
+(fft_indices, fft_frequency_grid), the order of every cell spectrum.
 """
 
 from dataclasses import dataclass
@@ -90,24 +92,6 @@ def build_lattice(basis) -> Lattice:
 
 def unit_lattice(d: int) -> Lattice:
     return build_lattice(np.eye(d))
-
-
-def integer_indices(d: int, N: int) -> np.ndarray:
-    """Integer frequency multi-indices nu in [-N/2, N/2)^d, row-major order."""
-    if N < 2 or N % 2:
-        raise OddResolution(f"resolution must be even and >= 2, got {N}")
-    axes = [np.arange(-N // 2, N // 2)] * d
-    grid = np.meshgrid(*axes, indexing="ij")
-    return np.stack(grid, axis=-1).reshape(-1, d)
-
-
-def frequencies(lat: Lattice, N: int) -> np.ndarray:
-    """Dual-lattice points {sum nu_j b_j : nu_j in [-N/2, N/2)}, row-major.
-
-    The ordering is fixed so downstream cell solutions are bit-reproducible.
-    """
-    nu = integer_indices(lat.dim, N)
-    return nu.astype(float) @ lat.dual_basis
 
 
 def fft_indices(d: int, N: int) -> list[np.ndarray]:

@@ -372,11 +372,11 @@ def evolve_case(fix: Fixture, cfg: SweepConfig, case: Case,
                              t_list).u for eb in (eb_eps, eb_0))
     en = int(energy_phi_zero)
     ue_en, u0_en, u_eps, u_0 = u_eps[:, en], u_0[:, en], u_eps[:, 0], u_0[:, 0]
-    # first_order_approx and flux_approx on one compiled smoothing
+    # the first-order approximation and flux_approx on one compiled smoothing
     cor = Corrector(fix.cell, case.eps, fix.coeffs.symbol, case.ext, fix.lat,
                     cfg.smoothed)
     v_eps = u0_en + case.eps * cor.apply_ext(u0_en)
-    p_eps = flux(ue_en, fix.coeffs, case.eps, case.mesh, fix.lat)
+    p_eps = flux(ue_en, fix.coeffs, case.eps, case.ext, fix.lat)
     p_apx = flux_approx(u0_en, fix.cell, case.eps, cfg.smoothed, fix.coeffs,
                         case.ext, fix.lat, cor.factors)
     return u_eps, u_0, ue_en, v_eps, p_eps, p_apx
@@ -582,7 +582,7 @@ def write_report(report: RateReport, out_dir: str):
 
 def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
     """Run every cheap closed-form fixture; returns (name, ok) pairs."""
-    from .lattice import frequencies
+    from .lattice import fft_frequency_grid
     from .coefficients import eval_scaled, symbol_bounds
     from .dirichlet import (make_mesh, smooth, build_extension, extend,
                             smallest_eigenvalue, DiscreteDirichletOperator)
@@ -606,8 +606,8 @@ def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
           and abs(lat1.cell_volume - 1) < 1e-12
           and abs(2 * lat1.r1 - 1) < 1e-12 and abs(2 * lat1.r0 - 2 * np.pi) < 1e-12)
     check("lattice.frequencies_n2",
-          lambda: len(frequencies(lat1, 2)) == 2
-          and any(np.allclose(k, 0) for k in frequencies(lat1, 2)))
+          lambda: len(fft_frequency_grid(lat1, 2)) == 2
+          and any(np.allclose(k, 0) for k in fft_frequency_grid(lat1, 2)))
     check("symbol.scalar_bounds",
           lambda: symbol_bounds([[[1.0]]]) == (1.0, 1.0))
     cs_const = catalog("const", {"g": 3.0, "d": 1})

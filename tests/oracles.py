@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from oscillat.cell import _CellOperator
 from oscillat.coefficients import eval_scaled_grid
 from oscillat.dirichlet import (
+    Corrector,
     DiscreteDirichletOperator,
     _grad_tensors,
     _grid_bands,
@@ -152,6 +153,19 @@ def _centered_diff(mesh, axis):
         for k, M in enumerate(mesh.m_int)])
 
 
+def bD_matrix(mesh, sym):
+    """Sparse b(D) = sum_l D_l b_l on interior dof vectors, zero outside the
+    grid."""
+    return sum(sp.kron(_centered_diff(mesh, l), b, format="csr")
+               for l, b in enumerate(sym.b_mats))
+
+
+def first_order_approx(u0, cell, eps, smoothed, sym, ext_op, lat):
+    """v_eps = u0 + eps K u0 of dof vectors u0 (..., ndof), K the case's
+    Corrector: the first-order approximation as the sweeps form it."""
+    return u0 + eps * Corrector(cell, eps, sym, ext_op, lat, smoothed).apply(u0)
+
+
 def _block_diag_field(values):
     """Sparse block-diagonal matrix from per-node (n x n) blocks."""
     idx = np.arange(values.shape[0] * values.shape[1]).reshape(values.shape[:2])
@@ -197,8 +211,7 @@ def csr_symmetrized_b0(mesh, cell, coeffs, principal):
     sigma = mesh.sigma
     eye_nodes = sp.identity(mesh.n_nodes, format="csr")
     if np.abs(cell.V).max() > 0:
-        BD = sum(sp.kron(_centered_diff(mesh, l), b, format="csr")
-                 for l, b in enumerate(sym.b_mats))
+        BD = bD_matrix(mesh, sym)
         Vhat = sp.kron(eye_nodes, cell.V, format="csr")
         form = form - sigma * (BD.conj().T @ Vhat + Vhat.conj().T @ BD)
     for j, aj in enumerate(coeffs.a):

