@@ -27,7 +27,6 @@ from functools import cached_property
 import functools
 import itertools
 import operator
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -184,7 +183,6 @@ class DiscreteDirichletOperator:
         self.lam = lam
         self.bands = bands
         self._factors = {}
-        self._norms = {}
 
     @property
     def size(self) -> int:
@@ -199,14 +197,10 @@ class DiscreteDirichletOperator:
                                       f"eigenvalue probe {probe:.3e} <= 0")
         if lam == 0:
             return self
-        out = DiscreteDirichletOperator(
+        return DiscreteDirichletOperator(
             self.matrix + lam * sp.identity(self.size, format="csr"),
             self.mesh, self.eps_tag, probe, self.lam + lam, self.bands and (
                 (self.bands[0][0] + lam, self.bands[0][1]), *self.bands[1:]))
-        out.off_diagonal_sums = self.off_diagonal_sums
-        if "order" in vars(self):       # an LU has needed it: shared
-            out.order = self.order
-        return out
 
     @cached_property
     def order(self):
@@ -231,16 +225,18 @@ class DiscreteDirichletOperator:
         return dst_spectrum(self.bands, self.mesh.m_int)
 
     def factor(self, zeta=0.0):
-        """Solver of (A - zeta I) and whether it keeps real data real.
+        """The solver of (A - zeta I): dof rows (..., ndof) to rows, real
+        for real rows and a real zeta when A is real.
 
         An operator with a closed-form spectrum is never factored: it
         divides by lambda - zeta in its SineBasis, which is not cached, as
-        the basis refers back to the operator.  Every other operator gets a
-        sparse LU of P (A - zeta I) P^T in its order (_sparse_lu), cached per
-        zeta.  On a 2-D mesh that is the nested dissection, factored in
-        symmetric mode with the default pivot threshold, so complex and
-        indefinite shifts stay stable; a 1-D operator is banded in node
-        order, and SuperLU's default ordering factors it without fill.
+        the basis refers back to the operator.  Every other operator gets
+        the solver of a sparse LU of P (A - zeta I) P^T in its order
+        (_sparse_lu), cached per zeta.  On a 2-D mesh that is the nested
+        dissection, factored in symmetric mode with the default pivot
+        threshold, so complex and indefinite shifts stay stable; a 1-D
+        operator is banded in node order, and SuperLU's default ordering
+        factors it without fill.
         """
         key = complex(zeta)
         shift = key.real if key.imag == 0.0 else key    # real data stays real
@@ -250,32 +246,38 @@ class DiscreteDirichletOperator:
             if (gaps == 0.0).any():
                 raise NearSpectrumShift(f"{tag_text(self.eps_tag)}: zeta={zeta}"
                                         f" is an eigenvalue")
-            return SimpleNamespace(solve=lambda cols: eb.synthesize(
-                eb.project(cols.T) / gaps).T), key.imag == 0.0
+            return lambda rows: eb.synthesize(eb.project(rows) / gaps)
         if key not in self._factors:
             self._factors[key] = _sparse_lu(self.matrix, shift, self.order,
-                                            tag_text(self.eps_tag))
+                                            tag_text(self.eps_tag))[0]
         return self._factors[key]
 
     def norm1(self, zeta=0.0) -> float:
-        """|A - zeta I|_1, cached per zeta: the scale of the backward errors
-        that resolvent and spectral_decompose bound, the off-diagonal column
+        """|A - zeta I|_1, the scale of the backward errors that
+        solve_shifted and evolution.certify bound: the off-diagonal column
         sums plus the shifted diagonal, with no copy of A."""
-        key = complex(zeta)
-        if key not in self._norms:
-            self._norms[key] = float((self.off_diagonal_sums + np.abs(
-                self.matrix.diagonal() - key)).max())
-        return self._norms[key]
+        return float((self.off_diagonal_sums
+                      + np.abs(self.matrix.diagonal() - zeta)).max())
 
     def solve_shifted(self, zeta, rhs):
-        """Solve (A - zeta I) u = rhs for a dof vector or rows (k, ndof)."""
-        lu, real_ok = self.factor(zeta)
-        cols = np.asarray(rhs).T
-        if real_ok and np.isrealobj(cols):
-            return lu.solve(cols.astype(float)).T
-        if real_ok:
-            return (lu.solve(cols.real) + 1j * lu.solve(cols.imag)).T
-        return lu.solve(cols.astype(complex)).T
+        """Solve (A - zeta I) u = rhs with factor(zeta), for a dof vector or
+        rows (k, ndof).  Per row, the backward error |r| / (|A - zeta I|_1
+        |u| + |rhs|) must be at most 1e-13, and |rhs| / (|A - zeta I|_1 |u|)
+        at least 1e-13, or a perturbation within that backward error may
+        make A - zeta I singular: else NearSpectrumShift is raised."""
+        u = self.factor(zeta)(rhs)
+        residual = (self.matrix @ u.T).T - zeta * u - rhs
+        res, f_norm, u_norm = (np.linalg.norm(x, axis=-1)
+                               for x in (residual, rhs, u))
+        scaled_u = self.norm1(zeta) * u_norm
+        bad = ~(res <= 1e-13 * (scaled_u + f_norm)) | (f_norm < 1e-13 * scaled_u)
+        if bad.any():
+            raise NearSpectrumShift(
+                f"{tag_text(self.eps_tag)}: backward error "
+                f"{(res / (scaled_u + f_norm))[bad].max():.3e}, |f| / (|A - "
+                f"zeta I|_1 |u|) {(f_norm / scaled_u)[bad].min():.3e}: "
+                f"zeta={zeta} is too close to the spectrum")
+        return u
 
 
 def _grid_bands(grid, m_int):
@@ -342,6 +344,13 @@ def dst_spectrum(bands, m_int):
     return (along + 2.0 * across)[:, None] - np.multiply.outer(across, p[1])
 
 
+def _by_parts(fn, rows):
+    """fn, a real linear map of rows, applied to real or complex rows."""
+    if np.iscomplexobj(rows):
+        return fn(rows.real) + 1j * fn(rows.imag)
+    return fn(rows)
+
+
 def sine_transform(rows: np.ndarray, shape) -> np.ndarray:
     """The orthonormal DST-I of dof rows (..., ndof) over the grid axes of
     shape, as rows: the eigenbasis of every operator with a closed-form
@@ -354,8 +363,7 @@ def sine_transform(rows: np.ndarray, shape) -> np.ndarray:
     """
     rows = np.asarray(rows)
     if np.iscomplexobj(rows):
-        return (sine_transform(rows.real, shape)
-                + 1j * sine_transform(rows.imag, shape))
+        return _by_parts(lambda part: sine_transform(part, shape), rows)
     grid = rows.reshape(rows.shape[:-1] + tuple(shape))
     for axis in range(-len(shape), 0):
         x = np.moveaxis(grid, axis, -1)
@@ -432,46 +440,48 @@ def _dissection(m_int, n) -> np.ndarray:
     a line keep node order.  Each pass splits every block of one level; the
     leaves and lines then tile the order, and are written row by row.
     """
-    r0, r1, c0, c1, start = ([0], [m_int[0]], [0], [m_int[1]], [0])
-    final = []          # (r0, r1, c0, c1, start) of the leaves and lines
+    i0, i1, j0, j1, start = ([0], [m_int[0]], [0], [m_int[1]], [0])
+    final = []          # (i0, i1, j0, j1, start) of the leaves and lines
     while len(start):
-        h, w = np.subtract(r1, r0), np.subtract(c1, c0)
+        h, w = np.subtract(i1, i0), np.subtract(j1, j0)
         leaf = h * w <= _LEAF_NODES
-        final.append([np.compress(leaf, x) for x in (r0, r1, c0, c1, start)])
-        r0, r1, c0, c1, start, h, w = (np.compress(~leaf, x) for x in (
-            r0, r1, c0, c1, start, h, w))
+        final.append([np.compress(leaf, x) for x in (i0, i1, j0, j1, start)])
+        i0, i1, j0, j1, start, h, w = (np.compress(~leaf, x) for x in (
+            i0, i1, j0, j1, start, h, w))
         rows = h >= w               # both halves have 2 lines or more
-        mid_r, mid_c = r0 + h // 2, c0 + w // 2
-        final.append((np.where(rows, mid_r, r0), np.where(rows, mid_r + 1, r1),
-                      np.where(rows, c0, mid_c), np.where(rows, c1, mid_c + 1),
+        mid_r, mid_c = i0 + h // 2, j0 + w // 2
+        final.append((np.where(rows, mid_r, i0), np.where(rows, mid_r + 1, i1),
+                      np.where(rows, j0, mid_c), np.where(rows, j1, mid_c + 1),
                       start + h * w - np.where(rows, w, h)))
-        r0, r1 = (np.r_[r0, np.where(rows, mid_r + 1, r0)],
-                  np.r_[np.where(rows, mid_r, r1), r1])
-        c0, c1 = (np.r_[c0, np.where(rows, c0, mid_c + 1)],
-                  np.r_[np.where(rows, c1, mid_c), c1])
+        i0, i1 = (np.r_[i0, np.where(rows, mid_r + 1, i0)],
+                  np.r_[np.where(rows, mid_r, i1), i1])
+        j0, j1 = (np.r_[j0, np.where(rows, j0, mid_c + 1)],
+                  np.r_[np.where(rows, j1, mid_c), j1])
         start = np.r_[start, start + np.where(rows, h // 2 * w, w // 2 * h)]
-    r0, r1, c0, c1, start = (np.concatenate(x) for x in zip(*final))
+    i0, i1, j0, j1, start = (np.concatenate(x) for x in zip(*final))
     by_start = np.argsort(start)
-    r0, r1, c0, c1 = (x[by_start] for x in (r0, r1, c0, c1))
-    h = r1 - r0
+    i0, i1, j0, j1 = (x[by_start] for x in (i0, i1, j0, j1))
+    h = i1 - i0
     block = np.repeat(np.arange(h.size), h)     # one entry per block row
-    row = np.arange(block.size) - np.repeat(np.cumsum(h) - h, h) + r0[block]
-    width = (c1 - c0)[block]
-    offset = row * m_int[1] + c0[block] - (np.cumsum(width) - width)
+    row = np.arange(block.size) - np.repeat(np.cumsum(h) - h, h) + i0[block]
+    width = (j1 - j0)[block]
+    offset = row * m_int[1] + j0[block] - (np.cumsum(width) - width)
     nodes = np.repeat(offset, width) + np.arange(width.sum())
     return (nodes[:, None] * n + np.arange(n)).ravel().astype(np.int32)
 
 
 def _sparse_lu(matrix, shift, order, name, **kwargs):
-    """A solver of A - shift I, A a hermitian CSR matrix, and whether it is
-    real.  Its lu is SuperLU's of P (A - shift I) P^T, P the permutation
-    order (A[p][:, p]), factored as it is, in symmetric mode, with
-    supernodes relaxed to 4 columns and panels 4 wide, in place of
-    SuperLU's 10 and 20: that factors laminate2d B_eps - I at 261,121
-    unknowns in 1.02-1.10 s against 1.13-1.16 s, at a 660 MB process peak
-    against 724 MB, and resolvent-d2's four factors in 0.31 s against
-    0.34 s (one BLAS thread, best of 5).  Order None keeps A's own order
-    and SuperLU's defaults.  kwargs go to splu.
+    """(solve, lu): lu is SuperLU's factor of P (A - shift I) P^T, A a
+    hermitian CSR matrix and P the permutation order (A[p][:, p]), and
+    solve maps dof rows (..., size) to the solutions, each row gathered in
+    order, solved and scattered back; a real factor (a real A and shift)
+    solves a complex row as its real and imaginary parts.  lu is factored
+    as it is, in symmetric mode, with supernodes relaxed to 4 columns and
+    panels 4 wide, in place of SuperLU's 10 and 20: that factors laminate2d
+    B_eps - I at 261,121 unknowns in 1.02-1.10 s against 1.13-1.16 s, at a
+    660 MB process peak against 724 MB, and resolvent-d2's four factors in
+    0.31 s against 0.34 s (one BLAS thread, best of 5).  Order None keeps
+    A's own order and SuperLU's defaults.  kwargs go to splu.
 
     A = A^H, so the conjugated CSR arrays of P (A - conj(shift) I) P^T are
     the CSC arrays of P (A - shift I) P^T, and they are the one copy: A's
@@ -488,10 +498,10 @@ def _sparse_lu(matrix, shift, order, name, **kwargs):
         raise ValueError(f"{name}: a sparse LU needs a CSR with sorted "
                          f"columns, each position stored once and the "
                          f"diagonal stored")
-    real_ok = shift.imag == 0 and (matrix.dtype.kind != "c"
-                                   or not matrix.data.imag.any())
+    real = shift.imag == 0 and (matrix.dtype.kind != "c"
+                                or not matrix.data.imag.any())
     if order is None:
-        data, solve = matrix.data.copy(), None
+        data, order, inverse = matrix.data.copy(), slice(None), slice(None)
     else:
         inverse = np.empty_like(order)
         inverse[order] = np.arange(size, dtype=order.dtype)
@@ -503,17 +513,17 @@ def _sparse_lu(matrix, shift, order, name, **kwargs):
         data = matrix.data
         kwargs.update(permc_spec="NATURAL", options=dict(SymmetricMode=True),
                       relax=4, panel_size=4)
-
-        def solve(cols):    # gathered as rows: each one contiguous
-            return lu.solve(cols.T[..., order].T).T[..., inverse].T
-    data = (np.ascontiguousarray(data.real) if real_ok
+    data = (np.ascontiguousarray(data.real) if real
             else data.astype(complex, copy=False))
-    if not real_ok:
+    if not real:
         np.conjugate(data, out=data)
     data[diag] -= shift
     lu = spla.splu(sp.csc_matrix((data, matrix.indices, matrix.indptr),
                                  shape=matrix.shape), **kwargs)
-    return SimpleNamespace(solve=solve or lu.solve, lu=lu), real_ok
+
+    def solve(rows):    # not recursive: a cycle would keep lu until gc
+        return lu.solve(rows[..., order].T).T[..., inverse]
+    return (functools.partial(_by_parts, solve) if real else solve), lu
 
 
 def coercive_margin(coeffs: CoefficientSet, box_max: float) -> float:
@@ -551,7 +561,7 @@ def smallest_eigenvalue(matrix, bands=None, order=None, margin=0.0) -> float:
                    for cj in (c, -c))
     try:
         lu = _sparse_lu(matrix, margin, order, "probe", diag_pivot_thresh=0.0,
-                        options=dict(SymmetricMode=True))[0].lu
+                        options=dict(SymmetricMode=True))[1]
         certified = ((lu.perm_r == lu.perm_c).all()
                      and (lu.U.diagonal().real > 0.0).all())
     except RuntimeError:        # a singular factor
@@ -901,19 +911,25 @@ def _stencil_rows(size: int, rows: np.ndarray, terms, diff: bool):
 def _smoothing_factors(ext_op: ExtensionOperator, lat: Lattice, eps: float,
                        smoothed: bool) -> list:
     """Per Kronecker term of S_eps (or I) and grid axis k, the CSR pair
-    R_k S_k E_k, R_k D_k S_k E_k of SmoothedBD and smooth."""
+    R_k S_k E_k, R_k D_k S_k E_k of SmoothedBD and smooth.  Unsmoothed, they
+    are the identity and the interior difference u[j + 1] - u[j - 1]: E_k is
+    the identity on interior nodes and zero on the boundary nodes."""
+    if not smoothed:
+        return [[[sp.identity(M, format="csr"), sp.diags(
+            [-1.0, 1.0], [-1, 1], shape=(M, M), format="csr")]
+            for M in ext_op.mesh.m_int]]
     if eps * lat.r1 > ext_op.margin + 1e-12:
         raise MarginTooSmall(f"eps*r1={eps * lat.r1:.3e} exceeds extension"
                              f" margin {ext_op.margin:.3e}")
     d, h = lat.dim, ext_op.mesh.h
-    if smoothed and not lat.diagonal:   # the tensor rule by x2 offsets
+    if not lat.diagonal:    # the tensor rule by x2 offsets
         groups = {}
         for cw, off in _steklov_terms(lat, eps, h, list(range(d))):
             groups.setdefault(tuple(off[1:]), []).append((cw, off[0]))
         kron = [[g] + [[(1.0, o)] for o in key] for key, g in groups.items()]
     else:           # one term: per axis, its 1-D (cw, off) terms
         kron = [[[(cw, off[k]) for cw, off in _steklov_terms(lat, eps, h, [k])]
-                 if smoothed else [(1.0, 0)] for k in range(d)]]
+                 for k in range(d)]]
     return [[[_stencil_rows(E.shape[0], np.arange(E.shape[0])[sl], terms,
                             diff) @ E
               for diff in (False, True)] for terms, E, sl
@@ -1006,20 +1022,6 @@ class Corrector(SmoothedBD):
 
 
 def resolvent(op: DiscreteDirichletOperator, zeta, f: np.ndarray) -> np.ndarray:
-    """Solve (A - zeta I) u = f with op's cached solver, a DST-I or a sparse
-    LU (DiscreteDirichletOperator.factor), for a dof vector f or rows
-    (k, ndof).  Per row, the backward error |r| / (|A - zeta I|_1 |u| + |f|)
-    must be at most 1e-13, and |f| / (|A - zeta I|_1 |u|) at least 1e-13, or
-    a perturbation within that backward error may make A - zeta I singular."""
-    u = op.solve_shifted(zeta, f)
-    residual = (op.matrix @ u.T).T - zeta * u - f
-    res, f_norm, u_norm = (np.linalg.norm(x, axis=-1) for x in (residual, f, u))
-    scaled_u = op.norm1(zeta) * u_norm
-    bad = ~(res <= 1e-13 * (scaled_u + f_norm)) | (f_norm < 1e-13 * scaled_u)
-    if bad.any():
-        raise NearSpectrumShift(
-            f"{tag_text(op.eps_tag)}: backward error "
-            f"{(res / (scaled_u + f_norm))[bad].max():.3e}, |f| / (|A - zeta I|_1"
-            f" |u|) {(f_norm / scaled_u)[bad].min():.3e}: zeta={zeta} is too close"
-            " to the spectrum")
-    return u
+    """Solve (A - zeta I) u = f for a dof vector f or rows (k, ndof), each
+    solve certified per row: op.solve_shifted."""
+    return op.solve_shifted(zeta, f)

@@ -54,6 +54,7 @@ from .dirichlet import (
     _Basis,
     ExtensionOperator,
     SmoothedBD,
+    _by_parts,
     tag_text,
 )
 from .coefficients import eval_scaled_grid
@@ -118,18 +119,11 @@ class BlochBasis(_Basis):
     phase: np.ndarray | None = field(repr=False)
     source: DiscreteDirichletOperator = field(repr=False)
 
-    @staticmethod
-    def _real(fn, rows):
-        """fn, a real linear map of rows, applied to real or complex rows."""
-        if np.iscomplexobj(rows):
-            return fn(rows.real) + 1j * fn(rows.imag)
-        return fn(rows)
-
     def project(self, v: np.ndarray) -> np.ndarray:
         rows = np.reshape(v, (-1, np.shape(v)[-1]))
         if self.phase is not None:
             rows = rows * self.phase.conj()
-        return self._real(self._project, rows).reshape(np.shape(v))
+        return _by_parts(self._project, rows).reshape(np.shape(v))
 
     def _project(self, rows):
         n_cells = self.weights.shape[1]
@@ -143,7 +137,7 @@ class BlochBasis(_Basis):
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         rows = np.reshape(coeffs, (-1, np.shape(coeffs)[-1]))
-        out = self._real(self._synthesize, rows)
+        out = _by_parts(self._synthesize, rows)
         if self.phase is not None:
             out = out * self.phase
         return out.reshape(np.shape(coeffs))
@@ -235,10 +229,10 @@ def certify(eb: _Basis):
     eigenvalue is that close to one of A's.  A residual relative to mu would
     refuse backward-stable lowest modes, whose residuals scale with |A|.
     """
-    op = eb.source
+    op, norm1 = eb.source, eb.source.norm1()
     for x, y, scale in eb.checked_rows():
         resid = np.linalg.norm((op.matrix @ x.T).T - y, axis=-1)
-        worst = (resid / (op.norm1() * scale)).max()
+        worst = (resid / (norm1 * scale)).max()
         if not worst <= 1e-13:
             raise EigSolverFailure(f"{tag_text(op.eps_tag)}: eigen backward "
                                    f"error {worst:.3e} exceeds 1e-13")

@@ -16,17 +16,12 @@ import numpy as np
 
 from .errors import DegenerateBasis, OddResolution
 
-#: search radius (in integer coefficients) for the shortest dual vector
-_R0_SEARCH_RADIUS = 3
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Geometry of a Bravais lattice and its periodicity cell.
 
     basis rows are the generating vectors a_i; dual_basis rows are the b_j
-    with <b_j, a_i> = 2*pi*delta_ji.  r1 is half the cell diameter, r0 half
-    the shortest nonzero dual-vector length.
+    with <b_j, a_i> = 2*pi*delta_ji.  r1 is half the cell diameter.
     """
 
     dim: int
@@ -34,7 +29,6 @@ class Lattice:
     dual_basis: np.ndarray
     cell_volume: float
     r1: float
-    r0: float
 
     @property
     def diagonal(self) -> bool:
@@ -77,17 +71,9 @@ def build_lattice(basis) -> Lattice:
             diam = max(diam, float(np.linalg.norm(np.asarray(c) @ a)))
     r1 = diam / 2.0
 
-    # shortest nonzero dual vector over a bounded integer search
-    shortest = np.inf
-    rng = range(-_R0_SEARCH_RADIUS, _R0_SEARCH_RADIUS + 1)
-    for nu in itertools.product(rng, repeat=d):
-        if any(nu):
-            shortest = min(shortest, float(np.linalg.norm(np.asarray(nu) @ dual)))
-    r0 = shortest / 2.0
-
     a.setflags(write=False)
     dual.setflags(write=False)
-    return Lattice(dim=d, basis=a, dual_basis=dual, cell_volume=volume, r1=r1, r0=r0)
+    return Lattice(dim=d, basis=a, dual_basis=dual, cell_volume=volume, r1=r1)
 
 
 def unit_lattice(d: int) -> Lattice:

