@@ -25,7 +25,6 @@ from oscillat import (
     h1_norm,
 )
 from oscillat.dirichlet import Corrector, choose_lambda
-from oscillat.evolution import estimate_mu_max
 
 eps = 1 / 8
 cs = catalog("sine1d")
@@ -69,7 +68,7 @@ for i, t in enumerate(t_list):
 drift = np.abs(u_eps.energy / u_eps.energy[0] - 1).max()
 print(f"\nenergy drift of the spectral evolution: {drift:.2e}")
 
-dt = 1e-3 * 1.9 / np.sqrt(estimate_mu_max(op_eps))
+dt = 1e-3 * 1.9 / np.sqrt(op_eps.norm1())
 u_lf = leapfrog_oracle(op_eps, phi, psi, None, 1.0, dt)
 agree = l2_norm(mesh, u_lf - u_eps.u[1]) / l2_norm(mesh, u_eps.u[1])
 print(f"leapfrog oracle vs eigendecomposition at t=1: {agree:.2e} relative")

@@ -22,7 +22,7 @@ restriction.  smooth is the one S_eps: the same factors without the
 difference.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 import functools
 import itertools
@@ -228,9 +228,9 @@ class DiscreteDirichletOperator:
         """The solver of (A - zeta I): dof rows (..., ndof) to rows, real
         for real rows and a real zeta when A is real.
 
-        An operator with a closed-form spectrum is never factored: it
-        divides by lambda - zeta in its SineBasis, which is not cached, as
-        the basis refers back to the operator.  Every other operator gets
+        An operator with a closed-form spectrum is never factored: its
+        solver divides the sine_transform of the rows by lambda - zeta and
+        transforms back, holding only those gaps.  Every other operator gets
         the solver of a sparse LU of P (A - zeta I) P^T in its order
         (_sparse_lu), cached per zeta.  On a 2-D mesh that is the nested
         dissection, factored in symmetric mode with the default pivot
@@ -241,12 +241,12 @@ class DiscreteDirichletOperator:
         key = complex(zeta)
         shift = key.real if key.imag == 0.0 else key    # real data stays real
         if self.spectrum is not None:
-            eb = SineBasis(self.spectrum.ravel(), self)
-            gaps = eb.eigenvalues - shift
+            gaps, shape = self.spectrum.ravel() - shift, self.mesh.m_int
             if (gaps == 0.0).any():
                 raise NearSpectrumShift(f"{tag_text(self.eps_tag)}: zeta={zeta}"
                                         f" is an eigenvalue")
-            return lambda rows: eb.synthesize(eb.project(rows) / gaps)
+            return lambda rows: sine_transform(
+                sine_transform(rows, shape) / gaps, shape)
         if key not in self._factors:
             self._factors[key] = _sparse_lu(self.matrix, shift, self.order,
                                             tag_text(self.eps_tag))[0]
@@ -374,46 +374,6 @@ def sine_transform(rows: np.ndarray, shape) -> np.ndarray:
         y = np.fft.rfft(odd).imag[..., 1:m + 1] * (-1.0 / np.sqrt(2.0 * m + 2.0))
         grid = np.moveaxis(y, -1, axis)
     return grid.reshape(rows.shape)
-
-
-@dataclass(frozen=True)
-class _Basis:
-    """What every eigenbasis shares: factors broadcast against eigenvalues,
-    and a memo of the last time table built (evolution._time_factors)."""
-
-    _last_table: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
-
-    @property
-    def size(self) -> int:
-        return self.eigenvalues.size
-
-    def map_spectrum(self, factors: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.synthesize(factors * self.project(v))
-
-
-@dataclass(frozen=True)
-class SineBasis(_Basis):
-    """The orthonormal DST-I eigenbasis of an operator with a closed-form
-    spectrum: eigenvalues holds source.spectrum in grid order, so project
-    and synthesize are both sine_transform, which is its own inverse."""
-
-    eigenvalues: np.ndarray
-    source: DiscreteDirichletOperator = field(repr=False)
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return sine_transform(v, self.source.mesh.m_int)
-
-    synthesize = project
-
-    def checked_rows(self):
-        """The lowest and highest unit modes and four seeded random rows c,
-        synthesized with and without mu, as evolution.certify reads them."""
-        c = np.random.default_rng(0).standard_normal((6, self.size))
-        c[:2] = 0.0
-        c[0, self.eigenvalues.argmin()] = c[1, self.eigenvalues.argmax()] = 1.0
-        yield (self.synthesize(c), self.synthesize(self.eigenvalues * c),
-               np.linalg.norm(c, axis=-1))
 
 
 def _lowest_tridiagonal(diag, sub) -> float:

@@ -3,20 +3,21 @@
 The operators cos(t A^(1/2)) and A^(-1/2) sin(t A^(1/2)) are realized
 through a full hermitian eigenbasis; at desk scale this is the simplest
 exact form of the spectral calculus and keeps per-mode energies conserved
-to machine precision.  Three backends share one interface, _Basis
-(eigenvalues, size, source, project, synthesize, map_spectrum).  Operators
-that the orthonormal DST-I diagonalizes (op.spectrum is not None: B0 of
-the scalar catalog fixtures without first-order terms) get the SineBasis
-their resolvent solves use: the closed-form spectrum in grid order and
-fast sine transforms, with no eigensolver.  A d=1 operator whose bands
-repeat exactly with a period p dividing N + 1 (_bloch_period: B_eps at a
-dyadic eps) gets a BlochBasis: the eigenpairs of p x p Floquet matrices
-and of one cell, in (angle, band) order, applied by FFTs along the cells
-(_bloch).  Every other operator gets an EigenBasis of stored eigenvectors
-(_eigh), eigenvalues ascending.  certify bounds the backward error of
-every basis with sparse products, never through an N x N temporary.  A
-Stoermer-Verlet integrator provides an independent check that never
-touches the eigenbasis.
+to machine precision.  This module is the one spectral layer: three
+backends share one interface, _Basis (eigenvalues, size, source, project,
+synthesize, map_spectrum), and each supplies only its two row maps.
+Operators that the orthonormal DST-I diagonalizes (op.spectrum is not
+None: B0 of the scalar catalog fixtures without first-order terms) get a
+SineBasis: the closed-form spectrum in grid order and fast sine transforms
+(dirichlet.sine_transform, which their resolvent solves use too), with no
+eigensolver.  A d=1 operator whose bands repeat exactly with a period p
+dividing N + 1 (_bloch_period: B_eps at a dyadic eps) gets a BlochBasis:
+the eigenpairs of p x p Floquet matrices and of one cell, in (angle, band)
+order, applied by FFTs along the cells (_bloch).  Every other operator
+gets an EigenBasis of stored eigenvectors (_eigh), eigenvalues ascending.
+certify bounds the backward error of every basis with sparse products,
+never through an N x N temporary.  A Stoermer-Verlet integrator provides
+an independent check that never touches the eigenbasis.
 
 Importing the module, or running it with a forcing, loads numpy,
 scipy.linalg and scipy.sparse only: the sine and Bloch transforms are
@@ -24,10 +25,10 @@ numpy FFTs (dirichlet.sine_transform, BlochBasis), and the forcing profile
 is evaluated in closed form at the quadrature nodes.
 
 Vectors are rows: a dof vector has shape (..., ndof), leading axes hold a
-stack of vectors, and the eigenbasis projects and synthesizes all rows
-at once.  Times lead: an operator function of times t (a scalar or a 1-D
-array) applied to v returns t.shape + v.shape, and a path of solutions has
-shape (T, ..., ndof); its du/dt stays modal, where its energies read it.
+stack of vectors, and _Basis flattens them into the 2-D rows of one call
+of a row map.  Times lead: an operator function of times t (a scalar or
+a 1-D array) applied to v returns t.shape + v.shape, and a path has shape
+(T, ..., ndof); its du/dt stays modal, where its energies read it.
 
 The forcing is F(t) = cos(omega t) f, given as (omega, f_space).
 solve_ibvp projects f once; per time s each mode's Duhamel term is a table
@@ -50,11 +51,10 @@ from .errors import EigSolverFailure, CFLViolation
 from .dirichlet import (
     GAUSS_8,
     DiscreteDirichletOperator,
-    SineBasis,
-    _Basis,
     ExtensionOperator,
     SmoothedBD,
     _by_parts,
+    sine_transform,
     tag_text,
 )
 from .coefficients import eval_scaled_grid
@@ -64,8 +64,56 @@ from .lattice import Lattice, unit_lattice
 #: full eigendecompositions are refused above this many unknowns
 _EIG_LIMIT = 8192
 
-#: power-iteration steps of estimate_mu_max
-_POWER_ITERS = 60
+
+@dataclass(frozen=True)
+class _Basis:
+    """What every eigenbasis shares: the row contract, factors broadcast
+    against eigenvalues, and a memo of the last time table built
+    (_time_factors).  project and synthesize take a stack of any rank,
+    its leading axes flattened into the 2-D rows of the backend's row maps
+    _project and _synthesize, and reshape the result back."""
+
+    _last_table: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
+
+    @property
+    def size(self) -> int:
+        return self.eigenvalues.size
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        rows = np.reshape(v, (-1, np.shape(v)[-1]))
+        return self._project(rows).reshape(np.shape(v))
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        rows = np.reshape(coeffs, (-1, np.shape(coeffs)[-1]))
+        return self._synthesize(rows).reshape(np.shape(coeffs))
+
+    def map_spectrum(self, factors: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.synthesize(factors * self.project(v))
+
+
+@dataclass(frozen=True)
+class SineBasis(_Basis):
+    """The orthonormal DST-I eigenbasis of an operator with a closed-form
+    spectrum: eigenvalues holds source.spectrum in grid order, so both row
+    maps are sine_transform, which is its own inverse."""
+
+    eigenvalues: np.ndarray
+    source: DiscreteDirichletOperator = field(repr=False)
+
+    def _project(self, rows):
+        return sine_transform(rows, self.source.mesh.m_int)
+
+    _synthesize = _project
+
+    def checked_rows(self):
+        """The lowest and highest unit modes and four seeded random rows c,
+        synthesized with and without mu, as certify reads them."""
+        c = np.random.default_rng(0).standard_normal((6, self.size))
+        c[:2] = 0.0
+        c[0, self.eigenvalues.argmin()] = c[1, self.eigenvalues.argmax()] = 1.0
+        yield (self.synthesize(c), self.synthesize(self.eigenvalues * c),
+               np.linalg.norm(c, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -77,15 +125,13 @@ class EigenBasis(_Basis):
     eigenvectors: np.ndarray
     source: DiscreteDirichletOperator = field(repr=False)
 
-    # one 2-D product per stack of any rank, its leading axes as rows, reads
-    # Q once; v Q^* as conj(conj(v) Q) never copies a complex Q conjugated
-    def project(self, v: np.ndarray) -> np.ndarray:
-        rows = np.reshape(v, (-1, np.shape(v)[-1]))
-        return (rows.conj() @ self.eigenvectors).conj().reshape(np.shape(v))
+    # one 2-D product per stack reads Q once; v Q^* as conj(conj(v) Q)
+    # never copies a complex Q conjugated
+    def _project(self, rows):
+        return (rows.conj() @ self.eigenvectors).conj()
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        rows = np.reshape(coeffs, (-1, np.shape(coeffs)[-1]))
-        return (rows @ self.eigenvectors.T).reshape(np.shape(coeffs))
+    def _synthesize(self, rows):
+        return rows @ self.eigenvectors.T
 
     def checked_rows(self):
         """Every eigenvector x with y = mu x, as certify reads them: 32
@@ -119,13 +165,12 @@ class BlochBasis(_Basis):
     phase: np.ndarray | None = field(repr=False)
     source: DiscreteDirichletOperator = field(repr=False)
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        rows = np.reshape(v, (-1, np.shape(v)[-1]))
+    def _project(self, rows):
         if self.phase is not None:
             rows = rows * self.phase.conj()
-        return _by_parts(self._project, rows).reshape(np.shape(v))
+        return _by_parts(self._fft_project, rows)
 
-    def _project(self, rows):
+    def _fft_project(self, rows):
         n_cells = self.weights.shape[1]
         # (R, L, p), the Dirichlet node N + 1 padded on
         grid = np.pad(rows, ((0, 0), (0, 1))).reshape(len(rows), n_cells, -1)
@@ -135,14 +180,11 @@ class BlochBasis(_Basis):
         return np.concatenate(
             [bands.transpose(1, 0, 2).reshape(len(rows), -1), cell], axis=1)
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        rows = np.reshape(coeffs, (-1, np.shape(coeffs)[-1]))
-        out = _by_parts(self._synthesize, rows)
-        if self.phase is not None:
-            out = out * self.phase
-        return out.reshape(np.shape(coeffs))
-
     def _synthesize(self, rows):
+        out = _by_parts(self._fft_synthesize, rows)
+        return out if self.phase is None else out * self.phase
+
+    def _fft_synthesize(self, rows):
         n_cells, p = self.weights.shape[1], self.cell.shape[0] + 1
         split = (n_cells - 1) * p
         bands = rows[:, :split].reshape(len(rows), n_cells - 1, p)
@@ -348,18 +390,9 @@ def _cos_factors(mu: np.ndarray, t) -> np.ndarray:
 
 
 def _sinc_factors(mu: np.ndarray, t) -> np.ndarray:
-    """sin(t sqrt(mu)) / sqrt(mu) with a series branch near sqrt(mu)|t| = 0."""
-    root = np.sqrt(np.asarray(mu, dtype=float))
-    t_arr = np.asarray(t, dtype=float)
-    arg = root * t_arr
-    root_b = np.broadcast_to(root, arg.shape)
-    t_b = np.broadcast_to(t_arr, arg.shape)
-    small = np.abs(arg) < 1e-6
-    out = np.where(small, 0.0, np.sin(arg) / np.where(small, 1.0, root_b))
-    if small.any():
-        a2 = arg[small] ** 2
-        out[small] = t_b[small] * (1.0 - a2 / 6.0 + a2 ** 2 / 120.0)
-    return out
+    """sin(t sqrt(mu)) / sqrt(mu), mu > 0 as spectral_decompose checks."""
+    root = np.sqrt(mu)
+    return np.sin(t * root) / root
 
 
 def _time_factors(eb: _Basis, fn, t, v) -> np.ndarray:
@@ -508,37 +541,20 @@ def flux_approx(u0: np.ndarray, cell: CellSolution, eps: float,
 # leapfrog oracle
 
 
-def estimate_mu_max(op: DiscreteDirichletOperator) -> float:
-    """Power-iteration estimate of the largest eigenvalue."""
-    rng = np.random.default_rng(4321)
-    x = rng.standard_normal(op.size)
-    if op.matrix.dtype.kind == "c":
-        x = x.astype(complex)
-    x /= np.linalg.norm(x)
-    mu = 0.0
-    for _ in range(_POWER_ITERS):
-        y = op.matrix @ x
-        mu = float(np.vdot(x, y).real)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        x = y / ny
-    return mu
-
-
 def leapfrog_oracle(op: DiscreteDirichletOperator, phi, psi, forcing,
                     t: float, dt: float, return_velocity: bool = False):
-    """Stoermer-Verlet integration of u'' = -A u + F from (phi, psi) to time t.
+    """Stoermer-Verlet integration of u'' = -A u + F from (phi, psi) to time t,
+    forwards or backwards, in ceil(|t| / dt) equal steps.
 
     forcing is None or a callable t -> vector.  Second-order accurate and
     independent of any eigendecomposition; dt must satisfy the CFL bound
-    dt <= 1.9 / sqrt(mu_max).
+    dt <= 1.9 / sqrt(|A|_1), which certifies dt <= 1.9 / sqrt(mu_max) for a
+    hermitian A, as |A|_1 >= |A|_2 >= mu_max.
     """
-    mu_max = estimate_mu_max(op)
-    dt_cfl = 1.9 / np.sqrt(mu_max) if mu_max > 0 else np.inf
+    dt_cfl = 1.9 / np.sqrt(op.norm1())
     if dt > dt_cfl:
         raise CFLViolation(f"dt={dt:.3e} exceeds CFL bound {dt_cfl:.3e}")
-    n_steps = max(1, int(np.ceil(t / dt - 1e-12)))
+    n_steps = max(1, int(np.ceil(abs(t) / dt - 1e-12)))
     dt_eff = t / n_steps
     dtype = np.result_type(op.matrix.dtype, np.asarray(phi).dtype,
                            np.asarray(psi).dtype, float)
@@ -555,4 +571,3 @@ def leapfrog_oracle(op: DiscreteDirichletOperator, phi, psi, forcing,
     if return_velocity:
         return u, v
     return u
-

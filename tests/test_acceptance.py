@@ -28,7 +28,6 @@ from oscillat.evolution import (
     op_sine_scaled,
     solve_ibvp,
     leapfrog_oracle,
-    estimate_mu_max,
 )
 from oscillat.study import (
     SweepConfig,
@@ -185,7 +184,7 @@ def _leapfrog_agreement(coeffs, lat, eps, dt_factor):
     phi = op_0.solve_shifted(0.0, op_0.solve_shifted(
         0.0, rng.standard_normal(op_eps.size)))
     phi /= l2_norm(mesh, phi)
-    dt = dt_factor * 1.9 / np.sqrt(estimate_mu_max(op_eps))
+    dt = dt_factor * 1.9 / np.sqrt(op_eps.norm1())
     u_lf = leapfrog_oracle(op_eps, phi, 0 * phi, None, 1.0, dt)
     ref = solve_ibvp(eb, phi, 0 * phi, None, [1.0]).u[0]
     return l2_norm(mesh, u_lf - ref) / l2_norm(mesh, ref), op_eps, eb, phi, mesh

@@ -701,8 +701,9 @@ def corrupt_solver(monkeypatch, rel):
 @pytest.mark.parametrize("closed_form", [True, False])
 def test_solve_shifted_certifies_every_solve(closed_form, monkeypatch):
     # solve_shifted refuses a wrong solution by its backward error, whether
-    # factor divides in a SineBasis or solves with a sparse LU: a vector
-    # with one entry off by 1e-6 and the first row of a stack
+    # factor divides by the closed-form gaps between sine transforms or
+    # solves with a sparse LU: a vector with one entry off by 1e-6 and the
+    # first row of a stack
     cs = (catalog("const", {"g": 1.0, "d": 1}) if closed_form
           else catalog("sine1d"))
     op = assemble_b_eps(mesh_for([1.0], 0.25 / 16), cs, 0.25, LAT1)

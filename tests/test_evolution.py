@@ -29,7 +29,6 @@ from oscillat.evolution import (
     flux,
     flux_approx,
     leapfrog_oracle,
-    estimate_mu_max,
     _duhamel_tables,
 )
 from oracles import (beyond_reach, first_order_approx, leapfrog_energy_drift,
@@ -670,7 +669,7 @@ def test_leapfrog_matches_spectral_evolution():
     phi = op_0.solve_shifted(0.0, op_0.solve_shifted(
         0.0, rng.standard_normal(op_0.size)))
     phi /= l2_norm(mesh, phi)
-    dt = 1e-3 * 1.9 / np.sqrt(estimate_mu_max(op_eps))
+    dt = 1e-3 * 1.9 / np.sqrt(op_eps.norm1())
     u_lf = leapfrog_oracle(op_eps, phi, 0 * phi, None, 1.0, dt)
     ref = solve_ibvp(eb, phi, 0 * phi, None, [1.0]).u[0]
     assert l2_norm(mesh, u_lf - ref) <= 1e-4 * l2_norm(mesh, ref)
@@ -691,6 +690,39 @@ def test_leapfrog_cfl_violation():
     with pytest.raises(CFLViolation):
         leapfrog_oracle(op, np.zeros(op.size), np.zeros(op.size), None,
                         1.0, 1.0)
+
+
+def test_leapfrog_cfl_bound_is_certified():
+    # 1.9 / sqrt(|A|_1) is the bound: one percent above it is refused,
+    # though it lies below 1.9 / sqrt(mu_max) on sine1d (|A|_1 / mu_max
+    # is about 1.08 there), where a Rayleigh quotient of mu_max let it pass
+    _, _, _, op_eps, _, _ = sine_fixture()
+    z = np.zeros(op_eps.size)
+    with pytest.raises(CFLViolation):
+        leapfrog_oracle(op_eps, z, z, None, 1.0,
+                        1.01 * 1.9 / np.sqrt(op_eps.norm1()))
+
+
+@pytest.mark.parametrize("name", ["sine1d", "laminate2d",
+                                  "checkerboard-smooth", "random-bandlimited"])
+def test_norm1_bounds_the_largest_eigenvalue(name):
+    # |A|_1 >= |A|_2 >= mu_max for a hermitian A, so the CFL check certifies
+    d = 1 if name in ("sine1d", "random-bandlimited") else 2
+    op = assemble_b_eps(mesh_for([1.0] * d, 0.25 / 16 if d == 1 else 0.5 / 16),
+                        catalog(name), 0.25 if d == 1 else 0.5, unit_lattice(d))
+    assert op.norm1() >= scipy.linalg.eigvalsh(op.matrix.toarray())[-1]
+
+
+def test_leapfrog_runs_backwards_at_negative_times():
+    # t < 0 takes ceil(|t| / dt) steps of size t / n, not one step of size t
+    mesh, op = laplacian_op(31)
+    eb = spectral_decompose(op)
+    phi, psi = eb.synthesize(np.random.default_rng(5).standard_normal(
+        (2, op.size)) / (1.0 + np.arange(op.size)) ** 2)
+    for t in (-0.5, 0.5):
+        ref = solve_ibvp(eb, phi, psi, None, [t]).u[0]
+        u = leapfrog_oracle(op, phi, psi, None, t, 1e-3)
+        assert np.linalg.norm(u - ref) <= 1e-4 * np.linalg.norm(ref)
 
 
 def test_leapfrog_forced_matches_duhamel():

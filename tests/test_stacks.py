@@ -23,7 +23,8 @@ from oscillat.dirichlet import (
     build_extension,
     extend,
 )
-from oscillat.evolution import EigenBasis, op_cosine, spectral_decompose
+from oscillat.evolution import (BlochBasis, EigenBasis, SineBasis, op_cosine,
+                                spectral_decompose)
 from oscillat.study import (
     SweepConfig,
     build_fixture,
@@ -99,20 +100,45 @@ def _random_basis(size, complex_, seed=0):
     return EigenBasis(np.arange(1.0, size + 1.0), q, source=None)
 
 
-@pytest.mark.parametrize("complex_", [False, True])
-def test_basis_products_of_a_stack_equal_per_slice_calls(complex_):
-    eb = _random_basis(64, complex_)
+def _backend(name):
+    """A basis of each backend: stored real or complex eigenvectors, the
+    2-D DST-I, and the Floquet-Bloch basis of a complex, phased B_eps."""
+    if name.startswith("eigen"):
+        return _random_basis(64, name == "eigen-complex")
+    if name == "sine-2d":
+        op = assemble_b_eps(make_mesh([1.0, 1.3], [15, 20]),
+                            catalog("const", {"g": 1.0, "d": 2}), 1.0,
+                            unit_lattice(2))
+        eb = spectral_decompose(op)
+        assert isinstance(eb, SineBasis)
+        return eb
+    op = assemble_b_eps(mesh_for([1.0], 1 / 256),
+                        catalog("sine1d", {"a_amp": 0.3}), 1 / 16,
+                        unit_lattice(1))
+    eb = spectral_decompose(op)
+    assert isinstance(eb, BlochBasis) and eb.phase is not None
+    return eb
+
+
+@pytest.mark.parametrize("name", ["eigen-real", "eigen-complex", "sine-2d",
+                                  "bloch-phased"])
+def test_basis_products_of_a_stack_equal_per_slice_calls(name):
+    # one row contract: a real or complex stack of rank 1 to 3 is flattened
+    # into rows once, and each row equals its own call
+    eb = _backend(name)
     rng = np.random.default_rng(1)
-    v = rng.standard_normal((5, 3, 64)) + 1j * rng.standard_normal((5, 3, 64))
-    for fn in (eb.project, eb.synthesize):
-        stacked = fn(v)
-        assert stacked.shape == v.shape
-        for i in range(v.shape[0]):
-            per_slice = fn(v[i])
-            assert (np.abs(stacked[i] - per_slice).max()
-                    <= 1e-14 * np.abs(per_slice).max())
-    # a single vector keeps its shape
-    assert eb.project(v[0, 0]).shape == (64,)
+    for lead in ((), (4,), (2, 3)):
+        for complex_ in (False, True):
+            v = rng.standard_normal(lead + (eb.size,))
+            if complex_:
+                v = v + 1j * rng.standard_normal(v.shape)
+            for fn in (eb.project, eb.synthesize):
+                stacked = fn(v)
+                assert stacked.shape == v.shape
+                for idx in np.ndindex(*lead):
+                    per_slice = fn(v[idx])
+                    assert (np.abs(stacked[idx] - per_slice).max()
+                            <= 1e-14 * np.abs(per_slice).max())
 
 
 def test_complex_projection_copies_no_basis():
